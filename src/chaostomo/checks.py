@@ -70,7 +70,7 @@ def _check_trace_identity():
     tl = dynamics.heisenberg_timeline(jy, u, 79)
     basis = gell_mann_basis(7)
     cov = tomography.build_covariance(tl, basis)
-    lhs = float(np.trace(cov.inv_cov))
+    lhs = float(cov.eigenvalues().sum())
     rhs = len(tl) * float(np.sum(bloch_encode(jy, basis) ** 2))
     rel = abs(lhs - rhs) / abs(rhs)
     return rel < 1e-10, f"Tr(C^-1) = N |O|^2 to relative {rel:.1e}"
@@ -139,7 +139,7 @@ def _check_rmt():
     comm = np.max(np.abs(p @ u - u @ p))
     vbasis, dims = rmt.reflection_eigenbasis(4)
     w = rmt.block_diagonal_sample(
-        rmt.EnsembleSpec("COE", 16, block_dims=dims, seed=5), vbasis
+        rmt.EnsembleSpec("COE", 16, block_dims=dims), vbasis, np.random.default_rng(5)
     )
     bcomm = np.max(np.abs(w @ p - p @ w))
     ok = comm < 1e-10 and bcomm < 1e-10

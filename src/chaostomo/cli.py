@@ -4,9 +4,9 @@
 preset), ``chaostomo presets`` lists the built-in parameter sets with
 their provenance, and ``chaostomo check`` runs the fast invariant suite.
 
-Exit codes: 0 success, 2 configuration validation failure, 3 solver
-non-convergence (results are still written, flagged row-by-row in the
-diagnostics sense that the best iterate was used).
+Exit codes: 0 success, 2 configuration validation failure, 3 the
+positivity solver hit its iteration cap somewhere (the CSV is still
+written from the best iterates; it carries no per-row flag).
 """
 
 from __future__ import annotations

@@ -170,10 +170,9 @@ ModelSpec = Union[KickedTop, KickedIsing, TiltedIsing, XXZChain, HaarSteps]
 
 @dataclass(frozen=True)
 class UnitaryPropagator:
-    """A single evolution step, with a tag for what the step means."""
+    """A single evolution step: one Floquet period or one time step dt."""
 
     matrix: np.ndarray
-    step_semantics: str = "Floquet step"
 
     @property
     def dim(self) -> int:
@@ -227,7 +226,7 @@ def kicked_top_floquet(spec: KickedTop) -> UnitaryPropagator:
     jx, _, jz = angular_momentum_ops(spec.j)
     kick = expm_hermitian(jz @ jz, scale=-1j * spec.lam / (2 * spec.j))
     rot = expm_hermitian(jx, scale=-1j * spec.alpha)
-    return UnitaryPropagator(kick @ rot, "Floquet step")
+    return UnitaryPropagator(kick @ rot)
 
 
 def classical_kicked_top_step(x, y, z, lam: float, alpha: float):
@@ -282,7 +281,7 @@ def tki_floquet(spec: KickedIsing) -> UnitaryPropagator:
     u = expm_hermitian(spec.J * _ising_coupling(spec.L)) @ expm_hermitian(
         _field(spec.hx, spec.hz, spec.L)
     )
-    return UnitaryPropagator(u, "Floquet step")
+    return UnitaryPropagator(u)
 
 
 def ti_hamiltonian(spec: TiltedIsing) -> np.ndarray:
@@ -294,9 +293,7 @@ def ti_hamiltonian(spec: TiltedIsing) -> np.ndarray:
 
 def ti_unitary(spec: TiltedIsing) -> UnitaryPropagator:
     """Continuous-time tilted-field Ising evolution over one dt."""
-    return UnitaryPropagator(
-        expm_hermitian(ti_hamiltonian(spec), scale=-1j * spec.dt), "continuous time dt"
-    )
+    return UnitaryPropagator(expm_hermitian(ti_hamiltonian(spec), scale=-1j * spec.dt))
 
 
 def xxz_hamiltonian(spec: XXZChain) -> np.ndarray:
@@ -314,9 +311,7 @@ def xxz_hamiltonian(spec: XXZChain) -> np.ndarray:
 
 def xxz_unitary(spec: XXZChain) -> UnitaryPropagator:
     """XXZ-with-impurity evolution over one dt."""
-    return UnitaryPropagator(
-        expm_hermitian(xxz_hamiltonian(spec), scale=-1j * spec.dt), "continuous time dt"
-    )
+    return UnitaryPropagator(expm_hermitian(xxz_hamiltonian(spec), scale=-1j * spec.dt))
 
 
 def build_propagator(spec: ModelSpec) -> UnitaryPropagator:

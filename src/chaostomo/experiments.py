@@ -35,14 +35,23 @@ __all__ = [
     "ExperimentConfig",
     "ResultTable",
     "run_experiment",
-    "list_presets",
     "PRESETS",
 ]
 
 TOOL_VERSION = "0.1.0"
 
 EXPERIMENTS = ("phase-space", "tomo", "krylov", "perturb", "rmt-compare", "ordered-bloch")
-MODEL_KINDS = ("kicked_top", "kicked_ising", "tilted_ising", "xxz", "haar")
+# Each model kind: its spec type, and the config keys it takes with their
+# defaults.  The xxz impurity site defaults to the middle of the chain.
+MODELS = {
+    "kicked_top": (dynamics.KickedTop, {"j": 10, "lambda": 3.0, "alpha": np.pi / 2}),
+    "kicked_ising": (dynamics.KickedIsing, {"L": 5, "J": 1.0, "hx": 1.4, "hz": 1.4}),
+    "tilted_ising": (dynamics.TiltedIsing, {"L": 5, "J": 1.0, "hx": 1.4, "hz": 0.1, "dt": 1.0}),
+    "xxz": (dynamics.XXZChain, {"L": 5, "Jxy": 1.0, "Jzz": 1.1, "g": 0.0, "site": None,
+                                "dt": 1.0, "impurity_axis": "z"}),
+    "haar": (dynamics.HaarSteps, {"dim": 8, "seed": 0}),
+}
+MODEL_KINDS = tuple(MODELS)
 
 
 class ConfigError(ValueError):
@@ -85,6 +94,16 @@ class ExperimentConfig:
             raise ConfigError("sweep", "a sweep with 'param' and nonempty 'values' is required")
         if "param" not in self.sweep or not self.sweep.get("values"):
             raise ConfigError("sweep", "needs 'param' and a nonempty 'values' list")
+        # ordered-bloch may omit the kind and give only the spin j
+        known = MODELS[kind][1] if kind in MODELS else {"j": None}
+        for key in self.model:
+            if key != "kind" and key not in known:
+                raise ConfigError(f"model.{key}",
+                                  f"not a parameter of {kind}; known: {sorted(known)}")
+        param = self.sweep["param"]
+        if self.experiment != "ordered-bloch" and param not in known:
+            raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
+                                       f"known: {sorted(known)}")
         if self.n_states < 1:
             raise ConfigError("n_states", "must be >= 1")
         if self.sigma < 0:
@@ -128,39 +147,20 @@ class ExperimentConfig:
 def _build_model(model: dict, override: Optional[tuple] = None) -> dynamics.ModelSpec:
     spec = dict(model)
     kind = spec.pop("kind", None)
+    if kind not in MODELS:
+        raise ConfigError("model.kind", f"unknown kind {kind!r}")
     if override is not None:
         spec[override[0]] = override[1]
+    model_type, defaults = MODELS[kind]
+    params = {**defaults, **spec}
+    if kind == "kicked_top":
+        params["lam"] = params.pop("lambda")
+    if kind == "xxz" and params["site"] is None:
+        params["site"] = (params["L"] + 1) // 2
     try:
-        if kind == "kicked_top":
-            return dynamics.KickedTop(
-                j=spec.get("j", 10), lam=spec.get("lambda", spec.get("lam", 3.0)),
-                alpha=spec.get("alpha", np.pi / 2),
-            )
-        if kind == "kicked_ising":
-            return dynamics.KickedIsing(
-                L=spec.get("L", 5), J=spec.get("J", 1.0),
-                hx=spec.get("hx", 1.4), hz=spec.get("hz", 1.4),
-            )
-        if kind == "tilted_ising":
-            return dynamics.TiltedIsing(
-                L=spec.get("L", 5), J=spec.get("J", 1.0), hx=spec.get("hx", 1.4),
-                hz=spec.get("hz", 0.1), dt=spec.get("dt", 1.0),
-            )
-        if kind == "xxz":
-            return dynamics.XXZChain(
-                L=spec.get("L", 5), Jxy=spec.get("Jxy", 1.0), Jzz=spec.get("Jzz", 1.1),
-                g=spec.get("g", 0.0), site=spec.get("site", (spec.get("L", 5) + 1) // 2),
-                dt=spec.get("dt", 1.0), impurity_axis=spec.get("impurity_axis", "z"),
-            )
-        if kind == "haar":
-            return dynamics.HaarSteps(dim=spec.get("dim", 8), seed=spec.get("seed", 0))
+        return model_type(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError("model", str(exc)) from exc
-    raise ConfigError("model.kind", f"unknown kind {kind!r}")
-
-
-def _model_dim(model: dynamics.ModelSpec) -> int:
-    return model.dim
 
 
 KNOWN_OBSERVABLES = (
@@ -173,7 +173,7 @@ KNOWN_OBSERVABLES = (
 
 def _build_observable(name: str, model: dynamics.ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Resolve a named observable for the model's Hilbert space."""
-    d = _model_dim(model)
+    d = model.dim
     spin_like = isinstance(model, (dynamics.KickedTop, dynamics.HaarSteps))
     if name in ("J_x", "J_y", "J_z"):
         j = (d - 1) / 2.0
@@ -228,17 +228,39 @@ class ResultTable:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv())
 
-    def series(self, sweep_value, metric) -> np.ndarray:
-        """Mean column for one (sweep value, metric), ordered by step."""
-        sv = _fmt_value(float(sweep_value)) if isinstance(sweep_value, (int, float)) else str(sweep_value)
-        picked = [(r[2], r[4]) for r in self.rows if str(r[1]) == sv and r[3] == metric]
-        return np.array([m for _, m in sorted(picked)])
+
+def _mean_stderr(samples: np.ndarray) -> tuple:
+    m = float(np.mean(samples))
+    if len(samples) < 2:
+        return m, 0.0
+    return m, float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".10g")
-    return str(v)
+@dataclass
+class _Rows:
+    """Rows of one sweep parameter; the only place a sweep value is formatted."""
+
+    param: str
+    rows: list = field(default_factory=list)
+
+    def add(self, value, step, metric, mean, stderr=0.0, count=1):
+        label = format(value, ".10g") if isinstance(value, float) else str(value)
+        self.rows.append((self.param, label, step, metric, mean, stderr, count))
+
+    def add_steps(self, value, steps, columns: dict):
+        """Step by step, one row per metric; ``columns`` maps metric -> value per step."""
+        for i, step in enumerate(steps):
+            for metric, column in columns.items():
+                self.add(value, step, metric, column[i])
+
+    def add_means(self, value, steps, columns: dict):
+        """Like :meth:`add_steps` for (samples, steps) arrays: mean and standard error."""
+        for i, step in enumerate(steps):
+            for metric, samples in columns.items():
+                self.add(value, step, metric, *_mean_stderr(samples[:, i]), len(samples))
+
+    def table(self, solver_converged: bool = True) -> ResultTable:
+        return ResultTable(header=[], rows=self.rows, solver_converged=solver_converged)
 
 
 def _eval_steps(n_rows: int, stride: int) -> list:
@@ -248,15 +270,10 @@ def _eval_steps(n_rows: int, stride: int) -> list:
     return steps
 
 
-def _resolve_steps(cfg: ExperimentConfig, d: int) -> int:
-    return cfg.steps if cfg.steps > 0 else 2 * d * d
-
-
-def _mean_stderr(samples: np.ndarray) -> tuple:
-    m = float(np.mean(samples))
-    if len(samples) < 2:
-        return m, 0.0
-    return m, float(np.std(samples, ddof=1) / np.sqrt(len(samples)))
+def _record_steps(cfg: ExperimentConfig, d: int) -> tuple:
+    """Record length (``steps``, or 2 d^2 when 0) and the prefix lengths evaluated."""
+    n_rows = cfg.steps if cfg.steps > 0 else 2 * d * d
+    return n_rows, _eval_steps(n_rows, cfg.eval_stride)
 
 
 def _cell_streams(cfg: ExperimentConfig, n_cells: int):
@@ -268,161 +285,157 @@ def _cell_streams(cfg: ExperimentConfig, n_cells: int):
     return obs_rng, aux_rng, cells
 
 
+QUANTIFIERS = ("shannon", "fisher", "rank", "mutual_info")
+
+
+def _quantifier_columns(cov, eval_steps, metrics=QUANTIFIERS) -> dict:
+    """Covariance quantifiers of each record prefix, metric -> value per step."""
+    series = quantifiers.quantifier_series(cov, eval_steps)
+    return {metric: getattr(series, metric) for metric in metrics}
+
+
+def _fidelity_rows(rows: _Rows, cfg: ExperimentConfig, value, timeline, cov, basis,
+                   eval_steps, rngs) -> bool:
+    """Mean reconstruction fidelity over one state per stream in ``rngs``.
+
+    Records come from ``timeline`` and are inverted with ``cov``: an ideal
+    run passes the timeline its covariance was built from, a mismatched run
+    the true-dynamics timeline with the model covariance.  Returns whether
+    every positivity projection converged.
+    """
+    d = basis.dim
+    fids = np.empty((len(rngs), len(eval_steps)))
+    converged = True
+    for i, rng in enumerate(rngs):
+        if cfg.state == "coherent":
+            psi0 = phase_space.spin_coherent((d - 1) / 2.0, cfg.theta, cfg.phi)
+        else:
+            psi0 = tomography.haar_random_pure(d, rng)
+        record = tomography.generate_record(psi0, timeline, cfg.sigma, rng)
+        run = tomography.reconstruct_series(record, cov, basis, psi0=psi0, eval_steps=eval_steps)
+        fids[i] = run.fidelities
+        converged &= all(diag.converged for diag in run.results)
+    rows.add_means(value, eval_steps, {"fidelity": fids})
+    return converged
+
+
 def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
     param = cfg.sweep["param"]
-    values = list(cfg.sweep["values"])
-    rows = []
+    rows = _Rows(param)
     converged = True
-    obs_rng, aux_rng, cells = _cell_streams(cfg, len(values) * cfg.n_states)
-    first_model = _build_model(cfg.model, (param, values[0]))
-    d = _model_dim(first_model)
-    basis = gell_mann_basis(d)
-    n_rows = _resolve_steps(cfg, d)
-    eval_steps = _eval_steps(n_rows, cfg.eval_stride)
+    obs_rng, aux_rng, cells = _cell_streams(cfg, len(cfg.sweep["values"]) * cfg.n_states)
+    first_model = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
+    basis = gell_mann_basis(first_model.dim)
+    n_rows, eval_steps = _record_steps(cfg, first_model.dim)
     observable = _build_observable(cfg.observable, first_model, obs_rng)
-    for iv, value in enumerate(values):
+    for iv, value in enumerate(cfg.sweep["values"]):
         model = _build_model(cfg.model, (param, value))
         timeline = tomography.model_timeline(model, observable, n_rows)
         cov = tomography.build_covariance(timeline, basis)
-        series = quantifiers.quantifier_series(cov, eval_steps)
-        for i, n in enumerate(eval_steps):
-            rows.append((param, _fmt_value(value), n, "shannon", series.shannon[i], 0.0, 1))
-            rows.append((param, _fmt_value(value), n, "fisher", series.fisher[i], 0.0, 1))
-            rows.append((param, _fmt_value(value), n, "rank", series.rank[i], 0.0, 1))
-            rows.append((param, _fmt_value(value), n, "mutual_info", series.mutual_info[i], 0.0, 1))
-        fids = np.empty((cfg.n_states, len(eval_steps)))
-        for i_state in range(cfg.n_states):
-            rng = cells[iv * cfg.n_states + i_state]
-            if cfg.state == "coherent":
-                psi0 = phase_space.spin_coherent((d - 1) / 2.0, cfg.theta, cfg.phi)
-            else:
-                psi0 = tomography.haar_random_pure(d, rng)
-            record = tomography.generate_record(psi0, timeline, cfg.sigma, rng)
-            run = tomography.reconstruct_series(record, cov, basis, psi0=psi0, eval_steps=eval_steps)
-            fids[i_state] = run.fidelities
-            converged &= all(r.converged for r in run.results)
-        for i, n in enumerate(eval_steps):
-            m, se = _mean_stderr(fids[:, i])
-            rows.append((param, _fmt_value(value), n, "fidelity", m, se, cfg.n_states))
-    return ResultTable(header=[], rows=rows, solver_converged=converged)
+        rows.add_steps(value, eval_steps, _quantifier_columns(cov, eval_steps))
+        converged &= _fidelity_rows(rows, cfg, value, timeline, cov, basis, eval_steps,
+                                    cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
+    return rows.table(converged)
 
 
 def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
     if cfg.model.get("kind") != "kicked_top":
         raise ConfigError("model.kind", "perturb experiment requires the kicked_top model")
     param = cfg.sweep["param"]
-    values = list(cfg.sweep["values"])
-    rows = []
+    rows = _Rows(param)
     converged = True
-    obs_rng, aux_rng, cells = _cell_streams(cfg, len(values) * cfg.n_states)
-    base = _build_model(cfg.model, (param, values[0]))
-    d = base.dim
+    obs_rng, aux_rng, cells = _cell_streams(cfg, len(cfg.sweep["values"]) * cfg.n_states)
+    base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
     j = base.j
-    basis = gell_mann_basis(d)
-    n_rows = _resolve_steps(cfg, d)
-    eval_steps = _eval_steps(n_rows, cfg.eval_stride)
+    basis = gell_mann_basis(base.dim)
+    n_rows, eval_steps = _record_steps(cfg, base.dim)
     # random initial observable: J_x conjugated by a Haar unitary
     if cfg.observable == "random-local":
-        w = rmt.haar_unitary(d, obs_rng)
+        w = rmt.haar_unitary(base.dim, obs_rng)
         jx = dynamics.angular_momentum_ops(j)[0]
         observable = w.conj().T @ jx @ w
     else:
         observable = _build_observable(cfg.observable, base, obs_rng)
-    for iv, value in enumerate(values):
+    for iv, value in enumerate(cfg.sweep["values"]):
         model = _build_model(cfg.model, (param, value))
         pair = perturbation.perturbed_kicked_top(j, model.lam, model.alpha, cfg.delta_lambda)
         tl_true = dynamics.heisenberg_timeline(observable, pair.u_true, n_rows - 1)
         tl_model = dynamics.heisenberg_timeline(observable, pair.u_model, n_rows - 1)
-        cov_model = tomography.build_covariance(tl_model, basis)
         for n in eval_steps:
-            k = n - 1  # operator metrics index the timeline entry measured at row n
-            rows.append((param, _fmt_value(value), n, "loschmidt_echo",
-                         perturbation.operator_loschmidt_echo(tl_true.steps[k], tl_model.steps[k], observable), 0.0, 1))
-            rows.append((param, _fmt_value(value), n, "relative_entropy",
-                         perturbation.operator_relative_entropy(tl_true.steps[k], tl_model.steps[k]), 0.0, 1))
-            rows.append((param, _fmt_value(value), n, "incompatibility",
-                         perturbation.operator_incompatibility(tl_true.steps[k], tl_model.steps[k], j=j), 0.0, 1))
-        fids = np.empty((cfg.n_states, len(eval_steps)))
-        for i_state in range(cfg.n_states):
-            rng = cells[iv * cfg.n_states + i_state]
-            psi0 = tomography.haar_random_pure(d, rng)
-            record = tomography.generate_record(psi0, tl_true, cfg.sigma, rng)
-            run = perturbation.mismatched_reconstruction(record, cov_model, basis, psi0=psi0, eval_steps=eval_steps)
-            fids[i_state] = run.fidelities
-            converged &= all(r.converged for r in run.results)
-        for i, n in enumerate(eval_steps):
-            m, se = _mean_stderr(fids[:, i])
-            rows.append((param, _fmt_value(value), n, "fidelity", m, se, cfg.n_states))
-    return ResultTable(header=[], rows=rows, solver_converged=converged)
+            # operator metrics compare the timeline entries measured at row n
+            o_true, o_model = tl_true.steps[n - 1], tl_model.steps[n - 1]
+            rows.add(value, n, "loschmidt_echo",
+                     perturbation.operator_loschmidt_echo(o_true, o_model, observable))
+            rows.add(value, n, "relative_entropy",
+                     perturbation.operator_relative_entropy(o_true, o_model))
+            rows.add(value, n, "incompatibility",
+                     perturbation.operator_incompatibility(o_true, o_model, j=j))
+        cov_model = tomography.build_covariance(tl_model, basis)
+        converged &= _fidelity_rows(rows, cfg, value, tl_true, cov_model, basis, eval_steps,
+                                    cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
+    return rows.table(converged)
 
 
 def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
     param = cfg.sweep["param"]
-    values = list(cfg.sweep["values"])
-    rows = []
+    rows = _Rows(param)
     obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
-    for value in values:
+    for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
         observable = _build_observable(cfg.observable, model, obs_rng)
         if isinstance(model, (dynamics.TiltedIsing, dynamics.XXZChain)):
             h = (dynamics.ti_hamiltonian(model) if isinstance(model, dynamics.TiltedIsing)
                  else dynamics.xxz_hamiltonian(model))
             kb = krylov.lanczos_full_orth(krylov.liouvillian(h), observable)
-            rows.append((param, _fmt_value(value), 0, "krylov_dim", kb.dim_k, 0.0, 1))
+            rows.add(value, 0, "krylov_dim", kb.dim_k)
             for k, b in enumerate(kb.lanczos_b, start=1):
-                rows.append((param, _fmt_value(value), k, "lanczos_b", b, 0.0, 1))
+                rows.add(value, k, "lanczos_b", b)
             if cfg.steps > 0:
                 for n in _eval_steps(cfg.steps, cfg.eval_stride):
                     amp = krylov.krylov_amplitudes(
                         krylov.evolve_operator(h, observable, n * model.dt), kb, t=n * model.dt
                     )
-                    rows.append((param, _fmt_value(value), n, "krylov_complexity",
-                                 krylov.krylov_complexity(amp), 0.0, 1))
-                    rows.append((param, _fmt_value(value), n, "krylov_entropy",
-                                 krylov.krylov_entropy(amp), 0.0, 1))
+                    rows.add(value, n, "krylov_complexity", krylov.krylov_complexity(amp))
+                    rows.add(value, n, "krylov_entropy", krylov.krylov_entropy(amp))
         else:
             u = dynamics.build_propagator(model)
-            K = krylov.arnoldi_unitary_dim(u, observable)
-            rows.append((param, _fmt_value(value), 0, "krylov_dim", K, 0.0, 1))
-    return ResultTable(header=[], rows=rows)
+            rows.add(value, 0, "krylov_dim", krylov.arnoldi_unitary_dim(u, observable))
+    return rows.table()
 
 
 def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
     if cfg.model.get("kind") != "kicked_top":
         raise ConfigError("model.kind", "phase-space experiment requires the kicked_top model")
     param = cfg.sweep["param"]
-    values = list(cfg.sweep["values"])
-    rows = []
+    rows = _Rows(param)
     obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
-    base = _build_model(cfg.model, (param, values[0]))
     n_steps = cfg.steps if cfg.steps > 0 else 200
     if cfg.mode == "portrait":
         # shared random starts on the unit sphere so panels are comparable
         z0 = aux_rng.uniform(-1.0, 1.0, cfg.n_trajectories)
         ph0 = aux_rng.uniform(0.0, 2 * np.pi, cfg.n_trajectories)
         s0 = np.sqrt(1.0 - z0**2)
-        for value in values:
+        for value in cfg.sweep["values"]:
             model = _build_model(cfg.model, (param, value))
             x, y, z = s0 * np.cos(ph0), s0 * np.sin(ph0), z0.copy()
             for n in range(1, n_steps + 1):
                 x, y, z = dynamics.classical_kicked_top_step(x, y, z, model.lam, model.alpha)
                 for t in range(cfg.n_trajectories):
-                    rows.append((param, _fmt_value(value), n, f"theta.{t:02d}",
-                                 float(np.arccos(np.clip(z[t], -1, 1))), 0.0, 1))
-                    rows.append((param, _fmt_value(value), n, f"phi.{t:02d}",
-                                 float(np.mod(np.arctan2(y[t], x[t]), 2 * np.pi)), 0.0, 1))
-        return ResultTable(header=[], rows=rows)
+                    rows.add(value, n, f"theta.{t:02d}", float(np.arccos(np.clip(z[t], -1, 1))))
+                    rows.add(value, n, f"phi.{t:02d}",
+                             float(np.mod(np.arctan2(y[t], x[t]), 2 * np.pi)))
+        return rows.table()
     # husimi mode: Wehrl entropy of the evolved observable
     grid = phase_space.sphere_grid()
+    base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
     observable = _build_observable(cfg.observable, base, obs_rng)
-    for value in values:
+    for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
         u = dynamics.build_propagator(model)
         tl = dynamics.heisenberg_timeline(observable, u, n_steps)
         for n in _eval_steps(n_steps, cfg.eval_stride):
-            rows.append((param, _fmt_value(value), n, "husimi_entropy",
-                         phase_space.husimi_entropy(tl.steps[n], grid), 0.0, 1))
-    return ResultTable(header=[], rows=rows)
+            rows.add(value, n, "husimi_entropy", phase_space.husimi_entropy(tl.steps[n], grid))
+    return rows.table()
 
 
 def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
@@ -430,59 +443,45 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     if kind not in ("kicked_ising", "tilted_ising"):
         raise ConfigError("model.kind", "rmt-compare requires kicked_ising or tilted_ising")
     param = cfg.sweep["param"]
-    values = list(cfg.sweep["values"])
-    rows = []
+    rows = _Rows(param)
+    metrics = QUANTIFIERS[:3]
     obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
-    base = _build_model(cfg.model, (param, values[0]))
-    L = base.L
+    base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
     d = base.dim
     basis = gell_mann_basis(d)
     observable = _build_observable(cfg.observable, base, obs_rng)
-    n_rows = _resolve_steps(cfg, d)
-    eval_steps = _eval_steps(n_rows, cfg.eval_stride)
-    for value in values:
+    n_rows, eval_steps = _record_steps(cfg, d)
+    for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
-        u = dynamics.build_propagator(model)
-        tl = dynamics.heisenberg_timeline(observable, u, n_rows - 1)
-        cov = tomography.build_covariance(tl, basis)
-        series = quantifiers.quantifier_series(cov, eval_steps)
-        for i, n in enumerate(eval_steps):
-            rows.append((param, _fmt_value(value), n, "shannon", series.shannon[i], 0.0, 1))
-            rows.append((param, _fmt_value(value), n, "fisher", series.fisher[i], 0.0, 1))
-            rows.append((param, _fmt_value(value), n, "rank", series.rank[i], 0.0, 1))
+        timeline = tomography.model_timeline(model, observable, n_rows)
+        cov = tomography.build_covariance(timeline, basis)
+        rows.add_steps(value, eval_steps, _quantifier_columns(cov, eval_steps, metrics))
     # ensemble baseline, block diagonal in the reflection eigenbasis
-    vbasis, block_dims = rmt.reflection_eigenbasis(L)
+    vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
     ens_kind = "COE" if kind == "kicked_ising" else "GOE"
-    samples = {m: np.empty((cfg.n_samples, len(eval_steps))) for m in ("shannon", "fisher", "rank")}
-    for i_s in range(cfg.n_samples):
-        spec = rmt.EnsembleSpec(ens_kind, d, block_dims=tuple(block_dims))
+    spec = rmt.EnsembleSpec(ens_kind, d, block_dims=tuple(block_dims))
+    samples = []
+    for _ in range(cfg.n_samples):
         mat = rmt.block_diagonal_sample(spec, vbasis, aux_rng)
-        if ens_kind == "GOE":
-            u = dynamics.UnitaryPropagator(dynamics.expm_hermitian(mat), "continuous time dt")
-        else:
-            u = dynamics.UnitaryPropagator(mat, "Floquet step")
+        # a GOE draw is a Hamiltonian evolved for dt = 1, a COE draw the step itself
+        u = dynamics.UnitaryPropagator(dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat)
         tl = dynamics.heisenberg_timeline(observable, u, n_rows - 1)
         cov = tomography.build_covariance(tl, basis)
-        series = quantifiers.quantifier_series(cov, eval_steps)
-        samples["shannon"][i_s] = series.shannon
-        samples["fisher"][i_s] = series.fisher
-        samples["rank"][i_s] = series.rank
-    for metric in ("shannon", "fisher", "rank"):
-        for i, n in enumerate(eval_steps):
-            m, se = _mean_stderr(samples[metric][:, i])
-            rows.append((param, "rmt", n, metric, m, se, cfg.n_samples))
-    return ResultTable(header=[], rows=rows)
+        samples.append(_quantifier_columns(cov, eval_steps, metrics))
+    for metric in metrics:
+        column = np.array([s[metric] for s in samples], dtype=float)
+        rows.add_means("rmt", eval_steps, {metric: column})
+    return rows.table()
 
 
 def _run_ordered_bloch(cfg: ExperimentConfig) -> ResultTable:
     param = cfg.sweep["param"]
-    values = list(cfg.sweep["values"])
     if param not in ("direction", "eta"):
         raise ConfigError("sweep", "ordered-bloch sweeps 'direction' or 'eta'")
-    rows = []
+    rows = _Rows(param)
     obs_rng, aux_rng, cells = _cell_streams(cfg, cfg.n_states)
     model = _build_model(cfg.model) if cfg.model.get("kind") else None
-    d = _model_dim(model) if model is not None else 2 * round(2 * cfg.model.get("j", 10)) + 1
+    d = model.dim if model is not None else 2 * round(2 * cfg.model.get("j", 10)) + 1
     basis = gell_mann_basis(d)
     j = (d - 1) / 2.0
     states = []
@@ -492,29 +491,23 @@ def _run_ordered_bloch(cfg: ExperimentConfig) -> ResultTable:
         else:
             states.append(tomography.haar_random_pure(d, cells[i_state]))
     u_r = rmt.haar_unitary(d, aux_rng)
-    for value in values:
+    ks = range(1, d * d)  # number of basis elements measured
+    for value in cfg.sweep["values"]:
         if param == "direction":
-            per_state = []
-            for psi in states:
-                rho = np.outer(psi, psi.conj())
-                part, bound = quantifiers.ordered_bloch_values(rho, basis, direction=value)
-                per_state.append((part, bound))
-            for k in range(d * d - 1):
-                pv = np.array([p[k] for p, _ in per_state])
-                bv = np.array([b[k] for _, b in per_state])
-                m, se = _mean_stderr(pv)
-                rows.append((param, value, k + 1, "bloch_value", m, se, cfg.n_states))
-                m, se = _mean_stderr(bv)
-                rows.append((param, value, k + 1, "fidelity_bound", m, se, cfg.n_states))
+            per_state = [quantifiers.ordered_bloch_values(np.outer(psi, psi.conj()), basis,
+                                                          direction=value) for psi in states]
+            rows.add_means(value, ks, {
+                "bloch_value": np.array([part for part, _ in per_state]),
+                "fidelity_bound": np.array([bound for _, bound in per_state]),
+            })
         else:  # eta sweep: fidelity with a perturbed measured basis
-            measured = perturbation.fractional_unitary_perturb(basis, u_r, float(value))
+            value = float(value)
+            measured = perturbation.fractional_unitary_perturb(basis, u_r, value)
             fid = np.array([
                 perturbation.ordered_perturbed_fidelity(psi, basis, measured) for psi in states
             ])
-            for k in range(d * d - 1):
-                m, se = _mean_stderr(fid[:, k])
-                rows.append((param, _fmt_value(float(value)), k + 1, "fidelity", m, se, cfg.n_states))
-    return ResultTable(header=[], rows=rows)
+            rows.add_means(value, ks, {"fidelity": fid})
+    return rows.table()
 
 
 _RUNNERS = {
@@ -637,14 +630,6 @@ PRESETS = {
                    " fractional random-unitary power; j=10, eta sweep is an artifact choice",
     ),
 }
-
-
-def list_presets() -> dict:
-    """Preset names mapped to their provenance strings and parameters."""
-    return {
-        name: {"provenance": params.get("provenance", ""), "config": params}
-        for name, params in PRESETS.items()
-    }
 
 
 def config_from_preset(name: str, **overrides) -> ExperimentConfig:

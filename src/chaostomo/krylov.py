@@ -3,7 +3,8 @@
 Two routes into the operator Krylov space span{O, L O, L^2 O, ...}:
 
 * Lanczos with full (doubled Gram-Schmidt) re-orthogonalization against
-  the Hermitian Liouvillian L = [H, .].  Plain Lanczos loses orthogonality
+  the Hermitian Liouvillian L = [H, .], applied matrix-free through two
+  d x d products per step.  Plain Lanczos loses orthogonality
   to rounding within a few dozen steps; brute-force re-orthogonalization
   keeps the basis orthonormal to machine precision, which is what makes
   the late, tiny recursion coefficients b_k trustworthy.
@@ -23,7 +24,7 @@ spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -48,8 +49,7 @@ class Liouvillian:
     """Commutator superoperator [H, .] of a Hermitian generator.
 
     ``apply`` acts on flattened operators through two d x d matrix
-    products, so the d^2 x d^2 matrix never needs to exist; ``matrix()``
-    materializes it densely for small dimensions and cross-checks.
+    products, so the d^2 x d^2 matrix never needs to exist.
     """
 
     hamiltonian: np.ndarray
@@ -62,11 +62,6 @@ class Liouvillian:
         d = self.dim
         x = vec.reshape(d, d)
         return (self.hamiltonian @ x - x @ self.hamiltonian).reshape(-1)
-
-    def matrix(self) -> np.ndarray:
-        d = self.dim
-        eye = np.eye(d)
-        return np.kron(self.hamiltonian, eye) - np.kron(eye, self.hamiltonian.T)
 
 
 def liouvillian(h: np.ndarray) -> Liouvillian:
@@ -90,14 +85,8 @@ class KrylovBasis:
         return self.dim_k
 
 
-def _apply(op: Union[Liouvillian, np.ndarray], vec: np.ndarray) -> np.ndarray:
-    if isinstance(op, Liouvillian):
-        return op.apply(vec)
-    return op @ vec
-
-
 def lanczos_full_orth(
-    liou: Union[Liouvillian, np.ndarray],
+    liou: Liouvillian,
     initial: np.ndarray,
     term_tol: Optional[float] = None,
 ) -> KrylovBasis:
@@ -107,7 +96,8 @@ def lanczos_full_orth(
     previous basis vectors, twice; the coefficient b_k is the remaining
     norm and iteration stops once it falls below ``term_tol`` (default
     1e-8 times the observable norm, the floating-point stand-in for the
-    exact-arithmetic b_k = 0).
+    exact-arithmetic b_k = 0).  ``liou`` only needs an ``apply`` method on
+    flattened operators.
     """
     vec0 = np.asarray(initial, dtype=complex).reshape(-1)
     norm0 = np.linalg.norm(vec0)
@@ -121,7 +111,7 @@ def lanczos_full_orth(
     bs = []
     k = 1
     while k < dim2:
-        w = _apply(liou, q[k - 1])
+        w = liou.apply(q[k - 1])
         for _ in range(2):
             w -= q[:k].T @ (q[:k].conj() @ w)
         b = np.linalg.norm(w)

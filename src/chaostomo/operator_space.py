@@ -5,8 +5,8 @@ rho = I/d + sum_a r_a E_a, where {E_a} is an orthonormal basis of the
 d^2 - 1 traceless Hermitian operators and r is the generalized Bloch
 vector.  This module builds that basis (generalized Gell-Mann matrices),
 converts between matrices and Bloch vectors, and provides the
-Hilbert-Schmidt inner product and the eigenvalue-modulus regularization
-that turns an arbitrary Hermitian observable into a density-like operator.
+eigenvalue-modulus regularization that turns an arbitrary Hermitian
+observable into a density-like operator.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ __all__ = [
     "bloch_encode",
     "bloch_encode_batch",
     "bloch_decode",
-    "hs_inner",
-    "vectorize",
-    "devectorize",
     "regularize_operator",
-    "hilbert_schmidt_distance",
 ]
 
 
@@ -160,29 +156,6 @@ def bloch_decode(r: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     return mat
 
 
-def vectorize(op: np.ndarray) -> np.ndarray:
-    """Row-major flattening of an operator into a length-d^2 vector."""
-    return np.asarray(op).reshape(-1)
-
-
-def devectorize(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec)
-    d = round(np.sqrt(vec.size))
-    if d * d != vec.size:
-        raise ValueError(f"vector of length {vec.size} is not a flattened square matrix")
-    return vec.reshape(d, d)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A^dag B)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def regularize_operator(op: np.ndarray) -> np.ndarray:
     """Density-like operator sharing the eigenvectors of a Hermitian ``op``.
 
@@ -197,8 +170,3 @@ def regularize_operator(op: np.ndarray) -> np.ndarray:
         raise ValueError("cannot regularize the zero operator")
     return (v * (w / total)) @ v.conj().T
 
-
-def hilbert_schmidt_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt distance Tr[(A - B)^2] between Hermitian operators."""
-    diff = np.asarray(a) - np.asarray(b)
-    return float(np.vdot(diff, diff).real)

@@ -21,29 +21,23 @@ believes and enters the covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .dynamics import KickedTop, UnitaryPropagator, kicked_top_floquet
 from .operator_space import HermitianBasis, bloch_encode, regularize_operator
-from .tomography import (
-    CovarianceData,
-    MeasurementRecord,
-    TomographyRun,
-    reconstruct_series,
-)
+# unused here; the benchmark tracer (bench/layers.py) wraps this alias
+from .tomography import reconstruct_series  # noqa: F401
 
 __all__ = [
     "PerturbedPair",
     "perturbed_kicked_top",
-    "mismatched_reconstruction",
     "operator_loschmidt_echo",
     "operator_relative_entropy",
     "operator_incompatibility",
     "error_unitary",
-    "state_loschmidt_echo",
     "fractional_unitary_power",
     "fractional_unitary_perturb",
     "ordered_perturbed_fidelity",
@@ -58,7 +52,6 @@ class PerturbedPair:
 
     u_true: UnitaryPropagator
     u_model: UnitaryPropagator
-    descriptor: dict
 
     def __post_init__(self):
         if self.u_true.matrix.shape != self.u_model.matrix.shape:
@@ -72,25 +65,6 @@ def perturbed_kicked_top(
     return PerturbedPair(
         u_true=kicked_top_floquet(KickedTop(j=j, lam=lam + delta_lambda, alpha=alpha)),
         u_model=kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=alpha)),
-        descriptor={"j": j, "lam": lam, "alpha": alpha, "delta_lambda": delta_lambda},
-    )
-
-
-def mismatched_reconstruction(
-    record: MeasurementRecord,
-    cov_model: CovarianceData,
-    basis: HermitianBasis,
-    psi0: Optional[np.ndarray] = None,
-    eval_steps: Optional[Sequence[int]] = None,
-    **solver_kwargs,
-) -> TomographyRun:
-    """Reconstruct a true-dynamics record with the model-dynamics covariance.
-
-    Identical machinery to the ideal pipeline; the mismatch is entirely in
-    feeding a record from one timeline into the design matrix of another.
-    """
-    return reconstruct_series(
-        record, cov_model, basis, psi0=psi0, eval_steps=eval_steps, **solver_kwargs
     )
 
 
@@ -150,15 +124,6 @@ def error_unitary(u_true: UnitaryPropagator, u_model: UnitaryPropagator, n: int)
     forward = np.linalg.matrix_power(u_model.matrix, n)
     backward = np.linalg.matrix_power(u_true.matrix.conj().T, n)
     return forward @ backward
-
-
-def state_loschmidt_echo(
-    u_true: UnitaryPropagator, u_model: UnitaryPropagator, psi0: np.ndarray, n: int
-) -> float:
-    """|<psi0| U_model^dag^n U_true^n |psi0>|^2, the state-vector echo."""
-    forward = np.linalg.matrix_power(u_true.matrix, n) @ psi0
-    backward = np.linalg.matrix_power(u_model.matrix, n).conj().T @ forward
-    return float(abs(np.vdot(psi0, backward)) ** 2)
 
 
 def fractional_unitary_power(u: np.ndarray, eta: float) -> np.ndarray:

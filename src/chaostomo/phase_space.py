@@ -4,6 +4,7 @@ Spin coherent states |theta, phi> are the minimum-uncertainty states
 pointing along a sphere direction; the Husimi function Q(theta, phi) is an
 operator's expectation in them, and its entropy over the sphere measures
 how delocalized a state or (regularized) observable is in phase space.
+States are built in rotation form, which is regular at both poles.
 
 Quadrature is a product grid: Gauss-Legendre in cos(theta) times a uniform
 trapezoid in phi.  Q for spin j is band-limited (a degree-2j polynomial in
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .dynamics import angular_momentum_ops, expm_hermitian
@@ -26,7 +26,6 @@ __all__ = [
     "SphereGrid",
     "sphere_grid",
     "spin_coherent",
-    "spin_coherent_lowering",
     "coherent_state_frame",
     "husimi_q",
     "husimi_entropy",
@@ -70,22 +69,6 @@ def spin_coherent(j: float, theta: float, phi: float) -> np.ndarray:
     top = np.zeros(round(2 * j) + 1, dtype=complex)
     top[0] = 1.0
     return expm_hermitian(gen, scale=1j * theta) @ top
-
-
-def spin_coherent_lowering(j: float, theta: float, phi: float) -> np.ndarray:
-    """Coherent state via the lowering-operator form, as a cross-check.
-
-    (1 + |mu|^2)^{-j} exp(mu J_-) |j, j> with mu = e^{i phi} tan(theta/2);
-    diverges at theta = pi, where the rotation form must be used.
-    """
-    if not theta < np.pi - 1e-9:
-        raise ValueError("lowering form is singular at theta = pi; use spin_coherent")
-    jx, jy, _ = angular_momentum_ops(j)
-    jminus = jx - 1j * jy
-    mu = np.exp(1j * phi) * np.tan(theta / 2.0)
-    top = np.zeros(round(2 * j) + 1, dtype=complex)
-    top[0] = 1.0
-    return (1 + abs(mu) ** 2) ** (-j) * (scipy.linalg.expm(mu * jminus) @ top)
 
 
 def coherent_state_frame(j: float, grid: SphereGrid) -> np.ndarray:

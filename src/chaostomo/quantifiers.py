@@ -9,7 +9,7 @@ vector, and the regularized trace inverse is the total Fisher information.
 
 Also here: the ordered-measurement analysis (how fast fidelity can rise
 when basis elements are measured in decreasing order of their Bloch
-weight) and the state-operator alignment series.
+weight).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import OperatorTimeline
-from .operator_space import HermitianBasis, bloch_encode, bloch_encode_batch
+from .operator_space import HermitianBasis, bloch_encode
 from .tomography import CovarianceData
 
 __all__ = [
@@ -28,11 +27,9 @@ __all__ = [
     "shannon_entropy",
     "fisher_information",
     "default_fisher_reg",
-    "covariance_rank",
     "mutual_information",
     "quantifier_series",
     "ordered_bloch_values",
-    "state_operator_alignment",
 ]
 
 
@@ -74,11 +71,6 @@ def fisher_information(cov: CovarianceData, reg: Optional[float] = None) -> floa
     return float(1.0 / np.sum(1.0 / (lam + reg)))
 
 
-def covariance_rank(cov: CovarianceData) -> int:
-    """Dimension of the operator subspace the record has measured."""
-    return cov.rank()
-
-
 def mutual_information(cov: CovarianceData) -> float:
     """(1/2) sum ln lambda over the positive spectrum of C^-1.
 
@@ -95,7 +87,6 @@ def mutual_information(cov: CovarianceData) -> float:
 class QuantifierSeries:
     """Covariance quantifiers evaluated on growing record prefixes."""
 
-    times: np.ndarray
     shannon: np.ndarray
     fisher: np.ndarray
     rank: np.ndarray
@@ -125,9 +116,9 @@ def quantifier_series(
         cn = cov.truncated(int(n))
         shannon[i] = shannon_entropy(cn)
         fisher[i] = fisher_information(cn, reg)
-        rank[i] = covariance_rank(cn)
+        rank[i] = cn.rank()
         mi[i] = mutual_information(cn)
-    return QuantifierSeries(times=steps, shannon=shannon, fisher=fisher, rank=rank, mutual_info=mi)
+    return QuantifierSeries(shannon=shannon, fisher=fisher, rank=rank, mutual_info=mi)
 
 
 def ordered_bloch_values(
@@ -151,20 +142,3 @@ def ordered_bloch_values(
         order = order[::-1]
     partial = np.cumsum(r[order] ** 2)
     return partial, 1.0 / basis.dim + partial
-
-
-def state_operator_alignment(
-    timeline: OperatorTimeline, basis: HermitianBasis, r: np.ndarray
-) -> np.ndarray:
-    """Cumulative squared overlap between measured directions and the state.
-
-    The alignment matrix weights each design entry Tr(O_n E_a) by the Bloch
-    component r_a; entry n of the result is Tr(S^T S) accumulated over the
-    first n timeline rows.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} Bloch components, got {r.shape}")
-    design = bloch_encode_batch(timeline.steps, basis)
-    per_row = design**2 @ r**2
-    return np.cumsum(per_row)

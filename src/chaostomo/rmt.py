@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "EnsembleSpec",
-    "sample_gaussian",
-    "sample_circular",
     "haar_unitary",
     "reflection_operator",
     "reflection_eigenbasis",
@@ -38,7 +36,6 @@ class EnsembleSpec:
     kind: str
     dim: int
     block_dims: Optional[Sequence[int]] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in GAUSSIAN_KINDS + CIRCULAR_KINDS:
@@ -49,12 +46,6 @@ class EnsembleSpec:
             raise ValueError(
                 f"block_dims {tuple(self.block_dims)} do not sum to dim={self.dim}"
             )
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _gaussian(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -86,36 +77,10 @@ def _circular(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
     return u.T @ u
 
 
-def sample_gaussian(spec: EnsembleSpec, rng=None) -> np.ndarray:
-    """Random Hermitian matrix from GOE or GUE (block diagonal if requested)."""
-    if spec.kind not in GAUSSIAN_KINDS:
-        raise ValueError(f"sample_gaussian expects GOE or GUE, got {spec.kind}")
-    return _sample(spec, rng)
-
-
-def sample_circular(spec: EnsembleSpec, rng=None) -> np.ndarray:
-    """Random unitary matrix from CUE or COE (block diagonal if requested)."""
-    if spec.kind not in CIRCULAR_KINDS:
-        raise ValueError(f"sample_circular expects CUE or COE, got {spec.kind}")
-    return _sample(spec, rng)
-
-
 def _draw(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
     if kind in GAUSSIAN_KINDS:
         return _gaussian(kind, d, rng)
     return _circular(kind, d, rng)
-
-
-def _sample(spec: EnsembleSpec, rng=None) -> np.ndarray:
-    rng = _rng(spec.seed if rng is None else rng)
-    if spec.block_dims is None:
-        return _draw(spec.kind, spec.dim, rng)
-    out = np.zeros((spec.dim, spec.dim), dtype=complex)
-    start = 0
-    for nb in spec.block_dims:
-        out[start : start + nb, start : start + nb] = _draw(spec.kind, nb, rng)
-        start += nb
-    return out
 
 
 def reflection_operator(n_spins: int) -> np.ndarray:
@@ -165,7 +130,9 @@ def reflection_eigenbasis(n_spins: int) -> tuple[np.ndarray, tuple[int, int]]:
     return basis, (len(plus), len(minus))
 
 
-def block_diagonal_sample(spec: EnsembleSpec, basis_change: np.ndarray, rng=None) -> np.ndarray:
+def block_diagonal_sample(
+    spec: EnsembleSpec, basis_change: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """Sample block-diagonally in a given orthonormal basis, rotate back.
 
     ``spec.block_dims`` fixes the block sizes (e.g. the reflection eigenvalue
@@ -177,5 +144,9 @@ def block_diagonal_sample(spec: EnsembleSpec, basis_change: np.ndarray, rng=None
         raise ValueError("block_diagonal_sample requires spec.block_dims")
     if basis_change.shape != (spec.dim, spec.dim):
         raise ValueError("basis_change must be a square matrix of size spec.dim")
-    block = _sample(spec, rng)
+    block = np.zeros((spec.dim, spec.dim), dtype=complex)
+    start = 0
+    for nb in spec.block_dims:
+        block[start : start + nb, start : start + nb] = _draw(spec.kind, nb, rng)
+        start += nb
     return basis_change @ block @ basis_change.conj().T

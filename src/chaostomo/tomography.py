@@ -43,7 +43,6 @@ __all__ = [
     "MeasurementRecord",
     "CovarianceData",
     "SolverDiagnostics",
-    "ReconstructionResult",
     "TomographyRun",
     "haar_random_pure",
     "generate_record",
@@ -61,11 +60,10 @@ DEFAULT_SIGMA = 0.1
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Noisy expectation-value series M_1..M_N with its noise spread and seed."""
+    """Noisy expectation-value series M_1..M_N with its noise spread."""
 
     values: np.ndarray
     sigma: float
-    seed: Optional[int] = None
 
     def __len__(self):
         return len(self.values)
@@ -107,11 +105,6 @@ class CovarianceData:
             self._svd = (u, s, vt)
         return self._svd
 
-    @property
-    def inv_cov(self) -> np.ndarray:
-        """C^-1 = design^T design, materialized."""
-        return self.design.T @ self.design
-
     def eigenvalues(self) -> np.ndarray:
         """All d^2 - 1 eigenvalues of C^-1 in descending order (zeros padded)."""
         _, s, _ = self.svd()
@@ -147,35 +140,18 @@ class CovarianceData:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """Positivity-projection outcome: iterations, final residual, convergence."""
+
     iters: int
     residual: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """One reconstruction: raw ML vector, projected vector, state, fidelity."""
-
-    r_ml: np.ndarray
-    r_bar: np.ndarray
-    rho_bar: np.ndarray
-    fidelity: float
-    solver_iters: int
-    solver_residual: float
-    converged: bool = True
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def haar_random_pure(d: int, rng) -> np.ndarray:
     """Haar-random pure state: normalized complex standard-normal vector."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return psi / np.linalg.norm(psi)
 
@@ -201,9 +177,8 @@ def generate_record(
     flat = timeline.steps.reshape(len(timeline), -1)
     values = (flat @ rho0.conj().reshape(-1)).real
     if sigma > 0:
-        values = values + sigma * _rng(seed).standard_normal(len(values))
-    seed_out = seed if isinstance(seed, (int, np.integer)) else None
-    return MeasurementRecord(values=values, sigma=float(sigma), seed=seed_out)
+        values = values + sigma * np.random.default_rng(seed).standard_normal(len(values))
+    return MeasurementRecord(values=values, sigma=float(sigma))
 
 
 def build_covariance(
@@ -348,7 +323,7 @@ def fidelity(psi0: np.ndarray, rho_bar: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TomographyRun:
-    """Per-step reconstruction results for one state and one record."""
+    """Per-step fidelities and positivity-solver diagnostics for one record."""
 
     eval_steps: np.ndarray
     fidelities: np.ndarray
@@ -361,14 +336,12 @@ def reconstruct_series(
     basis: HermitianBasis,
     psi0: Optional[np.ndarray] = None,
     eval_steps: Optional[Sequence[int]] = None,
-    *,
-    tol: float = 1e-7,
-    max_iters: int = 5000,
 ) -> TomographyRun:
     """Reconstruct from growing record prefixes, warm-starting the solver.
 
     ``eval_steps`` lists prefix lengths n (1-based row counts); default is
     every step.  Fidelities are NaN when no reference state is given.
+    ``results`` holds the solver diagnostics of each step.
     """
     if eval_steps is None:
         eval_steps = range(1, cov.n_rows + 1)
@@ -378,32 +351,18 @@ def reconstruct_series(
     warm = None
     for i, n in enumerate(eval_steps):
         cov_n = cov.truncated(int(n))
-        rec_n = MeasurementRecord(record.values[:n], record.sigma, record.seed)
-        r_ml = ml_estimate(rec_n, cov_n)
-        r_bar, rho_bar, diag = psd_project(
-            r_ml, cov_n, basis, tol=tol, max_iters=max_iters, warm_start=warm
-        )
-        warm = r_bar
-        fid = fidelity(psi0, rho_bar) if psi0 is not None else np.nan
-        fids[i] = fid
-        results.append(
-            ReconstructionResult(
-                r_ml=r_ml,
-                r_bar=r_bar,
-                rho_bar=rho_bar,
-                fidelity=fid,
-                solver_iters=diag.iters,
-                solver_residual=diag.residual,
-                converged=diag.converged,
-            )
-        )
+        r_ml = ml_estimate(MeasurementRecord(record.values[:n], record.sigma), cov_n)
+        warm, rho_bar, diag = psd_project(r_ml, cov_n, basis, warm_start=warm)
+        if psi0 is not None:
+            fids[i] = fidelity(psi0, rho_bar)
+        results.append(diag)
     return TomographyRun(eval_steps=eval_steps, fidelities=fids, results=results)
 
 
 def model_timeline(model: ModelSpec, observable: np.ndarray, n_rows: int) -> OperatorTimeline:
     """Timeline with n_rows entries O_0..O_{n_rows-1} for a model spec."""
     if isinstance(model, HaarSteps):
-        return haar_timeline(observable, n_rows - 1, _rng(model.seed))
+        return haar_timeline(observable, n_rows - 1, np.random.default_rng(model.seed))
     return heisenberg_timeline(observable, build_propagator(model), n_rows - 1)
 
 
@@ -417,8 +376,6 @@ def run_tomography(
     *,
     basis: Optional[HermitianBasis] = None,
     eval_steps: Optional[Sequence[int]] = None,
-    tol: float = 1e-7,
-    max_iters: int = 5000,
 ) -> TomographyRun:
     """Full pipeline: timeline, record, and per-step reconstruction fidelity.
 
@@ -432,6 +389,4 @@ def run_tomography(
         basis = gell_mann_basis(timeline.dim)
     cov = build_covariance(timeline, basis)
     record = generate_record(psi0, timeline, sigma, seed)
-    return reconstruct_series(
-        record, cov, basis, psi0=psi0, eval_steps=eval_steps, tol=tol, max_iters=max_iters
-    )
+    return reconstruct_series(record, cov, basis, psi0=psi0, eval_steps=eval_steps)

@@ -27,7 +27,6 @@ from chaostomo.krylov import arnoldi_unitary_dim, lanczos_full_orth, liouvillian
 from chaostomo.operator_space import bloch_encode, gell_mann_basis
 from chaostomo.perturbation import (
     error_unitary,
-    mismatched_reconstruction,
     operator_incompatibility,
     operator_loschmidt_echo,
     perturbed_kicked_top,
@@ -268,7 +267,7 @@ def _perturbed_profile(lam, n_states, n_steps=100):
         rng = np.random.default_rng(ss)
         psi = haar_random_pure(d, rng)
         rec = generate_record(psi, tl_true, 0.1, rng)
-        run = mismatched_reconstruction(rec, cov_model, basis, psi0=psi, eval_steps=eval_steps)
+        run = reconstruct_series(rec, cov_model, basis, psi0=psi, eval_steps=eval_steps)
         fids[i] = run.fidelities
     mean = fids.mean(axis=0)
     f_o = operator_loschmidt_echo(tl_true.steps[-1], tl_model.steps[-1], obs)

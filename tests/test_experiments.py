@@ -9,9 +9,13 @@ from chaostomo.experiments import (
     ConfigError,
     ExperimentConfig,
     config_from_preset,
-    list_presets,
     run_experiment,
 )
+
+
+def series(table, sweep_value: str, metric: str) -> np.ndarray:
+    """Mean column of one (formatted sweep value, metric), in step order."""
+    return np.array([r[4] for r in table.rows if r[1] == sweep_value and r[3] == metric])
 
 
 def tiny_tomo_config(**over):
@@ -51,6 +55,32 @@ class TestValidation:
     def test_negative_sigma(self):
         with pytest.raises(ConfigError, match="sigma"):
             tiny_tomo_config(sigma=-1).validate()
+
+    @pytest.mark.parametrize("key", ["lamda", "lam"])
+    def test_unknown_model_key(self, key):
+        model = {"kind": "kicked_top", "j": 2, "alpha": np.pi / 2, key: 7.0}
+        with pytest.raises(ConfigError, match=f"model.{key}"):
+            run_experiment(tiny_tomo_config(model=model))
+
+    def test_every_documented_knob_validates(self):
+        # the README model table, plus j, L and impurity_axis
+        knobs = {
+            "kicked_top": ["j", "lambda", "alpha"],
+            "kicked_ising": ["L", "J", "hx", "hz"],
+            "tilted_ising": ["L", "J", "hx", "hz", "dt"],
+            "xxz": ["L", "Jxy", "Jzz", "g", "site", "dt", "impurity_axis"],
+            "haar": ["dim", "seed"],
+        }
+        for kind, keys in knobs.items():
+            for key in keys:
+                ExperimentConfig(experiment="tomo", model={"kind": kind, key: 1},
+                                 sweep={"param": key, "values": [1]}).validate()
+
+    @pytest.mark.parametrize("key", ["lamda", "lam"])
+    def test_unknown_sweep_param(self, key):
+        cfg = tiny_tomo_config(sweep={"param": key, "values": [0.5, 7.0]})
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            run_experiment(cfg)
 
 
 class TestDeterminism:
@@ -95,25 +125,25 @@ class TestTable:
 
     def test_series_helper(self):
         table = run_experiment(tiny_tomo_config())
-        fid = table.series(7.0, "fidelity")
+        fid = series(table, "7", "fidelity")
         assert len(fid) == 3  # eval steps 5, 10, 15
         assert np.all((fid >= 0) & (fid <= 1))
 
 
 class TestPresets:
     def test_minimum_count_and_required_entries(self):
-        presets = list_presets()
-        assert len(presets) >= 8
-        assert "fig2.1-phase-space" in presets
-        lam = presets["fig2.1-phase-space"]["config"]["sweep"]["values"]
+        assert len(PRESETS) >= 8
+        assert "fig2.1-phase-space" in PRESETS
+        lam = PRESETS["fig2.1-phase-space"]["sweep"]["values"]
         assert lam == [0.5, 2.5, 3.0, 6.5]
-        assert "fig4.8-xxz" in presets
-        gs = presets["fig4.8-xxz"]["config"]["sweep"]["values"]
+        assert "fig4.8-xxz" in PRESETS
+        gs = PRESETS["fig4.8-xxz"]["sweep"]["values"]
         assert gs == [0.0, 0.16, 0.94]
 
     def test_every_preset_has_provenance(self):
-        for name, info in list_presets().items():
-            assert info["provenance"], f"{name} lacks provenance"
+        for name, params in PRESETS.items():
+            assert params.get("provenance"), f"{name} lacks provenance"
+            config_from_preset(name).validate()
 
     def test_coherent_preset_parameters(self):
         cfg = PRESETS["fig3.1-coherent"]
@@ -175,8 +205,8 @@ class TestSmallRuns:
             seed=3,
         )
         table = run_experiment(cfg)
-        down = table.series("descending", "bloch_value")
-        up = table.series("ascending", "bloch_value")
+        down = series(table, "descending", "bloch_value")
+        up = series(table, "ascending", "bloch_value")
         assert np.all(down >= up - 1e-12)
 
     def test_perturb_small(self):
@@ -195,8 +225,27 @@ class TestSmallRuns:
         table = run_experiment(cfg)
         metrics = {r[3] for r in table.rows}
         assert {"fidelity", "loschmidt_echo", "relative_entropy", "incompatibility"} <= metrics
-        echo = table.series(3.0, "loschmidt_echo")
+        echo = series(table, "3", "loschmidt_echo")
         assert np.all(np.abs(echo) <= 1 + 1e-10)
+
+    def test_perturb_coherent_state(self):
+        # the record and the fidelity reference come from the configured state
+        base = dict(
+            experiment="perturb",
+            model={"kind": "kicked_top", "j": 2, "alpha": 1.4, "lambda": 3.0},
+            observable="J_y", steps=12, n_states=2, eval_stride=4,
+            sweep={"param": "lambda", "values": [3.0]}, seed=2,
+            theta=2.04, phi=2.42,
+        )
+        haar = run_experiment(ExperimentConfig(**base, state="haar"))
+        coherent = run_experiment(ExperimentConfig(**base, state="coherent"))
+        operator_rows = [r for r in haar.rows if r[3] != "fidelity"]
+        assert operator_rows == [r for r in coherent.rows if r[3] != "fidelity"]
+        assert not np.allclose(series(haar, "3", "fidelity"), series(coherent, "3", "fidelity"))
+        # at delta_lambda = 0 the mismatched run is the ideal run, record for record
+        tomo = run_experiment(ExperimentConfig(**{**base, "experiment": "tomo"}, state="coherent"))
+        unperturbed = run_experiment(ExperimentConfig(**base, state="coherent", delta_lambda=0.0))
+        assert np.array_equal(series(tomo, "3", "fidelity"), series(unperturbed, "3", "fidelity"))
 
 
 class TestCli:
@@ -225,6 +274,20 @@ class TestCli:
                                         "sweep": {"param": "x", "values": [1]}}))
         result = CliRunner().invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("model,param", [
+        ({"kind": "kicked_top", "j": 2, "lambda": 2.0, "lamda": 7.0}, "lambda"),
+        ({"kind": "kicked_top", "j": 2, "lambda": 2.0}, "lam"),
+    ])
+    def test_unknown_model_key_exit_code(self, tmp_path, model, param):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"experiment": "tomo", "model": model, "steps": 4,
+                                        "sweep": {"param": param, "values": [0.5, 7.0]}}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2
+        assert "lam" in result.output
+        assert not (tmp_path / "o.csv").exists()
 
     def test_presets_command(self):
         result = CliRunner().invoke(main, ["presets"])

@@ -4,12 +4,8 @@ import pytest
 from chaostomo.operator_space import (
     bloch_decode,
     bloch_encode,
-    devectorize,
     gell_mann_basis,
-    hilbert_schmidt_distance,
-    hs_inner,
     regularize_operator,
-    vectorize,
 )
 from chaostomo.dynamics import angular_momentum_ops
 from chaostomo.tomography import haar_random_pure
@@ -97,33 +93,6 @@ def test_parseval_for_traceless_operators(hermitian_factory):
     assert abs(np.sum(r**2) - np.vdot(op, op).real) < 1e-10
 
 
-def test_hs_inner_orthonormality_and_jy():
-    basis = gell_mann_basis(4)
-    assert hs_inner(basis.elements[0], basis.elements[0]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(hs_inner(basis.elements[0], basis.elements[1])) < 1e-12
-    jy = angular_momentum_ops(10)[1]
-    # sum of m^2 over m = -10..10
-    assert hs_inner(jy, jy).real == pytest.approx(770.0, abs=1e-9)
-
-
-def test_hs_inner_conjugate_symmetry(hermitian_factory, rng):
-    a = hermitian_factory(4) + 1j * rng.standard_normal((4, 4))
-    b = hermitian_factory(4)
-    assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)), abs=1e-12)
-    with pytest.raises(ValueError):
-        hs_inner(np.eye(3), np.eye(4))
-
-
-def test_vectorize_round_trip(rng):
-    op = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    assert np.array_equal(devectorize(vectorize(op)), op)
-    # HS inner product preserved under flattening
-    other = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    assert np.vdot(vectorize(op), vectorize(other)) == pytest.approx(
-        np.trace(op.conj().T @ other), abs=1e-12
-    )
-
-
 class TestRegularize:
     def test_psd_unit_trace_unchanged(self, rng):
         psi = haar_random_pure(4, rng)
@@ -151,9 +120,3 @@ class TestRegularize:
         # shares eigenvectors with the input: commutes with it
         comm = out @ op - op @ out
         assert np.max(np.abs(comm)) < 1e-10
-
-
-def test_hilbert_schmidt_distance(hermitian_factory):
-    a, b = hermitian_factory(4), hermitian_factory(4)
-    want = np.trace((a - b) @ (a - b)).real
-    assert hilbert_schmidt_distance(a, b) == pytest.approx(want, abs=1e-12)

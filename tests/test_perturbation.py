@@ -7,16 +7,20 @@ from chaostomo.perturbation import (
     error_unitary,
     fractional_unitary_perturb,
     fractional_unitary_power,
-    mismatched_reconstruction,
     operator_incompatibility,
     operator_loschmidt_echo,
     operator_relative_entropy,
     ordered_perturbed_fidelity,
     perturbed_kicked_top,
-    state_loschmidt_echo,
 )
 from chaostomo.rmt import haar_unitary
-from chaostomo.tomography import build_covariance, generate_record, haar_random_pure, run_tomography
+from chaostomo.tomography import (
+    build_covariance,
+    generate_record,
+    haar_random_pure,
+    reconstruct_series,
+    run_tomography,
+)
 from chaostomo.dynamics import KickedTop
 
 
@@ -60,15 +64,6 @@ class TestEcho:
     def test_zero_observable_rejected(self):
         with pytest.raises(ValueError):
             operator_loschmidt_echo(np.eye(2), np.eye(2), np.zeros((2, 2)))
-
-    def test_state_echo_wrapper(self, bench):
-        j, pair, obs, tl_t, tl_m = bench
-        rng = np.random.default_rng(0)
-        psi = haar_random_pure(9, rng)
-        assert state_loschmidt_echo(pair.u_true, pair.u_model, psi, 0) == pytest.approx(1.0)
-        vals = [state_loschmidt_echo(pair.u_true, pair.u_model, psi, n) for n in (1, 5, 20)]
-        assert all(0 <= v <= 1 + 1e-12 for v in vals)
-
 
 class TestRelativeEntropy:
     def test_identical_operators_zero(self, bench):
@@ -129,7 +124,7 @@ class TestMismatched:
         tl_true = heisenberg_timeline(jy, pair.u_true, 19)
         cov_model = build_covariance(heisenberg_timeline(jy, pair.u_model, 19), basis)
         rec = generate_record(psi, tl_true, 0.1, 7)
-        mism = mismatched_reconstruction(rec, cov_model, basis, psi0=psi)
+        mism = reconstruct_series(rec, cov_model, basis, psi0=psi)
         assert np.max(np.abs(mism.fidelities - ideal.fidelities)) < 1e-9
 
     def test_small_perturbation_limit(self, rng):
@@ -145,7 +140,7 @@ class TestMismatched:
             tl_true = heisenberg_timeline(jy, pair.u_true, 14)
             cov_model = build_covariance(heisenberg_timeline(jy, pair.u_model, 14), basis)
             rec = generate_record(psi, tl_true, 0.05, 3)
-            mism = mismatched_reconstruction(rec, cov_model, basis, psi0=psi)
+            mism = reconstruct_series(rec, cov_model, basis, psi0=psi)
             sup[dl] = np.max(np.abs(mism.fidelities - ideal.fidelities))
         assert sup[1e-4] < sup[1e-3]
         assert sup[1e-4] < 0.01

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chaostomo.dynamics import KickedTop, angular_momentum_ops, heisenberg_timeline, kicked_top_floquet
 from chaostomo.phase_space import (
@@ -8,9 +9,24 @@ from chaostomo.phase_space import (
     husimi_q,
     sphere_grid,
     spin_coherent,
-    spin_coherent_lowering,
 )
 from chaostomo.tomography import haar_random_pure
+
+
+def spin_coherent_lowering(j: float, theta: float, phi: float) -> np.ndarray:
+    """Coherent state via the lowering-operator form, as a cross-check.
+
+    (1 + |mu|^2)^{-j} exp(mu J_-) |j, j> with mu = e^{i phi} tan(theta/2);
+    diverges at theta = pi, where the rotation form must be used.
+    """
+    if not theta < np.pi - 1e-9:
+        raise ValueError("lowering form is singular at theta = pi; use spin_coherent")
+    jx, jy, _ = angular_momentum_ops(j)
+    jminus = jx - 1j * jy
+    mu = np.exp(1j * phi) * np.tan(theta / 2.0)
+    top = np.zeros(round(2 * j) + 1, dtype=complex)
+    top[0] = 1.0
+    return (1 + abs(mu) ** 2) ** (-j) * (scipy.linalg.expm(mu * jminus) @ top)
 
 
 class TestSphereGrid:

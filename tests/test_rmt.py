@@ -9,25 +9,28 @@ from chaostomo.rmt import (
     haar_unitary,
     reflection_eigenbasis,
     reflection_operator,
-    sample_circular,
-    sample_gaussian,
 )
+
+
+def sample(kind, d, rng):
+    """One draw from the ensemble: a single block in the identity basis."""
+    return block_diagonal_sample(EnsembleSpec(kind, d, block_dims=(d,)), np.eye(d), rng)
 
 
 class TestGaussian:
     def test_goe_real_symmetric(self):
-        h = sample_gaussian(EnsembleSpec("GOE", 12, seed=3))
+        h = sample("GOE", 12, np.random.default_rng(3))
         assert np.max(np.abs(h - h.T)) == 0.0
         assert np.max(np.abs(h.imag)) == 0.0
 
     def test_gue_hermitian_complex(self):
-        h = sample_gaussian(EnsembleSpec("GUE", 12, seed=3))
+        h = sample("GUE", 12, np.random.default_rng(3))
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
         assert np.max(np.abs(h.imag)) > 0.01
 
     def test_kind_guard(self):
         with pytest.raises(ValueError):
-            sample_gaussian(EnsembleSpec("CUE", 4, seed=0))
+            EnsembleSpec("XOE", 4)
 
     def test_level_repulsion(self):
         # nearest-neighbor spacings of GOE/GUE/COE avoid zero; compare the
@@ -42,14 +45,14 @@ class TestGaussian:
         for kind in ("GOE", "GUE"):
             spacings = []
             for _ in range(200):
-                ev = np.linalg.eigvalsh(sample_gaussian(EnsembleSpec(kind, 64), rng))
+                ev = np.linalg.eigvalsh(sample(kind, 64, rng))
                 mid = ev[16:48]  # bulk
                 s = np.diff(mid)
                 spacings.extend(s / s.mean())
             check(spacings)
         spacings = []
         for _ in range(200):
-            w = sample_circular(EnsembleSpec("COE", 64), rng)
+            w = sample("COE", 64, rng)
             phases = np.sort(np.angle(np.linalg.eigvals(w)))
             s = np.diff(phases)  # eigenphases are uniformly dense; no unfolding needed
             spacings.extend(s / s.mean())
@@ -58,17 +61,17 @@ class TestGaussian:
 
 class TestCircular:
     def test_cue_unitary(self):
-        u = sample_circular(EnsembleSpec("CUE", 10, seed=4))
+        u = sample("CUE", 10, np.random.default_rng(4))
         assert np.max(np.abs(u.conj().T @ u - np.eye(10))) < 1e-12
 
     def test_coe_symmetric_unitary(self):
-        w = sample_circular(EnsembleSpec("COE", 10, seed=4))
+        w = sample("COE", 10, np.random.default_rng(4))
         assert np.max(np.abs(w - w.T)) < 1e-12
         assert np.max(np.abs(w.conj().T @ w - np.eye(10))) < 1e-12
 
     def test_eigenvalues_on_unit_circle(self):
         for kind in ("CUE", "COE"):
-            u = sample_circular(EnsembleSpec(kind, 16, seed=9))
+            u = sample(kind, 16, np.random.default_rng(9))
             assert np.max(np.abs(np.abs(np.linalg.eigvals(u)) - 1.0)) < 1e-10
 
     def test_cue_invariance_under_fixed_unitary(self):
@@ -123,18 +126,20 @@ class TestBlockSampling:
         vbasis, dims = reflection_eigenbasis(L)
         p = reflection_operator(L)
         for kind in ("COE", "GOE"):
-            m = block_diagonal_sample(EnsembleSpec(kind, 16, block_dims=dims, seed=1), vbasis)
+            m = block_diagonal_sample(EnsembleSpec(kind, 16, block_dims=dims), vbasis,
+                                      np.random.default_rng(1))
             assert np.max(np.abs(m @ p - p @ m)) < 1e-10
 
     def test_coe_blocks_give_unitary(self):
         vbasis, dims = reflection_eigenbasis(4)
-        m = block_diagonal_sample(EnsembleSpec("COE", 16, block_dims=dims, seed=2), vbasis)
+        m = block_diagonal_sample(EnsembleSpec("COE", 16, block_dims=dims), vbasis,
+                                  np.random.default_rng(2))
         assert np.max(np.abs(m.conj().T @ m - np.eye(16))) < 1e-10
 
     def test_requires_block_dims(self):
         vbasis, _ = reflection_eigenbasis(3)
         with pytest.raises(ValueError):
-            block_diagonal_sample(EnsembleSpec("COE", 8, seed=0), vbasis)
+            block_diagonal_sample(EnsembleSpec("COE", 8), vbasis, np.random.default_rng(0))
 
     def test_block_dims_must_sum(self):
         with pytest.raises(ValueError):

@@ -106,7 +106,7 @@ class TestCovariance:
         o = obs(d)
         tl = heisenberg_timeline(o, build_propagator(model), 199)
         cov = build_covariance(tl, basis)
-        lhs = float(np.trace(cov.inv_cov))
+        lhs = float(np.sum(cov.design**2))  # Tr(design^T design)
         rhs = len(tl) * float(np.sum(bloch_encode(o, basis) ** 2))
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
