@@ -100,13 +100,18 @@ def _check_psd_projection():
 def _check_krylov():
     h = dynamics.ti_hamiltonian(dynamics.TiltedIsing(L=2, hx=1.4, hz=1.4))
     o = dynamics.pauli_site("y", 1, 2) / 2
-    kb = krylov.lanczos_full_orth(krylov.liouvillian(h), o)
-    g = kb.vectors.conj() @ kb.vectors.T
+    liou = krylov.liouvillian(h)
+    kb = krylov.lanczos_full_orth(liou, o)
+    g = kb.vectors @ kb.vectors.T
     orth = np.max(np.abs(g - np.eye(kb.dim_k)))
+    # the basis turns the generator into the antisymmetric tridiagonal of the b_k
+    t = kb.vectors @ np.array([liou.apply(v) for v in kb.vectors]).T
+    tri = np.max(np.abs(t - np.diag(kb.lanczos_b, -1) + np.diag(kb.lanczos_b, 1)))
     amp = krylov.krylov_amplitudes(krylov.evolve_operator(h, o, 1.3), kb)
     norm = abs(np.sum(amp.phi**2) - 1.0)
-    ok = orth < 1e-10 and norm < 1e-8
-    return ok, f"orthonormality {orth:.1e}, amplitude norm deviation {norm:.1e}"
+    ok = orth < 1e-10 and tri < 1e-8 and norm < 1e-8
+    return ok, (f"orthonormality {orth:.1e}, tridiagonality {tri:.1e}, "
+                f"amplitude norm deviation {norm:.1e}")
 
 
 def _check_husimi():

@@ -52,6 +52,10 @@ MODELS = {
     "haar": (dynamics.HaarSteps, {"dim": 8, "seed": 0}),
 }
 MODEL_KINDS = tuple(MODELS)
+# Knobs that set the Hilbert-space dimension, and the experiments whose
+# runner builds the observable and basis once, for the first sweep value.
+SIZE_KNOBS = ("L", "j", "dim")
+FIXED_SIZE_EXPERIMENTS = ("tomo", "perturb", "rmt-compare", "phase-space")
 
 
 class ConfigError(ValueError):
@@ -104,6 +108,9 @@ class ExperimentConfig:
         if self.experiment != "ordered-bloch" and param not in known:
             raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
                                        f"known: {sorted(known)}")
+        if self.experiment in FIXED_SIZE_EXPERIMENTS and param in SIZE_KNOBS:
+            raise ConfigError("sweep.param", f"{self.experiment} runs at one Hilbert-space "
+                                             f"size, so it cannot sweep {param!r}")
         if self.n_states < 1:
             raise ConfigError("n_states", "must be >= 1")
         if self.sigma < 0:
@@ -393,8 +400,7 @@ def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
             if cfg.steps > 0:
                 for n in _eval_steps(cfg.steps, cfg.eval_stride):
                     amp = krylov.krylov_amplitudes(
-                        krylov.evolve_operator(h, observable, n * model.dt), kb, t=n * model.dt
-                    )
+                        krylov.evolve_operator(h, observable, n * model.dt), kb)
                     rows.add(value, n, "krylov_complexity", krylov.krylov_complexity(amp))
                     rows.add(value, n, "krylov_entropy", krylov.krylov_entropy(amp))
         else:
@@ -481,7 +487,7 @@ def _run_ordered_bloch(cfg: ExperimentConfig) -> ResultTable:
     rows = _Rows(param)
     obs_rng, aux_rng, cells = _cell_streams(cfg, cfg.n_states)
     model = _build_model(cfg.model) if cfg.model.get("kind") else None
-    d = model.dim if model is not None else 2 * round(2 * cfg.model.get("j", 10)) + 1
+    d = model.dim if model is not None else round(2 * cfg.model.get("j", 10)) + 1
     basis = gell_mann_basis(d)
     j = (d - 1) / 2.0
     states = []

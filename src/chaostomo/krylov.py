@@ -1,24 +1,38 @@
 """Krylov-subspace construction and operator-spreading measures.
 
-Two routes into the operator Krylov space span{O, L O, L^2 O, ...}:
+Operators live in real coordinates.  A Hermitian X on a d-dimensional
+space has d^2 of them: Tr(X)/sqrt(d) along the identity direction
+I/sqrt(d), then the Gell-Mann Bloch vector Tr(X E_a), both taken of
+V^dag X V, where H = V diag(E) V^dag.  The Hilbert-Schmidt product of
+Hermitian operators is the dot product of their coordinates.  Heisenberg
+evolution O(t) = e^{iHt} O e^{-iHt} is generated by A: X -> i[H, X], which
+maps Hermitian operators to Hermitian operators and is antisymmetric,
+(Y | A X) = -(A Y | X): a real antisymmetric d^2 x d^2 matrix.  In the
+eigenbasis of H it rotates each off-diagonal Bloch pair at its gap
+E_a - E_b, so it is applied elementwise and never formed.
+
+Two routes into the operator Krylov space span{O, A O, A^2 O, ...}:
 
 * Lanczos with full (doubled Gram-Schmidt) re-orthogonalization against
-  the Hermitian Liouvillian L = [H, .], applied matrix-free through two
-  d x d products per step.  Plain Lanczos loses orthogonality
-  to rounding within a few dozen steps; brute-force re-orthogonalization
-  keeps the basis orthonormal to machine precision, which is what makes
-  the late, tiny recursion coefficients b_k trustworthy.
+  A, in real arithmetic, inside the exact Krylov span: one direction for
+  the part of O that commutes with H, two for each distinct gap O
+  touches.  Plain Lanczos loses orthogonality to rounding within a few
+  dozen steps; brute-force re-orthogonalization keeps the basis
+  orthonormal to machine precision, which is what makes the late, tiny
+  recursion coefficients b_k trustworthy.
 * Arnoldi-style orthogonalization of the conjugation orbit
   O_n = U^dag^n O U^n of a fixed unitary, which only reports the span
   dimension.
 
-Either way the span dimension is capped at d^2 - d + 1: the commutant of a
-nondegenerate generator contributes at least d - 2 directions that the
-orbit can never reach.
+Either way the span dimension is capped at d^2 - d + 1: the operators that
+commute with the generator form a space of dimension at least d, and the
+span meets it in one direction only, O's projection onto it.  Lanczos
+raises if it finds more.
 
-Krylov complexity is the mean position of the evolved operator's weight
-over the ordered basis; Krylov entropy measures how evenly that weight is
-spread.
+The evolved operator O(t) = e^{tA} O stays in the Krylov span, and its
+coordinates over the basis are the real amplitudes phi_k(t).  Krylov
+complexity is the mean position of the operator weight phi_k^2 over the
+ordered basis; Krylov entropy measures how evenly that weight is spread.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import UnitaryPropagator, expm_hermitian
+from .operator_space import HermitianBasis, bloch_encode, gell_mann_basis
 
 __all__ = [
     "Liouvillian",
@@ -44,90 +59,166 @@ __all__ = [
 ]
 
 
+def _rotate(vec: np.ndarray, m: int, freqs: np.ndarray) -> np.ndarray:
+    """Generator on coordinates (m frozen, c_1..c_n, s_1..s_n): (c_j, s_j) -> w_j (-s_j, c_j)."""
+    n = len(freqs)
+    out = np.zeros_like(vec)
+    out[m : m + n] = -freqs * vec[m + n :]
+    out[m + n :] = freqs * vec[m : m + n]
+    return out
+
+
+def _merge_gaps(gaps: np.ndarray, tol: float) -> np.ndarray:
+    """Gaps with every run of values within ``tol`` of its smallest set to that value.
+
+    Gaps that are equal in exact arithmetic (a degenerate spectrum, or the
+    additive spectrum of a free model) differ by rounding; they must be
+    equal for the Krylov span to have its exact dimension.  Gaps below
+    ``tol`` become 0.
+    """
+    out = np.empty_like(gaps)
+    anchor = 0.0
+    for i in np.argsort(gaps):
+        if gaps[i] - anchor >= tol:
+            anchor = gaps[i]
+        out[i] = anchor
+    return out
+
+
 @dataclass(frozen=True)
 class Liouvillian:
-    """Commutator superoperator [H, .] of a Hermitian generator.
+    """Real antisymmetric generator X -> i[H, X] in the eigenbasis of H.
 
-    ``apply`` acts on flattened operators through two d x d matrix
-    products, so the d^2 x d^2 matrix never needs to exist.
+    Coordinates are those of V^dag X V, H = V diag(E) V^dag.  There the
+    generator multiplies entry (a, b) by i(E_a - E_b): it rotates the
+    symmetric and antisymmetric Bloch coordinates (s, t) of each pair
+    a > b into w (-t, s), w = E_a - E_b, and annihilates the identity and
+    diagonal coordinates.  ``apply`` is thus elementwise and O(d^2).
     """
 
-    hamiltonian: np.ndarray
+    eigenvectors: np.ndarray
+    operator_basis: HermitianBasis
+    pair_gaps: np.ndarray  # w per Bloch pair, in the basis's pair order
 
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+    def coords(self, op: np.ndarray) -> np.ndarray:
+        """Coordinates of a Hermitian operator given in the computational basis."""
+        x = self.eigenvectors.conj().T @ op @ self.eigenvectors
+        trace = np.trace(x).real / np.sqrt(len(x))
+        return np.concatenate([[trace], bloch_encode(x, self.operator_basis)])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        d = self.dim
-        x = vec.reshape(d, d)
-        return (self.hamiltonian @ x - x @ self.hamiltonian).reshape(-1)
+        return _rotate(vec, self.operator_basis.dim, self.pair_gaps)
 
 
 def liouvillian(h: np.ndarray) -> Liouvillian:
-    """Liouvillian [H, .] of a Hermitian H; Hermitian in the HS inner product."""
+    """Generator i[H, .] of a Hermitian H; gaps within 1e-10 of the spectral width merge."""
     h = np.asarray(h, dtype=complex)
     if np.max(np.abs(h - h.conj().T)) > 1e-10:
         raise ValueError("generator must be Hermitian")
-    return Liouvillian(hamiltonian=h)
+    energies, vecs = np.linalg.eigh(h)
+    basis = gell_mann_basis(h.shape[0])
+    _, rows, cols = basis.gm_structure
+    tol = 1e-10 * max(energies[-1] - energies[0], 1.0)
+    gaps = _merge_gaps(energies[rows] - energies[cols], tol)
+    return Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps)
+
+
+def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
+    """Orthonormal rows spanning the smallest invariant subspace that holds ``vec``.
+
+    That subspace is the exact Krylov span.  Its zero-frequency part is one
+    row, the part of ``vec`` the generator annihilates.  Each distinct
+    nonzero gap w adds the part u of ``vec`` on the pairs with that gap and
+    its rotation J u, on which the generator acts as w times a rotation.
+    Returns the rows, ordered (zero-frequency, u_1..u_n, J u_1..J u_n) for
+    :func:`_rotate`, the number m of zero-frequency rows, and the gaps w_j.
+    """
+    d, gaps = liou.operator_basis.dim, liou.pair_gaps
+    s = len(gaps)
+    sym, asym = vec[d : d + s], vec[d + s :]
+    moving = np.flatnonzero(((sym != 0.0) | (asym != 0.0)) & (gaps > 0.0))
+    freqs, group = np.unique(gaps[moving], return_inverse=True)
+    frozen = vec.copy()
+    frozen[d + moving] = frozen[d + s + moving] = 0.0
+    m = int(np.any(frozen != 0.0))
+    n = len(freqs)
+    frame = np.zeros((m + 2 * n, vec.size))
+    if m:
+        frame[0] = frozen / np.linalg.norm(frozen)
+    norms = np.sqrt(np.bincount(group, sym[moving] ** 2 + asym[moving] ** 2))
+    cos, sin = sym[moving] / norms[group], asym[moving] / norms[group]
+    frame[m + group, d + moving] = cos
+    frame[m + group, d + s + moving] = sin
+    frame[m + n + group, d + moving] = -sin
+    frame[m + n + group, d + s + moving] = cos
+    return frame, m, freqs
 
 
 @dataclass(frozen=True)
 class KrylovBasis:
-    """Orthonormal operator vectors Q_0..Q_{K-1} and recursion coefficients b_1..b_{K-1}."""
+    """Orthonormal coordinate vectors P_0..P_{K-1} and recursion coefficients b_1..b_{K-1}."""
 
-    vectors: np.ndarray  # (K, d^2) flattened operators
+    vectors: np.ndarray  # (K, d^2) real operator coordinates
     lanczos_b: np.ndarray  # (K - 1,)
     dim_k: int
     initial_norm: float
+    generator: Liouvillian  # whose coordinates ``vectors`` are in
 
     def __len__(self):
         return self.dim_k
 
 
-def lanczos_full_orth(
-    liou: Liouvillian,
-    initial: np.ndarray,
-    term_tol: Optional[float] = None,
-) -> KrylovBasis:
-    """Krylov basis of [H, .] acting on an observable, fully re-orthogonalized.
+def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
+    """Krylov basis of X -> i[H, X] acting on a Hermitian observable, fully re-orthogonalized.
 
-    Each new vector L Q_{k-1} is Gram-Schmidt-orthogonalized against all
+    The recursion runs in the frame of :func:`_invariant_frame`, which
+    holds the exact Krylov span and nothing else.  In the full coordinates
+    the recursion amplifies rounding residue, in directions that symmetry
+    or equal gaps keep out of the span, into spurious basis vectors, and
+    the dimension comes out too large.  Observable coordinates below 1e-9
+    of its norm count as such residue and are set to zero.
+
+    Each new vector A P_{k-1} is Gram-Schmidt-orthogonalized against all
     previous basis vectors, twice; the coefficient b_k is the remaining
-    norm and iteration stops once it falls below ``term_tol`` (default
-    1e-8 times the observable norm, the floating-point stand-in for the
-    exact-arithmetic b_k = 0).  ``liou`` only needs an ``apply`` method on
-    flattened operators.
+    norm and iteration stops once it falls below 1e-8 times the observable
+    norm, the floating-point stand-in for the exact-arithmetic b_k = 0.
+    Raises if the dimension exceeds the d^2 - d + 1 bound.
     """
-    vec0 = np.asarray(initial, dtype=complex).reshape(-1)
-    norm0 = np.linalg.norm(vec0)
+    op = np.asarray(initial)
+    norm0 = np.linalg.norm(op)
     if norm0 == 0.0:
         raise ValueError("initial observable is zero")
-    if term_tol is None:
-        term_tol = 1e-8 * norm0
-    dim2 = vec0.size
-    q = np.empty((dim2, dim2), dtype=complex)  # rows are basis vectors
-    q[0] = vec0 / norm0
+    if np.max(np.abs(op - op.conj().T)) > 1e-10 * norm0:
+        raise ValueError("initial observable must be Hermitian")
+    vec0 = liou.coords(op)
+    vec0[np.abs(vec0) < 1e-9 * norm0] = 0.0
+    frame, m, freqs = _invariant_frame(liou, vec0)
+    dim = len(frame)
+    q = np.empty((dim, dim))  # rows are basis vectors in frame coordinates
+    q[0] = frame @ vec0
+    q[0] /= np.linalg.norm(q[0])
     bs = []
     k = 1
-    while k < dim2:
-        w = liou.apply(q[k - 1])
+    while k < dim:
+        w = _rotate(q[k - 1], m, freqs)
         for _ in range(2):
-            w -= q[:k].T @ (q[:k].conj() @ w)
+            w -= q[:k].T @ (q[:k] @ w)
         b = np.linalg.norm(w)
-        if b <= term_tol:
+        if b <= 1e-8 * norm0:
             break
         bs.append(b)
         # cleanup pass on the normalized vector: division by a small b
         # amplifies the orthogonalization error, and that error lies in the
         # accepted span, so one more sweep restores machine orthogonality
         w /= b
-        w -= q[:k].T @ (q[:k].conj() @ w)
+        w -= q[:k].T @ (q[:k] @ w)
         q[k] = w / np.linalg.norm(w)
         k += 1
-    return KrylovBasis(
-        vectors=q[:k].copy(), lanczos_b=np.array(bs), dim_k=k, initial_norm=norm0
-    )
+    d = op.shape[0]
+    if k > d * d - d + 1:
+        raise ValueError(f"Krylov dimension {k} exceeds the d^2 - d + 1 = {d * d - d + 1} bound")
+    return KrylovBasis(vectors=q[:k] @ frame, lanczos_b=np.array(bs), dim_k=k,
+                       initial_norm=norm0, generator=liou)
 
 
 def evolve_operator(h: np.ndarray, op: np.ndarray, t: float) -> np.ndarray:
@@ -141,40 +232,28 @@ class KrylovAmplitudes:
     """Real amplitudes phi_k of an evolved operator over the Krylov basis."""
 
     phi: np.ndarray
-    t: Optional[float] = None
 
     def __len__(self):
         return len(self.phi)
 
 
-def krylov_amplitudes(
-    op_t: np.ndarray, basis: KrylovBasis, t: Optional[float] = None
-) -> KrylovAmplitudes:
-    """Expansion amplitudes phi_k = i^{-k} (Q_k | O(t)) / |O|.
+def krylov_amplitudes(op_t: np.ndarray, basis: KrylovBasis) -> KrylovAmplitudes:
+    """Expansion amplitudes phi_k = (P_k | O(t)) / |O|.
 
-    The i^{-k} phase makes the amplitudes real for Heisenberg evolution
-    under the Hamiltonian that generated the basis, and the evolved
-    operator stays inside the Krylov span, so sum phi_k^2 = 1.  An
-    imaginary residue above 1e-6, or weight escaping the span, signals a
+    For Heisenberg evolution under the Hamiltonian that generated the
+    basis, the evolved operator stays inside the Krylov span, so
+    sum phi_k^2 = 1.  Weight escaping the span by more than 1e-6 signals a
     mismatched basis/evolution pairing.
     """
-    vec = np.asarray(op_t, dtype=complex).reshape(-1)
-    overlaps = basis.vectors.conj() @ vec / basis.initial_norm
-    phases = (-1j) ** np.arange(basis.dim_k)
-    phi = phases * overlaps
-    worst = np.max(np.abs(phi.imag))
-    if worst > 1e-6:
-        raise ValueError(
-            f"amplitudes have imaginary residue {worst:.2e}; "
-            "operator was not evolved by the basis Hamiltonian"
-        )
-    deficit = abs(np.sum(np.abs(overlaps) ** 2) - 1.0)
+    vec = basis.generator.coords(np.asarray(op_t))
+    phi = basis.vectors @ vec / basis.initial_norm
+    deficit = abs(np.sum(phi**2) - 1.0)
     if deficit > 1e-6:
         raise ValueError(
             f"operator weight escapes the Krylov span by {deficit:.2e}; "
             "operator was not evolved by the basis Hamiltonian"
         )
-    return KrylovAmplitudes(phi=phi.real, t=t)
+    return KrylovAmplitudes(phi=phi)
 
 
 def krylov_complexity(amp: KrylovAmplitudes) -> float:

@@ -101,7 +101,7 @@ def husimi_q(rho: np.ndarray, grid: SphereGrid) -> np.ndarray:
     d = rho.shape[0]
     j = (d - 1) / 2.0
     frame = coherent_state_frame(j, grid)
-    q = np.einsum("nd,dc,nc->n", frame.conj(), rho, frame).real
+    q = np.einsum("nc,nc->n", frame.conj() @ rho, frame).real
     if q.min() < -1e-12:
         raise ValueError(f"Husimi function negative ({q.min()}); input not PSD")
     return q

@@ -294,7 +294,7 @@ def test_criterion_7_perturbed_tomography_profile(n_states):
                f"late fidelity {mean_cha[-1]:.3f} > {mean_reg[-1]:.3f}")
 
 
-@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_criterion_8_lanczos_hygiene(L):
     """Full-orthogonalization residuals for the tilted Ising chain."""
     h = ti_hamiltonian(TiltedIsing(L=L, J=1.0, hx=1.4, hz=1.4))

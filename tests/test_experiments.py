@@ -71,9 +71,11 @@ class TestValidation:
             "xxz": ["L", "Jxy", "Jzz", "g", "site", "dt", "impurity_axis"],
             "haar": ["dim", "seed"],
         }
+        # krylov rebuilds the model for each sweep value, so it takes every
+        # knob as a sweep param, the size knobs included
         for kind, keys in knobs.items():
             for key in keys:
-                ExperimentConfig(experiment="tomo", model={"kind": kind, key: 1},
+                ExperimentConfig(experiment="krylov", model={"kind": kind, key: 1},
                                  sweep={"param": key, "values": [1]}).validate()
 
     @pytest.mark.parametrize("key", ["lamda", "lam"])
@@ -81,6 +83,22 @@ class TestValidation:
         cfg = tiny_tomo_config(sweep={"param": key, "values": [0.5, 7.0]})
         with pytest.raises(ConfigError, match=f"'{key}'"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("experiment,model,param", [
+        ("tomo", {"kind": "tilted_ising", "L": 2}, "L"),
+        ("tomo", {"kind": "kicked_top", "j": 2}, "j"),
+        ("tomo", {"kind": "haar", "dim": 3}, "dim"),
+        ("rmt-compare", {"kind": "kicked_ising", "L": 2}, "L"),
+        ("perturb", {"kind": "kicked_top", "j": 2}, "j"),
+        ("phase-space", {"kind": "kicked_top", "j": 2}, "j"),
+    ])
+    def test_size_knob_sweep_rejected(self, experiment, model, param):
+        # these runners build the observable and basis for the first value only
+        cfg = ExperimentConfig(experiment=experiment, model=model, steps=4,
+                               sweep={"param": param, "values": [2, 3]})
+        with pytest.raises(ConfigError, match="sweep.param") as err:
+            run_experiment(cfg)
+        assert err.value.fieldname == "sweep.param" and f"'{param}'" in str(err.value)
 
 
 class TestDeterminism:
@@ -209,6 +227,15 @@ class TestSmallRuns:
         up = series(table, "ascending", "bloch_value")
         assert np.all(down >= up - 1e-12)
 
+    def test_ordered_bloch_size_from_j(self):
+        # without a model kind the space is 2j + 1 dimensional, as with one
+        runs = [run_experiment(ExperimentConfig(
+            experiment="ordered-bloch", model=model, state="coherent",
+            sweep={"param": "direction", "values": ["descending"]}))
+            for model in ({"j": 2}, {"kind": "kicked_top", "j": 2})]
+        assert runs[0].rows == runs[1].rows
+        assert max(r[2] for r in runs[0].rows) == 5 * 5 - 1
+
     def test_perturb_small(self):
         cfg = ExperimentConfig(
             experiment="perturb",
@@ -287,6 +314,18 @@ class TestCli:
                                            "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2
         assert "lam" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_size_knob_sweep_exit_code(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({
+            "experiment": "tomo", "observable": "Sz", "steps": 4,
+            "model": {"kind": "tilted_ising", "L": 2},
+            "sweep": {"param": "L", "values": [2, 3]}}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2
+        assert "sweep.param" in result.output
         assert not (tmp_path / "o.csv").exists()
 
     def test_presets_command(self):

@@ -6,10 +6,12 @@ from chaostomo.dynamics import (
     KickedIsing,
     TiltedIsing,
     UnitaryPropagator,
+    collective_spin,
     pauli_site,
     ti_hamiltonian,
     tki_floquet,
 )
+from chaostomo.experiments import config_from_preset, run_experiment
 from chaostomo.krylov import (
     arnoldi_unitary_dim,
     evolve_operator,
@@ -27,14 +29,35 @@ def liouvillian_matrix(h):
     return np.kron(h, eye) - np.kron(eye, h.T)
 
 
-class DenseOperator:
-    """A superoperator given as a dense matrix, with the ``apply`` Lanczos calls."""
+def coordinate_frame(liou):
+    """Rows vec(V F_a V^dag), F_a = I/sqrt(d), E_1, ..., E_{d^2-1}: the generator's coordinate directions."""
+    v = liou.eigenvectors
+    d = v.shape[0]
+    rows = np.vstack([np.eye(d)[None] / np.sqrt(d), liou.operator_basis.elements])
+    return (v @ rows @ v.conj().T).reshape(d * d, -1)
 
-    def __init__(self, matrix):
-        self.matrix = matrix
 
-    def apply(self, vec):
-        return self.matrix @ vec
+def real_generator(liou, h):
+    """Dense matrix of X -> i[H, X] on the coordinates: i L conjugated into the frame."""
+    frame = coordinate_frame(liou)
+    m = frame.conj() @ (1j * liouvillian_matrix(h)) @ frame.T
+    assert np.max(np.abs(m.imag)) < 1e-12
+    return m.real
+
+
+def dense_lanczos(matrix, start, n_max):
+    """Plain fully re-orthogonalized Lanczos on a dense generator matrix."""
+    q = [start / np.linalg.norm(start)]
+    bs = []
+    while len(q) < n_max:
+        w = matrix @ q[-1]
+        for _ in range(2):
+            w -= np.array(q).T @ (np.array(q) @ w)
+        if np.linalg.norm(w) <= 1e-8:
+            break
+        bs.append(np.linalg.norm(w))
+        q.append(w / bs[-1])
+    return np.array(q), np.array(bs)
 
 
 def lanczos_dim_oracle(h, op, weight_tol=1e-18):
@@ -60,6 +83,43 @@ def lanczos_dim_oracle(h, op, weight_tol=1e-18):
     n = sum(1 for _, w in groups if w > weight_tol)
     diag_weight = float(np.sum(np.abs(np.diag(ob)) ** 2))
     return n + (1 if diag_weight > weight_tol else 0)
+
+
+def spectral_complexity(h, op, times):
+    """Krylov complexity from the spectral measure of O, independent of the operator frame.
+
+    The measure puts weight |O_ik|^2 on each gap E_i - E_k (eigenbasis of
+    H, gaps within 1e-9 merged, the diagonal at 0).  Lanczos on
+    multiplication by the gap, started from the square-root weights, gives
+    the operator Lanczos coefficients, and |phi_k(t)| is the modulus of the
+    k-th Lanczos vector's overlap with the weights rotated by e^{-i w t}.
+    """
+    ev, v = np.linalg.eigh(h)
+    ob = v.conj().T @ op @ v
+    gaps = (ev[:, None] - ev[None, :]).reshape(-1)
+    weights = np.abs(ob.reshape(-1)) ** 2
+    order = np.argsort(gaps)
+    freqs, mass = [], []
+    for g, w in zip(gaps[order], weights[order]):
+        if freqs and g - freqs[-1] < 1e-9:
+            mass[-1] += w
+        else:
+            freqs.append(g)
+            mass.append(w)
+    keep = np.array(mass) > 1e-18
+    freqs, amp = np.array(freqs)[keep], np.sqrt(np.array(mass)[keep])
+    norm = np.linalg.norm(amp)
+    q = [amp / norm]
+    while len(q) < len(freqs):
+        x = freqs * q[-1]
+        for _ in range(2):
+            x -= np.array(q).T @ (np.array(q) @ x)
+        if np.linalg.norm(x) <= 1e-8 * norm:
+            break
+        q.append(x / np.linalg.norm(x))
+    q = np.array(q)
+    phi2 = np.abs(q @ (amp[:, None] * np.exp(-1j * np.outer(freqs, times)))) ** 2 / norm**2
+    return np.arange(len(q)) @ phi2
 
 
 def arnoldi_dim_oracle(u, op, weight_tol=1e-18):
@@ -92,8 +152,8 @@ class TestLiouvillian:
     def test_annihilates_identity_and_generator(self, hermitian_factory):
         h = hermitian_factory(4)
         liou = liouvillian(h)
-        assert np.linalg.norm(liou.apply(np.eye(4).reshape(-1))) < 1e-12
-        assert np.linalg.norm(liou.apply(h.reshape(-1))) < 1e-12
+        assert np.linalg.norm(liou.apply(liou.coords(np.eye(4)))) < 1e-12
+        assert np.linalg.norm(liou.apply(liou.coords(h))) < 1e-12
 
     def test_spectrum_is_pairwise_differences(self, hermitian_factory):
         h = hermitian_factory(4)
@@ -105,8 +165,10 @@ class TestLiouvillian:
     def test_matrix_free_matches_dense(self, hermitian_factory, rng):
         h = hermitian_factory(5)
         liou = liouvillian(h)
-        v = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        assert np.max(np.abs(liou.apply(v) - liouvillian_matrix(h) @ v)) < 1e-12
+        v = rng.standard_normal(25)
+        dense = real_generator(liou, h)
+        assert np.max(np.abs(dense + dense.T)) < 1e-12  # antisymmetric
+        assert np.max(np.abs(liou.apply(v) - dense @ v)) < 1e-12
 
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(ValueError):
@@ -143,11 +205,12 @@ class TestLanczos:
     def test_dense_and_matrix_free_agree(self, hermitian_factory):
         h = hermitian_factory(4)
         o = hermitian_factory(4)
-        kb_free = lanczos_full_orth(liouvillian(h), o)
-        kb_dense = lanczos_full_orth(DenseOperator(liouvillian_matrix(h)), o)
-        assert kb_free.dim_k == kb_dense.dim_k
-        assert np.max(np.abs(kb_free.lanczos_b - kb_dense.lanczos_b)) < 1e-10
-        assert np.max(np.abs(kb_free.vectors - kb_dense.vectors)) < 1e-9
+        liou = liouvillian(h)
+        kb_free = lanczos_full_orth(liou, o)
+        vectors, bs = dense_lanczos(real_generator(liou, h), liou.coords(o), 16)
+        assert kb_free.dim_k == len(vectors)
+        assert np.max(np.abs(kb_free.lanczos_b - bs)) < 1e-10
+        assert np.max(np.abs(kb_free.vectors - vectors)) < 1e-9
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_hygiene_orthonormality_and_tridiagonality(self, L):
@@ -176,14 +239,14 @@ class TestAmplitudes:
 
     def test_initial_amplitudes(self, small_system):
         h, o, kb = small_system
-        amp = krylov_amplitudes(o, kb, t=0.0)
+        amp = krylov_amplitudes(o, kb)
         assert amp.phi[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(amp.phi[1:])) < 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 1.7, 6.3])
     def test_normalization(self, small_system, t):
         h, o, kb = small_system
-        amp = krylov_amplitudes(evolve_operator(h, o, t), kb, t=t)
+        amp = krylov_amplitudes(evolve_operator(h, o, t), kb)
         assert abs(np.sum(amp.phi**2) - 1.0) < 1e-8
 
     def test_short_time_slope_is_b1(self, small_system):
@@ -200,7 +263,7 @@ class TestAmplitudes:
 
     def test_complexity_and_entropy_trivials(self, small_system):
         h, o, kb = small_system
-        amp0 = krylov_amplitudes(o, kb, t=0.0)
+        amp0 = krylov_amplitudes(o, kb)
         assert krylov_complexity(amp0) == pytest.approx(0.0, abs=1e-12)
         assert krylov_entropy(amp0) == pytest.approx(0.0, abs=1e-10)
         from chaostomo.krylov import KrylovAmplitudes
@@ -213,8 +276,44 @@ class TestAmplitudes:
     def test_entropy_bounded_by_log_k(self, small_system):
         h, o, kb = small_system
         for t in (0.5, 2.0, 10.0):
-            amp = krylov_amplitudes(evolve_operator(h, o, t), kb, t=t)
+            amp = krylov_amplitudes(evolve_operator(h, o, t), kb)
             assert krylov_entropy(amp) <= np.log(kb.dim_k) + 1e-10
+
+
+class TestFig23Cells:
+    """The fig2.3 krylov cell (O = Sz, steps 1..60) at L = 4, per hz.
+
+    Sz is even under the site reflection, and at hz = 0 odd under the
+    global spin flip, so most gaps carry no weight: K is 121 at hz = 0.4
+    and 1.4 and 40 at hz = 0, well below d^2 - d + 1 = 241.
+    """
+
+    @staticmethod
+    def cell(hz):
+        model = {"kind": "tilted_ising", "L": 4, "J": 1.0, "hx": 1.4, "dt": 1.0}
+        cfg = config_from_preset("fig2.3-krylov-complexity", model=model)
+        cfg.sweep = {"param": "hz", "values": [hz]}
+        h = ti_hamiltonian(TiltedIsing(L=4, J=1.0, hx=1.4, hz=hz))
+        return cfg, run_experiment(cfg).rows, h, collective_spin("z", 4)
+
+    @pytest.mark.parametrize("hz", [0.0, 0.4, 1.4])
+    def test_dimension_bound_oracle_and_norm(self, hz):
+        d = 16
+        cfg, rows, h, o = self.cell(hz)
+        dims = [r[4] for r in rows if r[3] == "krylov_dim"]
+        assert dims == [lanczos_dim_oracle(h, o)]
+        assert dims[0] <= d * d - d + 1
+        kb = lanczos_full_orth(liouvillian(h), o)
+        deficits = [abs(np.sum(krylov_amplitudes(evolve_operator(h, o, n), kb).phi ** 2) - 1)
+                    for n in range(1, cfg.steps + 1)]
+        assert max(deficits) <= 1e-12
+
+    @pytest.mark.parametrize("hz", [0.0, 0.4, 1.4])
+    def test_complexity_matches_spectral_measure(self, hz):
+        cfg, rows, h, o = self.cell(hz)
+        got = np.array([r[4] for r in rows if r[3] == "krylov_complexity"])
+        want = spectral_complexity(h, o, np.arange(1, cfg.steps + 1) * cfg.model["dt"])
+        assert np.max(np.abs(got - want)) < 1e-8 * np.max(want)
 
 
 class TestArnoldi:
