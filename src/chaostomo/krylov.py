@@ -38,7 +38,6 @@ ordered basis; Krylov entropy measures how evenly that weight is spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -272,7 +271,6 @@ def arnoldi_unitary_dim(
     u: UnitaryPropagator,
     initial: np.ndarray,
     term_tol: float = 1e-10,
-    max_steps: Optional[int] = None,
 ) -> int:
     """Dimension of span{O, U^dag O U, U^dag^2 O U^2, ...}.
 
@@ -286,15 +284,14 @@ def arnoldi_unitary_dim(
     spectrum separates the true span from the noise floor by eight orders
     of magnitude.  Near-degenerate eigenphase pairs of the propagator make
     their antisymmetric operator direction emerge only slowly along the
-    orbit, hence the growth margin.
+    orbit, hence the growth margin.  The orbit stops at 4 d^2 steps.
     """
     op = np.asarray(initial, dtype=complex)
     norm0 = np.linalg.norm(op)
     if norm0 == 0.0:
         raise ValueError("initial observable is zero")
     d = op.shape[0]
-    if max_steps is None:
-        max_steps = 4 * d * d
+    max_steps = 4 * d * d
     umat = u.matrix
     udag = umat.conj().T
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import KickedTop, UnitaryPropagator, kicked_top_floquet
 from .operator_space import HermitianBasis, bloch_encode, regularize_operator
@@ -95,26 +94,20 @@ def operator_relative_entropy(op_true: np.ndarray, op_model: np.ndarray) -> floa
 
 
 def operator_incompatibility(
-    op_true: np.ndarray,
-    op_model: np.ndarray,
-    j: Optional[float] = None,
-    normalization: Optional[float] = None,
+    op_true: np.ndarray, op_model: np.ndarray, j: Optional[float] = None
 ) -> float:
     """Squared commutator norm Tr(|[O(t), O'(t)]|^2), normalized.
 
     For spin-j observables the conventional prefactor is 1/(2 j^4); pass
-    ``j`` to use it.  Otherwise ``normalization`` is applied directly,
-    defaulting to 1/(2 Tr(O^2)^2), which reduces to the spin convention up
-    to the observable-dependent factor.
+    ``j`` to use it.  Otherwise the prefactor is 1/(2 Tr(O^2)^2), which
+    reduces to the spin convention up to the observable-dependent factor.
     """
     comm = op_true @ op_model - op_model @ op_true
     value = np.vdot(comm, comm).real
     if j is not None:
         return float(value / (2.0 * j**4))
-    if normalization is None:
-        norm2 = np.vdot(op_true, op_true).real
-        normalization = 1.0 / (2.0 * norm2**2)
-    return float(value * normalization)
+    norm2 = np.vdot(op_true, op_true).real
+    return float(value / (2.0 * norm2**2))
 
 
 def error_unitary(u_true: UnitaryPropagator, u_model: UnitaryPropagator, n: int) -> np.ndarray:
@@ -131,8 +124,14 @@ def fractional_unitary_power(u: np.ndarray, eta: float) -> np.ndarray:
 
     Eigenphases are taken in (-pi, pi]; an eigenvalue at exactly -1 sits on
     the branch cut and is nudged by 1e-12 so the power is well defined.
+    The complex Schur form is used rather than ``np.linalg.eig`` because
+    its basis stays orthonormal when eigenphases are (near-)degenerate, as
+    they are to 1e-14 for the kicked top at lambda = 0.5.
     """
-    t, z = scipy.linalg.schur(np.asarray(u, dtype=complex), output="complex")
+    # imported here: scipy.linalg costs ~0.3 s of import and only this path uses it
+    from scipy.linalg import schur
+
+    t, z = schur(np.asarray(u, dtype=complex), output="complex")
     phases = np.angle(np.diagonal(t))
     phases = np.where(np.abs(phases - np.pi) < 1e-15, np.pi - 1e-12, phases)
     return (z * np.exp(1j * eta * phases)) @ z.conj().T

@@ -14,10 +14,10 @@ integrates it to machine precision for j <= 40.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from .dynamics import angular_momentum_ops, expm_hermitian
 from .operator_space import regularize_operator
@@ -39,6 +39,7 @@ class SphereGrid:
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
+    _frames: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.weights)
@@ -77,22 +78,25 @@ def coherent_state_frame(j: float, grid: SphereGrid) -> np.ndarray:
     Row-batched analogue of :func:`spin_coherent`: amplitudes
     <j, m| theta, phi> = sqrt(C(2j, j-m)) cos^{j+m}(theta/2)
     sin^{j-m}(theta/2) e^{i (j-m) phi} in the descending-m ordering.
+    The frame is built once per spin on each grid and returned read-only.
     """
     d = round(2 * j) + 1
+    if d in grid._frames:
+        return grid._frames[d]
     k = np.arange(d)  # number of lowerings from |j, j>
-    ln_binom = (
-        scipy.special.gammaln(2 * j + 1)
-        - scipy.special.gammaln(k + 1)
-        - scipy.special.gammaln(2 * j - k + 1)
-    )
+    # exact integer binomials; math.log takes ints beyond the float range
+    ln_binom = np.array([math.log(math.comb(d - 1, i)) for i in range(d)])
     half = grid.theta[:, None] / 2.0
     with np.errstate(divide="ignore"):
         ln_mag = (
             0.5 * ln_binom[None, :]
-            + (2 * j - k)[None, :] * np.log(np.maximum(np.cos(half), 1e-300))
+            + (d - 1 - k)[None, :] * np.log(np.maximum(np.cos(half), 1e-300))
             + k[None, :] * np.log(np.maximum(np.sin(half), 1e-300))
         )
-    return np.exp(ln_mag + 1j * k[None, :] * grid.phi[:, None])
+    frame = np.exp(ln_mag + 1j * k[None, :] * grid.phi[:, None])
+    frame.flags.writeable = False
+    grid._frames[d] = frame
+    return frame
 
 
 def husimi_q(rho: np.ndarray, grid: SphereGrid) -> np.ndarray:

@@ -315,6 +315,17 @@ class TestFig23Cells:
         want = spectral_complexity(h, o, np.arange(1, cfg.steps + 1) * cfg.model["dt"])
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(want)
 
+    @pytest.mark.parametrize("L,dims", [(5, [122, 513, 513]), (4, [40, 121, 121])])
+    def test_preset_krylov_dims(self, L, dims):
+        # exact Krylov dimensions of the full hz sweep; a Lanczos that
+        # amplifies rounding residue reports more (993 at L=5)
+        model = {"kind": "tilted_ising", "L": L, "J": 1.0, "hx": 1.4, "dt": 1.0}
+        cfg = config_from_preset("fig2.3-krylov-complexity", steps=0, model=model)
+        rows = run_experiment(cfg).rows
+        assert [(r[1], r[4]) for r in rows if r[3] == "krylov_dim"] == list(
+            zip(["0", "0.4", "1.4"], dims)
+        )
+
 
 class TestArnoldi:
     def test_identity_propagator(self):

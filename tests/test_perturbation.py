@@ -93,11 +93,12 @@ class TestIncompatibility:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_default_normalization(self, bench):
+        # without j the prefactor is 1/(2 Tr(O^2)^2)
         j, pair, obs, tl_t, tl_m = bench
-        norm2 = np.vdot(obs, obs).real
-        a = operator_incompatibility(tl_t.steps[7], tl_m.steps[7])
-        b = operator_incompatibility(tl_t.steps[7], tl_m.steps[7], normalization=1 / (2 * norm2**2))
-        assert a == pytest.approx(b, rel=1e-12)
+        a, b = tl_t.steps[7], tl_m.steps[7]
+        comm = a @ b - b @ a
+        want = np.trace(comm.conj().T @ comm).real / (2 * np.trace(obs @ obs).real ** 2)
+        assert operator_incompatibility(a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestErrorUnitary:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from chaostomo.dynamics import KickedTop, angular_momentum_ops, heisenberg_timeline, kicked_top_floquet
+from chaostomo.operator_space import regularize_operator
 from chaostomo.phase_space import (
     coherent_state_frame,
     husimi_entropy,
@@ -27,6 +29,19 @@ def spin_coherent_lowering(j: float, theta: float, phi: float) -> np.ndarray:
     top = np.zeros(round(2 * j) + 1, dtype=complex)
     top[0] = 1.0
     return (1 + abs(mu) ** 2) ** (-j) * (scipy.linalg.expm(mu * jminus) @ top)
+
+
+def gammaln_frame(j: float, grid) -> np.ndarray:
+    """Coherent-state frame with log-binomials from scipy.special.gammaln."""
+    k = np.arange(round(2 * j) + 1)
+    ln_binom = (
+        scipy.special.gammaln(2 * j + 1)
+        - scipy.special.gammaln(k + 1)
+        - scipy.special.gammaln(2 * j - k + 1)
+    )
+    half = grid.theta[:, None] / 2.0
+    mag = np.exp(0.5 * ln_binom) * np.cos(half) ** (2 * j - k) * np.sin(half) ** k
+    return mag * np.exp(1j * k * grid.phi[:, None])
 
 
 class TestSphereGrid:
@@ -71,6 +86,21 @@ class TestSpinCoherent:
         for k in (0, 17, 59):
             direct = spin_coherent(4, grid.theta[k], grid.phi[k])
             assert np.max(np.abs(frame[k] - direct)) < 1e-12
+
+    @pytest.mark.parametrize("j", [0.5, 1, 2.5, 10, 20])
+    def test_frame_matches_gammaln_reference(self, j):
+        grid = sphere_grid(16, 32)
+        assert np.max(np.abs(coherent_state_frame(j, grid) - gammaln_frame(j, grid))) < 1e-13
+
+    def test_frame_cached_read_only(self):
+        grid = sphere_grid(6, 10)
+        frame = coherent_state_frame(4, grid)
+        assert coherent_state_frame(4.0, grid) is frame
+        assert coherent_state_frame(3, grid) is not frame
+        assert coherent_state_frame(4, sphere_grid(6, 10)) is not frame
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError):
+            frame[0, 0] = 0.0
 
 
 class TestHusimi:
@@ -139,6 +169,18 @@ class TestHusimiEntropy:
             tl = heisenberg_timeline(jy, u, 15)
             vals[lam] = husimi_entropy(tl.steps[-1], grid)
         assert vals[7.0] > vals[0.5]
+
+    @pytest.mark.parametrize("lam", [0.5, 7.0])
+    def test_unchanged_against_gammaln_frame(self, lam):
+        # the spread-diag Husimi cell: j=20, evolved J_y, steps 0..8
+        j = 20
+        grid = sphere_grid()
+        frame = gammaln_frame(j, grid)
+        u = kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=np.pi / 2))
+        for op in heisenberg_timeline(angular_momentum_ops(j)[1], u, 8).steps:
+            q = np.clip(np.einsum("nc,cd,nd->n", frame.conj(), regularize_operator(op), frame).real, 0, None)
+            want = -(2 * j + 1) / (4 * np.pi) * np.sum(grid.weights * q * np.log(q))
+            assert husimi_entropy(op, grid) == pytest.approx(want, rel=1e-13)
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
