@@ -7,7 +7,7 @@ Subpackages by concern:
 * :mod:`chaostomo.tomography` - records, covariance, ML estimation, positivity
 * :mod:`chaostomo.quantifiers` - information measures on the covariance spectrum
 * :mod:`chaostomo.phase_space` - spin coherent states and Husimi entropy
-* :mod:`chaostomo.krylov` - Lanczos / Arnoldi operator-spreading diagnostics
+* :mod:`chaostomo.krylov` - Krylov span, Lanczos and orbit operator-spreading diagnostics
 * :mod:`chaostomo.perturbation` - mismatched dynamics and error scrambling
 * :mod:`chaostomo.rmt` - random-matrix ensemble baselines
 * :mod:`chaostomo.experiments` - config-driven experiment runner (CLI: ``chaostomo``)

@@ -80,9 +80,12 @@ def _check_zero_noise():
     rng = np.random.default_rng(3)
     d = 5
     psi = tomography.haar_random_pure(d, rng)
-    run = tomography.run_tomography(
-        dynamics.HaarSteps(dim=d, seed=9), psi, np.diag(np.arange(d) - 2.0).astype(complex),
-        d * d, 0.0, 4, eval_steps=[d * d],
+    timeline = tomography.model_timeline(
+        dynamics.HaarSteps(dim=d, seed=9), np.diag(np.arange(d) - 2.0).astype(complex), d * d)
+    basis = gell_mann_basis(d)
+    run = tomography.reconstruct_series(
+        tomography.generate_record(psi, timeline, 0.0, 4),
+        tomography.build_covariance(timeline, basis), basis, psi0=psi, eval_steps=[d * d],
     )
     return run.fidelities[-1] > 1 - 1e-9, f"zero-noise fidelity {run.fidelities[-1]:.12f}"
 

@@ -36,6 +36,7 @@ __all__ = [
     "UnitaryPropagator",
     "OperatorTimeline",
     "expm_hermitian",
+    "unitary_eigh",
     "angular_momentum_ops",
     "kicked_top_floquet",
     "classical_kicked_top_step",
@@ -198,6 +199,29 @@ def expm_hermitian(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
     """exp(scale * H) for Hermitian H via eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(scale * w)) @ v.conj().T
+
+
+def unitary_eigh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases theta in (-pi, pi] and an orthonormal eigenbasis V of a unitary U.
+
+    U = V diag(e^{i theta}) V^dag.  ``np.linalg.eig`` loses orthonormality
+    inside clusters of (near-)degenerate eigenphases, as for the kicked top
+    at lambda = 0.5 (degenerate to 1e-14).  So U is rotated, W = e^{i c} U,
+    until -1 sits in the middle of the widest empty arc of its spectrum, and
+    the Hermitian Cayley transform i(I - W)(I + W)^{-1} goes to ``eigh``.
+    Its eigenvalues tan(phi/2) are one-to-one in the phase phi of W, and
+    I + W is well conditioned because no phase of W is within pi/d of pi.
+    """
+    u = np.asarray(u, dtype=complex)
+    eye = np.eye(len(u))
+    phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    arcs = np.diff(np.append(phases, phases[0] + 2 * np.pi))
+    widest = np.argmax(arcs)
+    c = np.pi - phases[widest] - arcs[widest] / 2
+    w = np.exp(1j * c) * u
+    cayley = 1j * np.linalg.solve(eye + w, eye - w)
+    t, vecs = np.linalg.eigh((cayley + cayley.conj().T) / 2)
+    return np.pi - np.mod(np.pi + c - 2 * np.arctan(t), 2 * np.pi), vecs
 
 
 def angular_momentum_ops(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -94,6 +94,9 @@ class ExperimentConfig:
         kind = self.model.get("kind")
         if self.experiment != "ordered-bloch" and kind not in MODEL_KINDS:
             raise ConfigError("model.kind", f"must be one of {MODEL_KINDS}, got {kind!r}")
+        if self.experiment == "krylov" and kind == "haar":
+            raise ConfigError("model.kind", "krylov needs a fixed generator, and haar draws "
+                                            "a fresh unitary every step")
         if not self.sweep:
             raise ConfigError("sweep", "a sweep with 'param' and nonempty 'values' is required")
         if "param" not in self.sweep or not self.sweep.get("values"):

@@ -11,18 +11,20 @@ maps Hermitian operators to Hermitian operators and is antisymmetric,
 eigenbasis of H it rotates each off-diagonal Bloch pair at its gap
 E_a - E_b, so it is applied elementwise and never formed.
 
-Two routes into the operator Krylov space span{O, A O, A^2 O, ...}:
-
-* Lanczos with full (doubled Gram-Schmidt) re-orthogonalization against
-  A, in real arithmetic, inside the exact Krylov span: one direction for
-  the part of O that commutes with H, two for each distinct gap O
-  touches.  Plain Lanczos loses orthogonality to rounding within a few
-  dozen steps; brute-force re-orthogonalization keeps the basis
-  orthonormal to machine precision, which is what makes the late, tiny
-  recursion coefficients b_k trustworthy.
-* Arnoldi-style orthogonalization of the conjugation orbit
-  O_n = U^dag^n O U^n of a fixed unitary, which only reports the span
-  dimension.
+One span count serves both kinds of generator.  A Hamiltonian H and a
+fixed unitary U (a Floquet period, or one step dt) are taken to the same
+eigenbasis frame, in which each off-diagonal Bloch pair rotates at its
+gap: E_a - E_b for A, the eigenphase difference folded into [0, pi] for
+the conjugation X -> U^dag X U, since e^{+-i w} form one conjugate pair of
+modes.  The exact Krylov span of O is one direction for the part of O
+that no gap moves, plus two for each distinct gap O touches; a gap of pi
+adds one, since U^dag X U = -X there.  Lanczos with full (doubled
+Gram-Schmidt) re-orthogonalization against A runs inside that span, in
+real arithmetic.  Plain Lanczos loses orthogonality to rounding within a
+few dozen steps; brute-force re-orthogonalization keeps the basis
+orthonormal to machine precision, which is what makes the late, tiny
+recursion coefficients b_k trustworthy.  For a unitary only the
+dimension of the orbit span{O, U^dag O U, U^dag^2 O U^2, ...} is reported.
 
 Either way the span dimension is capped at d^2 - d + 1: the operators that
 commute with the generator form a space of dimension at least d, and the
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import UnitaryPropagator, expm_hermitian
+from .dynamics import UnitaryPropagator, expm_hermitian, unitary_eigh
 from .operator_space import HermitianBasis, bloch_encode, gell_mann_basis
 
 __all__ = [
@@ -122,6 +124,24 @@ def liouvillian(h: np.ndarray) -> Liouvillian:
     return Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps)
 
 
+def _observable_coords(liou: Liouvillian, initial: np.ndarray) -> tuple:
+    """Coordinates of a nonzero Hermitian observable and its norm.
+
+    Coordinates below 1e-9 of the norm are rounding residue of the basis
+    change and are set to zero; left in, they would open directions that
+    symmetry or equal gaps keep out of the span.
+    """
+    op = np.asarray(initial)
+    norm0 = np.linalg.norm(op)
+    if norm0 == 0.0:
+        raise ValueError("initial observable is zero")
+    if np.max(np.abs(op - op.conj().T)) > 1e-10 * norm0:
+        raise ValueError("initial observable must be Hermitian")
+    vec = liou.coords(op)
+    vec[np.abs(vec) < 1e-9 * norm0] = 0.0
+    return vec, norm0
+
+
 def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
     """Orthonormal rows spanning the smallest invariant subspace that holds ``vec``.
 
@@ -174,8 +194,7 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     holds the exact Krylov span and nothing else.  In the full coordinates
     the recursion amplifies rounding residue, in directions that symmetry
     or equal gaps keep out of the span, into spurious basis vectors, and
-    the dimension comes out too large.  Observable coordinates below 1e-9
-    of its norm count as such residue and are set to zero.
+    the dimension comes out too large.
 
     Each new vector A P_{k-1} is Gram-Schmidt-orthogonalized against all
     previous basis vectors, twice; the coefficient b_k is the remaining
@@ -183,14 +202,7 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     norm, the floating-point stand-in for the exact-arithmetic b_k = 0.
     Raises if the dimension exceeds the d^2 - d + 1 bound.
     """
-    op = np.asarray(initial)
-    norm0 = np.linalg.norm(op)
-    if norm0 == 0.0:
-        raise ValueError("initial observable is zero")
-    if np.max(np.abs(op - op.conj().T)) > 1e-10 * norm0:
-        raise ValueError("initial observable must be Hermitian")
-    vec0 = liou.coords(op)
-    vec0[np.abs(vec0) < 1e-9 * norm0] = 0.0
+    vec0, norm0 = _observable_coords(liou, initial)
     frame, m, freqs = _invariant_frame(liou, vec0)
     dim = len(frame)
     q = np.empty((dim, dim))  # rows are basis vectors in frame coordinates
@@ -213,7 +225,7 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
         w -= q[:k].T @ (q[:k] @ w)
         q[k] = w / np.linalg.norm(w)
         k += 1
-    d = op.shape[0]
+    d = liou.operator_basis.dim
     if k > d * d - d + 1:
         raise ValueError(f"Krylov dimension {k} exceeds the d^2 - d + 1 = {d * d - d + 1} bound")
     return KrylovBasis(vectors=q[:k] @ frame, lanczos_b=np.array(bs), dim_k=k,
@@ -267,45 +279,22 @@ def krylov_entropy(amp: KrylovAmplitudes) -> float:
     return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
-def arnoldi_unitary_dim(
-    u: UnitaryPropagator,
-    initial: np.ndarray,
-    term_tol: float = 1e-10,
-) -> int:
-    """Dimension of span{O, U^dag O U, U^dag^2 O U^2, ...}.
+def arnoldi_unitary_dim(u: UnitaryPropagator, initial: np.ndarray) -> int:
+    """Dimension of span{O, U^dag O U, U^dag^2 O U^2, ...}, counted from the modes of U.
 
-    The orbit matrix is grown and its numerical rank (singular values above
-    ``term_tol`` times the largest) recomputed until the rank stalls with a
-    margin of unexplored orbit left over.  A rank-revealing factorization
-    is used instead of one-vector-at-a-time Gram-Schmidt because the
-    orbit's weakest independent directions sit at per-element amplitudes
-    of 1e-6 and below, where sequential orthogonalization amplifies
-    rounding noise by the reciprocal residual and miscounts; the batch
-    spectrum separates the true span from the noise floor by eight orders
-    of magnitude.  Near-degenerate eigenphase pairs of the propagator make
-    their antisymmetric operator direction emerge only slowly along the
-    orbit, hence the growth margin.  The orbit stops at 4 d^2 steps.
+    In the eigenbasis of U (:func:`~chaostomo.dynamics.unitary_eigh`)
+    conjugation rotates the Bloch pair of entries (a, b) by the phase
+    difference theta_a - theta_b, folded into [0, pi].  Folded gaps merge
+    within 1e-10 * 2 pi, the Hamiltonian path's rule, and the span is the
+    invariant frame of :func:`lanczos_full_orth`, less one direction when
+    O touches the gap pi, on which conjugation is -1 instead of a rotation.
     """
-    op = np.asarray(initial, dtype=complex)
-    norm0 = np.linalg.norm(op)
-    if norm0 == 0.0:
-        raise ValueError("initial observable is zero")
-    d = op.shape[0]
-    max_steps = 4 * d * d
-    umat = u.matrix
-    udag = umat.conj().T
-
-    orbit = [op.reshape(-1)]
-    current = op
-    n = d * d + d  # enough rows to reach the d^2 - d + 1 bound with margin
-    rank_prev = -1
-    while True:
-        while len(orbit) < min(n, max_steps + 1):
-            current = udag @ current @ umat
-            orbit.append(current.reshape(-1))
-        s = np.linalg.svd(np.asarray(orbit), compute_uv=False)
-        rank = int(np.count_nonzero(s > term_tol * s[0]))
-        if rank == rank_prev or len(orbit) >= max_steps:
-            return rank
-        rank_prev = rank
-        n = round(1.5 * n)
+    phases, vecs = unitary_eigh(u.matrix)
+    basis = gell_mann_basis(len(phases))
+    _, rows, cols = basis.gm_structure
+    tol = 1e-10 * 2 * np.pi
+    gaps = np.mod(phases[rows] - phases[cols], 2 * np.pi)
+    gaps = _merge_gaps(np.minimum(gaps, 2 * np.pi - gaps), tol)
+    liou = Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps)
+    frame, _, freqs = _invariant_frame(liou, _observable_coords(liou, initial)[0])
+    return len(frame) - int(np.any(np.pi - freqs < tol))

@@ -21,11 +21,10 @@ believes and enters the covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .dynamics import KickedTop, UnitaryPropagator, kicked_top_floquet
+from .dynamics import KickedTop, UnitaryPropagator, kicked_top_floquet, unitary_eigh
 from .operator_space import HermitianBasis, bloch_encode, regularize_operator
 # unused here; the benchmark tracer (bench/layers.py) wraps this alias
 from .tomography import reconstruct_series  # noqa: F401
@@ -93,21 +92,10 @@ def operator_relative_entropy(op_true: np.ndarray, op_model: np.ndarray) -> floa
     return float(np.vdot(rho, log_rho - log_sig).real)
 
 
-def operator_incompatibility(
-    op_true: np.ndarray, op_model: np.ndarray, j: Optional[float] = None
-) -> float:
-    """Squared commutator norm Tr(|[O(t), O'(t)]|^2), normalized.
-
-    For spin-j observables the conventional prefactor is 1/(2 j^4); pass
-    ``j`` to use it.  Otherwise the prefactor is 1/(2 Tr(O^2)^2), which
-    reduces to the spin convention up to the observable-dependent factor.
-    """
+def operator_incompatibility(op_true: np.ndarray, op_model: np.ndarray, j: float) -> float:
+    """Squared commutator norm Tr(|[O(t), O'(t)]|^2) / (2 j^4), the spin-j convention."""
     comm = op_true @ op_model - op_model @ op_true
-    value = np.vdot(comm, comm).real
-    if j is not None:
-        return float(value / (2.0 * j**4))
-    norm2 = np.vdot(op_true, op_true).real
-    return float(value / (2.0 * norm2**2))
+    return float(np.vdot(comm, comm).real / (2.0 * j**4))
 
 
 def error_unitary(u_true: UnitaryPropagator, u_model: UnitaryPropagator, n: int) -> np.ndarray:
@@ -124,15 +112,10 @@ def fractional_unitary_power(u: np.ndarray, eta: float) -> np.ndarray:
 
     Eigenphases are taken in (-pi, pi]; an eigenvalue at exactly -1 sits on
     the branch cut and is nudged by 1e-12 so the power is well defined.
-    The complex Schur form is used rather than ``np.linalg.eig`` because
-    its basis stays orthonormal when eigenphases are (near-)degenerate, as
-    they are to 1e-14 for the kicked top at lambda = 0.5.
+    The eigenbasis comes from :func:`~chaostomo.dynamics.unitary_eigh`,
+    which stays orthonormal when eigenphases are (near-)degenerate.
     """
-    # imported here: scipy.linalg costs ~0.3 s of import and only this path uses it
-    from scipy.linalg import schur
-
-    t, z = schur(np.asarray(u, dtype=complex), output="complex")
-    phases = np.angle(np.diagonal(t))
+    phases, z = unitary_eigh(u)
     phases = np.where(np.abs(phases - np.pi) < 1e-15, np.pi - 1e-12, phases)
     return (z * np.exp(1j * eta * phases)) @ z.conj().T
 

@@ -36,7 +36,6 @@ from .operator_space import (
     bloch_decode,
     bloch_encode,
     bloch_encode_batch,
-    gell_mann_basis,
 )
 
 __all__ = [
@@ -51,7 +50,7 @@ __all__ = [
     "psd_project",
     "fidelity",
     "reconstruct_series",
-    "run_tomography",
+    "model_timeline",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -364,29 +363,3 @@ def model_timeline(model: ModelSpec, observable: np.ndarray, n_rows: int) -> Ope
     if isinstance(model, HaarSteps):
         return haar_timeline(observable, n_rows - 1, np.random.default_rng(model.seed))
     return heisenberg_timeline(observable, build_propagator(model), n_rows - 1)
-
-
-def run_tomography(
-    model: ModelSpec,
-    psi0: np.ndarray,
-    observable: np.ndarray,
-    n_steps: int,
-    sigma: float,
-    seed,
-    *,
-    basis: Optional[HermitianBasis] = None,
-    eval_steps: Optional[Sequence[int]] = None,
-) -> TomographyRun:
-    """Full pipeline: timeline, record, and per-step reconstruction fidelity.
-
-    The record has ``n_steps`` samples; sample n is taken after n - 1
-    applications of the propagator (the first sample measures the initial
-    observable).  Deterministic for a fixed seed.
-    """
-    psi0 = np.asarray(psi0)
-    timeline = model_timeline(model, observable, n_steps)
-    if basis is None:
-        basis = gell_mann_basis(timeline.dim)
-    cov = build_covariance(timeline, basis)
-    record = generate_record(psi0, timeline, sigma, seed)
-    return reconstruct_series(record, cov, basis, psi0=psi0, eval_steps=eval_steps)

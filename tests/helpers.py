@@ -1,0 +1,70 @@
+"""Reference code shared by the test modules.
+
+``unitary_mode_count`` is the independent oracle for the unitary orbit
+dimension: it uses scipy's Schur form, not the library's eigenbasis.
+``run_tomography`` is the record-to-fidelity pipeline of the experiment
+runners in one call.
+"""
+
+from typing import Optional, Sequence
+
+import numpy as np
+from scipy.linalg import schur
+
+from chaostomo.operator_space import gell_mann_basis
+from chaostomo.tomography import (
+    TomographyRun,
+    build_covariance,
+    generate_record,
+    model_timeline,
+    reconstruct_series,
+)
+
+
+def unitary_mode_count(u, op, weight_tol=1e-18, gap_tol=1e-9):
+    """Dimension of span{U^dag^n O U^n} from the modes of U, via its Schur form.
+
+    In the Schur basis the entry (a, b) of O_n turns at e^{i(theta_b - theta_a) n},
+    and the span holds one direction for each distinct phase difference mod
+    2 pi that carries weight (Vandermonde argument).  Differences are grouped
+    around the circle: they are shifted into [-gap_tol, 2 pi - gap_tol), so a
+    difference just below 2 pi joins the zero group.  That group, diagonal
+    and zero-gap off-diagonal weight together, is the one frozen direction.
+    Over Hermitian O the differences w and 2 pi - w carry equal weight and
+    count twice; at w = pi they coincide and count once.
+    """
+    t, z = schur(np.asarray(u, dtype=complex), output="complex")
+    phases = np.angle(np.diag(t))
+    ob = z.conj().T @ op @ z
+    diffs = np.mod(phases[:, None] - phases[None, :] + gap_tol, 2 * np.pi) - gap_tol
+    weights = np.abs(ob) ** 2
+    order = np.argsort(diffs, axis=None)
+    groups = []
+    for g, w in zip(diffs.reshape(-1)[order], weights.reshape(-1)[order]):
+        if groups and g - groups[-1][0] < gap_tol:
+            groups[-1][1] += w
+        else:
+            groups.append([g, w])
+    return sum(1 for _, w in groups if w > weight_tol)
+
+
+def run_tomography(
+    model,
+    psi0: np.ndarray,
+    observable: np.ndarray,
+    n_steps: int,
+    sigma: float,
+    seed,
+    eval_steps: Optional[Sequence[int]] = None,
+) -> TomographyRun:
+    """Timeline, record and per-step reconstruction fidelity for one state.
+
+    The record has ``n_steps`` samples; sample n is taken after n - 1
+    applications of the propagator.  Deterministic for a fixed seed.
+    """
+    psi0 = np.asarray(psi0)
+    timeline = model_timeline(model, observable, n_steps)
+    basis = gell_mann_basis(timeline.dim)
+    cov = build_covariance(timeline, basis)
+    record = generate_record(psi0, timeline, sigma, seed)
+    return reconstruct_series(record, cov, basis, psi0=psi0, eval_steps=eval_steps)

@@ -45,8 +45,8 @@ from chaostomo.tomography import (
     generate_record,
     haar_random_pure,
     reconstruct_series,
-    run_tomography,
 )
+from helpers import run_tomography, unitary_mode_count
 
 LONG = bool(os.environ.get("CHAOSTOMO_LONG"))
 
@@ -112,27 +112,9 @@ def test_criterion_1_rank_and_arnoldi_saturation(L, reference):
 
 def test_criterion_1_oracle_cross_check():
     """Independent Schur mode-count oracle agrees with both measured routes."""
-    from scipy.linalg import schur
-
     for L, truth in [(2, 13), (3, 55), (4, 241)]:
         u, o = tki_setup(L)
-        t, z = schur(u.matrix, output="complex")
-        phases = np.angle(np.diag(t))
-        ob = z.conj().T @ o @ z
-        d = 2**L
-        items = sorted(
-            (float(np.mod(phases[i] - phases[k], 2 * np.pi)), float(abs(ob[i, k]) ** 2))
-            for i in range(d) for k in range(d) if i != k
-        )
-        groups = []
-        for g, w in items:
-            if groups and abs(g - groups[-1][0]) < 1e-9:
-                groups[-1][1] += w
-            else:
-                groups.append([g, w])
-        modes = sum(1 for _, w in groups if w > 1e-18)
-        modes += 1 if np.sum(np.abs(np.diag(ob)) ** 2) > 1e-18 else 0
-        assert modes == truth
+        assert unitary_mode_count(u.matrix, o) == truth
         assert arnoldi_unitary_dim(u, o) == truth
 
 

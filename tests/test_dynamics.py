@@ -17,8 +17,10 @@ from chaostomo.dynamics import (
     pauli_site,
     ti_unitary,
     tki_floquet,
+    unitary_eigh,
     xxz_unitary,
 )
+from chaostomo.rmt import haar_unitary, reflection_operator
 
 
 def unitarity_defect(u):
@@ -207,3 +209,23 @@ def test_build_propagator_dispatch():
         assert unitarity_defect(u) < 1e-10
     with pytest.raises(TypeError):
         build_propagator(HaarSteps(dim=4))
+
+
+class TestUnitaryEigh:
+    @pytest.mark.parametrize("case", ["I", "-I", "reflection", "haar6", "haar21", "haar41",
+                                      "top0.5"])
+    def test_reconstructs_with_orthonormal_basis(self, case):
+        u = {
+            "I": lambda: np.eye(5, dtype=complex),
+            "-I": lambda: -np.eye(5, dtype=complex),
+            "reflection": lambda: reflection_operator(3).astype(complex),  # eigenvalues +-1
+            "haar6": lambda: haar_unitary(6, np.random.default_rng(6)),
+            "haar21": lambda: haar_unitary(21, np.random.default_rng(21)),
+            "haar41": lambda: haar_unitary(41, np.random.default_rng(41)),
+            # eigenphases degenerate to 1e-14
+            "top0.5": lambda: kicked_top_floquet(KickedTop(j=10, lam=0.5, alpha=np.pi / 2)).matrix,
+        }[case]()
+        phases, v = unitary_eigh(u)
+        assert np.all((phases > -np.pi) & (phases <= np.pi))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(u)))) < 1e-12
+        assert np.max(np.abs((v * np.exp(1j * phases)) @ v.conj().T - u)) < 1e-12

@@ -72,11 +72,20 @@ class TestValidation:
             "haar": ["dim", "seed"],
         }
         # krylov rebuilds the model for each sweep value, so it takes every
-        # knob as a sweep param, the size knobs included
+        # knob as a sweep param, the size knobs included; it rejects haar,
+        # whose knobs tomo takes as model keys (its dim sweep is rejected below)
         for kind, keys in knobs.items():
             for key in keys:
-                ExperimentConfig(experiment="krylov", model={"kind": kind, key: 1},
-                                 sweep={"param": key, "values": [1]}).validate()
+                experiment, param = ("tomo", "seed") if kind == "haar" else ("krylov", key)
+                ExperimentConfig(experiment=experiment, model={"kind": kind, key: 1},
+                                 sweep={"param": param, "values": [1]}).validate()
+
+    def test_krylov_rejects_haar(self):
+        cfg = ExperimentConfig(experiment="krylov", model={"kind": "haar", "dim": 3},
+                               observable="J_z", sweep={"param": "seed", "values": [1]})
+        with pytest.raises(ConfigError, match="model.kind") as err:
+            cfg.validate()
+        assert err.value.fieldname == "model.kind"
 
     @pytest.mark.parametrize("key", ["lamda", "lam"])
     def test_unknown_sweep_param(self, key):
@@ -326,6 +335,18 @@ class TestCli:
                                            "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2
         assert "sweep.param" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_krylov_on_haar_exit_code(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({
+            "experiment": "krylov", "observable": "J_z",
+            "model": {"kind": "haar", "dim": 3},
+            "sweep": {"param": "seed", "values": [1]}}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2
+        assert "model.kind" in result.output
         assert not (tmp_path / "o.csv").exists()
 
     def test_presets_command(self):

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
-from scipy.linalg import schur
 
 from chaostomo.dynamics import (
     KickedIsing,
+    KickedTop,
     TiltedIsing,
     UnitaryPropagator,
+    XXZChain,
+    angular_momentum_ops,
     collective_spin,
+    kicked_top_floquet,
     pauli_site,
     ti_hamiltonian,
+    ti_unitary,
     tki_floquet,
+    xxz_hamiltonian,
+    xxz_unitary,
 )
 from chaostomo.experiments import config_from_preset, run_experiment
 from chaostomo.krylov import (
@@ -21,6 +27,7 @@ from chaostomo.krylov import (
     lanczos_full_orth,
     liouvillian,
 )
+from helpers import unitary_mode_count
 
 
 def liouvillian_matrix(h):
@@ -120,32 +127,6 @@ def spectral_complexity(h, op, times):
     q = np.array(q)
     phi2 = np.abs(q @ (amp[:, None] * np.exp(-1j * np.outer(freqs, times)))) ** 2 / norm**2
     return np.arange(len(q)) @ phi2
-
-
-def arnoldi_dim_oracle(u, op, weight_tol=1e-18):
-    """Same mode count for a unitary generator, via its Schur form."""
-    t, z = schur(u, output="complex")
-    phases = np.angle(np.diag(t))
-    ob = z.conj().T @ op @ z
-    d = len(phases)
-    items = sorted(
-        (
-            (float(np.mod(phases[i] - phases[k], 2 * np.pi)), float(abs(ob[i, k]) ** 2))
-            for i in range(d)
-            for k in range(d)
-            if i != k
-        ),
-        key=lambda t_: t_[0],
-    )
-    groups = []
-    for g, w in items:
-        if groups and abs(g - groups[-1][0]) < 1e-9:
-            groups[-1][1] += w
-        else:
-            groups.append([g, w])
-    n = sum(1 for _, w in groups if w > weight_tol)
-    diag_weight = float(np.sum(np.abs(np.diag(ob)) ** 2))
-    return n + (1 if diag_weight > weight_tol else 0)
 
 
 class TestLiouvillian:
@@ -336,7 +317,7 @@ class TestArnoldi:
     def test_kicked_ising_dimension(self, L, expected):
         u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
         o = pauli_site("y", 1, L) / 2
-        assert arnoldi_unitary_dim(u, o) == expected == arnoldi_dim_oracle(u.matrix, o)
+        assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u.matrix, o)
 
     def test_bound_respected(self, rng):
         d = 5
@@ -345,7 +326,7 @@ class TestArnoldi:
         o = (a + a.conj().T) / 2
         k = arnoldi_unitary_dim(UnitaryPropagator(q), o)
         assert k <= d * d - d + 1
-        assert k == arnoldi_dim_oracle(q, o)
+        assert k == unitary_mode_count(q, o)
 
     def test_matches_covariance_rank(self):
         # both count span{O_n}; the covariance route works in Bloch
@@ -359,3 +340,48 @@ class TestArnoldi:
         K = arnoldi_unitary_dim(u, o)
         cov = build_covariance(heisenberg_timeline(o, u, 40), gell_mann_basis(4))
         assert K == cov.rank() == 13
+
+    @pytest.mark.parametrize("lam,expected", [(0.5, 180), (2.5, 220), (7.0, 220)])
+    def test_kicked_top_mode_count(self, lam, expected):
+        # at lambda = 0.5 the eigenphases are degenerate to 1e-14; an orbit
+        # rank under a tolerance cut counts 184 there
+        u = kicked_top_floquet(KickedTop(j=10, lam=lam, alpha=np.pi / 2))
+        o = angular_momentum_ops(10)[1]
+        assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u.matrix, o)
+
+    @pytest.mark.parametrize("L,expected", [(4, 241), (5, 993)])
+    def test_kicked_ising_hz04_mode_count(self, L, expected):
+        # an orbit rank under a tolerance cut counts 239 and 985 here
+        u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=0.4))
+        o = pauli_site("y", 1, L) / 2
+        assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u.matrix, o)
+
+    @pytest.mark.parametrize("power,expected", [(1, 2), (2, 2)])
+    def test_gap_pi_is_one_direction(self, power, expected):
+        # alpha = pi/2, lambda = 0: U is a quarter turn about x, so J_y -> J_z
+        # -> -J_y has period 4 and J_y^2 -> J_z^2 -> J_y^2 has period 2.  The
+        # gap-pi modes of J_y^2 flip sign each step: one direction, not two
+        u = kicked_top_floquet(KickedTop(j=3, lam=0.0, alpha=np.pi / 2))
+        o = np.linalg.matrix_power(angular_momentum_ops(3)[1], power)
+        assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u.matrix, o)
+
+    @pytest.mark.parametrize("L,dims", [(3, [14, 33, 33]), (4, [40, 121, 121]),
+                                        (5, [122, 513, 513])])
+    def test_step_unitary_matches_lanczos(self, L, dims):
+        # at dt = 1 no two gaps of H coincide mod 2 pi here, so the orbit of
+        # exp(-iH) spans the Krylov space of H
+        sz = collective_spin("z", L)
+        got = []
+        for hz in (0.0, 0.4, 1.4):
+            spec = TiltedIsing(L=L, J=1.0, hx=1.4, hz=hz)
+            k = arnoldi_unitary_dim(ti_unitary(spec), sz)
+            assert k == lanczos_full_orth(liouvillian(ti_hamiltonian(spec)), sz).dim_k
+            got.append(k)
+        assert got == dims
+
+    @pytest.mark.parametrize("g,expected", [(0.0, 56), (0.16, 112), (0.94, 112)])
+    def test_xxz_step_unitary_matches_lanczos(self, g, expected):
+        spec = XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2)
+        o = (pauli_site("y", 2, 4) + pauli_site("y", 4, 4)) / 2
+        k = arnoldi_unitary_dim(xxz_unitary(spec), o)
+        assert k == lanczos_full_orth(liouvillian(xxz_hamiltonian(spec)), o).dim_k == expected

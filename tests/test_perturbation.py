@@ -19,9 +19,9 @@ from chaostomo.tomography import (
     generate_record,
     haar_random_pure,
     reconstruct_series,
-    run_tomography,
 )
 from chaostomo.dynamics import KickedTop
+from helpers import run_tomography
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +91,6 @@ class TestIncompatibility:
             uu = error_unitary(pair.u_true, pair.u_model, n)
             rhs = operator_incompatibility(obs, uu.conj().T @ obs @ uu, j=j)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-    def test_default_normalization(self, bench):
-        # without j the prefactor is 1/(2 Tr(O^2)^2)
-        j, pair, obs, tl_t, tl_m = bench
-        a, b = tl_t.steps[7], tl_m.steps[7]
-        comm = a @ b - b @ a
-        want = np.trace(comm.conj().T @ comm).real / (2 * np.trace(obs @ obs).real ** 2)
-        assert operator_incompatibility(a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestErrorUnitary:

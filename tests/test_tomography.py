@@ -27,8 +27,8 @@ from chaostomo.tomography import (
     model_timeline,
     psd_project,
     reconstruct_series,
-    run_tomography,
 )
+from helpers import run_tomography
 
 
 class TestHaarStates:
