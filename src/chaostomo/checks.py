@@ -123,7 +123,19 @@ def _check_husimi():
     psi = phase_space.spin_coherent(j, 1.1, 0.7)
     q = phase_space.husimi_q(np.outer(psi, psi.conj()), grid)
     norm = (2 * j + 1) / (4 * np.pi) * np.sum(grid.weights * q)
-    return abs(norm - 1) < 1e-3, f"Husimi normalization deviation {abs(norm - 1):.1e}"
+    if abs(norm - 1) >= 1e-3:
+        return False, f"Husimi normalization deviation {abs(norm - 1):.1e}"
+    # the FFT kernel against the frame contraction, also on a grid with
+    # n_phi < 2d - 1, where offsets fold onto shared frequency bins
+    psi = tomography.haar_random_pure(round(2 * j) + 1, np.random.default_rng(8))
+    rho = np.outer(psi, psi.conj())
+    worst = 0.0
+    for g in (grid, phase_space.sphere_grid(6, 10)):
+        frame = phase_space.coherent_state_frame(j, g)
+        want = np.einsum("nc,cd,nd->n", frame.conj(), rho, frame).real
+        worst = max(worst, np.max(np.abs(phase_space.husimi_q(rho, g) - want)) / np.max(want))
+    return worst <= 1e-13, (f"Husimi normalization deviation {abs(norm - 1):.1e}, "
+                            f"kernel vs frame contraction {worst:.1e}")
 
 
 def _check_error_scrambling_identity():

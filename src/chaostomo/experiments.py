@@ -427,12 +427,16 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
         for value in cfg.sweep["values"]:
             model = _build_model(cfg.model, (param, value))
             x, y, z = s0 * np.cos(ph0), s0 * np.sin(ph0), z0.copy()
-            for n in range(1, n_steps + 1):
+            theta, phi = np.empty((2, n_steps, cfg.n_trajectories))
+            for n in range(n_steps):
                 x, y, z = dynamics.classical_kicked_top_step(x, y, z, model.lam, model.alpha)
-                for t in range(cfg.n_trajectories):
-                    rows.add(value, n, f"theta.{t:02d}", float(np.arccos(np.clip(z[t], -1, 1))))
-                    rows.add(value, n, f"phi.{t:02d}",
-                             float(np.mod(np.arctan2(y[t], x[t]), 2 * np.pi)))
+                theta[n] = np.arccos(np.clip(z, -1, 1))
+                phi[n] = np.mod(np.arctan2(y, x), 2 * np.pi)
+            columns = {}
+            for t in range(cfg.n_trajectories):
+                columns[f"theta.{t:02d}"] = theta[:, t].tolist()
+                columns[f"phi.{t:02d}"] = phi[:, t].tolist()
+            rows.add_steps(value, range(1, n_steps + 1), columns)
         return rows.table()
     # husimi mode: Wehrl entropy of the evolved observable
     grid = phase_space.sphere_grid()

@@ -26,6 +26,17 @@ orthonormal to machine precision, which is what makes the late, tiny
 recursion coefficients b_k trustworthy.  For a unitary only the
 dimension of the orbit span{O, U^dag O U, U^dag^2 O U^2, ...} is reported.
 
+The generator pairs the rows of that frame: it maps each u onto w J u and
+J u onto -w u, and annihilates the zero-frequency row.  O lies on the
+(zero-frequency, u) rows, so the Lanczos vectors alternate: P_k lies on
+those rows for even k and on the J u rows for odd k.  The recursion runs
+on these half-length vectors and re-orthogonalizes each against the
+earlier vectors of its own parity only, the other parity being
+orthogonal by construction; that takes about a quarter of the flops of
+full-length vectors.  It is Golub-Kahan bidiagonalization of the diagonal
+map u_j -> w_j J u_j, whose two diagonals are b_1, b_3, ... and
+b_2, b_4, ....
+
 Either way the span dimension is capped at d^2 - d + 1: the operators that
 commute with the generator form a space of dimension at least d, and the
 span meets it in one direction only, O's projection onto it.  Lanczos
@@ -196,24 +207,32 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     or equal gaps keep out of the span, into spurious basis vectors, and
     the dimension comes out too large.
 
-    Each new vector A P_{k-1} is Gram-Schmidt-orthogonalized against all
-    previous basis vectors, twice; the coefficient b_k is the remaining
-    norm and iteration stops once it falls below 1e-8 times the observable
-    norm, the floating-point stand-in for the exact-arithmetic b_k = 0.
-    Raises if the dimension exceeds the d^2 - d + 1 bound.
+    P_k lies on the (zero-frequency, u) rows of the frame for even k and
+    on the J u rows for odd k (module docstring), so the recursion runs on
+    half-length vectors.  Each new vector A P_{k-1} is
+    Gram-Schmidt-orthogonalized against the previous vectors of its
+    parity, twice; the coefficient b_k is the remaining norm and iteration
+    stops once it falls below 1e-8 times the observable norm, the
+    floating-point stand-in for the exact-arithmetic b_k = 0.  Raises if
+    the dimension exceeds the d^2 - d + 1 bound.
     """
     vec0, norm0 = _observable_coords(liou, initial)
     frame, m, freqs = _invariant_frame(liou, vec0)
-    dim = len(frame)
-    q = np.empty((dim, dim))  # rows are basis vectors in frame coordinates
-    q[0] = frame @ vec0
-    q[0] /= np.linalg.norm(q[0])
+    n = len(freqs)
+    halves = (frame[: m + n], frame[m + n :])
+    q = (np.empty((m + n, m + n)), np.empty((n, n)))  # rows: P_0, P_2, ... and P_1, P_3, ...
+    q[0][0] = halves[0] @ vec0
+    q[0][0] /= np.linalg.norm(q[0][0])
     bs = []
     k = 1
-    while k < dim:
-        w = _rotate(q[k - 1], m, freqs)
+    while k < m + 2 * n:
+        par = k % 2
+        prev = q[1 - par][(k - 1) // 2]
+        # _rotate restricted to one parity: u_j -> w_j J u_j, J u_j -> -w_j u_j
+        w = freqs * prev[m:] if par else np.concatenate([np.zeros(m), -freqs * prev])
+        basis = q[par][: k // 2]
         for _ in range(2):
-            w -= q[:k].T @ (q[:k] @ w)
+            w -= basis.T @ (basis @ w)
         b = np.linalg.norm(w)
         if b <= 1e-8 * norm0:
             break
@@ -222,13 +241,19 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
         # amplifies the orthogonalization error, and that error lies in the
         # accepted span, so one more sweep restores machine orthogonality
         w /= b
-        w -= q[:k].T @ (q[:k] @ w)
-        q[k] = w / np.linalg.norm(w)
+        w -= basis.T @ (basis @ w)
+        q[par][k // 2] = w / np.linalg.norm(w)
         k += 1
     d = liou.operator_basis.dim
     if k > d * d - d + 1:
         raise ValueError(f"Krylov dimension {k} exceeds the d^2 - d + 1 = {d * d - d + 1} bound")
-    return KrylovBasis(vectors=q[:k] @ frame, lanczos_b=np.array(bs), dim_k=k,
+    # within one half no two frame rows share a coordinate, so each
+    # coordinate of P_k is one frame entry times one frame coordinate of P_k
+    vectors = np.zeros((k, vec0.size))
+    for par, rows in enumerate(halves):
+        r, c = np.nonzero(rows)
+        vectors[par::2, c] = q[par][: (k + 1 - par) // 2, r] * rows[r, c]
+    return KrylovBasis(vectors=vectors, lanczos_b=np.array(bs), dim_k=k,
                        initial_norm=norm0, generator=liou)
 
 

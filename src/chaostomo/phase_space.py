@@ -9,7 +9,11 @@ States are built in rotation form, which is regular at both poles.
 Quadrature is a product grid: Gauss-Legendre in cos(theta) times a uniform
 trapezoid in phi.  Q for spin j is band-limited (a degree-2j polynomial in
 cos(theta) and harmonics up to e^{2ij phi}), so the default 64 x 128 grid
-integrates it to machine precision for j <= 40.
+integrates it to machine precision for j <= 40.  The product structure
+also evaluates Q: weighted diagonal sums of rho give its harmonics in phi
+at each polar node, and one inverse FFT per polar node gives Q at the
+uniform phi nodes, in O(n_theta d^2 + n_theta n_phi log n_phi) rather than
+the O(n_theta n_phi d^2) of contracting rho with every coherent state.
 """
 
 from __future__ import annotations
@@ -34,12 +38,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Quadrature nodes (theta, phi) and weights summing to 4 pi."""
+    """Quadrature nodes (theta, phi) and weights summing to 4 pi.
+
+    The nodes are a product grid, polar-major: with ``shape`` =
+    (n_theta, n_phi), node t * n_phi + p sits at polar node theta_t and
+    phi = 2 pi p / n_phi.
+    """
 
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
-    _frames: dict = field(default_factory=dict, repr=False, compare=False)
+    shape: tuple
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.weights)
@@ -47,6 +57,9 @@ class SphereGrid:
 
 def sphere_grid(n_theta: int = 64, n_phi: int = 128) -> SphereGrid:
     """Product quadrature: Gauss-Legendre in cos(theta), trapezoid in phi."""
+    for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     x, wx = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -54,7 +67,8 @@ def sphere_grid(n_theta: int = 64, n_phi: int = 128) -> SphereGrid:
     th_grid, phi_grid = np.meshgrid(theta, phi, indexing="ij")
     w_grid = np.broadcast_to((wx * wphi)[:, None], th_grid.shape)
     return SphereGrid(
-        theta=th_grid.reshape(-1), phi=phi_grid.reshape(-1), weights=w_grid.reshape(-1).copy()
+        theta=th_grid.reshape(-1), phi=phi_grid.reshape(-1), weights=w_grid.reshape(-1).copy(),
+        shape=(n_theta, n_phi),
     )
 
 
@@ -72,6 +86,25 @@ def spin_coherent(j: float, theta: float, phi: float) -> np.ndarray:
     return expm_hermitian(gen, scale=1j * theta) @ top
 
 
+def _polar_amplitudes(d: int, grid: SphereGrid) -> np.ndarray:
+    """Moduli a_k(theta) = sqrt(C(d-1, k)) cos^{d-1-k}(theta/2) sin^k(theta/2), (n_theta, d).
+
+    <j, m| theta, phi> = a_k(theta) e^{i k phi} at each polar node, with
+    k = j - m the number of lowerings from |j, j>.
+    """
+    k = np.arange(d)
+    # exact integer binomials; math.log takes ints beyond the float range
+    ln_binom = np.array([math.log(math.comb(d - 1, i)) for i in range(d)])
+    half = grid.theta[:: grid.shape[1], None] / 2.0
+    with np.errstate(divide="ignore"):
+        ln_mag = (
+            0.5 * ln_binom[None, :]
+            + (d - 1 - k)[None, :] * np.log(np.maximum(np.cos(half), 1e-300))
+            + k[None, :] * np.log(np.maximum(np.sin(half), 1e-300))
+        )
+    return np.exp(ln_mag)
+
+
 def coherent_state_frame(j: float, grid: SphereGrid) -> np.ndarray:
     """All grid coherent states stacked as rows, shape (len(grid), 2j+1).
 
@@ -81,31 +114,50 @@ def coherent_state_frame(j: float, grid: SphereGrid) -> np.ndarray:
     The frame is built once per spin on each grid and returned read-only.
     """
     d = round(2 * j) + 1
-    if d in grid._frames:
-        return grid._frames[d]
-    k = np.arange(d)  # number of lowerings from |j, j>
-    # exact integer binomials; math.log takes ints beyond the float range
-    ln_binom = np.array([math.log(math.comb(d - 1, i)) for i in range(d)])
-    half = grid.theta[:, None] / 2.0
-    with np.errstate(divide="ignore"):
-        ln_mag = (
-            0.5 * ln_binom[None, :]
-            + (d - 1 - k)[None, :] * np.log(np.maximum(np.cos(half), 1e-300))
-            + k[None, :] * np.log(np.maximum(np.sin(half), 1e-300))
-        )
-    frame = np.exp(ln_mag + 1j * k[None, :] * grid.phi[:, None])
-    frame.flags.writeable = False
-    grid._frames[d] = frame
-    return frame
+    key = ("frame", d)
+    if key not in grid._cache:
+        amp = np.repeat(_polar_amplitudes(d, grid), grid.shape[1], axis=0)
+        frame = amp * np.exp(1j * np.arange(d)[None, :] * grid.phi[:, None])
+        frame.flags.writeable = False
+        grid._cache[key] = frame
+    return grid._cache[key]
+
+
+def _diagonal_terms(d: int, grid: SphereGrid) -> tuple:
+    """What :func:`husimi_q` needs of a d x d matrix on ``grid``, built once per dimension.
+
+    Returns the flat indices of the entries (k, l) ordered by offset
+    m = l - k, their polar weights a_k(theta) a_l(theta) in that order, where
+    each of the offsets m = -(d-1)..d-1 starts, and each offset's
+    azimuthal frequency bin m mod n_phi.
+    """
+    key = ("diagonals", d)
+    if key not in grid._cache:
+        amp = _polar_amplitudes(d, grid)
+        k, l = np.divmod(np.arange(d * d), d)
+        order = np.argsort(l - k, kind="stable")
+        k, l = k[order], l[order]
+        offsets = np.arange(1 - d, d)
+        starts = np.searchsorted(l - k, offsets)
+        grid._cache[key] = (order, amp[:, k] * amp[:, l], starts, offsets % grid.shape[1])
+    return grid._cache[key]
 
 
 def husimi_q(rho: np.ndarray, grid: SphereGrid) -> np.ndarray:
-    """Husimi function Q(theta, phi) = <theta, phi| rho |theta, phi> per node."""
+    """Husimi function Q(theta, phi) = <theta, phi| rho |theta, phi> per node.
+
+    Q(theta, phi) = sum_m c_m(theta) e^{i m phi}, where
+    c_m = sum_{l - k = m} a_k a_l rho_kl sums the m-th diagonal of rho
+    weighted by the polar amplitudes.  At the nodes phi = 2 pi p / n_phi
+    the harmonic m equals harmonic m mod n_phi, so the offsets are folded
+    into n_phi bins and one inverse FFT per polar node gives the row of Q.
+    """
     rho = np.asarray(rho)
-    d = rho.shape[0]
-    j = (d - 1) / 2.0
-    frame = coherent_state_frame(j, grid)
-    q = np.einsum("nc,nc->n", frame.conj() @ rho, frame).real
+    order, weights, starts, bins = _diagonal_terms(rho.shape[0], grid)
+    diagonals = np.add.reduceat(weights * rho.reshape(-1)[order], starts, axis=1)
+    harmonics = np.zeros(grid.shape, dtype=complex)
+    np.add.at(harmonics, (slice(None), bins), diagonals)
+    q = np.fft.ifft(harmonics, axis=1, norm="forward").real.reshape(-1)
     if q.min() < -1e-12:
         raise ValueError(f"Husimi function negative ({q.min()}); input not PSD")
     return q

@@ -2,8 +2,10 @@
 
 ``unitary_mode_count`` is the independent oracle for the unitary orbit
 dimension: it uses scipy's Schur form, not the library's eigenbasis.
-``run_tomography`` is the record-to-fidelity pipeline of the experiment
-runners in one call.
+``lanczos_full_vector`` is the reference for ``lanczos_full_orth``: the
+same recursion on full-length frame vectors, re-orthogonalized against
+every earlier vector.  ``run_tomography`` is the record-to-fidelity
+pipeline of the experiment runners in one call.
 """
 
 from typing import Optional, Sequence
@@ -11,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import schur
 
+from chaostomo.krylov import _invariant_frame, _observable_coords, _rotate
 from chaostomo.operator_space import gell_mann_basis
 from chaostomo.tomography import (
     TomographyRun,
@@ -46,6 +49,37 @@ def unitary_mode_count(u, op, weight_tol=1e-18, gap_tol=1e-9):
         else:
             groups.append([g, w])
     return sum(1 for _, w in groups if w > weight_tol)
+
+
+def lanczos_full_vector(liou, initial):
+    """Dimension and b_k of the full-vector recursion.
+
+    Runs in the frame of ``_invariant_frame`` on vectors of its full
+    length m + 2n: each new vector is Gram-Schmidt-orthogonalized against
+    all previous ones twice, then once more after normalization, and the
+    recursion stops when b_k falls below 1e-8 of the observable norm.
+    """
+    vec0, norm0 = _observable_coords(liou, initial)
+    frame, m, freqs = _invariant_frame(liou, vec0)
+    dim = len(frame)
+    q = np.empty((dim, dim))
+    q[0] = frame @ vec0
+    q[0] /= np.linalg.norm(q[0])
+    bs = []
+    k = 1
+    while k < dim:
+        w = _rotate(q[k - 1], m, freqs)
+        for _ in range(2):
+            w -= q[:k].T @ (q[:k] @ w)
+        b = np.linalg.norm(w)
+        if b <= 1e-8 * norm0:
+            break
+        bs.append(b)
+        w /= b
+        w -= q[:k].T @ (q[:k] @ w)
+        q[k] = w / np.linalg.norm(w)
+        k += 1
+    return k, np.array(bs)
 
 
 def run_tomography(

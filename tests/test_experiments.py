@@ -4,6 +4,7 @@ import yaml
 from click.testing import CliRunner
 
 from chaostomo.cli import main
+from chaostomo.dynamics import classical_kicked_top_step
 from chaostomo.experiments import (
     PRESETS,
     ConfigError,
@@ -221,6 +222,27 @@ class TestSmallRuns:
         thetas = [r for r in table.rows if r[3] == "theta.00"]
         assert len(thetas) == 100  # 2 sweep values x 50 steps
         assert all(0 <= r[4] <= np.pi for r in thetas)
+
+    def test_portrait_rows_match_scalar_loop(self):
+        # the fig2.1 preset against the one-trajectory-at-a-time loop the
+        # runner used before it went array-at-a-time
+        cfg = config_from_preset("fig2.1-phase-space")
+        aux_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+        z0 = aux_rng.uniform(-1.0, 1.0, cfg.n_trajectories)
+        ph0 = aux_rng.uniform(0.0, 2 * np.pi, cfg.n_trajectories)
+        s0 = np.sqrt(1.0 - z0**2)
+        want = []
+        for value in cfg.sweep["values"]:
+            label = format(value, ".10g")
+            x, y, z = s0 * np.cos(ph0), s0 * np.sin(ph0), z0.copy()
+            for n in range(1, cfg.steps + 1):
+                x, y, z = classical_kicked_top_step(x, y, z, value, cfg.model["alpha"])
+                for t in range(cfg.n_trajectories):
+                    want.append(("lambda", label, n, f"theta.{t:02d}",
+                                 float(np.arccos(np.clip(z[t], -1, 1))), 0.0, 1))
+                    want.append(("lambda", label, n, f"phi.{t:02d}",
+                                 float(np.mod(np.arctan2(y[t], x[t]), 2 * np.pi)), 0.0, 1))
+        assert run_experiment(cfg).rows == want
 
     def test_ordered_bloch_directions(self):
         cfg = ExperimentConfig(

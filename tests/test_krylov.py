@@ -19,6 +19,8 @@ from chaostomo.dynamics import (
 )
 from chaostomo.experiments import config_from_preset, run_experiment
 from chaostomo.krylov import (
+    _invariant_frame,
+    _observable_coords,
     arnoldi_unitary_dim,
     evolve_operator,
     krylov_amplitudes,
@@ -27,7 +29,7 @@ from chaostomo.krylov import (
     lanczos_full_orth,
     liouvillian,
 )
-from helpers import unitary_mode_count
+from helpers import lanczos_full_vector, unitary_mode_count
 
 
 def liouvillian_matrix(h):
@@ -209,6 +211,62 @@ class TestLanczos:
         assert np.max(np.abs(off)) < 1e-8 * norm_l
         sub = np.array([tri[i + 1, i] for i in range(kb.dim_k - 1)])
         assert np.max(np.abs(sub - kb.lanczos_b)) < 1e-8
+
+
+def _tilted(L, hz):
+    return ti_hamiltonian(TiltedIsing(L=L, J=1.0, hx=1.4, hz=hz))
+
+
+class TestParitySplit:
+    """The half-length recursion against the full-vector one of ``tests/helpers.py``."""
+
+    @staticmethod
+    def assert_matches_full_vector(h, o):
+        liou = liouvillian(h)
+        kb = lanczos_full_orth(liou, o)
+        dim_k, bs = lanczos_full_vector(liou, o)
+        assert kb.dim_k == dim_k
+        assert np.max(np.abs(kb.lanczos_b - bs) / bs) <= 1e-12
+
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    @pytest.mark.parametrize("hz", [0.0, 0.4, 1.4])
+    @pytest.mark.parametrize("obs", ["Sz", "s1y"])
+    def test_tilted_ising_matches_full_vector(self, L, hz, obs):
+        o = collective_spin("z", L) if obs == "Sz" else pauli_site("y", 1, L) / 2
+        self.assert_matches_full_vector(_tilted(L, hz), o)
+
+    @pytest.mark.parametrize("g", [0.0, 0.16, 0.94])
+    def test_xxz_matches_full_vector(self, g):
+        spec = XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2)
+        o = (pauli_site("y", 2, 4) + pauli_site("y", 4, 4)) / 2
+        self.assert_matches_full_vector(xxz_hamiltonian(spec), o)
+
+    @pytest.mark.parametrize("L,obs", [(4, "Sz"), (4, "s1y"), (5, "Sz")])
+    def test_parity_of_frame_coordinates(self, L, obs):
+        # real H: O is real symmetric or imaginary antisymmetric in the
+        # eigenbasis, so every frame row lives on the symmetric or on the
+        # antisymmetric Bloch coordinates, and the zeros are exact
+        o = collective_spin("z", L) if obs == "Sz" else pauli_site("y", 1, L) / 2
+        liou = liouvillian(_tilted(L, 0.4))
+        kb = lanczos_full_orth(liou, o)
+        frame, m, freqs = _invariant_frame(liou, _observable_coords(liou, o)[0])
+        coords = kb.vectors @ frame.T
+        split = m + len(freqs)
+        assert np.all(coords[0::2, split:] == 0.0)
+        assert np.all(coords[1::2, :split] == 0.0)
+        assert np.max(np.abs(np.sum(coords**2, axis=1) - 1.0)) < 1e-12
+
+    def test_hygiene_at_l5(self):
+        # the fig2.3 cell: O = Sz, hz = 1.4, K = 513
+        h = _tilted(5, 1.4)
+        liou = liouvillian(h)
+        kb = lanczos_full_orth(liou, collective_spin("z", 5))
+        assert kb.dim_k == 513
+        assert np.max(np.abs(kb.vectors @ kb.vectors.T - np.eye(kb.dim_k))) < 1e-10
+        tri = kb.vectors @ np.array([liou.apply(v) for v in kb.vectors]).T
+        ev = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(np.triu(tri, 2))) < 1e-8 * (ev[-1] - ev[0])
+        assert np.max(np.abs(np.diag(tri, -1) - kb.lanczos_b)) < 1e-8
 
 
 class TestAmplitudes:

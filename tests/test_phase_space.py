@@ -50,6 +50,13 @@ class TestSphereGrid:
             grid = sphere_grid(nt, nph)
             assert abs(grid.weights.sum() - 4 * np.pi) < 1e-9
             assert len(grid) == nt * nph
+            assert grid.shape == (nt, nph)
+
+    @pytest.mark.parametrize("n_theta,n_phi,name", [(8, 0, "n_phi"), (4, -2, "n_phi"),
+                                                    (0, 8, "n_theta"), (-1, 0, "n_theta")])
+    def test_rejects_non_positive_size(self, n_theta, n_phi, name):
+        with pytest.raises(ValueError, match=name):
+            sphere_grid(n_theta, n_phi)
 
 
 class TestSpinCoherent:
@@ -138,6 +145,27 @@ class TestHusimi:
             q = husimi_q(rho, grid)
             errs.append(abs((2 * j + 1) / (4 * np.pi) * np.sum(grid.weights * q) - 1.0))
         assert errs[1] <= 0.3 * errs[0] or errs[1] < 1e-12
+
+
+class TestHusimiKernel:
+    """The diagonal-sum FFT kernel of husimi_q against the frame contraction."""
+
+    @pytest.mark.parametrize("j", [0.5, 1, 2.5, 10, 20, 30])
+    @pytest.mark.parametrize("shape", [(64, 128), (16, 32), (6, 10)])
+    def test_matches_frame_contraction(self, j, shape, rng):
+        # 6 x 10 has n_phi < 2d - 1 for j >= 2.5, so offsets fold onto one bin
+        d = round(2 * j) + 1
+        grid = sphere_grid(*shape)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = a @ a.conj().T / np.sum(np.abs(a) ** 2)
+        frame = coherent_state_frame(j, grid)
+        want = np.einsum("nc,cd,nd->n", frame.conj(), rho, frame).real
+        assert np.max(np.abs(husimi_q(rho, grid) - want)) <= 1e-13 * np.max(want)
+
+    def test_non_psd_input_raises(self):
+        rho = np.diag([1.0, 0.0, -0.5])
+        with pytest.raises(ValueError, match="not PSD"):
+            husimi_q(rho, sphere_grid(6, 10))
 
 
 class TestHusimiEntropy:
