@@ -110,11 +110,15 @@ def _check_krylov():
     # the basis turns the generator into the antisymmetric tridiagonal of the b_k
     t = kb.vectors @ np.array([liou.apply(v) for v in kb.vectors]).T
     tri = np.max(np.abs(t - np.diag(kb.lanczos_b, -1) + np.diag(kb.lanczos_b, 1)))
-    amp = krylov.krylov_amplitudes(krylov.evolve_operator(h, o, 1.3), kb)
-    norm = abs(np.sum(amp.phi**2) - 1.0)
-    ok = orth < 1e-10 and tri < 1e-8 and norm < 1e-8
+    times = (0.0, 1.3)
+    phi = krylov.krylov_amplitudes(o, kb, times).phi
+    norm = np.max(np.abs(np.sum(phi**2, axis=-1) - 1.0))
+    # the eigenframe series against each O(t) evolved on its own and projected
+    ref = np.array([kb.vectors @ liou.coords(krylov.evolve_operator(h, o, t)) for t in times])
+    series = np.max(np.abs(phi - ref / kb.initial_norm))
+    ok = orth < 1e-10 and tri < 1e-8 and norm < 1e-8 and series < 1e-12
     return ok, (f"orthonormality {orth:.1e}, tridiagonality {tri:.1e}, "
-                f"amplitude norm deviation {norm:.1e}")
+                f"amplitude norm deviation {norm:.1e}, series vs per-step {series:.1e}")
 
 
 def _check_husimi():

@@ -218,7 +218,7 @@ def _build_observable(name: str, model: dynamics.ModelSpec, rng: np.random.Gener
 
 @dataclass
 class ResultTable:
-    """Long-format rows (sweep_param, sweep_value, step, metric, mean, stderr, n)."""
+    """Long-format rows, tuples (sweep_param, sweep_value, step, metric, mean, stderr, n)."""
 
     header: list
     rows: list
@@ -227,11 +227,8 @@ class ResultTable:
     def to_csv(self) -> str:
         lines = [f"# {h}" for h in self.header]
         lines.append("sweep_param,sweep_value,step,metric,mean,stderr,n")
-        for sweep_param, sweep_value, step, metric, mean, stderr, n in self.rows:
-            lines.append(
-                f"{sweep_param},{sweep_value},{step},{metric},"
-                f"{format(float(mean), '.10g')},{format(float(stderr), '.10g')},{n}"
-            )
+        # one C-level format per row; %.10g of a number is format(float(x), ".10g")
+        lines += ["%s,%s,%s,%s,%.10g,%.10g,%s" % row for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def write(self, path: str):
@@ -253,21 +250,24 @@ class _Rows:
     param: str
     rows: list = field(default_factory=list)
 
+    @staticmethod
+    def _label(value) -> str:
+        return format(value, ".10g") if isinstance(value, float) else str(value)
+
     def add(self, value, step, metric, mean, stderr=0.0, count=1):
-        label = format(value, ".10g") if isinstance(value, float) else str(value)
-        self.rows.append((self.param, label, step, metric, mean, stderr, count))
+        self.rows.append((self.param, self._label(value), step, metric, mean, stderr, count))
 
     def add_steps(self, value, steps, columns: dict):
         """Step by step, one row per metric; ``columns`` maps metric -> value per step."""
-        for i, step in enumerate(steps):
-            for metric, column in columns.items():
-                self.add(value, step, metric, column[i])
+        param, label, items = self.param, self._label(value), columns.items()
+        self.rows.extend((param, label, step, metric, column[i], 0.0, 1)
+                         for i, step in enumerate(steps) for metric, column in items)
 
     def add_means(self, value, steps, columns: dict):
         """Like :meth:`add_steps` for (samples, steps) arrays: mean and standard error."""
-        for i, step in enumerate(steps):
-            for metric, samples in columns.items():
-                self.add(value, step, metric, *_mean_stderr(samples[:, i]), len(samples))
+        param, label, items = self.param, self._label(value), columns.items()
+        self.rows.extend((param, label, step, metric, *_mean_stderr(samples[:, i]), len(samples))
+                         for i, step in enumerate(steps) for metric, samples in items)
 
     def table(self, solver_converged: bool = True) -> ResultTable:
         return ResultTable(header=[], rows=self.rows, solver_converged=solver_converged)
@@ -398,14 +398,14 @@ def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
                  else dynamics.xxz_hamiltonian(model))
             kb = krylov.lanczos_full_orth(krylov.liouvillian(h), observable)
             rows.add(value, 0, "krylov_dim", kb.dim_k)
-            for k, b in enumerate(kb.lanczos_b, start=1):
-                rows.add(value, k, "lanczos_b", b)
+            rows.add_steps(value, range(1, kb.dim_k), {"lanczos_b": kb.lanczos_b})
             if cfg.steps > 0:
-                for n in _eval_steps(cfg.steps, cfg.eval_stride):
-                    amp = krylov.krylov_amplitudes(
-                        krylov.evolve_operator(h, observable, n * model.dt), kb)
-                    rows.add(value, n, "krylov_complexity", krylov.krylov_complexity(amp))
-                    rows.add(value, n, "krylov_entropy", krylov.krylov_entropy(amp))
+                steps = _eval_steps(cfg.steps, cfg.eval_stride)
+                amp = krylov.krylov_amplitudes(observable, kb, np.array(steps) * model.dt)
+                rows.add_steps(value, steps, {
+                    "krylov_complexity": krylov.krylov_complexity(amp),
+                    "krylov_entropy": krylov.krylov_entropy(amp),
+                })
         else:
             u = dynamics.build_propagator(model)
             rows.add(value, 0, "krylov_dim", krylov.arnoldi_unitary_dim(u, observable))

@@ -4,8 +4,10 @@
 dimension: it uses scipy's Schur form, not the library's eigenbasis.
 ``lanczos_full_vector`` is the reference for ``lanczos_full_orth``: the
 same recursion on full-length frame vectors, re-orthogonalized against
-every earlier vector.  ``run_tomography`` is the record-to-fidelity
-pipeline of the experiment runners in one call.
+every earlier vector.  ``stepwise_amplitudes`` is the reference for
+``krylov_amplitudes``: each O(t) evolved on its own and projected.
+``run_tomography`` is the record-to-fidelity pipeline of the experiment
+runners in one call.
 """
 
 from typing import Optional, Sequence
@@ -13,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import schur
 
-from chaostomo.krylov import _invariant_frame, _observable_coords, _rotate
+from chaostomo.krylov import _invariant_frame, _observable_coords, _rotate, evolve_operator
 from chaostomo.operator_space import gell_mann_basis
 from chaostomo.tomography import (
     TomographyRun,
@@ -80,6 +82,12 @@ def lanczos_full_vector(liou, initial):
         q[k] = w / np.linalg.norm(w)
         k += 1
     return k, np.array(bs)
+
+
+def stepwise_amplitudes(h, op, basis, times):
+    """Amplitudes phi_k(t), (T, K): each evolve_operator(h, op, t) projected on the basis."""
+    coords = [basis.generator.coords(evolve_operator(h, op, t)) for t in times]
+    return np.array(coords) @ basis.vectors.T / basis.initial_norm
 
 
 def run_tomography(

@@ -3,12 +3,15 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from chaostomo import experiments
 from chaostomo.cli import main
 from chaostomo.dynamics import classical_kicked_top_step
 from chaostomo.experiments import (
     PRESETS,
     ConfigError,
     ExperimentConfig,
+    ResultTable,
+    _Rows,
     config_from_preset,
     run_experiment,
 )
@@ -156,6 +159,76 @@ class TestTable:
         fid = series(table, "7", "fidelity")
         assert len(fid) == 3  # eval steps 5, 10, 15
         assert np.all((fid >= 0) & (fid <= 1))
+
+
+class OldRows(_Rows):
+    """The row emitter that formatted the sweep label once per row."""
+
+    def add(self, value, step, metric, mean, stderr=0.0, count=1):
+        label = format(value, ".10g") if isinstance(value, float) else str(value)
+        self.rows.append((self.param, label, step, metric, mean, stderr, count))
+
+    def add_steps(self, value, steps, columns):
+        for i, step in enumerate(steps):
+            for metric, column in columns.items():
+                self.add(value, step, metric, column[i])
+
+    def add_means(self, value, steps, columns):
+        for i, step in enumerate(steps):
+            for metric, samples in columns.items():
+                self.add(value, step, metric,
+                         *experiments._mean_stderr(samples[:, i]), len(samples))
+
+
+def old_to_csv(table):
+    """ResultTable.to_csv as it formatted every field of every row."""
+    lines = [f"# {h}" for h in table.header]
+    lines.append("sweep_param,sweep_value,step,metric,mean,stderr,n")
+    for sweep_param, sweep_value, step, metric, mean, stderr, n in table.rows:
+        lines.append(
+            f"{sweep_param},{sweep_value},{step},{metric},"
+            f"{format(float(mean), '.10g')},{format(float(stderr), '.10g')},{n}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestRowEmitter:
+    """Rows and CSV bytes against the per-row emitter they replaced."""
+
+    @pytest.mark.parametrize("case", ["fig2.1", "tomo", "ordered-bloch"])
+    def test_csv_matches_old_emitter(self, case, monkeypatch):
+        if case == "fig2.1":
+            cfg = config_from_preset("fig2.1-phase-space")
+        elif case == "tomo":
+            cfg = tiny_tomo_config()
+        else:
+            cfg = ExperimentConfig(
+                experiment="ordered-bloch", state="haar", n_states=3, seed=3,
+                model={"kind": "kicked_top", "j": 2, "alpha": 1.0, "lambda": 1.0},
+                sweep={"param": "direction", "values": ["descending", "ascending"]})
+        table = run_experiment(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "_Rows", OldRows)
+            old = run_experiment(cfg)
+        assert table.rows == old.rows
+        assert table.to_csv() == old_to_csv(old)
+        if case == "tomo":
+            assert any(r[5] > 0 for r in table.rows)
+        if case == "ordered-bloch":
+            assert {r[1] for r in table.rows} == {"descending", "ascending"}
+
+    def test_labels_and_signed_zeros(self):
+        values = [-0.0, 0.0, 0.5, 1e-20, np.float64(2.5), 3, np.int64(4), "rmt"]
+        column = [0.0, -0.0, np.float64(-0.0), 7, np.int64(-2), 1.25e300, float("nan")]
+        samples = np.array([[1.0, -0.0, 2.0], [1.0, -0.0, 2.5]])
+        new, old = _Rows("p"), OldRows("p")
+        for rows in (new, old):
+            for v in values:
+                rows.add(v, 0, "scalar", -0.0, -0.0)
+                rows.add_steps(v, range(1, len(column) + 1), {"a": column, "b": column[::-1]})
+                rows.add_means(v, [1, 2, 3], {"m": samples, "one": samples[:1]})
+        assert new.rows == old.rows
+        assert ResultTable(["h"], new.rows).to_csv() == old_to_csv(ResultTable(["h"], old.rows))
 
 
 class TestPresets:

@@ -19,6 +19,7 @@ from chaostomo.dynamics import (
 )
 from chaostomo.experiments import config_from_preset, run_experiment
 from chaostomo.krylov import (
+    KrylovAmplitudes,
     _invariant_frame,
     _observable_coords,
     arnoldi_unitary_dim,
@@ -29,7 +30,7 @@ from chaostomo.krylov import (
     lanczos_full_orth,
     liouvillian,
 )
-from helpers import lanczos_full_vector, unitary_mode_count
+from helpers import lanczos_full_vector, stepwise_amplitudes, unitary_mode_count
 
 
 def liouvillian_matrix(h):
@@ -278,35 +279,34 @@ class TestAmplitudes:
 
     def test_initial_amplitudes(self, small_system):
         h, o, kb = small_system
-        amp = krylov_amplitudes(o, kb)
-        assert amp.phi[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(amp.phi[1:])) < 1e-12
+        phi = krylov_amplitudes(o, kb, [0.0]).phi[0]
+        assert phi[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(phi[1:])) < 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 1.7, 6.3])
     def test_normalization(self, small_system, t):
         h, o, kb = small_system
-        amp = krylov_amplitudes(evolve_operator(h, o, t), kb)
+        amp = krylov_amplitudes(o, kb, [t])
         assert abs(np.sum(amp.phi**2) - 1.0) < 1e-8
 
     def test_short_time_slope_is_b1(self, small_system):
         h, o, kb = small_system
         t = 1e-6
-        amp = krylov_amplitudes(evolve_operator(h, o, t), kb)
-        assert amp.phi[1] / t == pytest.approx(kb.lanczos_b[0], rel=1e-5)
+        amp = krylov_amplitudes(o, kb, [t])
+        assert amp.phi[0, 1] / t == pytest.approx(kb.lanczos_b[0], rel=1e-5)
 
     def test_wrong_pairing_raises(self, small_system, hermitian_factory):
+        # an operator outside the span of the one that built the basis
         h, o, kb = small_system
         other = evolve_operator(hermitian_factory(4), o, 2.0)
-        with pytest.raises(ValueError):
-            krylov_amplitudes(other, kb)
+        with pytest.raises(ValueError, match="escapes the Krylov span"):
+            krylov_amplitudes(other, kb, [0.0, 1.0])
 
     def test_complexity_and_entropy_trivials(self, small_system):
         h, o, kb = small_system
-        amp0 = krylov_amplitudes(o, kb)
-        assert krylov_complexity(amp0) == pytest.approx(0.0, abs=1e-12)
-        assert krylov_entropy(amp0) == pytest.approx(0.0, abs=1e-10)
-        from chaostomo.krylov import KrylovAmplitudes
-
+        amp0 = krylov_amplitudes(o, kb, [0.0])
+        assert krylov_complexity(amp0)[0] == pytest.approx(0.0, abs=1e-12)
+        assert krylov_entropy(amp0)[0] == pytest.approx(0.0, abs=1e-10)
         k = kb.dim_k
         uniform = KrylovAmplitudes(phi=np.full(k, 1 / np.sqrt(k)))
         assert krylov_complexity(uniform) == pytest.approx((k - 1) / 2, rel=1e-12)
@@ -314,9 +314,43 @@ class TestAmplitudes:
 
     def test_entropy_bounded_by_log_k(self, small_system):
         h, o, kb = small_system
-        for t in (0.5, 2.0, 10.0):
-            amp = krylov_amplitudes(evolve_operator(h, o, t), kb)
-            assert krylov_entropy(amp) <= np.log(kb.dim_k) + 1e-10
+        amp = krylov_amplitudes(o, kb, [0.5, 2.0, 10.0])
+        assert np.all(krylov_entropy(amp) <= np.log(kb.dim_k) + 1e-10)
+
+
+class TestAmplitudeSeries:
+    """The eigenframe series of ``krylov_amplitudes`` against per-step evolution."""
+
+    @staticmethod
+    def assert_matches_stepwise(h, o):
+        times = np.arange(1, 61) * 1.0
+        kb = lanczos_full_orth(liouvillian(h), o)
+        series = krylov_amplitudes(o, kb, times)
+        reference = KrylovAmplitudes(phi=stepwise_amplitudes(h, o, kb, times))
+        for measure in (krylov_complexity, krylov_entropy):
+            want = measure(reference)
+            assert np.max(np.abs(measure(series) - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    @pytest.mark.parametrize("hz", [0.0, 0.4, 1.4])
+    @pytest.mark.parametrize("obs", ["Sz", "s1y"])
+    def test_tilted_ising_matches_stepwise(self, L, hz, obs):
+        o = collective_spin("z", L) if obs == "Sz" else pauli_site("y", 1, L) / 2
+        self.assert_matches_stepwise(_tilted(L, hz), o)
+
+    @pytest.mark.parametrize("g", [0.0, 0.16, 0.94])
+    def test_xxz_matches_stepwise(self, g):
+        spec = XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2)
+        o = (pauli_site("y", 2, 4) + pauli_site("y", 4, 4)) / 2
+        self.assert_matches_stepwise(xxz_hamiltonian(spec), o)
+
+    def test_nearly_equal_gaps_turn_at_their_own_rate(self, rng, hermitian_factory):
+        # gaps 1 and 1 + 3e-11 merge into one pair of Krylov directions, but
+        # O(t) turns each at its exact gap; at the merged gap it would be
+        # 2e-9 out of phase by t = 60
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        h = (q * [0.0, 1.0, 2.0 + 3e-11, 3.7]) @ q.conj().T
+        self.assert_matches_stepwise(h, hermitian_factory(4))
 
 
 class TestFig23Cells:
@@ -343,9 +377,8 @@ class TestFig23Cells:
         assert dims == [lanczos_dim_oracle(h, o)]
         assert dims[0] <= d * d - d + 1
         kb = lanczos_full_orth(liouvillian(h), o)
-        deficits = [abs(np.sum(krylov_amplitudes(evolve_operator(h, o, n), kb).phi ** 2) - 1)
-                    for n in range(1, cfg.steps + 1)]
-        assert max(deficits) <= 1e-12
+        amp = krylov_amplitudes(o, kb, np.arange(1, cfg.steps + 1) * cfg.model["dt"])
+        assert np.max(np.abs(np.sum(amp.phi**2, axis=-1) - 1)) <= 1e-12
 
     @pytest.mark.parametrize("hz", [0.0, 0.4, 1.4])
     def test_complexity_matches_spectral_measure(self, hz):
