@@ -76,6 +76,36 @@ def _check_trace_identity():
     return rel < 1e-10, f"Tr(C^-1) = N |O|^2 to relative {rel:.1e}"
 
 
+def _check_factored_design():
+    # the eigenframe span against the plain SVD, where the span limits the rank
+    cases = {
+        "kicked Ising hz=0": (dynamics.KickedIsing(L=4, hz=0.0), dynamics.pauli_site("y", 1, 4) / 2),
+        "XXZ g=0": (dynamics.XXZChain(L=4, g=0.0),
+                    (dynamics.pauli_site("y", 2, 4) + dynamics.pauli_site("y", 4, 4)) / 2),
+    }
+    parts = []
+    for name, (model, obs) in cases.items():
+        tl = dynamics.heisenberg_timeline(obs, dynamics.build_propagator(model), 511)
+        cov = tomography.build_covariance(tl, gell_mann_basis(16))
+        if cov.span is None:
+            return False, f"{name}: no eigenframe span"
+        k = len(cov.span)
+        orth = np.max(np.abs(cov.span @ cov.span.T - np.eye(k)))
+        resid = np.linalg.norm(cov.design - cov.span_coords() @ cov.span) / np.linalg.norm(cov.design)
+        plain = tomography.CovarianceData(cov.design, cov.rank_tol)
+        s_plain, s = plain.svd()[1], cov.svd()[1]
+        dev = np.max(np.abs(s_plain - np.pad(s, (0, len(s_plain) - len(s))))) / s_plain[0]
+        rank = cov.rank()
+        ok = (orth <= 1e-12 and resid <= 1e-11 and dev <= 1e-12
+              and plain.rank() == rank <= min(cov.n_rows, k))
+        if not ok:
+            return False, (f"{name}: orthonormality {orth:.1e}, residual {resid:.1e}, "
+                           f"singular values {dev:.1e}, rank {plain.rank()} plain vs {rank} "
+                           f"in a span of {k}")
+        parts.append(f"{name} rank {rank} in a span of {k}, residual {resid:.1e}")
+    return True, "; ".join(parts)
+
+
 def _check_zero_noise():
     rng = np.random.default_rng(3)
     d = 5
@@ -177,6 +207,7 @@ CHECKS = [
     ("classical map norm preservation", _check_classical_map),
     ("XXZ spin conservation", _check_xxz_conservation),
     ("covariance trace identity", _check_trace_identity),
+    ("factored design rank", _check_factored_design),
     ("zero-noise reconstruction", _check_zero_noise),
     ("positivity projection", _check_psd_projection),
     ("Krylov basis hygiene", _check_krylov),

@@ -20,7 +20,7 @@ exact at these sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -182,10 +182,15 @@ class UnitaryPropagator:
 
 @dataclass(frozen=True)
 class OperatorTimeline:
-    """Heisenberg sequence [O_0, O_1, ..., O_N] of a Hermitian observable."""
+    """Heisenberg sequence [O_0, O_1, ..., O_N] of a Hermitian observable.
+
+    ``propagator`` is the fixed step U with O_{k+1} = U^dag O_k U, or None
+    when every step draws a fresh unitary.
+    """
 
     initial: np.ndarray
     steps: np.ndarray  # shape (N + 1, d, d)
+    propagator: Optional[UnitaryPropagator] = None
 
     def __len__(self):
         return len(self.steps)
@@ -272,14 +277,18 @@ def classical_kicked_top_step(x, y, z, lam: float, alpha: float):
 
 
 def pauli_site(axis: str, site: int, L: int) -> np.ndarray:
-    """Pauli sigma^axis acting on a 1-based site of an L-spin chain."""
+    """Pauli sigma^axis acting on a 1-based site of an L-spin chain.
+
+    kron(I_{2^(site-1)}, sigma, I_{2^(L-site)}).  The right factor is left
+    out at the last site: a product with the 1 x 1 identity is not a no-op
+    on signed zeros, it turns the -0 imaginary parts of sigma^y's products
+    into +0.
+    """
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     _check_chain(L, site)
-    op = np.array([[1.0 + 0j]])
-    for s in range(1, L + 1):
-        op = np.kron(op, _PAULI[axis] if s == site else np.eye(2))
-    return op
+    op = np.kron(np.eye(2 ** (site - 1)), _PAULI[axis])
+    return op if site == L else np.kron(op, np.eye(2 ** (L - site)))
 
 
 def collective_spin(axis: str, L: int) -> np.ndarray:
@@ -366,7 +375,7 @@ def heisenberg_timeline(op: np.ndarray, u: UnitaryPropagator, n_steps: int) -> O
     steps[0] = op
     for k in range(1, n_steps + 1):
         steps[k] = udag @ steps[k - 1] @ u.matrix
-    return OperatorTimeline(initial=op, steps=steps)
+    return OperatorTimeline(initial=op, steps=steps, propagator=u)
 
 
 def haar_timeline(op: np.ndarray, n_steps: int, rng) -> OperatorTimeline:

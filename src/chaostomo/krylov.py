@@ -170,7 +170,9 @@ def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
     nonzero gap w adds the part u of ``vec`` on the pairs with that gap and
     its rotation J u, on which the generator acts as w times a rotation.
     Returns the rows, ordered (zero-frequency, u_1..u_n, J u_1..J u_n) for
-    :func:`_rotate`, the number m of zero-frequency rows, and the gaps w_j.
+    :func:`_rotate`, the number m of zero-frequency rows, the gaps w_j, and
+    the nonzero entries of each half, (zero-frequency, u) and J u, as
+    (row within the half, coordinate) index arrays.
     """
     d, gaps = liou.operator_basis.dim, liou.pair_gaps
     s = len(gaps)
@@ -190,7 +192,16 @@ def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
     frame[m + group, d + s + moving] = sin
     frame[m + n + group, d + moving] = -sin
     frame[m + n + group, d + s + moving] = cos
-    return frame, m, freqs
+    # cos is zero exactly where sym is, sin where asym is
+    c_on, s_on = sym[moving] != 0.0, asym[moving] != 0.0
+    frozen_at = np.flatnonzero(frozen)
+    support = (
+        (np.concatenate([np.zeros(len(frozen_at), dtype=int), m + group[c_on], m + group[s_on]]),
+         np.concatenate([frozen_at, d + moving[c_on], d + s + moving[s_on]])),
+        (np.concatenate([group[s_on], group[c_on]]),
+         np.concatenate([d + moving[s_on], d + s + moving[c_on]])),
+    )
+    return frame, m, freqs, support
 
 
 @dataclass(frozen=True)
@@ -226,7 +237,7 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     the dimension exceeds the d^2 - d + 1 bound.
     """
     vec0, norm0 = _observable_coords(liou, initial)
-    frame, m, freqs = _invariant_frame(liou, vec0)
+    frame, m, freqs, support = _invariant_frame(liou, vec0)
     n = len(freqs)
     halves = (frame[: m + n], frame[m + n :])
     q = (np.empty((m + n, m + n)), np.empty((n, n)))  # rows: P_0, P_2, ... and P_1, P_3, ...
@@ -259,8 +270,7 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     # within one half no two frame rows share a coordinate, so each
     # coordinate of P_k is one frame entry times one frame coordinate of P_k
     vectors = np.zeros((k, vec0.size))
-    for par, rows in enumerate(halves):
-        r, c = np.nonzero(rows)
+    for par, (rows, (r, c)) in enumerate(zip(halves, support)):
         vectors[par::2, c] = q[par][: (k + 1 - par) // 2, r] * rows[r, c]
     return KrylovBasis(vectors=vectors, lanczos_b=np.array(bs), dim_k=k,
                        initial_norm=norm0, generator=liou)
@@ -347,5 +357,5 @@ def arnoldi_unitary_dim(u: UnitaryPropagator, initial: np.ndarray) -> int:
     # the eigenphases stand in for E; the orbit count never evolves O
     liou = Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps,
                        energies=phases)
-    frame, _, freqs = _invariant_frame(liou, _observable_coords(liou, initial)[0])
+    frame, _, freqs, _ = _invariant_frame(liou, _observable_coords(liou, initial)[0])
     return len(frame) - int(np.any(np.pi - freqs < tol))

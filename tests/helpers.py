@@ -62,7 +62,7 @@ def lanczos_full_vector(liou, initial):
     recursion stops when b_k falls below 1e-8 of the observable norm.
     """
     vec0, norm0 = _observable_coords(liou, initial)
-    frame, m, freqs = _invariant_frame(liou, vec0)
+    frame, m, freqs, _ = _invariant_frame(liou, vec0)
     dim = len(frame)
     q = np.empty((dim, dim))
     q[0] = frame @ vec0

@@ -155,6 +155,22 @@ class TestChains:
         want = np.kron(np.kron(np.eye(2), np.array([[0, 1], [1, 0]])), np.eye(2))
         assert np.array_equal(s2x, want)
 
+    def test_pauli_site_matches_site_by_site_product(self):
+        # reference: one kron per site, identities on every other site
+        paulis = {"x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]], "z": [[1, 0], [0, -1]]}
+        for L in range(2, 7):
+            for site in range(1, L + 1):
+                for axis, sigma in paulis.items():
+                    want = np.array([[1.0 + 0j]])
+                    for s in range(1, L + 1):
+                        want = np.kron(want, np.array(sigma, dtype=complex) if s == site else np.eye(2))
+                    got = pauli_site(axis, site, L)
+                    assert np.array_equal(got, want)
+                    for part in (np.real, np.imag):
+                        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+        with pytest.raises(ValueError):
+            pauli_site("x", 1, 1)
+
 
 class TestTimelines:
     def test_zero_steps(self):

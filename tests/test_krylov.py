@@ -250,7 +250,7 @@ class TestParitySplit:
         o = collective_spin("z", L) if obs == "Sz" else pauli_site("y", 1, L) / 2
         liou = liouvillian(_tilted(L, 0.4))
         kb = lanczos_full_orth(liou, o)
-        frame, m, freqs = _invariant_frame(liou, _observable_coords(liou, o)[0])
+        frame, m, freqs, _ = _invariant_frame(liou, _observable_coords(liou, o)[0])
         coords = kb.vectors @ frame.T
         split = m + len(freqs)
         assert np.all(coords[0::2, split:] == 0.0)

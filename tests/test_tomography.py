@@ -152,6 +152,92 @@ class TestCovariance:
         assert np.min(np.diff(entropies)) > -0.05
 
 
+def _chain_case(model):
+    """Observable and record length of the preset cells: s1y on the kicked
+    Ising chain, s2y+s4y on XXZ; 2 d^2 rows at L=4, 1200 at L=5."""
+    L = model.L
+    if isinstance(model, KickedIsing):
+        o = pauli_site("y", 1, L) / 2
+    else:
+        o = (pauli_site("y", 2, L) + pauli_site("y", 4, L)) / 2
+    return o, 2 * model.dim**2 if L == 4 else 1200
+
+
+FACTORED_CASES = [KickedIsing(L=L, hz=0.0) for L in (4, 5)] + [
+    XXZChain(L=L, g=g, site=(L + 1) // 2) for L in (4, 5) for g in (0.0, 0.16, 0.94)
+]
+
+
+class TestFactoredDesign:
+    """Prefix SVDs in the eigenframe span against the plain SVD of the design."""
+
+    @pytest.mark.parametrize("model", FACTORED_CASES, ids=lambda m: (
+        f"ising-L{m.L}-hz{m.hz}" if isinstance(m, KickedIsing) else f"xxz-L{m.L}-g{m.g}"))
+    def test_matches_plain_svd(self, model):
+        from chaostomo.quantifiers import quantifier_series
+
+        o, n_rows = _chain_case(model)
+        basis = gell_mann_basis(model.dim)
+        tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
+        cov = build_covariance(tl, basis)
+        assert cov.span is not None
+        k = len(cov.span)
+        assert k < min(n_rows, len(basis))
+        assert np.max(np.abs(cov.span @ cov.span.T - np.eye(k))) < 1e-12
+        resid = cov.design - cov.span_coords() @ cov.span
+        assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(cov.design)
+
+        plain = CovarianceData(cov.design, cov.rank_tol, cov.row_offsets)
+        steps = [n_rows // 4, n_rows // 2, n_rows]
+        got, want = quantifier_series(cov, steps), quantifier_series(plain, steps)
+        assert np.array_equal(got.rank, want.rank)
+        assert np.all(got.rank <= np.minimum(steps, k))
+        for metric in ("shannon", "fisher"):
+            a, b = getattr(got, metric), getattr(want, metric)
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-9, metric
+        # mutual information sums ln s_i^2 of both signs and can cancel to
+        # near 0, so it is relative to the sum of the terms' magnitudes
+        for i, n in enumerate(steps):
+            s = plain.truncated(n).svd()[1][: want.rank[i]]
+            scale = np.sum(np.abs(np.log(s**2))) / 2
+            assert abs(got.mutual_info[i] - want.mutual_info[i]) <= 1e-9 * scale
+
+        # the pseudoinverse amplifies the dropped residue by s_0 / s_min, so
+        # the estimates are compared where every kept direction is clean
+        psi = haar_random_pure(model.dim, np.random.default_rng(1))
+        record = generate_record(psi, tl, 0.1, 2)
+        for n in steps:
+            s = plain.truncated(n).svd()[1]
+            if s[plain.truncated(n).rank() - 1] < 1e-5 * s[0]:
+                continue
+            rec = MeasurementRecord(record.values[:n], record.sigma)
+            a, b = ml_estimate(rec, cov.truncated(n)), ml_estimate(rec, plain.truncated(n))
+            assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+    def test_prefix_keeps_span_while_it_limits_rank(self):
+        o, n_rows = _chain_case(KickedIsing(L=4, hz=0.0))
+        cov = build_covariance(heisenberg_timeline(o, tki_floquet(KickedIsing(L=4, hz=0.0)),
+                                                   n_rows - 1), gell_mann_basis(16))
+        k = len(cov.span)
+        assert cov.truncated(k + 1).span is cov.span
+        assert cov.truncated(k).span is None
+        assert np.array_equal(cov.truncated(k + 1).span_coords(), cov.span_coords()[: k + 1])
+
+    def test_full_span_designs_stay_plain(self):
+        # kicked top j=10, 100 rows: the span (240 directions) exceeds the rows
+        jy = angular_momentum_ops(10)[1]
+        tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(10, 0.5, np.pi / 2)), 99)
+        assert build_covariance(tl, gell_mann_basis(21)).span is None
+        # kicked Ising hz=1.4: O touches every eigenframe pair
+        model = KickedIsing(L=4, hz=1.4)
+        o, n_rows = _chain_case(model)
+        tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
+        assert build_covariance(tl, gell_mann_basis(16)).span is None
+        # random control: no fixed step
+        tl = model_timeline(HaarSteps(dim=4, seed=1), np.diag([1.0, -1.0, 0.0, 0.0]) + 0j, 40)
+        assert build_covariance(tl, gell_mann_basis(4)).span is None
+
+
 class TestMLEstimate:
     def test_exact_inversion_with_complete_record(self, rng):
         d = 8
