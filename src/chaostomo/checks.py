@@ -10,16 +10,26 @@ from __future__ import annotations
 import numpy as np
 
 from . import dynamics, krylov, perturbation, phase_space, rmt, tomography
-from .operator_space import bloch_encode, gell_mann_basis
+from .operator_space import bloch_decode, bloch_encode, bloch_encode_batch, gell_mann_basis
 
 
 def _check_basis():
+    rng = np.random.default_rng(2)
     for d in (2, 3, 5, 8):
         b = gell_mann_basis(d)
-        g = (b.flat.conj() @ b.flat.T).real
-        if np.max(np.abs(g - np.eye(len(b)))) > 1e-12:
+        elements = b.matrices()
+        flat = elements.reshape(len(b), -1)
+        if np.max(np.abs((flat.conj() @ flat.T).real - np.eye(len(b)))) > 1e-12:
             return False, f"Gram matrix deviates at d={d}"
-    return True, "Gram matrix is the identity for d in {2, 3, 5, 8}"
+        if np.max(np.abs(bloch_encode_batch(elements, b) - np.eye(len(b)))) > 1e-12:
+            return False, f"elements do not encode to unit vectors at d={d}"
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = a + a.conj().T
+        x += (1 - np.trace(x)) * np.eye(d) / d  # unit trace, which decode restores
+        if np.max(np.abs(bloch_decode(bloch_encode(x, b), b) - x)) > 1e-12:
+            return False, f"decode(encode(X)) differs from X at d={d}"
+    return True, ("Gram matrix is the identity, E_a encodes to e_a and decode inverts "
+                  "encode for d in {2, 3, 5, 8}")
 
 
 def _check_parseval():

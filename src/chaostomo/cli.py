@@ -4,7 +4,8 @@
 preset), ``chaostomo presets`` lists the built-in parameter sets with
 their provenance, and ``chaostomo check`` runs the fast invariant suite.
 
-Exit codes: 0 success, 2 configuration validation failure, 3 the
+Exit codes: 0 success, 2 a configuration error (from validation, or
+from building the model or observable), 3 the
 positivity solver hit its iteration cap somewhere (the CSV is still
 written from the best iterates; it carries no per-row flag).
 """
@@ -65,11 +66,10 @@ def run(config_path, preset_name, seed, out_path):
             cfg.output_path = out_path
         if cfg.output_path is None:
             cfg.output_path = f"{cfg.experiment}.csv"
-        cfg.validate()
+        table = run_experiment(cfg)
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    table = run_experiment(cfg)
     click.echo(f"wrote {len(table.rows)} rows to {cfg.output_path}")
     if not table.solver_converged:
         click.echo("warning: positivity solver hit its iteration cap on some steps", err=True)

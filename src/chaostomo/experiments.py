@@ -56,6 +56,15 @@ MODEL_KINDS = tuple(MODELS)
 # runner builds the observable and basis once, for the first sweep value.
 SIZE_KNOBS = ("L", "j", "dim")
 FIXED_SIZE_EXPERIMENTS = ("tomo", "perturb", "rmt-compare", "phase-space")
+# The model kinds an experiment takes, where that is not every kind;
+# ordered-bloch may omit the kind and give only the spin j.
+EXPERIMENT_KINDS = {
+    "perturb": ("kicked_top",),
+    "phase-space": ("kicked_top",),
+    "rmt-compare": ("kicked_ising", "tilted_ising"),
+    "ordered-bloch": (None,) + MODEL_KINDS,
+}
+ORDERED_BLOCH_SWEEPS = ("direction", "eta")
 
 
 class ConfigError(ValueError):
@@ -92,8 +101,10 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
         kind = self.model.get("kind")
-        if self.experiment != "ordered-bloch" and kind not in MODEL_KINDS:
-            raise ConfigError("model.kind", f"must be one of {MODEL_KINDS}, got {kind!r}")
+        kinds = EXPERIMENT_KINDS.get(self.experiment, MODEL_KINDS)
+        if kind not in kinds:
+            raise ConfigError("model.kind", f"{self.experiment} takes one of {kinds}, "
+                                            f"got {kind!r}")
         if self.experiment == "krylov" and kind == "haar":
             raise ConfigError("model.kind", "krylov needs a fixed generator, and haar draws "
                                             "a fresh unitary every step")
@@ -101,14 +112,17 @@ class ExperimentConfig:
             raise ConfigError("sweep", "a sweep with 'param' and nonempty 'values' is required")
         if "param" not in self.sweep or not self.sweep.get("values"):
             raise ConfigError("sweep", "needs 'param' and a nonempty 'values' list")
-        # ordered-bloch may omit the kind and give only the spin j
-        known = MODELS[kind][1] if kind in MODELS else {"j": None}
+        known = MODELS[kind][1] if kind is not None else {"j": None}
         for key in self.model:
             if key != "kind" and key not in known:
                 raise ConfigError(f"model.{key}",
                                   f"not a parameter of {kind}; known: {sorted(known)}")
         param = self.sweep["param"]
-        if self.experiment != "ordered-bloch" and param not in known:
+        if self.experiment == "ordered-bloch":
+            if param not in ORDERED_BLOCH_SWEEPS:
+                raise ConfigError("sweep.param", f"ordered-bloch sweeps one of "
+                                                 f"{ORDERED_BLOCH_SWEEPS}, got {param!r}")
+        elif param not in known:
             raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
                                        f"known: {sorted(known)}")
         if self.experiment in FIXED_SIZE_EXPERIMENTS and param in SIZE_KNOBS:
@@ -349,8 +363,6 @@ def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
-    if cfg.model.get("kind") != "kicked_top":
-        raise ConfigError("model.kind", "perturb experiment requires the kicked_top model")
     param = cfg.sweep["param"]
     rows = _Rows(param)
     converged = True
@@ -413,8 +425,6 @@ def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
-    if cfg.model.get("kind") != "kicked_top":
-        raise ConfigError("model.kind", "phase-space experiment requires the kicked_top model")
     param = cfg.sweep["param"]
     rows = _Rows(param)
     obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
@@ -452,9 +462,6 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
-    kind = cfg.model.get("kind")
-    if kind not in ("kicked_ising", "tilted_ising"):
-        raise ConfigError("model.kind", "rmt-compare requires kicked_ising or tilted_ising")
     param = cfg.sweep["param"]
     rows = _Rows(param)
     metrics = QUANTIFIERS[:3]
@@ -471,7 +478,7 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
         rows.add_steps(value, eval_steps, _quantifier_columns(cov, eval_steps, metrics))
     # ensemble baseline, block diagonal in the reflection eigenbasis
     vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
-    ens_kind = "COE" if kind == "kicked_ising" else "GOE"
+    ens_kind = "COE" if cfg.model["kind"] == "kicked_ising" else "GOE"
     spec = rmt.EnsembleSpec(ens_kind, d, block_dims=tuple(block_dims))
     samples = []
     for _ in range(cfg.n_samples):
@@ -489,8 +496,6 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
 
 def _run_ordered_bloch(cfg: ExperimentConfig) -> ResultTable:
     param = cfg.sweep["param"]
-    if param not in ("direction", "eta"):
-        raise ConfigError("sweep", "ordered-bloch sweeps 'direction' or 'eta'")
     rows = _Rows(param)
     obs_rng, aux_rng, cells = _cell_streams(cfg, cfg.n_states)
     model = _build_model(cfg.model) if cfg.model.get("kind") else None
@@ -515,10 +520,9 @@ def _run_ordered_bloch(cfg: ExperimentConfig) -> ResultTable:
             })
         else:  # eta sweep: fidelity with a perturbed measured basis
             value = float(value)
-            measured = perturbation.fractional_unitary_perturb(basis, u_r, value)
-            fid = np.array([
-                perturbation.ordered_perturbed_fidelity(psi, basis, measured) for psi in states
-            ])
+            w = perturbation.fractional_unitary_power(u_r, value)
+            fid = np.array([perturbation.ordered_perturbed_fidelity(psi, basis, w)
+                            for psi in states])
             rows.add_means(value, ks, {"fidelity": fid})
     return rows.table()
 

@@ -137,9 +137,8 @@ def liouvillian(h: np.ndarray) -> Liouvillian:
         raise ValueError("generator must be Hermitian")
     energies, vecs = np.linalg.eigh(h)
     basis = gell_mann_basis(h.shape[0])
-    _, rows, cols = basis.gm_structure
     tol = 1e-10 * max(energies[-1] - energies[0], 1.0)
-    gaps = _merge_gaps(energies[rows] - energies[cols], tol)
+    gaps = _merge_gaps(energies[basis.rows] - energies[basis.cols], tol)
     return Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps,
                        energies=energies)
 
@@ -305,7 +304,7 @@ def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> KrylovAmplit
     """
     liou = basis.generator
     d = liou.operator_basis.dim
-    _, rows, cols = liou.operator_basis.gm_structure
+    rows, cols = liou.operator_basis.rows, liou.operator_basis.cols
     s = len(rows)
     times = np.asarray(times, dtype=float)
     vec = liou.coords(np.asarray(op))
@@ -350,9 +349,8 @@ def arnoldi_unitary_dim(u: UnitaryPropagator, initial: np.ndarray) -> int:
     """
     phases, vecs = unitary_eigh(u.matrix)
     basis = gell_mann_basis(len(phases))
-    _, rows, cols = basis.gm_structure
     tol = 1e-10 * 2 * np.pi
-    gaps = np.mod(phases[rows] - phases[cols], 2 * np.pi)
+    gaps = np.mod(phases[basis.rows] - phases[basis.cols], 2 * np.pi)
     gaps = _merge_gaps(np.minimum(gaps, 2 * np.pi - gaps), tol)
     # the eigenphases stand in for E; the orbit count never evolves O
     liou = Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps,

@@ -11,8 +11,7 @@ observable into a density-like operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,36 +27,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HermitianBasis:
-    """Ordered orthonormal basis of traceless Hermitian d x d matrices.
+    """Generalized Gell-Mann basis of traceless Hermitian d x d matrices.
 
-    ``elements`` has shape (d^2 - 1, d, d).  ``flat`` caches the row-major
-    flattening of each element, shape (d^2 - 1, d^2), so that Bloch
-    components of an operator O are one matrix-vector product:
-    r_a = Tr(E_a O) = conj(vec(E_a)) . vec(O).
-
-    For the generalized Gell-Mann construction the elements are sparse
-    (diagonal ladders plus two-entry pairs); ``gm_structure`` then carries
-    the index arrays that let encode/decode run in O(d^2) instead of
-    O(d^4), which dominates the positivity-projection inner loop.  Bases
-    without that structure (e.g. conjugated ones) fall back to the dense
-    path with identical results.
+    The d^2 - 1 elements are held as index structure, not as matrices:
+    row k - 1 of ``diag_mat`` (shape (d - 1, d)) is the diagonal of the
+    k-th diagonal element, and pair p is the entry (``rows[p]``,
+    ``cols[p]``) below the diagonal with its mirror, once symmetric and
+    once antisymmetric.  Encode and decode read that structure in O(d^2);
+    :meth:`matrices` builds dense elements for the few callers that need
+    them.
     """
 
     dim: int
-    elements: np.ndarray
-    flat: np.ndarray = field(init=False, repr=False)
-    gm_structure: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.elements.shape != (self.dim**2 - 1, self.dim, self.dim):
-            raise ValueError(
-                f"expected {self.dim**2 - 1} matrices of shape "
-                f"({self.dim}, {self.dim}), got {self.elements.shape}"
-            )
-        object.__setattr__(self, "flat", self.elements.reshape(len(self.elements), -1))
+    diag_mat: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
     def __len__(self):
-        return len(self.elements)
+        return self.dim**2 - 1
+
+    def matrices(self, sel=None) -> np.ndarray:
+        """Dense elements E_a for the indices ``sel`` (all when None), shape (len(sel), d, d)."""
+        d, s = self.dim, len(self.rows)
+        sel = np.arange(len(self)) if sel is None else np.asarray(sel, dtype=int)
+        out = np.zeros((len(sel), d, d), dtype=complex)
+        at = np.arange(len(sel))
+        diag = sel < d - 1
+        out[at[diag, None], np.arange(d), np.arange(d)] = self.diag_mat[sel[diag]]
+        # symmetric pairs, then antisymmetric ones: +i below the diagonal, -i above
+        for first, below, above in ((d - 1, 1.0, 1.0), (d - 1 + s, 1j, -1j)):
+            on = (sel >= first) & (sel < first + s)
+            r, c = self.rows[sel[on] - first], self.cols[sel[on] - first]
+            out[at[on], r, c] = below / np.sqrt(2.0)
+            out[at[on], c, r] = above / np.sqrt(2.0)
+        return out
 
 
 def gell_mann_basis(d: int) -> HermitianBasis:
@@ -70,28 +73,12 @@ def gell_mann_basis(d: int) -> HermitianBasis:
     """
     if d < 2:
         raise ValueError(f"basis dimension must be >= 2, got d={d}")
-    k = d * d - 1
-    out = np.zeros((k, d, d), dtype=complex)
-    diag_mat = np.zeros((d - 1, d))
-    for kk in range(1, d):
-        diag = np.zeros(d)
-        diag[:kk] = 1.0
-        diag[kk] = -kk
-        diag /= np.sqrt(kk + kk**2)
-        out[kk - 1] = np.diag(diag)
-        diag_mat[kk - 1] = diag
-    s = d * (d - 1) // 2
-    rows = np.empty(s, dtype=int)
-    cols = np.empty(s, dtype=int)
-    n = d - 1
-    for i in range(1, d):
-        for j in range(i):
-            out[n, i, j] = out[n, j, i] = 1.0 / np.sqrt(2.0)
-            out[n + s, i, j] = 1j / np.sqrt(2.0)
-            out[n + s, j, i] = -1j / np.sqrt(2.0)
-            rows[n - (d - 1)], cols[n - (d - 1)] = i, j
-            n += 1
-    return HermitianBasis(dim=d, elements=out, gm_structure=(diag_mat, rows, cols))
+    k = np.arange(1, d)
+    diag_mat = np.tri(d - 1, d)
+    diag_mat[k - 1, k] = -k
+    diag_mat /= np.sqrt(k + k**2)[:, None]
+    rows, cols = np.tril_indices(d, -1)
+    return HermitianBasis(dim=d, diag_mat=diag_mat, rows=rows, cols=cols)
 
 
 def _check_dim(op: np.ndarray, basis: HermitianBasis, what: str):
@@ -109,15 +96,12 @@ def bloch_encode(rho: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """
     _check_dim(rho, basis, "operator")
     rho = np.asarray(rho)
-    if basis.gm_structure is not None:
-        diag_mat, rows, cols = basis.gm_structure
-        lower = rho[rows, cols]
-        return np.concatenate([
-            diag_mat @ np.diagonal(rho).real,
-            np.sqrt(2.0) * lower.real,
-            np.sqrt(2.0) * lower.imag,
-        ])
-    return (basis.flat.conj() @ rho.reshape(-1)).real
+    lower = rho[basis.rows, basis.cols]
+    return np.concatenate([
+        basis.diag_mat @ np.diagonal(rho).real,
+        np.sqrt(2.0) * lower.real,
+        np.sqrt(2.0) * lower.imag,
+    ])
 
 
 def bloch_encode_batch(ops: np.ndarray, basis: HermitianBasis) -> np.ndarray:
@@ -125,15 +109,12 @@ def bloch_encode_batch(ops: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     ops = np.asarray(ops)
     if ops.ndim != 3 or ops.shape[1:] != (basis.dim, basis.dim):
         raise ValueError(f"expected a stack of ({basis.dim}, {basis.dim}) operators")
-    if basis.gm_structure is not None:
-        diag_mat, rows, cols = basis.gm_structure
-        lower = ops[:, rows, cols]
-        return np.concatenate([
-            np.diagonal(ops, axis1=1, axis2=2).real @ diag_mat.T,
-            np.sqrt(2.0) * lower.real,
-            np.sqrt(2.0) * lower.imag,
-        ], axis=1)
-    return (ops.reshape(len(ops), -1) @ basis.flat.conj().T).real
+    lower = ops[:, basis.rows, basis.cols]
+    return np.concatenate([
+        np.diagonal(ops, axis1=1, axis2=2).real @ basis.diag_mat.T,
+        np.sqrt(2.0) * lower.real,
+        np.sqrt(2.0) * lower.imag,
+    ], axis=1)
 
 
 def bloch_decode(r: np.ndarray, basis: HermitianBasis) -> np.ndarray:
@@ -141,18 +122,12 @@ def bloch_decode(r: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (len(basis),):
         raise ValueError(f"expected {len(basis)} components, got shape {r.shape}")
-    d = basis.dim
-    if basis.gm_structure is not None:
-        diag_mat, rows, cols = basis.gm_structure
-        s = len(rows)
-        mat = np.zeros((d, d), dtype=complex)
-        lower = (r[d - 1 : d - 1 + s] + 1j * r[d - 1 + s :]) / np.sqrt(2.0)
-        mat[rows, cols] = lower
-        mat[cols, rows] = lower.conj()
-        mat[np.diag_indices(d)] = r[: d - 1] @ diag_mat + 1.0 / d
-        return mat
-    mat = (r @ basis.flat).reshape(d, d)
-    mat += np.eye(d) / d
+    d, s = basis.dim, len(basis.rows)
+    mat = np.zeros((d, d), dtype=complex)
+    lower = (r[d - 1 : d - 1 + s] + 1j * r[d - 1 + s :]) / np.sqrt(2.0)
+    mat[basis.rows, basis.cols] = lower
+    mat[basis.cols, basis.rows] = lower.conj()
+    mat[np.diag_indices(d)] = r[: d - 1] @ basis.diag_mat + 1.0 / d
     return mat
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .dynamics import KickedTop, UnitaryPropagator, kicked_top_floquet, unitary_eigh
 from .operator_space import HermitianBasis, bloch_encode, regularize_operator
+from .quantifiers import _magnitude_order
 # unused here; the benchmark tracer (bench/layers.py) wraps this alias
 from .tomography import reconstruct_series  # noqa: F401
 
@@ -37,7 +38,6 @@ __all__ = [
     "operator_incompatibility",
     "error_unitary",
     "fractional_unitary_power",
-    "fractional_unitary_perturb",
     "ordered_perturbed_fidelity",
 ]
 
@@ -120,40 +120,25 @@ def fractional_unitary_power(u: np.ndarray, eta: float) -> np.ndarray:
     return (z * np.exp(1j * eta * phases)) @ z.conj().T
 
 
-def fractional_unitary_perturb(
-    basis: HermitianBasis, u_r: np.ndarray, eta: float
-) -> HermitianBasis:
-    """Conjugate every basis element by U_r^eta.
-
-    eta in [0, 1] interpolates between the unperturbed basis and full
-    conjugation by U_r; orthonormality and tracelessness are preserved
-    exactly by the conjugation.
-    """
-    w = fractional_unitary_power(u_r, eta)
-    rotated = np.einsum("ij,ajk,lk->ail", w, basis.elements, w.conj())
-    return HermitianBasis(dim=basis.dim, elements=rotated)
-
-
 def ordered_perturbed_fidelity(
     psi0: np.ndarray,
     basis: HermitianBasis,
-    measured_basis: HermitianBasis,
+    w: np.ndarray,
     direction: str = "descending",
 ) -> np.ndarray:
     """Zero-noise fidelity after k ordered single-direction measurements.
 
     The estimator believes it measures the ideal elements E_a in order of
-    the state's |r_a| (ties by index), but the record actually reports the
-    expectations of ``measured_basis`` elements; the k-th fidelity is
-    1/d + sum_{i<=k} r'_i r_i with r' the actually-measured values and the
-    unmeasured components estimated as zero.
+    the state's |r_a| (:func:`~chaostomo.quantifiers.ordered_bloch_values`),
+    but the record reports the rotated elements W E_a W^dag, for instance
+    W = U_r^eta from :func:`fractional_unitary_power`.  Their expectations
+    Tr(rho W E_a W^dag) are the Bloch components of the rotated state
+    W^dag psi0.  The k-th fidelity is 1/d + sum_{i<=k} r'_i r_i with r' the
+    measured values and the unmeasured components estimated as zero.
     """
-    if direction not in ("descending", "ascending"):
-        raise ValueError("direction must be 'descending' or 'ascending'")
     rho0 = np.outer(psi0, psi0.conj())
     r_true = bloch_encode(rho0, basis)
-    r_meas = bloch_encode(rho0, measured_basis)
-    order = np.argsort(np.abs(r_true), kind="stable")
-    if direction == "descending":
-        order = order[::-1]
+    phi = w.conj().T @ psi0
+    r_meas = bloch_encode(np.outer(phi, phi.conj()), basis)
+    order = _magnitude_order(r_true, direction)
     return 1.0 / basis.dim + np.cumsum(r_true[order] * r_meas[order])

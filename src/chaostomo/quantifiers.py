@@ -121,6 +121,18 @@ def quantifier_series(
     return QuantifierSeries(shannon=shannon, fisher=fisher, rank=rank, mutual_info=mi)
 
 
+def _magnitude_order(r: np.ndarray, direction: str) -> np.ndarray:
+    """Indices of ``r`` by |r_a|, 'descending' or 'ascending'.
+
+    The stable ascending sort keeps basis order among ties, and descending
+    is its reverse.
+    """
+    if direction not in ("descending", "ascending"):
+        raise ValueError("direction must be 'descending' or 'ascending'")
+    order = np.argsort(np.abs(r), kind="stable")
+    return order[::-1] if direction == "descending" else order
+
+
 def ordered_bloch_values(
     rho0: np.ndarray, basis: HermitianBasis, direction: str = "descending"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -132,13 +144,6 @@ def ordered_bloch_values(
     bound 1/d + partial_sum is the zero-noise fidelity floor after k ideal
     basis measurements.
     """
-    if direction not in ("descending", "ascending"):
-        raise ValueError("direction must be 'descending' or 'ascending'")
     r = bloch_encode(np.asarray(rho0, dtype=complex), basis)
-    mag = np.abs(r)
-    # stable sort keeps basis order among ties
-    order = np.argsort(mag, kind="stable")
-    if direction == "descending":
-        order = order[::-1]
-    partial = np.cumsum(r[order] ** 2)
+    partial = np.cumsum(r[_magnitude_order(r, direction)] ** 2)
     return partial, 1.0 / basis.dim + partial

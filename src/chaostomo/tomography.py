@@ -252,23 +252,22 @@ def _eigenframe_span(timeline: OperatorTimeline, basis: HermitianBasis) -> Optio
     cut falls, conjugation keeps the modulus of each entry, so a dropped
     pair puts at most 1e-12 |O| into each row of the residual, which the
     singular values see at second order (:class:`CovarianceData`).
-    Returns None when the timeline has no fixed step, the basis is not
-    Gell-Mann, or the span does not limit the rank, k >= min(n_rows,
-    d^2 - 1).
+    Returns None when the timeline has no fixed step or the span does not
+    limit the rank, k >= min(n_rows, d^2 - 1).
     """
     u = timeline.propagator
-    if u is None or basis.gm_structure is None:
+    if u is None:
         return None
     d = basis.dim
-    _, rows, cols = basis.gm_structure
     _, vecs = unitary_eigh(u.matrix)
     o = vecs.conj().T @ timeline.initial @ vecs
-    touched = np.flatnonzero(np.abs(o[rows, cols]) > 1e-12 * np.linalg.norm(timeline.initial))
+    touched = np.flatnonzero(np.abs(o[basis.rows, basis.cols])
+                             > 1e-12 * np.linalg.norm(timeline.initial))
     if d - 1 + 2 * len(touched) >= min(len(timeline), len(basis)):
         return None
     pairs = d - 1 + touched
-    sel = np.concatenate([np.arange(d - 1), pairs, pairs + len(rows)])
-    return bloch_encode_batch(vecs @ basis.elements[sel] @ vecs.conj().T, basis)
+    sel = np.concatenate([np.arange(d - 1), pairs, pairs + len(basis.rows)])
+    return bloch_encode_batch(vecs @ basis.matrices(sel) @ vecs.conj().T, basis)
 
 
 def ml_estimate(record: MeasurementRecord, cov: CovarianceData) -> np.ndarray:

@@ -444,6 +444,37 @@ class TestCli:
         assert "model.kind" in result.output
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("cfg,fieldname", [
+        ({"experiment": "perturb", "observable": "Sz", "model": {"kind": "tilted_ising", "L": 2},
+          "sweep": {"param": "hz", "values": [0.1]}}, "model.kind"),
+        ({"experiment": "phase-space", "mode": "husimi", "observable": "Sz",
+          "model": {"kind": "kicked_ising", "L": 2}, "sweep": {"param": "hz", "values": [0.1]}},
+         "model.kind"),
+        ({"experiment": "rmt-compare", "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "model.kind"),
+        ({"experiment": "ordered-bloch", "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "sweep.param"),
+    ], ids=["perturb", "phase-space", "rmt-compare", "ordered-bloch"])
+    def test_experiment_requirement_exit_code(self, tmp_path, cfg, fieldname):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({**cfg, "steps": 4}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"config field '{fieldname}'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_run_time_config_error_exit_code(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({
+            "experiment": "tomo", "observable": "Qfoo", "steps": 4,
+            "model": {"kind": "kicked_top", "j": 2}, "sweep": {"param": "lambda", "values": [3.0]}}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert "config field 'observable'" in result.output
+
     def test_presets_command(self):
         result = CliRunner().invoke(main, ["presets"])
         assert result.exit_code == 0

@@ -43,7 +43,7 @@ def coordinate_frame(liou):
     """Rows vec(V F_a V^dag), F_a = I/sqrt(d), E_1, ..., E_{d^2-1}: the generator's coordinate directions."""
     v = liou.eigenvectors
     d = v.shape[0]
-    rows = np.vstack([np.eye(d)[None] / np.sqrt(d), liou.operator_basis.elements])
+    rows = np.vstack([np.eye(d)[None] / np.sqrt(d), liou.operator_basis.matrices()])
     return (v @ rows @ v.conj().T).reshape(d * d, -1)
 
 

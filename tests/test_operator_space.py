@@ -14,14 +14,36 @@ from chaostomo.tomography import haar_random_pure
 @pytest.mark.parametrize("d", list(range(2, 9)) + [16, 32])
 def test_gram_matrix_is_identity(d):
     basis = gell_mann_basis(d)
-    gram = (basis.flat.conj() @ basis.flat.T).real
+    flat = basis.matrices().reshape(len(basis), -1)
+    gram = (flat.conj() @ flat.T).real
     assert np.max(np.abs(gram - np.eye(d * d - 1))) < 1e-12
+
+
+def test_basis_holds_no_element_tensor():
+    d = 32
+    basis = gell_mann_basis(d)
+    sizes = [np.asarray(v).size for v in vars(basis).values()]
+    assert max(sizes) < (d * d - 1) * d * d
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_selected_matrices_match_full_stack(d, rng):
+    basis = gell_mann_basis(d)
+    sel = rng.choice(len(basis), size=6, replace=False)
+    assert np.array_equal(basis.matrices(sel), basis.matrices()[sel])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_matrices_encode_to_unit_vectors(d):
+    basis = gell_mann_basis(d)
+    coords = np.array([bloch_encode(e, basis) for e in basis.matrices()])
+    assert np.max(np.abs(coords - np.eye(len(basis)))) < 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_elements_traceless_and_hermitian(d):
     basis = gell_mann_basis(d)
-    for e in basis.elements:
+    for e in basis.matrices():
         assert abs(np.trace(e)) < 1e-12
         assert np.max(np.abs(e - e.conj().T)) < 1e-12
 
@@ -30,14 +52,15 @@ def test_basis_counts_and_ordering():
     d = 5
     basis = gell_mann_basis(d)
     assert len(basis) == 24
+    elements = basis.matrices()
     # d - 1 diagonal elements first
     for k in range(d - 1):
-        off = basis.elements[k] - np.diag(np.diag(basis.elements[k]))
+        off = elements[k] - np.diag(np.diag(elements[k]))
         assert np.max(np.abs(off)) == 0.0
     # then symmetric pairs (real), then antisymmetric pairs (imaginary)
     n_pairs = d * (d - 1) // 2
-    sym = basis.elements[d - 1 : d - 1 + n_pairs]
-    anti = basis.elements[d - 1 + n_pairs :]
+    sym = elements[d - 1 : d - 1 + n_pairs]
+    anti = elements[d - 1 + n_pairs :]
     assert np.max(np.abs(sym.imag)) == 0.0
     assert np.max(np.abs(anti.real)) == 0.0
 
@@ -62,12 +85,12 @@ def test_pure_state_bloch_norm(d, rng):
 
 
 def test_encode_decode_round_trip(hermitian_factory):
-    d = 5
-    basis = gell_mann_basis(d)
-    op = hermitian_factory(d)
-    rho = op / np.trace(op).real  # unit trace, possibly non-positive
-    back = bloch_decode(bloch_encode(rho, basis), basis)
-    assert np.max(np.abs(back - rho)) < 1e-12
+    for d in (2, 3, 5, 8):
+        basis = gell_mann_basis(d)
+        rho = hermitian_factory(d)
+        rho += (1.0 - np.trace(rho).real) * np.eye(d) / d  # unit trace, possibly non-positive
+        back = bloch_decode(bloch_encode(rho, basis), basis)
+        assert np.max(np.abs(back - rho)) < 1e-12
 
 
 def test_decode_trivials():

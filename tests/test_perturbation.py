@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from chaostomo.dynamics import angular_momentum_ops, heisenberg_timeline
-from chaostomo.operator_space import gell_mann_basis
+from chaostomo.operator_space import bloch_encode, gell_mann_basis
 from chaostomo.perturbation import (
     error_unitary,
-    fractional_unitary_perturb,
     fractional_unitary_power,
     operator_incompatibility,
     operator_loschmidt_echo,
@@ -139,12 +138,25 @@ class TestMismatched:
         assert sup[1e-4] < 0.01
 
 
+def rotated_basis_fidelity(psi0, basis, w):
+    """Ordered fidelity read off the rotated elements W E_a W^dag, one dense product each."""
+    rotated = np.einsum("ij,ajk,lk->ail", w, basis.matrices(), w.conj())
+    rho0 = np.outer(psi0, psi0.conj())
+    r_true = bloch_encode(rho0, basis)
+    r_meas = (rotated.reshape(len(basis), -1).conj() @ rho0.reshape(-1)).real
+    order = np.argsort(np.abs(r_true), kind="stable")[::-1]
+    return 1.0 / basis.dim + np.cumsum(r_true[order] * r_meas[order])
+
+
 class TestFractionalPerturbation:
     def test_eta_zero_is_identity(self, rng):
         basis = gell_mann_basis(5)
         u_r = haar_unitary(5, rng)
-        out = fractional_unitary_perturb(basis, u_r, 0.0)
-        assert np.max(np.abs(out.elements - basis.elements)) < 1e-12
+        w = fractional_unitary_power(u_r, 0.0)
+        assert np.max(np.abs(w - np.eye(5))) < 1e-12
+        psi = haar_random_pure(5, rng)
+        f = ordered_perturbed_fidelity(psi, basis, w)
+        assert np.max(np.abs(f - ordered_perturbed_fidelity(psi, basis, np.eye(5)))) < 1e-12
 
     def test_power_norm_increases_with_eta(self, rng):
         u_r = haar_unitary(6, rng)
@@ -152,14 +164,14 @@ class TestFractionalPerturbation:
         assert all(b > a for a, b in zip(norms, norms[1:]))
         assert np.max(np.abs(fractional_unitary_power(u_r, 1.0) - u_r)) < 1e-10
 
-    @pytest.mark.parametrize("eta", [0.15, 0.5, 0.9])
-    def test_gram_matrix_preserved(self, eta, rng):
-        basis = gell_mann_basis(4)
-        u_r = haar_unitary(4, rng)
-        out = fractional_unitary_perturb(basis, u_r, eta)
-        gram = (out.flat.conj() @ out.flat.T).real
-        assert np.max(np.abs(gram - np.eye(15))) < 1e-10
-        assert max(abs(np.trace(e)) for e in out.elements) < 1e-12
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 0.1, 0.2])
+    def test_state_rotation_matches_rotated_basis(self, eta, rng):
+        d = 21
+        basis = gell_mann_basis(d)
+        w = fractional_unitary_power(haar_unitary(d, rng), eta)
+        psi = haar_random_pure(d, rng)
+        want = rotated_basis_fidelity(psi, basis, w)
+        assert np.max(np.abs(ordered_perturbed_fidelity(psi, basis, w) - want)) < 1e-13
 
     def test_ordered_fidelity_degrades_with_eta(self, rng):
         d = 9
@@ -168,8 +180,7 @@ class TestFractionalPerturbation:
         psi = haar_random_pure(d, rng)
         finals = []
         for eta in (0.0, 0.1, 0.3):
-            measured = fractional_unitary_perturb(basis, u_r, eta)
-            f = ordered_perturbed_fidelity(psi, basis, measured)
+            f = ordered_perturbed_fidelity(psi, basis, fractional_unitary_power(u_r, eta))
             finals.append(f[-1])
         assert finals[0] == pytest.approx(1.0, abs=1e-10)
         assert all(b < a for a, b in zip(finals, finals[1:]))
@@ -180,6 +191,18 @@ class TestFractionalPerturbation:
         d = 6
         basis = gell_mann_basis(d)
         psi = haar_random_pure(d, rng)
-        f = ordered_perturbed_fidelity(psi, basis, basis)
+        f = ordered_perturbed_fidelity(psi, basis, np.eye(d))
         _, bound = ordered_bloch_values(np.outer(psi, psi.conj()), basis)
         assert np.max(np.abs(f - bound)) < 1e-12
+
+    def test_direction_policy_shared_with_bound(self, rng):
+        from chaostomo.quantifiers import ordered_bloch_values
+
+        d = 5
+        basis = gell_mann_basis(d)
+        psi = haar_random_pure(d, rng)
+        f = ordered_perturbed_fidelity(psi, basis, np.eye(d), direction="ascending")
+        _, bound = ordered_bloch_values(np.outer(psi, psi.conj()), basis, direction="ascending")
+        assert np.max(np.abs(f - bound)) < 1e-12
+        with pytest.raises(ValueError, match="direction"):
+            ordered_perturbed_fidelity(psi, basis, np.eye(d), direction="sideways")
