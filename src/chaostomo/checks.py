@@ -102,7 +102,7 @@ def _check_factored_design():
         k = len(cov.span)
         orth = np.max(np.abs(cov.span @ cov.span.T - np.eye(k)))
         resid = np.linalg.norm(cov.design - cov.span_coords() @ cov.span) / np.linalg.norm(cov.design)
-        plain = tomography.CovarianceData(cov.design, cov.rank_tol)
+        plain = tomography.CovarianceData(cov.design)
         s_plain, s = plain.svd()[1], cov.svd()[1]
         dev = np.max(np.abs(s_plain - np.pad(s, (0, len(s_plain) - len(s))))) / s_plain[0]
         rank = cov.rank()
@@ -202,9 +202,7 @@ def _check_rmt():
     u = dynamics.tki_floquet(dynamics.KickedIsing(L=4)).matrix
     comm = np.max(np.abs(p @ u - u @ p))
     vbasis, dims = rmt.reflection_eigenbasis(4)
-    w = rmt.block_diagonal_sample(
-        rmt.EnsembleSpec("COE", 16, block_dims=dims), vbasis, np.random.default_rng(5)
-    )
+    w = rmt.block_diagonal_sample("COE", dims, vbasis, np.random.default_rng(5))
     bcomm = np.max(np.abs(w @ p - p @ w))
     ok = comm < 1e-10 and bcomm < 1e-10
     return ok, f"[P, U_TKI] = {comm:.1e}, [P, COE block sample] = {bcomm:.1e}"

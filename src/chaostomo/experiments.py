@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -140,27 +140,19 @@ class ExperimentConfig:
             raise ConfigError("state", "must be 'haar' or 'coherent'")
         if self.mode not in ("portrait", "husimi"):
             raise ConfigError("mode", "must be 'portrait' or 'husimi'")
+        if self.n_samples < 1:
+            raise ConfigError("n_samples", "must be >= 1")
+        if self.n_trajectories < 1:
+            raise ConfigError("n_trajectories", "must be >= 1")
         return self
 
     def resolved(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "model": dict(self.model),
-            "observable": self.observable,
-            "steps": self.steps,
-            "sigma": self.sigma,
-            "n_states": self.n_states,
-            "sweep": {"param": self.sweep.get("param"), "values": list(self.sweep.get("values", []))},
-            "seed": self.seed,
-            "eval_stride": self.eval_stride,
-            "state": self.state,
-            "theta": self.theta,
-            "phi": self.phi,
-            "delta_lambda": self.delta_lambda,
-            "n_samples": self.n_samples,
-            "n_trajectories": self.n_trajectories,
-            "mode": self.mode,
-        }
+        """Every field that can change the numbers; ``config_hash`` digests it."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("output_path", "provenance")}
+        out["model"] = dict(self.model)
+        out["sweep"] = {"param": self.sweep.get("param"),
+                        "values": list(self.sweep.get("values", []))}
         return out
 
     def config_hash(self) -> str:
@@ -200,9 +192,15 @@ def _build_observable(name: str, model: dynamics.ModelSpec, rng: np.random.Gener
     d = model.dim
     spin_like = isinstance(model, (dynamics.KickedTop, dynamics.HaarSteps))
     if name in ("J_x", "J_y", "J_z"):
-        j = (d - 1) / 2.0
-        ops = dict(zip("xyz", dynamics.angular_momentum_ops(j)))
-        return ops[name[-1]]
+        return dynamics.angular_momentum_ops((d - 1) / 2.0)["xyz".index(name[-1])]
+    if name == "random-local":
+        # spin models: J_x under a Haar unitary; chains: s1y under a Haar unitary on site 1
+        if spin_like:
+            w, op = rmt.haar_unitary(d, rng), _build_observable("J_x", model, rng)
+        else:
+            w = np.kron(rmt.haar_unitary(2, rng), np.eye(2 ** (model.L - 1)))
+            op = dynamics.pauli_site("y", 1, model.L) / 2.0
+        return w.conj().T @ op @ w
     if spin_like:
         raise ConfigError(
             "observable", f"{name!r} is not defined for this model; known: {KNOWN_OBSERVABLES}"
@@ -210,11 +208,6 @@ def _build_observable(name: str, model: dynamics.ModelSpec, rng: np.random.Gener
     L = model.L
     if name in ("Sx", "Sy", "Sz"):
         return dynamics.collective_spin(name[-1].lower(), L)
-    if name == "random-local":
-        u1 = rmt.haar_unitary(2, rng)
-        u_full = np.kron(u1, np.eye(2 ** (L - 1)))
-        s1y = dynamics.pauli_site("y", 1, L) / 2.0
-        return u_full.conj().T @ s1y @ u_full
     try:
         terms = []
         for part in name.split("+"):
@@ -267,9 +260,6 @@ class _Rows:
     @staticmethod
     def _label(value) -> str:
         return format(value, ".10g") if isinstance(value, float) else str(value)
-
-    def add(self, value, step, metric, mean, stderr=0.0, count=1):
-        self.rows.append((self.param, self._label(value), step, metric, mean, stderr, count))
 
     def add_steps(self, value, steps, columns: dict):
         """Step by step, one row per metric; ``columns`` maps metric -> value per step."""
@@ -371,27 +361,21 @@ def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
     j = base.j
     basis = gell_mann_basis(base.dim)
     n_rows, eval_steps = _record_steps(cfg, base.dim)
-    # random initial observable: J_x conjugated by a Haar unitary
-    if cfg.observable == "random-local":
-        w = rmt.haar_unitary(base.dim, obs_rng)
-        jx = dynamics.angular_momentum_ops(j)[0]
-        observable = w.conj().T @ jx @ w
-    else:
-        observable = _build_observable(cfg.observable, base, obs_rng)
+    observable = _build_observable(cfg.observable, base, obs_rng)
     for iv, value in enumerate(cfg.sweep["values"]):
         model = _build_model(cfg.model, (param, value))
         pair = perturbation.perturbed_kicked_top(j, model.lam, model.alpha, cfg.delta_lambda)
         tl_true = dynamics.heisenberg_timeline(observable, pair.u_true, n_rows - 1)
         tl_model = dynamics.heisenberg_timeline(observable, pair.u_model, n_rows - 1)
-        for n in eval_steps:
-            # operator metrics compare the timeline entries measured at row n
-            o_true, o_model = tl_true.steps[n - 1], tl_model.steps[n - 1]
-            rows.add(value, n, "loschmidt_echo",
-                     perturbation.operator_loschmidt_echo(o_true, o_model, observable))
-            rows.add(value, n, "relative_entropy",
-                     perturbation.operator_relative_entropy(o_true, o_model))
-            rows.add(value, n, "incompatibility",
-                     perturbation.operator_incompatibility(o_true, o_model, j=j))
+        # operator metrics compare the timeline entries measured at row n
+        pairs = [(tl_true.steps[n - 1], tl_model.steps[n - 1]) for n in eval_steps]
+        rows.add_steps(value, eval_steps, {
+            "loschmidt_echo": [perturbation.operator_loschmidt_echo(t, m, observable)
+                               for t, m in pairs],
+            "relative_entropy": [perturbation.operator_relative_entropy(t, m) for t, m in pairs],
+            "incompatibility": [perturbation.operator_incompatibility(t, m, j=j)
+                                for t, m in pairs],
+        })
         cov_model = tomography.build_covariance(tl_model, basis)
         converged &= _fidelity_rows(rows, cfg, value, tl_true, cov_model, basis, eval_steps,
                                     cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
@@ -409,7 +393,7 @@ def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
             h = (dynamics.ti_hamiltonian(model) if isinstance(model, dynamics.TiltedIsing)
                  else dynamics.xxz_hamiltonian(model))
             kb = krylov.lanczos_full_orth(krylov.liouvillian(h), observable)
-            rows.add(value, 0, "krylov_dim", kb.dim_k)
+            rows.add_steps(value, [0], {"krylov_dim": [kb.dim_k]})
             rows.add_steps(value, range(1, kb.dim_k), {"lanczos_b": kb.lanczos_b})
             if cfg.steps > 0:
                 steps = _eval_steps(cfg.steps, cfg.eval_stride)
@@ -420,7 +404,7 @@ def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
                 })
         else:
             u = dynamics.build_propagator(model)
-            rows.add(value, 0, "krylov_dim", krylov.arnoldi_unitary_dim(u, observable))
+            rows.add_steps(value, [0], {"krylov_dim": [krylov.arnoldi_unitary_dim(u, observable)]})
     return rows.table()
 
 
@@ -452,12 +436,13 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
     grid = phase_space.sphere_grid()
     base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
     observable = _build_observable(cfg.observable, base, obs_rng)
+    steps = _eval_steps(n_steps, cfg.eval_stride)
     for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
         u = dynamics.build_propagator(model)
         tl = dynamics.heisenberg_timeline(observable, u, n_steps)
-        for n in _eval_steps(n_steps, cfg.eval_stride):
-            rows.add(value, n, "husimi_entropy", phase_space.husimi_entropy(tl.steps[n], grid))
+        rows.add_steps(value, steps, {
+            "husimi_entropy": [phase_space.husimi_entropy(tl.steps[n], grid) for n in steps]})
     return rows.table()
 
 
@@ -479,10 +464,9 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     # ensemble baseline, block diagonal in the reflection eigenbasis
     vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
     ens_kind = "COE" if cfg.model["kind"] == "kicked_ising" else "GOE"
-    spec = rmt.EnsembleSpec(ens_kind, d, block_dims=tuple(block_dims))
     samples = []
     for _ in range(cfg.n_samples):
-        mat = rmt.block_diagonal_sample(spec, vbasis, aux_rng)
+        mat = rmt.block_diagonal_sample(ens_kind, block_dims, vbasis, aux_rng)
         # a GOE draw is a Hamiltonian evolved for dt = 1, a COE draw the step itself
         u = dynamics.UnitaryPropagator(dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat)
         tl = dynamics.heisenberg_timeline(observable, u, n_rows - 1)

@@ -26,7 +26,6 @@ __all__ = [
     "QuantifierSeries",
     "shannon_entropy",
     "fisher_information",
-    "default_fisher_reg",
     "mutual_information",
     "quantifier_series",
     "ordered_bloch_values",
@@ -34,11 +33,8 @@ __all__ = [
 
 
 def _positive_spectrum(cov: CovarianceData) -> np.ndarray:
-    """Eigenvalues of C^-1 above the rank tolerance, descending."""
-    _, s, _ = cov.svd()
-    if len(s) == 0 or s[0] == 0.0:
-        return np.empty(0)
-    return s[s > cov.rank_tol * s[0]] ** 2
+    """Eigenvalues of C^-1 on the measured subspace, descending."""
+    return cov.svd()[1][: cov.rank()] ** 2
 
 
 def shannon_entropy(cov: CovarianceData) -> float:
@@ -50,21 +46,19 @@ def shannon_entropy(cov: CovarianceData) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def default_fisher_reg(cov: CovarianceData) -> float:
+def _fisher_reg(cov: CovarianceData) -> float:
     """Regularizer: a small fraction of the largest eigenvalue (1 if all zero)."""
     lam = _positive_spectrum(cov)
     top = lam[0] if len(lam) else 1.0
     return 1e-6 * top
 
 
-def fisher_information(cov: CovarianceData, reg: Optional[float] = None) -> float:
+def fisher_information(cov: CovarianceData, reg: float) -> float:
     """Total Fisher information 1 / Tr[(C^-1 + reg I)^-1].
 
     C^-1 is never full rank for single-map timelines, so the zero
     eigenvalues are lifted by ``reg`` before inverting.
     """
-    if reg is None:
-        reg = default_fisher_reg(cov)
     if reg <= 0:
         raise ValueError("regularizer must be positive")
     lam = cov.eigenvalues()
@@ -94,9 +88,7 @@ class QuantifierSeries:
 
 
 def quantifier_series(
-    cov: CovarianceData,
-    eval_steps: Optional[Sequence[int]] = None,
-    reg: Optional[float] = None,
+    cov: CovarianceData, eval_steps: Optional[Sequence[int]] = None
 ) -> QuantifierSeries:
     """Shannon entropy, Fisher information, rank and mutual information per prefix.
 
@@ -106,8 +98,7 @@ def quantifier_series(
     if eval_steps is None:
         eval_steps = range(1, cov.n_rows + 1)
     steps = np.asarray(list(eval_steps), dtype=int)
-    if reg is None:
-        reg = default_fisher_reg(cov)
+    reg = _fisher_reg(cov)
     shannon = np.empty(len(steps))
     fisher = np.empty(len(steps))
     rank = np.empty(len(steps), dtype=int)

@@ -1,4 +1,4 @@
-"""Random-matrix baselines: Gaussian and circular ensembles.
+"""Random-matrix baselines: GOE and COE blocks in the reflection eigenbasis.
 
 Includes the spin-chain reflection (bit-reversal) operator and sampling of
 matrices that are block diagonal in its eigenbasis, used to compare chaotic
@@ -7,53 +7,16 @@ spin-chain dynamics against the appropriate random-matrix ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "EnsembleSpec",
     "haar_unitary",
     "reflection_operator",
     "reflection_eigenbasis",
     "block_diagonal_sample",
 ]
-
-GAUSSIAN_KINDS = ("GOE", "GUE")
-CIRCULAR_KINDS = ("CUE", "COE")
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Which ensemble to draw from, at which dimension.
-
-    ``block_dims``, when given, requests independent blocks of those sizes
-    (summing to ``dim``) embedded block-diagonally; see
-    :func:`block_diagonal_sample`.
-    """
-
-    kind: str
-    dim: int
-    block_dims: Optional[Sequence[int]] = None
-
-    def __post_init__(self):
-        if self.kind not in GAUSSIAN_KINDS + CIRCULAR_KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
-        if self.block_dims is not None and sum(self.block_dims) != self.dim:
-            raise ValueError(
-                f"block_dims {tuple(self.block_dims)} do not sum to dim={self.dim}"
-            )
-
-
-def _gaussian(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
-    if kind == "GOE":
-        a = rng.standard_normal((d, d))
-        return (a + a.T) / 2.0
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (a + a.conj().T) / 2.0
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,18 +32,13 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _circular(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
-    u = haar_unitary(d, rng)
-    if kind == "CUE":
-        return u
-    # COE: symmetric unitaries, the transpose-invariant coset V^T V
-    return u.T @ u
-
-
-def _draw(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
-    if kind in GAUSSIAN_KINDS:
-        return _gaussian(kind, d, rng)
-    return _circular(kind, d, rng)
+def _bit_reversal(n_spins: int) -> np.ndarray:
+    """perm[b] = the n-bit reversal of basis label b."""
+    labels = np.arange(2**n_spins)
+    perm = np.zeros_like(labels)
+    for bit in range(n_spins):
+        perm |= ((labels >> bit) & 1) << (n_spins - 1 - bit)
+    return perm
 
 
 def reflection_operator(n_spins: int) -> np.ndarray:
@@ -92,14 +50,8 @@ def reflection_operator(n_spins: int) -> np.ndarray:
     if n_spins < 2:
         raise ValueError("need at least 2 spins")
     d = 2**n_spins
-    perm = np.empty(d, dtype=int)
-    for b in range(d):
-        rev = 0
-        for bit in range(n_spins):
-            rev = (rev << 1) | ((b >> bit) & 1)
-        perm[b] = rev
     p = np.zeros((d, d))
-    p[perm, np.arange(d)] = 1.0
+    p[_bit_reversal(n_spins), np.arange(d)] = 1.0
     return p
 
 
@@ -111,7 +63,7 @@ def reflection_eigenbasis(n_spins: int) -> tuple[np.ndarray, tuple[int, int]]:
     remaining n_minus columns span the -1 eigenspace.
     """
     d = 2**n_spins
-    perm = reflection_operator(n_spins).argmax(axis=0)
+    perm = _bit_reversal(n_spins)
     plus, minus = [], []
     for b in range(d):
         pb = perm[b]
@@ -131,22 +83,31 @@ def reflection_eigenbasis(n_spins: int) -> tuple[np.ndarray, tuple[int, int]]:
 
 
 def block_diagonal_sample(
-    spec: EnsembleSpec, basis_change: np.ndarray, rng: np.random.Generator
+    kind: str, block_dims: Sequence[int], basis_change: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample block-diagonally in a given orthonormal basis, rotate back.
 
-    ``spec.block_dims`` fixes the block sizes (e.g. the reflection eigenvalue
+    ``block_dims`` fixes the block sizes (e.g. the reflection eigenvalue
     multiplicities from :func:`reflection_eigenbasis`); each block is an
-    independent draw from the ensemble.  The result commutes with any
-    operator diagonal across those blocks in ``basis_change``.
+    independent draw, in order: a GOE matrix (A + A^T)/2 of a real
+    standard-normal A, or a COE unitary V^T V of a Haar-random V.  The
+    result commutes with any operator diagonal across those blocks in
+    ``basis_change``.
     """
-    if spec.block_dims is None:
-        raise ValueError("block_diagonal_sample requires spec.block_dims")
-    if basis_change.shape != (spec.dim, spec.dim):
-        raise ValueError("basis_change must be a square matrix of size spec.dim")
-    block = np.zeros((spec.dim, spec.dim), dtype=complex)
+    if kind not in ("GOE", "COE"):
+        raise ValueError(f"unknown ensemble kind {kind!r}; known: GOE, COE")
+    dim = sum(block_dims)
+    if basis_change.shape != (dim, dim):
+        raise ValueError(f"basis_change must be square of size sum(block_dims) = {dim}")
+    block = np.zeros((dim, dim), dtype=complex)
     start = 0
-    for nb in spec.block_dims:
-        block[start : start + nb, start : start + nb] = _draw(spec.kind, nb, rng)
+    for nb in block_dims:
+        if kind == "GOE":
+            a = rng.standard_normal((nb, nb))
+            draw = (a + a.T) / 2.0
+        else:
+            u = haar_unitary(nb, rng)
+            draw = u.T @ u
+        block[start : start + nb, start : start + nb] = draw
         start += nb
     return basis_change @ block @ basis_change.conj().T

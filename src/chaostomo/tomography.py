@@ -64,8 +64,12 @@ __all__ = [
     "model_timeline",
 ]
 
-DEFAULT_RANK_TOL = 1e-10
+# Relative singular-value cut of the measured subspace (CovarianceData.rank).
+RANK_TOL = 1e-10
 DEFAULT_SIGMA = 0.1
+# Douglas-Rachford stopping rule of psd_project, read at call time.
+_PSD_TOL = 1e-7
+_PSD_MAX_ITERS = 5000
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,11 @@ class CovarianceData:
     """
 
     design: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
     row_offsets: Optional[np.ndarray] = None
     span: Optional[np.ndarray] = None
     _coords: Optional[np.ndarray] = field(default=None, repr=False)
     _svd: Optional[tuple] = field(default=None, repr=False)
+    _rank: Optional[int] = field(default=None, repr=False)
     _prefixes: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -150,11 +154,23 @@ class CovarianceData:
         return out
 
     def rank(self) -> int:
-        """Singular values of the design above rank_tol times the largest."""
-        _, s, _ = self.svd()
-        if len(s) == 0 or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > self.rank_tol * s[0]))
+        """Dimension of the measured subspace: singular values above RANK_TOL times s_0."""
+        if self._rank is None:
+            _, s, _ = self.svd()
+            self._rank = (0 if len(s) == 0 or s[0] == 0.0
+                          else int(np.count_nonzero(s > RANK_TOL * s[0])))
+        return self._rank
+
+    def measured(self) -> tuple:
+        """(u, s, vt) of the measured subspace: the first :meth:`rank` singular triples.
+
+        Boolean-mask indexing hands BLAS the same contiguous copies on every
+        call; they are not cached, since every memoized prefix would keep its
+        own pair.
+        """
+        u, s, vt = self.svd()
+        keep = np.arange(len(s)) < self.rank()
+        return u[:, keep], s[keep], vt[keep]
 
     def truncated(self, n: int) -> "CovarianceData":
         """Covariance restricted to the first n record rows.
@@ -172,7 +188,7 @@ class CovarianceData:
         if n not in self._prefixes:
             factored = self.span is not None and len(self.span) < n
             self._prefixes[n] = CovarianceData(
-                self.design[:n], self.rank_tol, self.row_offsets[:n],
+                self.design[:n], self.row_offsets[:n],
                 span=self.span if factored else None,
                 _coords=self.span_coords()[:n] if factored else None,
             )
@@ -222,11 +238,7 @@ def generate_record(
     return MeasurementRecord(values=values, sigma=float(sigma))
 
 
-def build_covariance(
-    timeline: OperatorTimeline,
-    basis: HermitianBasis,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> CovarianceData:
+def build_covariance(timeline: OperatorTimeline, basis: HermitianBasis) -> CovarianceData:
     """Design matrix Tr(O_n E_a) and covariance spectrum for a timeline.
 
     A timeline with one fixed step gets the eigenframe span of its
@@ -236,7 +248,7 @@ def build_covariance(
         raise ValueError(f"timeline dim {timeline.dim} != basis dim {basis.dim}")
     design = bloch_encode_batch(timeline.steps, basis)
     offsets = np.einsum("nii->n", timeline.steps).real / basis.dim
-    return CovarianceData(design=design, rank_tol=rank_tol, row_offsets=offsets,
+    return CovarianceData(design=design, row_offsets=offsets,
                           span=_eigenframe_span(timeline, basis))
 
 
@@ -273,18 +285,17 @@ def _eigenframe_span(timeline: OperatorTimeline, basis: HermitianBasis) -> Optio
 def ml_estimate(record: MeasurementRecord, cov: CovarianceData) -> np.ndarray:
     """Maximum-likelihood Bloch vector, pseudoinverted over the measured subspace.
 
-    Singular values below rank_tol times the largest are treated as zero, so
-    unmeasured directions come back exactly 0.
+    Only the measured subspace (:meth:`CovarianceData.measured`) is inverted,
+    so unmeasured directions come back exactly 0.
     """
     m = np.asarray(record.values, dtype=float)
     if m.ndim != 1 or len(m) != cov.n_rows:
         raise ValueError(f"record length {m.shape} does not match {cov.n_rows} design rows")
     if len(m) == 0:
         raise ValueError("empty measurement record")
-    u, s, vt = cov.svd()
-    keep = s > (cov.rank_tol * s[0] if s[0] > 0 else np.inf)
-    y = u[:, keep].T @ (m - cov.row_offsets)
-    return vt[keep].T @ (y / s[keep])
+    u, s, vt = cov.measured()
+    y = u.T @ (m - cov.row_offsets)
+    return vt.T @ (y / s)
 
 
 def _project_eigs_simplex(w: np.ndarray) -> np.ndarray:
@@ -319,8 +330,6 @@ def psd_project(
     cov: CovarianceData,
     basis: HermitianBasis,
     *,
-    tol: float = 1e-7,
-    max_iters: int = 5000,
     warm_start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
     """Closest physical state to r_ml in the covariance-weighted norm.
@@ -331,9 +340,9 @@ def psd_project(
     cached design SVD) alternates with the exact eigenvalue projection onto
     the state set.  Convergence is declared when the projected-gradient
     fixed-point residual, measured in the C^-1 norm scaled by its largest
-    eigenvalue, drops below ``tol`` relative to the data scale.
+    eigenvalue, drops below ``_PSD_TOL`` relative to the data scale.
 
-    Returns (r_bar, rho_bar, diagnostics); on hitting ``max_iters`` the best
+    Returns (r_bar, rho_bar, diagnostics); on hitting ``_PSD_MAX_ITERS`` the best
     feasible iterate is returned with ``converged=False``.
     """
     r_ml = np.asarray(r_ml, dtype=float)
@@ -341,10 +350,8 @@ def psd_project(
     if np.linalg.eigvalsh(decoded)[0] >= -1e-12:
         return r_ml, decoded, SolverDiagnostics(iters=0, residual=0.0, converged=True)
 
-    _, s, vt = cov.svd()
-    keep = s > (cov.rank_tol * s[0] if s[0] > 0 else np.inf)
-    s = s[keep]
-    v = vt[keep].T  # (k, r) eigenvectors of C^-1 with positive eigenvalue
+    _, s, vt = cov.measured()
+    v = vt.T  # (k, r) eigenvectors of C^-1 with positive eigenvalue
 
     if len(s) == 0:
         r_bar = _project_feasible(r_ml, basis)
@@ -371,16 +378,16 @@ def psd_project(
     check_every = 10
     iters = 0
     residual = np.inf
-    while iters < max_iters:
+    while iters < _PSD_MAX_ITERS:
         for _ in range(check_every):
             y = prox_quadratic(z)
             r_bar = _project_feasible(2.0 * y - z, basis)
             z += relax * (r_bar - y)
             iters += 1
         residual = weighted_norm(r_bar - _project_feasible(r_bar - grad(r_bar), basis))
-        if residual <= tol * scale:
+        if residual <= _PSD_TOL * scale:
             break
-    converged = residual <= tol * scale
+    converged = residual <= _PSD_TOL * scale
     return r_bar, bloch_decode(r_bar, basis), SolverDiagnostics(iters, residual, converged)
 
 

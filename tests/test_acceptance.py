@@ -34,7 +34,6 @@ from chaostomo.perturbation import (
 from chaostomo.phase_space import husimi_q, sphere_grid, spin_coherent
 from chaostomo.quantifiers import ordered_bloch_values, shannon_entropy
 from chaostomo.rmt import (
-    EnsembleSpec,
     block_diagonal_sample,
     haar_unitary,
     reflection_eigenbasis,
@@ -308,7 +307,7 @@ def test_criterion_9_rmt_agreement():
     vbasis, dims = reflection_eigenbasis(L)
     samples = []
     for _ in range(10):
-        w = block_diagonal_sample(EnsembleSpec("COE", d, block_dims=dims), vbasis, rng)
+        w = block_diagonal_sample("COE", dims, vbasis, rng)
         from chaostomo.dynamics import UnitaryPropagator
 
         cov_r = build_covariance(

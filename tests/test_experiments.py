@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import yaml
@@ -5,7 +7,7 @@ from click.testing import CliRunner
 
 from chaostomo import experiments
 from chaostomo.cli import main
-from chaostomo.dynamics import classical_kicked_top_step
+from chaostomo.dynamics import angular_momentum_ops, classical_kicked_top_step
 from chaostomo.experiments import (
     PRESETS,
     ConfigError,
@@ -15,6 +17,7 @@ from chaostomo.experiments import (
     config_from_preset,
     run_experiment,
 )
+from chaostomo.rmt import haar_unitary
 
 
 def series(table, sweep_value: str, metric: str) -> np.ndarray:
@@ -224,11 +227,46 @@ class TestRowEmitter:
         new, old = _Rows("p"), OldRows("p")
         for rows in (new, old):
             for v in values:
-                rows.add(v, 0, "scalar", -0.0, -0.0)
+                rows.add_steps(v, [0], {"scalar": [-0.0]})
                 rows.add_steps(v, range(1, len(column) + 1), {"a": column, "b": column[::-1]})
                 rows.add_means(v, [1, 2, 3], {"m": samples, "one": samples[:1]})
         assert new.rows == old.rows
         assert ResultTable(["h"], new.rows).to_csv() == old_to_csv(ResultTable(["h"], old.rows))
+
+
+# config_hash of every preset, recorded when the hash payload became the
+# dataclass fields: a change here re-labels every CSV a preset has written
+PRESET_HASHES = {
+    "fig2.1-phase-space": "3cf905baf2130a10",
+    "fig2.3-krylov-complexity": "b382bbf3439f2e91",
+    "fig2.4-lanczos": "3e83f79f04b7911e",
+    "fig3.1-coherent": "edb4e32405f39647",
+    "fig3.1-random": "01452f7e7b7abb80",
+    "fig3.3-ordered-bloch": "05bbece35c361f6c",
+    "fig3.6-husimi": "ba0d8a35d1482c59",
+    "fig4.2-tki-quantifiers": "51c89e05513addff",
+    "fig4.6-rmt-compare": "44eb6f819eb1b322",
+    "fig4.8-xxz": "986810e901f8c352",
+    "fig5.2-perturb": "90cb57fd18b38e70",
+    "fig5.3-perturbed-basis": "7ba3aa0bf15deca4",
+}
+
+
+class TestConfigHash:
+    def test_preset_hashes_unchanged(self):
+        assert {name: config_from_preset(name).config_hash() for name in PRESETS} == PRESET_HASHES
+
+    def test_every_field_but_labels_enters_hash(self):
+        base = tiny_tomo_config()
+        changed = {"model": {**base.model, "j": 3}, "sweep": {"param": "lambda", "values": [0.5]},
+                   "output_path": "elsewhere.csv", "provenance": "a note"}
+        for f in fields(ExperimentConfig):
+            value = getattr(base, f.name)
+            if f.name not in changed:
+                changed[f.name] = value + "-other" if isinstance(value, str) else value + 1
+            other = ExperimentConfig(**{**base.__dict__, f.name: changed[f.name]})
+            same = f.name in ("output_path", "provenance")
+            assert (other.config_hash() == base.config_hash()) == same, f.name
 
 
 class TestPresets:
@@ -359,6 +397,29 @@ class TestSmallRuns:
         echo = series(table, "3", "loschmidt_echo")
         assert np.all(np.abs(echo) <= 1 + 1e-10)
 
+    def test_random_local_kicked_top_same_in_tomo_and_perturb(self, monkeypatch):
+        # J_x under a Haar unitary, the unitary being the first draw of the observable stream
+        built = []
+        real = experiments._build_observable
+
+        def record(name, *args):
+            out = real(name, *args)
+            if name == "random-local":
+                built.append(out)
+            return out
+
+        monkeypatch.setattr(experiments, "_build_observable", record)
+        base = dict(model={"kind": "kicked_top", "j": 2, "alpha": 1.4, "lambda": 3.0},
+                    observable="random-local", steps=6, eval_stride=3, seed=9,
+                    sweep={"param": "lambda", "values": [3.0]})
+        for experiment in ("tomo", "perturb"):
+            run_experiment(ExperimentConfig(experiment=experiment, **base))
+        tomo_obs, perturb_obs = built
+        obs_rng = np.random.default_rng(np.random.SeedSequence(9).spawn(2)[0])
+        w = haar_unitary(5, obs_rng)
+        assert np.array_equal(tomo_obs, perturb_obs)
+        assert np.array_equal(tomo_obs, w.conj().T @ angular_momentum_ops(2)[0] @ w)
+
     def test_perturb_coherent_state(self):
         # the record and the fidelity reference come from the configured state
         base = dict(
@@ -474,6 +535,24 @@ class TestCli:
                                            "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2, result.output
         assert "config field 'observable'" in result.output
+
+    @pytest.mark.parametrize("cfg,fieldname", [
+        ({"experiment": "rmt-compare", "observable": "Sz", "n_samples": 0,
+          "model": {"kind": "kicked_ising", "L": 2}, "sweep": {"param": "hz", "values": [0.1]}},
+         "n_samples"),
+        ({"experiment": "phase-space", "n_trajectories": -1, "model": {"kind": "kicked_top"},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "n_trajectories"),
+        ({"experiment": "phase-space", "n_trajectories": 0, "model": {"kind": "kicked_top"},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "n_trajectories"),
+    ], ids=["no-samples", "negative-trajectories", "no-trajectories"])
+    def test_count_exit_code(self, tmp_path, cfg, fieldname):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({**cfg, "steps": 4}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"config field '{fieldname}'" in result.output
+        assert not (tmp_path / "o.csv").exists()
 
     def test_presets_command(self):
         result = CliRunner().invoke(main, ["presets"])

@@ -4,7 +4,6 @@ from scipy.stats import ks_2samp
 
 from chaostomo.dynamics import KickedIsing, tki_floquet
 from chaostomo.rmt import (
-    EnsembleSpec,
     block_diagonal_sample,
     haar_unitary,
     reflection_eigenbasis,
@@ -14,7 +13,7 @@ from chaostomo.rmt import (
 
 def sample(kind, d, rng):
     """One draw from the ensemble: a single block in the identity basis."""
-    return block_diagonal_sample(EnsembleSpec(kind, d, block_dims=(d,)), np.eye(d), rng)
+    return block_diagonal_sample(kind, (d,), np.eye(d), rng)
 
 
 class TestGaussian:
@@ -23,17 +22,13 @@ class TestGaussian:
         assert np.max(np.abs(h - h.T)) == 0.0
         assert np.max(np.abs(h.imag)) == 0.0
 
-    def test_gue_hermitian_complex(self):
-        h = sample("GUE", 12, np.random.default_rng(3))
-        assert np.max(np.abs(h - h.conj().T)) < 1e-14
-        assert np.max(np.abs(h.imag)) > 0.01
-
     def test_kind_guard(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("XOE", 4)
+        for kind in ("XOE", "GUE", "CUE"):
+            with pytest.raises(ValueError, match="kind"):
+                sample(kind, 4, np.random.default_rng(0))
 
     def test_level_repulsion(self):
-        # nearest-neighbor spacings of GOE/GUE/COE avoid zero; compare the
+        # nearest-neighbor spacings of GOE/COE avoid zero; compare the
         # smallest-spacing decile against the Poisson (uncorrelated) case
         rng = np.random.default_rng(11)
         poisson = 1 - np.exp(-0.1)  # ~0.095
@@ -42,14 +37,13 @@ class TestGaussian:
             spacings = np.asarray(spacings)
             assert np.mean(spacings < 0.1) < 0.5 * poisson
 
-        for kind in ("GOE", "GUE"):
-            spacings = []
-            for _ in range(200):
-                ev = np.linalg.eigvalsh(sample(kind, 64, rng))
-                mid = ev[16:48]  # bulk
-                s = np.diff(mid)
-                spacings.extend(s / s.mean())
-            check(spacings)
+        spacings = []
+        for _ in range(200):
+            ev = np.linalg.eigvalsh(sample("GOE", 64, rng))
+            mid = ev[16:48]  # bulk
+            s = np.diff(mid)
+            spacings.extend(s / s.mean())
+        check(spacings)
         spacings = []
         for _ in range(200):
             w = sample("COE", 64, rng)
@@ -61,7 +55,7 @@ class TestGaussian:
 
 class TestCircular:
     def test_cue_unitary(self):
-        u = sample("CUE", 10, np.random.default_rng(4))
+        u = haar_unitary(10, np.random.default_rng(4))
         assert np.max(np.abs(u.conj().T @ u - np.eye(10))) < 1e-12
 
     def test_coe_symmetric_unitary(self):
@@ -70,8 +64,8 @@ class TestCircular:
         assert np.max(np.abs(w.conj().T @ w - np.eye(10))) < 1e-12
 
     def test_eigenvalues_on_unit_circle(self):
-        for kind in ("CUE", "COE"):
-            u = sample(kind, 16, np.random.default_rng(9))
+        for u in (haar_unitary(16, np.random.default_rng(9)),
+                  sample("COE", 16, np.random.default_rng(9))):
             assert np.max(np.abs(np.abs(np.linalg.eigvals(u)) - 1.0)) < 1e-10
 
     def test_cue_invariance_under_fixed_unitary(self):
@@ -93,7 +87,25 @@ class TestCircular:
         assert ks_2samp(plain, rotated).pvalue > 0.01
 
 
+def old_bit_reversal(n_spins):
+    """The per-label bit loop that the vectorized permutation replaced."""
+    perm = np.empty(2**n_spins, dtype=int)
+    for b in range(2**n_spins):
+        rev = 0
+        for bit in range(n_spins):
+            rev = (rev << 1) | ((b >> bit) & 1)
+        perm[b] = rev
+    return perm
+
+
 class TestReflection:
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+    def test_permutation_matches_bit_loop(self, L):
+        perm = old_bit_reversal(L)
+        want = np.zeros((2**L, 2**L))
+        want[perm, np.arange(2**L)] = 1.0
+        assert np.array_equal(reflection_operator(L), want)
+
     def test_small_chain_permutation(self):
         p = reflection_operator(2)
         # |01> <-> |10>, fixes |00> and |11>
@@ -126,21 +138,42 @@ class TestBlockSampling:
         vbasis, dims = reflection_eigenbasis(L)
         p = reflection_operator(L)
         for kind in ("COE", "GOE"):
-            m = block_diagonal_sample(EnsembleSpec(kind, 16, block_dims=dims), vbasis,
-                                      np.random.default_rng(1))
+            m = block_diagonal_sample(kind, dims, vbasis, np.random.default_rng(1))
             assert np.max(np.abs(m @ p - p @ m)) < 1e-10
 
     def test_coe_blocks_give_unitary(self):
         vbasis, dims = reflection_eigenbasis(4)
-        m = block_diagonal_sample(EnsembleSpec("COE", 16, block_dims=dims), vbasis,
-                                  np.random.default_rng(2))
+        m = block_diagonal_sample("COE", dims, vbasis, np.random.default_rng(2))
         assert np.max(np.abs(m.conj().T @ m - np.eye(16))) < 1e-10
 
     def test_requires_block_dims(self):
         vbasis, _ = reflection_eigenbasis(3)
-        with pytest.raises(ValueError):
-            block_diagonal_sample(EnsembleSpec("COE", 8), vbasis, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="square"):
+            block_diagonal_sample("COE", (), vbasis, np.random.default_rng(0))
 
     def test_block_dims_must_sum(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec("COE", 8, block_dims=(5, 2))
+        vbasis, _ = reflection_eigenbasis(3)
+        for dims in ((5, 2), (6, 3)):
+            with pytest.raises(ValueError, match="square"):
+                block_diagonal_sample("COE", dims, vbasis, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="square"):
+            block_diagonal_sample("GOE", (6, 2), vbasis[:, :6], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["GOE", "COE"])
+    def test_block_draw_order(self, kind):
+        # each block is drawn in turn from one stream: GOE (A + A^T)/2 of a
+        # real standard-normal A, COE V^T V of a Haar V
+        dims = (3, 2)
+        got = block_diagonal_sample(kind, dims, np.eye(5), np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        want = np.zeros((5, 5), dtype=complex)
+        start = 0
+        for nb in dims:
+            if kind == "GOE":
+                a = rng.standard_normal((nb, nb))
+                want[start:start + nb, start:start + nb] = (a + a.T) / 2
+            else:
+                v = haar_unitary(nb, rng)
+                want[start:start + nb, start:start + nb] = v.T @ v
+            start += nb
+        assert np.array_equal(got, want)

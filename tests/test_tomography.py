@@ -15,6 +15,7 @@ from chaostomo.dynamics import (
     pauli_site,
     tki_floquet,
 )
+from chaostomo import tomography
 from chaostomo.operator_space import bloch_decode, bloch_encode, gell_mann_basis
 from chaostomo.tomography import (
     CovarianceData,
@@ -168,6 +169,35 @@ FACTORED_CASES = [KickedIsing(L=L, hz=0.0) for L in (4, 5)] + [
 ]
 
 
+class TestMeasuredSubspace:
+    """``measured()`` against the masked SVD triple the estimator used to cut itself."""
+
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored", "plain"])
+    def test_matches_masked_triple(self, factored, rng):
+        if factored:
+            model = KickedIsing(L=4, hz=0.0)
+            o, n_rows = _chain_case(model)
+            tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
+            cov = build_covariance(tl, gell_mann_basis(model.dim))
+            assert cov.span is not None
+        else:
+            # rank 5 of 8 directions, so the cut drops rounding-level values
+            cov = CovarianceData(rng.standard_normal((12, 5)) @ rng.standard_normal((5, 8)))
+        for c in (cov, cov.truncated(cov.n_rows // 2)):
+            u, s, vt = c.svd()
+            keep = s > 1e-10 * s[0]
+            got = c.measured()
+            for a, b in zip(got, (u[:, keep], s[keep], vt[keep])):
+                assert np.array_equal(a, b)
+            assert c.rank() == len(got[1]) == np.count_nonzero(keep)
+            assert 0 < c.rank() < len(s)
+
+    def test_zero_design_measures_nothing(self):
+        cov = CovarianceData(np.zeros((3, 8)))
+        u, s, vt = cov.measured()
+        assert cov.rank() == 0 and u.shape == (3, 0) and s.shape == (0,) and vt.shape == (0, 8)
+
+
 class TestFactoredDesign:
     """Prefix SVDs in the eigenframe span against the plain SVD of the design."""
 
@@ -187,7 +217,7 @@ class TestFactoredDesign:
         resid = cov.design - cov.span_coords() @ cov.span
         assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(cov.design)
 
-        plain = CovarianceData(cov.design, cov.rank_tol, cov.row_offsets)
+        plain = CovarianceData(cov.design, row_offsets=cov.row_offsets)
         steps = [n_rows // 4, n_rows // 2, n_rows]
         got, want = quantifier_series(cov, steps), quantifier_series(plain, steps)
         assert np.array_equal(got.rank, want.rank)
@@ -333,12 +363,13 @@ class TestPsdProject:
         # (the valley is flat along weakly weighted directions)
         assert (r_bar - best) @ w @ (r_bar - best) < 2 * (0.025**2) * np.trace(w)
 
-    def test_iteration_cap_returns_best_iterate_with_flag(self, rng):
+    def test_iteration_cap_returns_best_iterate_with_flag(self, rng, monkeypatch):
         d = 6
         basis = gell_mann_basis(d)
         cov = CovarianceData(rng.standard_normal((20, d * d - 1)))
         r_ml = 3.0 * rng.standard_normal(d * d - 1)
-        r_bar, rho_bar, diag = psd_project(r_ml, cov, basis, max_iters=10)
+        monkeypatch.setattr(tomography, "_PSD_MAX_ITERS", 10)
+        r_bar, rho_bar, diag = psd_project(r_ml, cov, basis)
         assert not diag.converged
         assert diag.iters == 10
         # best iterate is still a physical state
