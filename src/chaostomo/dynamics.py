@@ -33,7 +33,6 @@ __all__ = [
     "XXZChain",
     "HaarSteps",
     "ModelSpec",
-    "UnitaryPropagator",
     "OperatorTimeline",
     "expm_hermitian",
     "unitary_eigh",
@@ -43,10 +42,7 @@ __all__ = [
     "pauli_site",
     "collective_spin",
     "tki_floquet",
-    "ti_hamiltonian",
-    "ti_unitary",
-    "xxz_hamiltonian",
-    "xxz_unitary",
+    "hamiltonian",
     "build_propagator",
     "heisenberg_timeline",
     "haar_timeline",
@@ -170,34 +166,22 @@ ModelSpec = Union[KickedTop, KickedIsing, TiltedIsing, XXZChain, HaarSteps]
 
 
 @dataclass(frozen=True)
-class UnitaryPropagator:
-    """A single evolution step: one Floquet period or one time step dt."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class OperatorTimeline:
     """Heisenberg sequence [O_0, O_1, ..., O_N] of a Hermitian observable.
 
-    ``propagator`` is the fixed step U with O_{k+1} = U^dag O_k U, or None
-    when every step draws a fresh unitary.
+    ``propagator`` is the fixed step U, a (d, d) unitary with
+    O_{k+1} = U^dag O_k U, or None when every step draws a fresh unitary.
     """
 
-    initial: np.ndarray
     steps: np.ndarray  # shape (N + 1, d, d)
-    propagator: Optional[UnitaryPropagator] = None
+    propagator: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.steps)
 
     @property
     def dim(self) -> int:
-        return self.initial.shape[0]
+        return self.steps.shape[1]
 
 
 def expm_hermitian(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
@@ -250,12 +234,12 @@ def angular_momentum_ops(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def kicked_top_floquet(spec: KickedTop) -> UnitaryPropagator:
+def kicked_top_floquet(spec: KickedTop) -> np.ndarray:
     """One kicked-top period: torsion about z after linear precession about x."""
     jx, _, jz = angular_momentum_ops(spec.j)
     kick = expm_hermitian(jz @ jz, scale=-1j * spec.lam / (2 * spec.j))
     rot = expm_hermitian(jx, scale=-1j * spec.alpha)
-    return UnitaryPropagator(kick @ rot)
+    return kick @ rot
 
 
 def classical_kicked_top_step(x, y, z, lam: float, alpha: float):
@@ -309,27 +293,21 @@ def _field(hx: float, hz: float, L: int) -> np.ndarray:
     return out
 
 
-def tki_floquet(spec: KickedIsing) -> UnitaryPropagator:
+def tki_floquet(spec: KickedIsing) -> np.ndarray:
     """Kicked-Ising Floquet step: coupling exponential, then the field kick."""
-    u = expm_hermitian(spec.J * _ising_coupling(spec.L)) @ expm_hermitian(
+    return expm_hermitian(spec.J * _ising_coupling(spec.L)) @ expm_hermitian(
         _field(spec.hx, spec.hz, spec.L)
     )
-    return UnitaryPropagator(u)
 
 
-def ti_hamiltonian(spec: TiltedIsing) -> np.ndarray:
+def _ti_hamiltonian(spec: TiltedIsing) -> np.ndarray:
     h = spec.J * _ising_coupling(spec.L) + _field(spec.hx, spec.hz, spec.L)
     if np.max(np.abs(h - h.conj().T)) > 1e-12:
         raise ValueError("tilted-Ising Hamiltonian failed the Hermiticity check")
     return h
 
 
-def ti_unitary(spec: TiltedIsing) -> UnitaryPropagator:
-    """Continuous-time tilted-field Ising evolution over one dt."""
-    return UnitaryPropagator(expm_hermitian(ti_hamiltonian(spec), scale=-1j * spec.dt))
-
-
-def xxz_hamiltonian(spec: XXZChain) -> np.ndarray:
+def _xxz_hamiltonian(spec: XXZChain) -> np.ndarray:
     L = spec.L
     h = np.zeros((2**L, 2**L), dtype=complex)
     for s in range(1, L):
@@ -342,40 +320,42 @@ def xxz_hamiltonian(spec: XXZChain) -> np.ndarray:
     return h
 
 
-def xxz_unitary(spec: XXZChain) -> UnitaryPropagator:
-    """XXZ-with-impurity evolution over one dt."""
-    return UnitaryPropagator(expm_hermitian(xxz_hamiltonian(spec), scale=-1j * spec.dt))
+def hamiltonian(spec: ModelSpec) -> np.ndarray:
+    """Hamiltonian of a continuous-time chain (tilted Ising or XXZ with impurity)."""
+    if isinstance(spec, TiltedIsing):
+        return _ti_hamiltonian(spec)
+    if isinstance(spec, XXZChain):
+        return _xxz_hamiltonian(spec)
+    raise TypeError(f"model {type(spec).__name__} has no time-independent Hamiltonian")
 
 
-def build_propagator(spec: ModelSpec) -> UnitaryPropagator:
-    """Dispatch a model spec to its propagator constructor."""
+def build_propagator(spec: ModelSpec) -> np.ndarray:
+    """The (d, d) unitary of one step: a Floquet period, or exp(-i H dt) for a chain."""
     if isinstance(spec, KickedTop):
         return kicked_top_floquet(spec)
     if isinstance(spec, KickedIsing):
         return tki_floquet(spec)
-    if isinstance(spec, TiltedIsing):
-        return ti_unitary(spec)
-    if isinstance(spec, XXZChain):
-        return xxz_unitary(spec)
+    if isinstance(spec, (TiltedIsing, XXZChain)):
+        return expm_hermitian(hamiltonian(spec), scale=-1j * spec.dt)
     raise TypeError(f"no single propagator for model {type(spec).__name__}")
 
 
-def heisenberg_timeline(op: np.ndarray, u: UnitaryPropagator, n_steps: int) -> OperatorTimeline:
-    """Timeline [O_0, ..., O_N] with O_k = U^dag^k O U^k, N = n_steps.
+def heisenberg_timeline(op: np.ndarray, u: np.ndarray, n_steps: int) -> OperatorTimeline:
+    """Timeline [O_0, ..., O_N] with O_k = U^dag^k O U^k, N = n_steps, for a (d, d) unitary U.
 
     Built by conjugating the previous entry once per step.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape != u.matrix.shape:
-        raise ValueError(f"observable shape {op.shape} != propagator {u.matrix.shape}")
+    if op.shape != u.shape:
+        raise ValueError(f"observable shape {op.shape} != propagator {u.shape}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    udag = u.matrix.conj().T
+    udag = u.conj().T
     steps = np.empty((n_steps + 1,) + op.shape, dtype=complex)
     steps[0] = op
     for k in range(1, n_steps + 1):
-        steps[k] = udag @ steps[k - 1] @ u.matrix
-    return OperatorTimeline(initial=op, steps=steps, propagator=u)
+        steps[k] = udag @ steps[k - 1] @ u
+    return OperatorTimeline(steps=steps, propagator=u)
 
 
 def haar_timeline(op: np.ndarray, n_steps: int, rng) -> OperatorTimeline:
@@ -387,4 +367,4 @@ def haar_timeline(op: np.ndarray, n_steps: int, rng) -> OperatorTimeline:
     for k in range(1, n_steps + 1):
         u = haar_unitary(d, rng)
         steps[k] = u.conj().T @ steps[k - 1] @ u
-    return OperatorTimeline(initial=op, steps=steps)
+    return OperatorTimeline(steps=steps)

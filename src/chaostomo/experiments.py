@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -65,6 +67,32 @@ EXPERIMENT_KINDS = {
     "ordered-bloch": (None,) + MODEL_KINDS,
 }
 ORDERED_BLOCH_SWEEPS = ("direction", "eta")
+# Integer config fields with their least value, and the real-valued fields.
+_INTEGER_FIELDS = {"steps": 0, "n_states": 1, "seed": 0, "eval_stride": 1, "n_samples": 1,
+                   "n_trajectories": 1}
+_REAL_FIELDS = ("sigma", "theta", "phi", "delta_lambda")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite real number: a NaN sigma would silently add no noise."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_value(fieldname: str, key: str, value):
+    """Raise ConfigError unless ``value`` fits the model knob or ordered-bloch sweep ``key``."""
+    if key == "direction":
+        ok, want = value in ("descending", "ascending"), "'descending' or 'ascending'"
+    elif key in ("L", "dim", "seed", "site"):  # a null site is the middle of the chain
+        ok = (_is_integer(value) and value >= 0) or (key == "site" and value is None)
+        want = "an integer >= 0"
+    else:  # impurity_axis is a string that its model checks
+        ok, want = key == "impurity_axis" or _is_real(value), "a finite real number"
+    if not ok:
+        raise ConfigError(fieldname, f"{key} must be {want}, got {value!r}")
 
 
 class ConfigError(ValueError):
@@ -100,6 +128,17 @@ class ExperimentConfig:
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        for name in ("model", "sweep"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(name, "must be a mapping")
+        for name, least in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            if not _is_integer(value) or value < least:
+                raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
+        for name in _REAL_FIELDS:
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(name, f"must be a finite real number, "
+                                        f"got {getattr(self, name)!r}")
         kind = self.model.get("kind")
         kinds = EXPERIMENT_KINDS.get(self.experiment, MODEL_KINDS)
         if kind not in kinds:
@@ -108,16 +147,18 @@ class ExperimentConfig:
         if self.experiment == "krylov" and kind == "haar":
             raise ConfigError("model.kind", "krylov needs a fixed generator, and haar draws "
                                             "a fresh unitary every step")
-        if not self.sweep:
-            raise ConfigError("sweep", "a sweep with 'param' and nonempty 'values' is required")
-        if "param" not in self.sweep or not self.sweep.get("values"):
-            raise ConfigError("sweep", "needs 'param' and a nonempty 'values' list")
+        param, values = self.sweep.get("param"), self.sweep.get("values")
+        if not isinstance(param, str) or not isinstance(values, list) or not values:
+            raise ConfigError("sweep", "a sweep with 'param' and a nonempty 'values' list "
+                                       "is required")
         known = MODELS[kind][1] if kind is not None else {"j": None}
-        for key in self.model:
-            if key != "kind" and key not in known:
+        for key, value in self.model.items():
+            if key == "kind":
+                continue
+            if key not in known:
                 raise ConfigError(f"model.{key}",
                                   f"not a parameter of {kind}; known: {sorted(known)}")
-        param = self.sweep["param"]
+            _check_value(f"model.{key}", key, value)
         if self.experiment == "ordered-bloch":
             if param not in ORDERED_BLOCH_SWEEPS:
                 raise ConfigError("sweep.param", f"ordered-bloch sweeps one of "
@@ -125,25 +166,17 @@ class ExperimentConfig:
         elif param not in known:
             raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
                                        f"known: {sorted(known)}")
+        for value in values:
+            _check_value("sweep.values", param, value)
         if self.experiment in FIXED_SIZE_EXPERIMENTS and param in SIZE_KNOBS:
             raise ConfigError("sweep.param", f"{self.experiment} runs at one Hilbert-space "
                                              f"size, so it cannot sweep {param!r}")
-        if self.n_states < 1:
-            raise ConfigError("n_states", "must be >= 1")
         if self.sigma < 0:
             raise ConfigError("sigma", "must be >= 0")
-        if self.steps < 0:
-            raise ConfigError("steps", "must be >= 0 (0 selects the 2 d^2 default)")
-        if self.eval_stride < 1:
-            raise ConfigError("eval_stride", "must be >= 1")
         if self.state not in ("haar", "coherent"):
             raise ConfigError("state", "must be 'haar' or 'coherent'")
         if self.mode not in ("portrait", "husimi"):
             raise ConfigError("mode", "must be 'portrait' or 'husimi'")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples", "must be >= 1")
-        if self.n_trajectories < 1:
-            raise ConfigError("n_trajectories", "must be >= 1")
         return self
 
     def resolved(self) -> dict:
@@ -299,15 +332,6 @@ def _cell_streams(cfg: ExperimentConfig, n_cells: int):
     return obs_rng, aux_rng, cells
 
 
-QUANTIFIERS = ("shannon", "fisher", "rank", "mutual_info")
-
-
-def _quantifier_columns(cov, eval_steps, metrics=QUANTIFIERS) -> dict:
-    """Covariance quantifiers of each record prefix, metric -> value per step."""
-    series = quantifiers.quantifier_series(cov, eval_steps)
-    return {metric: getattr(series, metric) for metric in metrics}
-
-
 def _fidelity_rows(rows: _Rows, cfg: ExperimentConfig, value, timeline, cov, basis,
                    eval_steps, rngs) -> bool:
     """Mean reconstruction fidelity over one state per stream in ``rngs``.
@@ -346,7 +370,11 @@ def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
         model = _build_model(cfg.model, (param, value))
         timeline = tomography.model_timeline(model, observable, n_rows)
         cov = tomography.build_covariance(timeline, basis)
-        rows.add_steps(value, eval_steps, _quantifier_columns(cov, eval_steps))
+        # the reconstruction reads singular vectors: decompose the full record,
+        # then each prefix, so the quantifiers read the same singular values
+        for n in [n_rows] + eval_steps:
+            cov.truncated(n).svd()
+        rows.add_steps(value, eval_steps, quantifiers.quantifier_series(cov, eval_steps))
         converged &= _fidelity_rows(rows, cfg, value, timeline, cov, basis, eval_steps,
                                     cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
     return rows.table(converged)
@@ -364,9 +392,10 @@ def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
     observable = _build_observable(cfg.observable, base, obs_rng)
     for iv, value in enumerate(cfg.sweep["values"]):
         model = _build_model(cfg.model, (param, value))
-        pair = perturbation.perturbed_kicked_top(j, model.lam, model.alpha, cfg.delta_lambda)
-        tl_true = dynamics.heisenberg_timeline(observable, pair.u_true, n_rows - 1)
-        tl_model = dynamics.heisenberg_timeline(observable, pair.u_model, n_rows - 1)
+        u_true, u_model = perturbation.perturbed_kicked_top(j, model.lam, model.alpha,
+                                                            cfg.delta_lambda)
+        tl_true = dynamics.heisenberg_timeline(observable, u_true, n_rows - 1)
+        tl_model = dynamics.heisenberg_timeline(observable, u_model, n_rows - 1)
         # operator metrics compare the timeline entries measured at row n
         pairs = [(tl_true.steps[n - 1], tl_model.steps[n - 1]) for n in eval_steps]
         rows.add_steps(value, eval_steps, {
@@ -390,17 +419,16 @@ def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
         model = _build_model(cfg.model, (param, value))
         observable = _build_observable(cfg.observable, model, obs_rng)
         if isinstance(model, (dynamics.TiltedIsing, dynamics.XXZChain)):
-            h = (dynamics.ti_hamiltonian(model) if isinstance(model, dynamics.TiltedIsing)
-                 else dynamics.xxz_hamiltonian(model))
+            h = dynamics.hamiltonian(model)
             kb = krylov.lanczos_full_orth(krylov.liouvillian(h), observable)
             rows.add_steps(value, [0], {"krylov_dim": [kb.dim_k]})
             rows.add_steps(value, range(1, kb.dim_k), {"lanczos_b": kb.lanczos_b})
             if cfg.steps > 0:
                 steps = _eval_steps(cfg.steps, cfg.eval_stride)
-                amp = krylov.krylov_amplitudes(observable, kb, np.array(steps) * model.dt)
+                phi = krylov.krylov_amplitudes(observable, kb, np.array(steps) * model.dt)
                 rows.add_steps(value, steps, {
-                    "krylov_complexity": krylov.krylov_complexity(amp),
-                    "krylov_entropy": krylov.krylov_entropy(amp),
+                    "krylov_complexity": krylov.krylov_complexity(phi),
+                    "krylov_entropy": krylov.krylov_entropy(phi),
                 })
         else:
             u = dynamics.build_propagator(model)
@@ -449,7 +477,7 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
 def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     param = cfg.sweep["param"]
     rows = _Rows(param)
-    metrics = QUANTIFIERS[:3]
+    metrics = ("shannon", "fisher", "rank")
     obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
     base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
     d = base.dim
@@ -459,8 +487,9 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
         timeline = tomography.model_timeline(model, observable, n_rows)
-        cov = tomography.build_covariance(timeline, basis)
-        rows.add_steps(value, eval_steps, _quantifier_columns(cov, eval_steps, metrics))
+        series = quantifiers.quantifier_series(tomography.build_covariance(timeline, basis),
+                                               eval_steps)
+        rows.add_steps(value, eval_steps, {metric: series[metric] for metric in metrics})
     # ensemble baseline, block diagonal in the reflection eigenbasis
     vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
     ens_kind = "COE" if cfg.model["kind"] == "kicked_ising" else "GOE"
@@ -468,10 +497,10 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     for _ in range(cfg.n_samples):
         mat = rmt.block_diagonal_sample(ens_kind, block_dims, vbasis, aux_rng)
         # a GOE draw is a Hamiltonian evolved for dt = 1, a COE draw the step itself
-        u = dynamics.UnitaryPropagator(dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat)
+        u = dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat
         tl = dynamics.heisenberg_timeline(observable, u, n_rows - 1)
-        cov = tomography.build_covariance(tl, basis)
-        samples.append(_quantifier_columns(cov, eval_steps, metrics))
+        samples.append(quantifiers.quantifier_series(tomography.build_covariance(tl, basis),
+                                                     eval_steps))
     for metric in metrics:
         column = np.array([s[metric] for s in samples], dtype=float)
         rows.add_means("rmt", eval_steps, {metric: column})

@@ -61,14 +61,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import UnitaryPropagator, expm_hermitian, unitary_eigh
+from .dynamics import expm_hermitian, unitary_eigh
 from .operator_space import HermitianBasis, bloch_encode, gell_mann_basis
 
 __all__ = [
     "Liouvillian",
     "liouvillian",
     "KrylovBasis",
-    "KrylovAmplitudes",
     "lanczos_full_orth",
     "evolve_operator",
     "krylov_amplitudes",
@@ -285,14 +284,7 @@ def evolve_operator(h: np.ndarray, op: np.ndarray, t: float) -> np.ndarray:
     return u.conj().T @ op @ u
 
 
-@dataclass(frozen=True)
-class KrylovAmplitudes:
-    """Real amplitudes phi_k of an evolved operator over the Krylov basis, (..., K)."""
-
-    phi: np.ndarray
-
-
-def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> KrylovAmplitudes:
+def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> np.ndarray:
     """Amplitudes phi_k(t) = (P_k | O(t)) / |O| for each t in ``times``, shape (T, K).
 
     O(t) = e^{iHt} O e^{-iHt} under the Hamiltonian that generated the
@@ -323,21 +315,21 @@ def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> KrylovAmplit
             f"operator weight escapes the Krylov span by {deficit[i]:.2e} at t = {times[i]:g}; "
             "operator did not generate the basis"
         )
-    return KrylovAmplitudes(phi=phi)
+    return phi
 
 
-def krylov_complexity(amp: KrylovAmplitudes):
+def krylov_complexity(phi: np.ndarray):
     """Mean basis position sum_k k phi_k^2 of the operator weight, over the last axis."""
-    return np.sum(np.arange(amp.phi.shape[-1]) * amp.phi**2, axis=-1)
+    return np.sum(np.arange(phi.shape[-1]) * phi**2, axis=-1)
 
 
-def krylov_entropy(amp: KrylovAmplitudes):
+def krylov_entropy(phi: np.ndarray):
     """Spread entropy -sum_k phi_k^2 ln phi_k^2 with 0 ln 0 = 0, over the last axis."""
-    p = amp.phi**2
+    p = phi**2
     return -np.sum(p * np.log(p, where=p > 0.0, out=np.zeros_like(p)), axis=-1)
 
 
-def arnoldi_unitary_dim(u: UnitaryPropagator, initial: np.ndarray) -> int:
+def arnoldi_unitary_dim(u: np.ndarray, initial: np.ndarray) -> int:
     """Dimension of span{O, U^dag O U, U^dag^2 O U^2, ...}, counted from the modes of U.
 
     In the eigenbasis of U (:func:`~chaostomo.dynamics.unitary_eigh`)
@@ -347,7 +339,7 @@ def arnoldi_unitary_dim(u: UnitaryPropagator, initial: np.ndarray) -> int:
     invariant frame of :func:`lanczos_full_orth`, less one direction when
     O touches the gap pi, on which conjugation is -1 instead of a rotation.
     """
-    phases, vecs = unitary_eigh(u.matrix)
+    phases, vecs = unitary_eigh(u)
     basis = gell_mann_basis(len(phases))
     tol = 1e-10 * 2 * np.pi
     gaps = np.mod(phases[basis.rows] - phases[basis.cols], 2 * np.pi)

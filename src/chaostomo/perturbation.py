@@ -20,18 +20,15 @@ believes and enters the covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import KickedTop, UnitaryPropagator, kicked_top_floquet, unitary_eigh
+from .dynamics import KickedTop, kicked_top_floquet, unitary_eigh
 from .operator_space import HermitianBasis, bloch_encode, regularize_operator
 from .quantifiers import _magnitude_order
 # unused here; the benchmark tracer (bench/layers.py) wraps this alias
 from .tomography import reconstruct_series  # noqa: F401
 
 __all__ = [
-    "PerturbedPair",
     "perturbed_kicked_top",
     "operator_loschmidt_echo",
     "operator_relative_entropy",
@@ -44,26 +41,12 @@ __all__ = [
 EIG_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class PerturbedPair:
-    """True (record-generating) and model (estimator-side) propagators."""
-
-    u_true: UnitaryPropagator
-    u_model: UnitaryPropagator
-
-    def __post_init__(self):
-        if self.u_true.matrix.shape != self.u_model.matrix.shape:
-            raise ValueError("true and model propagators must share a dimension")
-
-
 def perturbed_kicked_top(
     j: float, lam: float, alpha: float, delta_lambda: float
-) -> PerturbedPair:
-    """Kicked-top pair: the true top kicks with lam + delta_lambda."""
-    return PerturbedPair(
-        u_true=kicked_top_floquet(KickedTop(j=j, lam=lam + delta_lambda, alpha=alpha)),
-        u_model=kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=alpha)),
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kicked-top steps (u_true, u_model): the true top kicks with lam + delta_lambda."""
+    return (kicked_top_floquet(KickedTop(j=j, lam=lam + delta_lambda, alpha=alpha)),
+            kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=alpha)))
 
 
 def operator_loschmidt_echo(op_true: np.ndarray, op_model: np.ndarray, op0: np.ndarray) -> float:
@@ -98,12 +81,12 @@ def operator_incompatibility(op_true: np.ndarray, op_model: np.ndarray, j: float
     return float(np.vdot(comm, comm).real / (2.0 * j**4))
 
 
-def error_unitary(u_true: UnitaryPropagator, u_model: UnitaryPropagator, n: int) -> np.ndarray:
+def error_unitary(u_true: np.ndarray, u_model: np.ndarray, n: int) -> np.ndarray:
     """Error unitary after n steps: model forward, true backward."""
-    if u_true.matrix.shape != u_model.matrix.shape:
+    if u_true.shape != u_model.shape:
         raise ValueError("propagator dimensions differ")
-    forward = np.linalg.matrix_power(u_model.matrix, n)
-    backward = np.linalg.matrix_power(u_true.matrix.conj().T, n)
+    forward = np.linalg.matrix_power(u_model, n)
+    backward = np.linalg.matrix_power(u_true.conj().T, n)
     return forward @ backward
 
 

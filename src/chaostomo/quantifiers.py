@@ -14,8 +14,7 @@ weight).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .operator_space import HermitianBasis, bloch_encode
 from .tomography import CovarianceData
 
 __all__ = [
-    "QuantifierSeries",
     "shannon_entropy",
     "fisher_information",
     "mutual_information",
@@ -34,7 +32,7 @@ __all__ = [
 
 def _positive_spectrum(cov: CovarianceData) -> np.ndarray:
     """Eigenvalues of C^-1 on the measured subspace, descending."""
-    return cov.svd()[1][: cov.rank()] ** 2
+    return cov.singular_values()[: cov.rank()] ** 2
 
 
 def shannon_entropy(cov: CovarianceData) -> float:
@@ -77,39 +75,21 @@ def mutual_information(cov: CovarianceData) -> float:
     return float(0.5 * np.sum(np.log(lam)))
 
 
-@dataclass(frozen=True)
-class QuantifierSeries:
-    """Covariance quantifiers evaluated on growing record prefixes."""
-
-    shannon: np.ndarray
-    fisher: np.ndarray
-    rank: np.ndarray
-    mutual_info: np.ndarray
-
-
-def quantifier_series(
-    cov: CovarianceData, eval_steps: Optional[Sequence[int]] = None
-) -> QuantifierSeries:
+def quantifier_series(cov: CovarianceData, eval_steps: Sequence[int]) -> dict:
     """Shannon entropy, Fisher information, rank and mutual information per prefix.
 
-    The Fisher regularizer is fixed once from the full record so the series
-    is monotone in the record length.
+    Returns {"shannon", "fisher", "rank", "mutual_info"}, each with one value
+    per prefix length in ``eval_steps``.  The Fisher regularizer is fixed
+    once from the full record so the series is monotone in the record length.
     """
-    if eval_steps is None:
-        eval_steps = range(1, cov.n_rows + 1)
-    steps = np.asarray(list(eval_steps), dtype=int)
     reg = _fisher_reg(cov)
-    shannon = np.empty(len(steps))
-    fisher = np.empty(len(steps))
-    rank = np.empty(len(steps), dtype=int)
-    mi = np.empty(len(steps))
-    for i, n in enumerate(steps):
-        cn = cov.truncated(int(n))
-        shannon[i] = shannon_entropy(cn)
-        fisher[i] = fisher_information(cn, reg)
-        rank[i] = cn.rank()
-        mi[i] = mutual_information(cn)
-    return QuantifierSeries(shannon=shannon, fisher=fisher, rank=rank, mutual_info=mi)
+    prefixes = [cov.truncated(int(n)) for n in eval_steps]
+    return {
+        "shannon": np.array([shannon_entropy(c) for c in prefixes]),
+        "fisher": np.array([fisher_information(c, reg) for c in prefixes]),
+        "rank": np.array([c.rank() for c in prefixes]),
+        "mutual_info": np.array([mutual_information(c) for c in prefixes]),
+    }
 
 
 def _magnitude_order(r: np.ndarray, direction: str) -> np.ndarray:

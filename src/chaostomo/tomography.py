@@ -89,9 +89,11 @@ class CovarianceData:
 
     ``design[n, a] = Tr(O_n E_a)``; the inverse covariance is
     C^-1 = design^T design.  The singular value decomposition of the design
-    is computed once and shared by the estimator, the projection solver and
-    the information quantifiers.  ``row_offsets`` carries Tr(O_n)/d so that
-    records of non-traceless observables invert exactly.
+    is computed once and shared by the estimator and the projection solver.
+    The information quantifiers read only :meth:`singular_values`, which
+    computes no singular vectors unless the full decomposition is cached.
+    ``row_offsets`` carries Tr(O_n)/d so that records of non-traceless
+    observables invert exactly.
 
     ``span`` (k, d^2 - 1), when set, has orthonormal rows Phi that hold
     every design row up to rounding: the eigenframe span of the module
@@ -114,6 +116,7 @@ class CovarianceData:
     span: Optional[np.ndarray] = None
     _coords: Optional[np.ndarray] = field(default=None, repr=False)
     _svd: Optional[tuple] = field(default=None, repr=False)
+    _s: Optional[np.ndarray] = field(default=None, repr=False)
     _rank: Optional[int] = field(default=None, repr=False)
     _prefixes: dict = field(default_factory=dict, repr=False)
 
@@ -138,17 +141,24 @@ class CovarianceData:
 
     def svd(self):
         if self._svd is None:
-            if self.span is None:
-                u, s, vt = np.linalg.svd(self.design, full_matrices=False)
-            else:
-                u, s, vt = np.linalg.svd(self.span_coords(), full_matrices=False)
-                vt = vt @ self.span
-            self._svd = (u, s, vt)
+            a = self.design if self.span is None else self.span_coords()
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            self._svd = (u, s, vt if self.span is None else vt @ self.span)
+            self._rank = None  # measured() cuts these triples by their own s
         return self._svd
+
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the design, descending: the cached :meth:`svd`'s, or values only."""
+        if self._svd is not None:
+            return self._svd[1]
+        if self._s is None:
+            a = self.design if self.span is None else self.span_coords()
+            self._s = np.linalg.svd(a, compute_uv=False)
+        return self._s
 
     def eigenvalues(self) -> np.ndarray:
         """All d^2 - 1 eigenvalues of C^-1 in descending order (zeros padded)."""
-        _, s, _ = self.svd()
+        s = self.singular_values()
         out = np.zeros(self.n_directions)
         out[: len(s)] = s**2
         return out
@@ -156,7 +166,7 @@ class CovarianceData:
     def rank(self) -> int:
         """Dimension of the measured subspace: singular values above RANK_TOL times s_0."""
         if self._rank is None:
-            _, s, _ = self.svd()
+            s = self.singular_values()
             self._rank = (0 if len(s) == 0 or s[0] == 0.0
                           else int(np.count_nonzero(s > RANK_TOL * s[0])))
         return self._rank
@@ -271,10 +281,10 @@ def _eigenframe_span(timeline: OperatorTimeline, basis: HermitianBasis) -> Optio
     if u is None:
         return None
     d = basis.dim
-    _, vecs = unitary_eigh(u.matrix)
-    o = vecs.conj().T @ timeline.initial @ vecs
-    touched = np.flatnonzero(np.abs(o[basis.rows, basis.cols])
-                             > 1e-12 * np.linalg.norm(timeline.initial))
+    op = timeline.steps[0]
+    _, vecs = unitary_eigh(u)
+    o = vecs.conj().T @ op @ vecs
+    touched = np.flatnonzero(np.abs(o[basis.rows, basis.cols]) > 1e-12 * np.linalg.norm(op))
     if d - 1 + 2 * len(touched) >= min(len(timeline), len(basis)):
         return None
     pairs = d - 1 + touched
@@ -408,7 +418,6 @@ def fidelity(psi0: np.ndarray, rho_bar: np.ndarray) -> float:
 class TomographyRun:
     """Per-step fidelities and positivity-solver diagnostics for one record."""
 
-    eval_steps: np.ndarray
     fidelities: np.ndarray
     results: list
 
@@ -439,7 +448,7 @@ def reconstruct_series(
         if psi0 is not None:
             fids[i] = fidelity(psi0, rho_bar)
         results.append(diag)
-    return TomographyRun(eval_steps=eval_steps, fidelities=fids, results=results)
+    return TomographyRun(fidelities=fids, results=results)
 
 
 def model_timeline(model: ModelSpec, observable: np.ndarray, n_rows: int) -> OperatorTimeline:

@@ -18,9 +18,9 @@ from chaostomo.dynamics import (
     XXZChain,
     angular_momentum_ops,
     build_propagator,
+    hamiltonian,
     heisenberg_timeline,
     pauli_site,
-    ti_hamiltonian,
     tki_floquet,
 )
 from chaostomo.krylov import arnoldi_unitary_dim, lanczos_full_orth, liouvillian
@@ -72,10 +72,10 @@ def reflection_deficit(u, o, L):
     d = 2**L
     vbasis, (n_even, n_odd) = reflection_eigenbasis(L)
     r = reflection_operator(L)
-    assert np.linalg.norm(u.matrix @ r - r @ u.matrix) <= 1e-10, f"[U, R] != 0 at L={L}"
+    assert np.linalg.norm(u @ r - r @ u) <= 1e-10, f"[U, R] != 0 at L={L}"
     ob = vbasis.T @ o @ vbasis
     deficit = n_odd * (n_odd - 1) if np.linalg.norm(ob[n_even:, n_even:]) <= 1e-10 else 0
-    phases = np.angle(np.linalg.eigvals(u.matrix))
+    phases = np.angle(np.linalg.eigvals(u))
     diffs = np.sort(np.mod(phases[:, None] - phases[None, :], 2 * np.pi)[~np.eye(d, dtype=bool)])
     gaps = np.diff(np.concatenate([[0.0], diffs, [2 * np.pi]]))
     assert gaps.min() > 1e-9, f"degenerate eigenphase differences at L={L}"
@@ -113,7 +113,7 @@ def test_criterion_1_oracle_cross_check():
     """Independent Schur mode-count oracle agrees with both measured routes."""
     for L, truth in [(2, 13), (3, 55), (4, 241)]:
         u, o = tki_setup(L)
-        assert unitary_mode_count(u.matrix, o) == truth
+        assert unitary_mode_count(u, o) == truth
         assert arnoldi_unitary_dim(u, o) == truth
 
 
@@ -148,16 +148,16 @@ def test_criterion_2_trace_identity():
 def test_criterion_3_error_scrambling_identity():
     """Commutator form equals the error-unitary form per step, j=10, n <= 100."""
     j = 10
-    pair = perturbed_kicked_top(j, 7.0, 1.4, 0.01)
+    u_true, u_model = perturbed_kicked_top(j, 7.0, 1.4, 0.01)
     rng = np.random.default_rng(31)
     w = haar_unitary(21, rng)
     obs = w.conj().T @ angular_momentum_ops(j)[0] @ w
-    tl_true = heisenberg_timeline(obs, pair.u_true, 100)
-    tl_model = heisenberg_timeline(obs, pair.u_model, 100)
+    tl_true = heisenberg_timeline(obs, u_true, 100)
+    tl_model = heisenberg_timeline(obs, u_model, 100)
     worst = 0.0
     for n in range(101):
         lhs = operator_incompatibility(tl_true.steps[n], tl_model.steps[n], j=j)
-        uu = error_unitary(pair.u_true, pair.u_model, n)
+        uu = error_unitary(u_true, u_model, n)
         rhs = operator_incompatibility(obs, uu.conj().T @ obs @ uu, j=j)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
         worst = max(worst, abs(lhs - rhs))
@@ -235,12 +235,12 @@ def _perturbed_profile(lam, n_states, n_steps=100):
     j = 10
     d = 21
     basis = gell_mann_basis(d)
-    pair = perturbed_kicked_top(j, lam, 1.4, 0.01)
+    u_true, u_model = perturbed_kicked_top(j, lam, 1.4, 0.01)
     rng_obs = np.random.default_rng(71)
     w = haar_unitary(d, rng_obs)
     obs = w.conj().T @ angular_momentum_ops(j)[0] @ w
-    tl_true = heisenberg_timeline(obs, pair.u_true, n_steps - 1)
-    tl_model = heisenberg_timeline(obs, pair.u_model, n_steps - 1)
+    tl_true = heisenberg_timeline(obs, u_true, n_steps - 1)
+    tl_model = heisenberg_timeline(obs, u_model, n_steps - 1)
     cov_model = build_covariance(tl_model, basis)
     eval_steps = list(range(2, n_steps + 1, 2))
     fids = np.empty((n_states, len(eval_steps)))
@@ -278,7 +278,7 @@ def test_criterion_7_perturbed_tomography_profile(n_states):
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_criterion_8_lanczos_hygiene(L):
     """Full-orthogonalization residuals for the tilted Ising chain."""
-    h = ti_hamiltonian(TiltedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
+    h = hamiltonian(TiltedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
     o = pauli_site("y", 1, L) / 2
     liou = liouvillian(h)
     kb = lanczos_full_orth(liou, o)
@@ -308,11 +308,7 @@ def test_criterion_9_rmt_agreement():
     samples = []
     for _ in range(10):
         w = block_diagonal_sample("COE", dims, vbasis, rng)
-        from chaostomo.dynamics import UnitaryPropagator
-
-        cov_r = build_covariance(
-            heisenberg_timeline(obs, UnitaryPropagator(w), n_rows - 1), basis
-        )
+        cov_r = build_covariance(heisenberg_timeline(obs, w, n_rows - 1), basis)
         samples.append(shannon_entropy(cov_r))
     s_rmt = float(np.mean(samples))
     assert abs(s_model - s_rmt) <= 0.05 * s_rmt

@@ -11,20 +11,20 @@ from chaostomo.dynamics import (
     build_propagator,
     classical_kicked_top_step,
     collective_spin,
+    expm_hermitian,
     haar_timeline,
+    hamiltonian,
     heisenberg_timeline,
     kicked_top_floquet,
     pauli_site,
-    ti_unitary,
     tki_floquet,
     unitary_eigh,
-    xxz_unitary,
 )
 from chaostomo.rmt import haar_unitary, reflection_operator
 
 
 def unitarity_defect(u):
-    return np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(u.dim)))
+    return np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
 
 
 class TestAngularMomentum:
@@ -66,11 +66,11 @@ class TestKickedTop:
         jx = angular_momentum_ops(3)[0]
         w, v = np.linalg.eigh(jx)
         want = (v * np.exp(-1j * 0.9 * w)) @ v.conj().T
-        assert np.max(np.abs(u.matrix - want)) < 1e-12
+        assert np.max(np.abs(u - want)) < 1e-12
 
     def test_quarter_turn_period_four(self):
         u = kicked_top_floquet(KickedTop(j=4, lam=0.0, alpha=np.pi / 2))
-        u4 = np.linalg.matrix_power(u.matrix, 4)
+        u4 = np.linalg.matrix_power(u, 4)
         assert np.max(np.abs(u4 - np.eye(9))) < 1e-10
 
     @pytest.mark.parametrize("lam", [0.5, 2.5, 7.0])
@@ -118,18 +118,18 @@ class TestClassicalMap:
 class TestChains:
     def test_tki_dimension_and_unitarity(self):
         u = tki_floquet(KickedIsing(L=2))
-        assert u.matrix.shape == (4, 4)
+        assert u.shape == (4, 4)
         assert unitarity_defect(u) < 1e-10
 
     def test_tki_diagonal_when_no_transverse_field(self):
         u = tki_floquet(KickedIsing(L=3, hx=0.0, hz=0.8))
-        off = u.matrix - np.diag(np.diag(u.matrix))
+        off = u - np.diag(np.diag(u))
         assert np.max(np.abs(off)) == 0.0
 
     def test_ti_group_property(self):
-        u1 = ti_unitary(TiltedIsing(L=3, hz=1.4, dt=1.0))
-        u2 = ti_unitary(TiltedIsing(L=3, hz=1.4, dt=2.0))
-        assert np.max(np.abs(u1.matrix @ u1.matrix - u2.matrix)) < 1e-10
+        u1 = build_propagator(TiltedIsing(L=3, hz=1.4, dt=1.0))
+        u2 = build_propagator(TiltedIsing(L=3, hz=1.4, dt=2.0))
+        assert np.max(np.abs(u1 @ u1 - u2)) < 1e-10
 
     def test_ti_dt_zero_invalid(self):
         with pytest.raises(ValueError):
@@ -137,14 +137,14 @@ class TestChains:
 
     @pytest.mark.parametrize("g", [0.0, 0.16, 0.94])
     def test_xxz_conserves_total_sz(self, g):
-        u = xxz_unitary(XXZChain(L=5, Jxy=1.0, Jzz=1.1, g=g, site=3))
+        u = build_propagator(XXZChain(L=5, Jxy=1.0, Jzz=1.1, g=g, site=3))
         sz = collective_spin("z", 5)
-        assert np.max(np.abs(u.matrix @ sz - sz @ u.matrix)) < 1e-10
+        assert np.max(np.abs(u @ sz - sz @ u)) < 1e-10
 
     def test_xxz_impurity_axis_option(self):
-        uy = xxz_unitary(XXZChain(L=3, g=0.9, site=2, impurity_axis="y"))
-        uz = xxz_unitary(XXZChain(L=3, g=0.9, site=2, impurity_axis="z"))
-        assert np.max(np.abs(uy.matrix - uz.matrix)) > 1e-3
+        uy = build_propagator(XXZChain(L=3, g=0.9, site=2, impurity_axis="y"))
+        uz = build_propagator(XXZChain(L=3, g=0.9, site=2, impurity_axis="z"))
+        assert np.max(np.abs(uy - uz)) > 1e-3
 
     def test_site_bounds(self):
         with pytest.raises(ValueError):
@@ -181,10 +181,8 @@ class TestTimelines:
         assert np.array_equal(tl.steps[0], o)
 
     def test_identity_propagator_constant(self):
-        from chaostomo.dynamics import UnitaryPropagator
-
         o = pauli_site("z", 1, 2)
-        tl = heisenberg_timeline(o, UnitaryPropagator(np.eye(4)), 5)
+        tl = heisenberg_timeline(o, np.eye(4), 5)
         assert all(np.array_equal(s, o) for s in tl.steps)
 
     def test_rotation_period_four_timeline(self):
@@ -197,7 +195,7 @@ class TestTimelines:
     @pytest.mark.parametrize("make", [
         lambda: (kicked_top_floquet(KickedTop(j=5, lam=3.0, alpha=1.4)), angular_momentum_ops(5)[1]),
         lambda: (tki_floquet(KickedIsing(L=3)), pauli_site("y", 1, 3) / 2),
-        lambda: (xxz_unitary(XXZChain(L=3, g=0.94, site=2)), pauli_site("y", 2, 3) / 2),
+        lambda: (build_propagator(XXZChain(L=3, g=0.94, site=2)), pauli_site("y", 2, 3) / 2),
     ])
     def test_isometry_over_200_steps(self, make):
         u, o = make()
@@ -222,9 +220,16 @@ class TestTimelines:
 def test_build_propagator_dispatch():
     for spec in (KickedTop(j=2, lam=1.0, alpha=1.0), KickedIsing(L=2), TiltedIsing(L=2), XXZChain(L=2)):
         u = build_propagator(spec)
-        assert unitarity_defect(u) < 1e-10
+        assert isinstance(u, np.ndarray) and unitarity_defect(u) < 1e-10
+    # a chain's step is its Hamiltonian exponentiated over dt
+    for spec in (TiltedIsing(L=3, hz=0.4, dt=0.7), XXZChain(L=3, g=0.5, site=2, dt=1.3)):
+        want = expm_hermitian(hamiltonian(spec), -1j * spec.dt)
+        assert np.array_equal(build_propagator(spec), want)
     with pytest.raises(TypeError):
         build_propagator(HaarSteps(dim=4))
+    for spec in (KickedTop(j=2, lam=1.0, alpha=1.0), KickedIsing(L=2), HaarSteps(dim=4)):
+        with pytest.raises(TypeError):
+            hamiltonian(spec)
 
 
 class TestUnitaryEigh:
@@ -239,7 +244,7 @@ class TestUnitaryEigh:
             "haar21": lambda: haar_unitary(21, np.random.default_rng(21)),
             "haar41": lambda: haar_unitary(41, np.random.default_rng(41)),
             # eigenphases degenerate to 1e-14
-            "top0.5": lambda: kicked_top_floquet(KickedTop(j=10, lam=0.5, alpha=np.pi / 2)).matrix,
+            "top0.5": lambda: kicked_top_floquet(KickedTop(j=10, lam=0.5, alpha=np.pi / 2)),
         }[case]()
         phases, v = unitary_eigh(u)
         assert np.all((phases > -np.pi) & (phases <= np.pi))

@@ -87,6 +87,36 @@ class TestValidation:
                 ExperimentConfig(experiment=experiment, model={"kind": kind, key: 1},
                                  sweep={"param": param, "values": [1]}).validate()
 
+    @pytest.mark.parametrize("name", [*experiments._INTEGER_FIELDS, *experiments._REAL_FIELDS])
+    def test_field_types(self, name):
+        integer = name in experiments._INTEGER_FIELDS
+        bad = (1.5, True, "3", -1) if integer else (True, "0.1", None, float("nan"), np.inf)
+        for value in bad:
+            with pytest.raises(ConfigError, match="must be") as err:
+                tiny_tomo_config(**{name: value}).validate()
+            assert err.value.fieldname == name
+
+    def test_knob_types(self):
+        for model, sweep, fieldname in [
+            ({"kind": "xxz", "L": 3.0}, {"param": "g", "values": [0.1]}, "model.L"),
+            ({"kind": "xxz", "site": 1.5}, {"param": "g", "values": [0.1]}, "model.site"),
+            ({"kind": "xxz"}, {"param": "site", "values": [None, "2"]}, "sweep.values"),
+            ({"kind": "xxz"}, {"param": "g", "values": [0.1, float("inf")]}, "sweep.values"),
+            ({"kind": "tilted_ising"}, {"param": "hz", "values": [np.nan]}, "sweep.values"),
+            ({"kind": "xxz"}, {"param": "g", "values": 0.5}, "sweep"),
+            ({"kind": "xxz"}, {"param": ["g"], "values": [0.5]}, "sweep"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(experiment="krylov", model=model, sweep=sweep).validate()
+            assert err.value.fieldname == fieldname
+        # the model checks impurity_axis itself; site may be null
+        ExperimentConfig(experiment="krylov", model={"kind": "xxz", "site": None},
+                         sweep={"param": "impurity_axis", "values": ["y"]}).validate()
+        cfg = ExperimentConfig(experiment="tomo", model={"kind": "haar", "dim": 3},
+                               sweep={"param": "seed", "values": [2, -1]})
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            cfg.validate()
+
     def test_krylov_rejects_haar(self):
         cfg = ExperimentConfig(experiment="krylov", model={"kind": "haar", "dim": 3},
                                observable="J_z", sweep={"param": "seed", "values": [1]})
@@ -440,6 +470,36 @@ class TestSmallRuns:
         assert np.array_equal(series(tomo, "3", "fidelity"), series(unperturbed, "3", "fidelity"))
 
 
+class TestSvdCalls:
+    """Singular vectors are computed only where something reads them."""
+
+    @staticmethod
+    def count(monkeypatch) -> dict:
+        calls = {"full": 0, "values": 0}
+        svd = np.linalg.svd
+
+        def counting(a, *args, compute_uv=True, **kwargs):
+            calls["full" if compute_uv else "values"] += 1
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_rmt_compare_takes_values_only(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        run_experiment(ExperimentConfig(
+            experiment="rmt-compare", observable="s1y", model={"kind": "kicked_ising", "L": 3},
+            sweep={"param": "hz", "values": [0.4, 1.4]}, steps=80, eval_stride=20, n_samples=2))
+        # 2 sweep values and 2 ensemble samples, 4 prefixes each
+        assert calls == {"full": 0, "values": 16}
+
+    def test_tomo_takes_one_full_svd_per_prefix(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        run_experiment(tiny_tomo_config())
+        # 2 sweep values, prefixes 5, 10 and 15; the quantifiers reuse their values
+        assert calls == {"full": 6, "values": 0}
+
+
 class TestCli:
     def test_run_with_config_file(self, tmp_path):
         cfg = {
@@ -546,6 +606,28 @@ class TestCli:
           "sweep": {"param": "lambda", "values": [3.0]}}, "n_trajectories"),
     ], ids=["no-samples", "negative-trajectories", "no-trajectories"])
     def test_count_exit_code(self, tmp_path, cfg, fieldname):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({**cfg, "steps": 4}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"config field '{fieldname}'" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("cfg,fieldname", [
+        ({"experiment": "tomo", "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "lambda", "values": ["abc"]}}, "sweep.values"),
+        ({"experiment": "tomo", "observable": "s1y", "model": {"kind": "kicked_ising", "L": 2,
+                                                               "hz": ["x"]},
+          "sweep": {"param": "hx", "values": [1.4]}}, "model.hz"),
+        ({"experiment": "tomo", "sigma": "abc", "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "sigma"),
+        ({"experiment": "ordered-bloch", "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "direction", "values": ["up"]}}, "sweep.values"),
+        ({"experiment": "ordered-bloch", "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "eta", "values": ["abc"]}}, "sweep.values"),
+    ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta"])
+    def test_wrong_type_exit_code(self, tmp_path, cfg, fieldname):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({**cfg, "steps": 4}))
         result = CliRunner().invoke(main, ["run", "--config", str(path),

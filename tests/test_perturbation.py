@@ -31,21 +31,21 @@ def bench():
     rng = np.random.default_rng(5)
     w = haar_unitary(9, rng)
     obs = w.conj().T @ angular_momentum_ops(j)[0] @ w
-    tl_true = heisenberg_timeline(obs, pair.u_true, 40)
-    tl_model = heisenberg_timeline(obs, pair.u_model, 40)
+    tl_true = heisenberg_timeline(obs, pair[0], 40)
+    tl_model = heisenberg_timeline(obs, pair[1], 40)
     return j, pair, obs, tl_true, tl_model
 
 
 class TestPair:
     def test_zero_perturbation_identical(self):
-        pair = perturbed_kicked_top(4, 3.0, 1.4, 0.0)
-        assert np.array_equal(pair.u_true.matrix, pair.u_model.matrix)
+        u_true, u_model = perturbed_kicked_top(4, 3.0, 1.4, 0.0)
+        assert np.array_equal(u_true, u_model)
 
     def test_linear_in_delta_lambda(self):
         norms = []
         for dl in (1e-3, 2e-3, 4e-3):
-            pair = perturbed_kicked_top(10, 7.0, 1.4, dl)
-            norms.append(np.linalg.norm(pair.u_true.matrix - pair.u_model.matrix))
+            u_true, u_model = perturbed_kicked_top(10, 7.0, 1.4, dl)
+            norms.append(np.linalg.norm(u_true - u_model))
         assert norms[1] / norms[0] == pytest.approx(2.0, rel=1e-3)
         assert norms[2] / norms[1] == pytest.approx(2.0, rel=1e-3)
 
@@ -87,7 +87,7 @@ class TestIncompatibility:
         j, pair, obs, tl_t, tl_m = bench
         for n in range(41):
             lhs = operator_incompatibility(tl_t.steps[n], tl_m.steps[n], j=j)
-            uu = error_unitary(pair.u_true, pair.u_model, n)
+            uu = error_unitary(*pair, n)
             rhs = operator_incompatibility(obs, uu.conj().T @ obs @ uu, j=j)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -95,13 +95,13 @@ class TestIncompatibility:
 class TestErrorUnitary:
     def test_trivial_cases(self, bench):
         j, pair, obs, tl_t, tl_m = bench
-        assert np.max(np.abs(error_unitary(pair.u_true, pair.u_model, 0) - np.eye(9))) == 0.0
+        assert np.max(np.abs(error_unitary(*pair, 0) - np.eye(9))) == 0.0
         pair0 = perturbed_kicked_top(j, 3.0, 1.4, 0.0)
-        assert np.max(np.abs(error_unitary(pair0.u_true, pair0.u_model, 5) - np.eye(9))) < 1e-12
+        assert np.max(np.abs(error_unitary(*pair0, 5) - np.eye(9))) < 1e-12
 
     def test_distance_grows(self, bench):
         j, pair, obs, tl_t, tl_m = bench
-        dist = [np.linalg.norm(error_unitary(pair.u_true, pair.u_model, n) - np.eye(9)) for n in range(10)]
+        dist = [np.linalg.norm(error_unitary(*pair, n) - np.eye(9)) for n in range(10)]
         assert all(b > a for a, b in zip(dist, dist[1:]))
 
 
@@ -111,10 +111,10 @@ class TestMismatched:
         psi = haar_random_pure(d, rng)
         jy = angular_momentum_ops(2)[1]
         ideal = run_tomography(KickedTop(j=2, lam=3.0, alpha=1.4), psi, jy, 20, 0.1, 7)
-        pair = perturbed_kicked_top(2, 3.0, 1.4, 0.0)
+        u_true, u_model = perturbed_kicked_top(2, 3.0, 1.4, 0.0)
         basis = gell_mann_basis(d)
-        tl_true = heisenberg_timeline(jy, pair.u_true, 19)
-        cov_model = build_covariance(heisenberg_timeline(jy, pair.u_model, 19), basis)
+        tl_true = heisenberg_timeline(jy, u_true, 19)
+        cov_model = build_covariance(heisenberg_timeline(jy, u_model, 19), basis)
         rec = generate_record(psi, tl_true, 0.1, 7)
         mism = reconstruct_series(rec, cov_model, basis, psi0=psi)
         assert np.max(np.abs(mism.fidelities - ideal.fidelities)) < 1e-9
@@ -128,9 +128,9 @@ class TestMismatched:
         ideal = run_tomography(KickedTop(j=2, lam=3.0, alpha=1.4), psi, jy, 15, 0.05, 3)
         sup = {}
         for dl in (1e-3, 1e-4):
-            pair = perturbed_kicked_top(2, 3.0, 1.4, dl)
-            tl_true = heisenberg_timeline(jy, pair.u_true, 14)
-            cov_model = build_covariance(heisenberg_timeline(jy, pair.u_model, 14), basis)
+            u_true, u_model = perturbed_kicked_top(2, 3.0, 1.4, dl)
+            tl_true = heisenberg_timeline(jy, u_true, 14)
+            cov_model = build_covariance(heisenberg_timeline(jy, u_model, 14), basis)
             rec = generate_record(psi, tl_true, 0.05, 3)
             mism = reconstruct_series(rec, cov_model, basis, psi0=psi)
             sup[dl] = np.max(np.abs(mism.fidelities - ideal.fidelities))

@@ -51,13 +51,13 @@ class TestShannon:
 
     def test_xxz_impurity_strength_raises_quantifiers(self):
         # breaking XXZ integrability with the impurity raises entropy and rank
-        from chaostomo.dynamics import XXZChain, xxz_unitary
+        from chaostomo.dynamics import XXZChain, build_propagator
 
         o = pauli_site("y", 2, 4) / 2
         basis = gell_mann_basis(16)
         ent, rank = {}, {}
         for g in (0.0, 0.94):
-            u = xxz_unitary(XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2))
+            u = build_propagator(XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2))
             cov = build_covariance(heisenberg_timeline(o, u, 299), basis)
             ent[g] = shannon_entropy(cov)
             rank[g] = cov.rank()
@@ -125,11 +125,13 @@ class TestSeries:
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         cov = build_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4))
-        series = quantifier_series(cov)
-        assert len(series.rank) == len(series.shannon) == len(series.fisher) == 40
-        assert all(a <= b for a, b in zip(series.rank, series.rank[1:]))
-        assert all(b >= a - 1e-15 for a, b in zip(series.fisher, series.fisher[1:]))
-        assert np.all(series.shannon >= -1e-12)
+        series = quantifier_series(cov, range(1, 41))
+        assert list(series) == ["shannon", "fisher", "rank", "mutual_info"]
+        assert all(len(column) == 40 for column in series.values())
+        rank, fisher = series["rank"], series["fisher"]
+        assert all(a <= b for a, b in zip(rank, rank[1:]))
+        assert all(b >= a - 1e-15 for a, b in zip(fisher, fisher[1:]))
+        assert np.all(series["shannon"] >= -1e-12)
 
 
 class TestOrderedBloch:

@@ -119,7 +119,7 @@ class TestReflection:
 
     def test_commutes_with_kicked_ising(self):
         p = reflection_operator(4)
-        u = tki_floquet(KickedIsing(L=4, J=1.0, hx=1.4, hz=1.4)).matrix
+        u = tki_floquet(KickedIsing(L=4, J=1.0, hx=1.4, hz=1.4))
         assert np.max(np.abs(p @ u - u @ p)) < 1e-10
 
     @pytest.mark.parametrize("L,dims", [(2, (3, 1)), (3, (6, 2)), (4, (10, 6)), (5, (20, 12))])

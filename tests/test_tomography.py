@@ -6,7 +6,6 @@ from chaostomo.dynamics import (
     KickedIsing,
     KickedTop,
     TiltedIsing,
-    UnitaryPropagator,
     XXZChain,
     angular_momentum_ops,
     build_propagator,
@@ -128,7 +127,7 @@ class TestCovariance:
     def test_rank_bound_for_single_unitary_timelines(self, rng):
         # span of a conjugation orbit always leaves out >= d - 2 directions
         d = 4
-        u = UnitaryPropagator(np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0])
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         o = (a + a.conj().T) / 2
         tl = heisenberg_timeline(o, u, 50)
@@ -198,6 +197,34 @@ class TestMeasuredSubspace:
         assert cov.rank() == 0 and u.shape == (3, 0) and s.shape == (0,) and vt.shape == (0, 8)
 
 
+class TestSingularValues:
+    """Values-only singular values against those of the full decomposition."""
+
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored", "plain"])
+    def test_matches_full_svd(self, factored):
+        from chaostomo.quantifiers import quantifier_series
+
+        model = XXZChain(L=4, g=0.94, site=2) if factored else KickedIsing(L=4, hz=1.4)
+        o, n_rows = _chain_case(model)
+        tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
+        values, full = (build_covariance(tl, gell_mann_basis(16)) for _ in range(2))
+        assert (values.span is not None) == factored
+        full.svd()
+        s = full.svd()[1]
+        assert np.max(np.abs(values.singular_values() - s)) <= 1e-13 * s[0]
+        steps = [n_rows // 8, n_rows // 4, n_rows // 2, n_rows]
+        got, want = quantifier_series(values, steps), quantifier_series(full, steps)
+        assert 0 < values.rank() == full.rank() < len(s)
+        assert np.array_equal(got["rank"], want["rank"])
+        for metric in ("shannon", "fisher", "mutual_info"):
+            assert np.max(np.abs(got[metric] - want[metric]) / np.abs(want[metric])) <= 1e-12
+        # a full SVD taken later replaces the values-only spectrum, and the
+        # measured subspace is cut by its own singular values
+        u, s, vt = values.svd()
+        assert values.singular_values() is s
+        assert values.rank() == len(values.measured()[1]) == np.count_nonzero(s > 1e-10 * s[0])
+
+
 class TestFactoredDesign:
     """Prefix SVDs in the eigenframe span against the plain SVD of the design."""
 
@@ -220,17 +247,17 @@ class TestFactoredDesign:
         plain = CovarianceData(cov.design, row_offsets=cov.row_offsets)
         steps = [n_rows // 4, n_rows // 2, n_rows]
         got, want = quantifier_series(cov, steps), quantifier_series(plain, steps)
-        assert np.array_equal(got.rank, want.rank)
-        assert np.all(got.rank <= np.minimum(steps, k))
+        assert np.array_equal(got["rank"], want["rank"])
+        assert np.all(got["rank"] <= np.minimum(steps, k))
         for metric in ("shannon", "fisher"):
-            a, b = getattr(got, metric), getattr(want, metric)
+            a, b = got[metric], want[metric]
             assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-9, metric
         # mutual information sums ln s_i^2 of both signs and can cancel to
         # near 0, so it is relative to the sum of the terms' magnitudes
         for i, n in enumerate(steps):
-            s = plain.truncated(n).svd()[1][: want.rank[i]]
+            s = plain.truncated(n).svd()[1][: want["rank"][i]]
             scale = np.sum(np.abs(np.log(s**2))) / 2
-            assert abs(got.mutual_info[i] - want.mutual_info[i]) <= 1e-9 * scale
+            assert abs(got["mutual_info"][i] - want["mutual_info"][i]) <= 1e-9 * scale
 
         # the pseudoinverse amplifies the dropped residue by s_0 / s_min, so
         # the estimates are compared where every kept direction is clean
@@ -430,7 +457,7 @@ class TestPipeline:
         d = 4
         basis = gell_mann_basis(d)
         o = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-        tl = heisenberg_timeline(o, UnitaryPropagator(np.eye(d)), 39)
+        tl = heisenberg_timeline(o, np.eye(d), 39)
         cov = build_covariance(tl, basis)
         psi = haar_random_pure(d, rng)
         rec = generate_record(psi, tl, 0.0, 0)
