@@ -120,10 +120,11 @@ def _check_zero_noise():
         dynamics.HaarSteps(dim=d, seed=9), np.diag(np.arange(d) - 2.0).astype(complex), d * d)
     basis = gell_mann_basis(d)
     run = tomography.reconstruct_series(
-        tomography.generate_record(psi, timeline, 0.0, 4),
-        tomography.build_covariance(timeline, basis), basis, psi0=psi, eval_steps=[d * d],
+        [tomography.generate_record(psi, timeline, 0.0, 4)],
+        tomography.build_covariance(timeline, basis), basis, [psi], eval_steps=[d * d],
     )
-    return run.fidelities[-1] > 1 - 1e-9, f"zero-noise fidelity {run.fidelities[-1]:.12f}"
+    fid = run.fidelities[0, -1]
+    return fid > 1 - 1e-9, f"zero-noise fidelity {fid:.12f}"
 
 
 def _check_psd_projection():

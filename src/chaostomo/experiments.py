@@ -159,6 +159,11 @@ class ExperimentConfig:
                 raise ConfigError(f"model.{key}",
                                   f"not a parameter of {kind}; known: {sorted(known)}")
             _check_value(f"model.{key}", key, value)
+        if kind is None:  # ordered-bloch sized by j alone, under the kicked top's rule
+            try:
+                dynamics.KickedTop(self.model.get("j", MODELS["kicked_top"][1]["j"]), 0.0, 0.0)
+            except ValueError as exc:
+                raise ConfigError("model.j", str(exc)) from None
         if self.experiment == "ordered-bloch":
             if param not in ORDERED_BLOCH_SWEEPS:
                 raise ConfigError("sweep.param", f"ordered-bloch sweeps one of "
@@ -332,29 +337,24 @@ def _cell_streams(cfg: ExperimentConfig, n_cells: int):
     return obs_rng, aux_rng, cells
 
 
-def _fidelity_rows(rows: _Rows, cfg: ExperimentConfig, value, timeline, cov, basis,
-                   eval_steps, rngs) -> bool:
-    """Mean reconstruction fidelity over one state per stream in ``rngs``.
-
-    Records come from ``timeline`` and are inverted with ``cov``: an ideal
-    run passes the timeline its covariance was built from, a mismatched run
-    the true-dynamics timeline with the model covariance.  Returns whether
-    every positivity projection converged.
-    """
-    d = basis.dim
-    fids = np.empty((len(rngs), len(eval_steps)))
-    converged = True
-    for i, rng in enumerate(rngs):
+def _draw_records(cfg: ExperimentConfig, timeline, rngs) -> tuple:
+    """One reference state per stream in ``rngs``, and its record from ``timeline``."""
+    d = timeline.dim
+    states, records = [], []
+    for rng in rngs:
         if cfg.state == "coherent":
             psi0 = phase_space.spin_coherent((d - 1) / 2.0, cfg.theta, cfg.phi)
         else:
             psi0 = tomography.haar_random_pure(d, rng)
-        record = tomography.generate_record(psi0, timeline, cfg.sigma, rng)
-        run = tomography.reconstruct_series(record, cov, basis, psi0=psi0, eval_steps=eval_steps)
-        fids[i] = run.fidelities
-        converged &= all(diag.converged for diag in run.results)
-    rows.add_means(value, eval_steps, {"fidelity": fids})
-    return converged
+        states.append(psi0)
+        records.append(tomography.generate_record(psi0, timeline, cfg.sigma, rng))
+    return states, records
+
+
+def _fidelity_rows(rows: _Rows, value, run, eval_steps) -> bool:
+    """Mean reconstruction fidelity of a run; returns whether every projection converged."""
+    rows.add_means(value, eval_steps, {"fidelity": run.fidelities})
+    return all(diag.converged for diags in run.results for diag in diags)
 
 
 def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
@@ -370,13 +370,12 @@ def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
         model = _build_model(cfg.model, (param, value))
         timeline = tomography.model_timeline(model, observable, n_rows)
         cov = tomography.build_covariance(timeline, basis)
-        # the reconstruction reads singular vectors: decompose the full record,
-        # then each prefix, so the quantifiers read the same singular values
-        for n in [n_rows] + eval_steps:
-            cov.truncated(n).svd()
-        rows.add_steps(value, eval_steps, quantifiers.quantifier_series(cov, eval_steps))
-        converged &= _fidelity_rows(rows, cfg, value, timeline, cov, basis, eval_steps,
-                                    cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
+        states, records = _draw_records(cfg, timeline,
+                                        cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
+        del timeline  # the reconstruction reads only the design
+        run = tomography.reconstruct_series(records, cov, basis, states, eval_steps)
+        rows.add_steps(value, eval_steps, quantifiers.quantifier_series(cov, run.spectra))
+        converged &= _fidelity_rows(rows, value, run, eval_steps)
     return rows.table(converged)
 
 
@@ -406,8 +405,11 @@ def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
                                 for t, m in pairs],
         })
         cov_model = tomography.build_covariance(tl_model, basis)
-        converged &= _fidelity_rows(rows, cfg, value, tl_true, cov_model, basis, eval_steps,
-                                    cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
+        states, records = _draw_records(cfg, tl_true,
+                                        cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
+        del tl_true, tl_model, pairs  # the reconstruction reads only the model design
+        run = tomography.reconstruct_series(records, cov_model, basis, states, eval_steps)
+        converged &= _fidelity_rows(rows, value, run, eval_steps)
     return rows.table(converged)
 
 
@@ -474,6 +476,12 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
     return rows.table()
 
 
+def _spectrum_series(timeline, basis, eval_steps) -> dict:
+    """Quantifier columns of a timeline's record prefixes, read off singular values alone."""
+    cov = tomography.build_covariance(timeline, basis)
+    return quantifiers.quantifier_series(cov, [cov.truncated(n) for n in eval_steps])
+
+
 def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     param = cfg.sweep["param"]
     rows = _Rows(param)
@@ -487,8 +495,7 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
         timeline = tomography.model_timeline(model, observable, n_rows)
-        series = quantifiers.quantifier_series(tomography.build_covariance(timeline, basis),
-                                               eval_steps)
+        series = _spectrum_series(timeline, basis, eval_steps)
         rows.add_steps(value, eval_steps, {metric: series[metric] for metric in metrics})
     # ensemble baseline, block diagonal in the reflection eigenbasis
     vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
@@ -499,8 +506,7 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
         # a GOE draw is a Hamiltonian evolved for dt = 1, a COE draw the step itself
         u = dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat
         tl = dynamics.heisenberg_timeline(observable, u, n_rows - 1)
-        samples.append(quantifiers.quantifier_series(tomography.build_covariance(tl, basis),
-                                                     eval_steps))
+        samples.append(_spectrum_series(tl, basis, eval_steps))
     for metric in metrics:
         column = np.array([s[metric] for s in samples], dtype=float)
         rows.add_means("rmt", eval_steps, {metric: column})

@@ -75,15 +75,17 @@ def mutual_information(cov: CovarianceData) -> float:
     return float(0.5 * np.sum(np.log(lam)))
 
 
-def quantifier_series(cov: CovarianceData, eval_steps: Sequence[int]) -> dict:
+def quantifier_series(cov: CovarianceData, prefixes: Sequence[CovarianceData]) -> dict:
     """Shannon entropy, Fisher information, rank and mutual information per prefix.
 
-    Returns {"shannon", "fisher", "rank", "mutual_info"}, each with one value
-    per prefix length in ``eval_steps``.  The Fisher regularizer is fixed
-    once from the full record so the series is monotone in the record length.
+    ``prefixes`` are the covariances of growing prefixes of the record that
+    ``cov`` covers: ``cov.truncated(n)``, or the ``spectra`` of a
+    reconstruction (:func:`~chaostomo.tomography.reconstruct_series`).
+    Returns {"shannon", "fisher", "rank", "mutual_info"}, each with one
+    value per prefix.  The Fisher regularizer is fixed once from the full
+    record ``cov`` so the series is monotone in the record length.
     """
     reg = _fisher_reg(cov)
-    prefixes = [cov.truncated(int(n)) for n in eval_steps]
     return {
         "shannon": np.array([shannon_entropy(c) for c in prefixes]),
         "fisher": np.array([fisher_information(c, reg) for c in prefixes]),

@@ -18,7 +18,6 @@ from scipy.linalg import schur
 from chaostomo.krylov import _invariant_frame, _observable_coords, _rotate, evolve_operator
 from chaostomo.operator_space import gell_mann_basis
 from chaostomo.tomography import (
-    TomographyRun,
     build_covariance,
     generate_record,
     model_timeline,
@@ -98,7 +97,7 @@ def run_tomography(
     sigma: float,
     seed,
     eval_steps: Optional[Sequence[int]] = None,
-) -> TomographyRun:
+) -> np.ndarray:
     """Timeline, record and per-step reconstruction fidelity for one state.
 
     The record has ``n_steps`` samples; sample n is taken after n - 1
@@ -109,4 +108,4 @@ def run_tomography(
     basis = gell_mann_basis(timeline.dim)
     cov = build_covariance(timeline, basis)
     record = generate_record(psi0, timeline, sigma, seed)
-    return reconstruct_series(record, cov, basis, psi0=psi0, eval_steps=eval_steps)
+    return reconstruct_series([record], cov, basis, [psi0], eval_steps).fidelities[0]

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from chaostomo import experiments
+from chaostomo import dynamics, experiments, tomography
 from chaostomo.cli import main
 from chaostomo.dynamics import angular_momentum_ops, classical_kicked_top_step
 from chaostomo.experiments import (
@@ -499,6 +500,72 @@ class TestSvdCalls:
         # 2 sweep values, prefixes 5, 10 and 15; the quantifiers reuse their values
         assert calls == {"full": 6, "values": 0}
 
+    @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
+    def test_states_share_each_prefix_svd(self, experiment, monkeypatch):
+        calls = self.count(monkeypatch)
+        run_experiment(streamed_config(experiment))
+        # 2 states, 2 sweep values, prefixes 4, 8 and 12: one decomposition each
+        assert calls == {"full": 6, "values": 0}
+
+
+def streamed_config(experiment: str) -> ExperimentConfig:
+    """Two states, two sweep values and three record prefixes, ideal or mismatched."""
+    return ExperimentConfig(
+        experiment=experiment, model={"kind": "kicked_top", "j": 2, "alpha": 1.4, "lambda": 3.0},
+        observable="J_y", steps=12, sigma=0.1, n_states=2, eval_stride=4, seed=2,
+        sweep={"param": "lambda", "values": [3.0, 7.0]})
+
+
+class TestStreaming:
+    """A cell holds the full record's decomposition, the current prefix's and no timeline."""
+
+    @staticmethod
+    def at_each_svd(monkeypatch, probe) -> list:
+        """Record ``probe(out)`` at every full SVD, once its decomposition ``out`` exists."""
+        seen = []
+        svd = np.linalg.svd
+
+        def probing(a, *args, compute_uv=True, **kwargs):
+            out = svd(a, *args, compute_uv=compute_uv, **kwargs)
+            if compute_uv:
+                seen.append(probe(out))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", probing)
+        return seen
+
+    @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
+    def test_at_most_two_decompositions_alive(self, experiment, monkeypatch):
+        made = []
+
+        def alive(out):
+            made.append(weakref.ref(out[0]))
+            return sum(ref() is not None for ref in made)
+
+        counts = self.at_each_svd(monkeypatch, alive)
+        run_experiment(streamed_config(experiment))
+        assert len(counts) == 6 and max(counts) == 2
+
+    @pytest.mark.parametrize("experiment,owner,builder", [
+        ("tomo", tomography, "model_timeline"),
+        ("perturb", dynamics, "heisenberg_timeline"),
+    ], ids=["tomo", "perturb"])
+    def test_timeline_released_before_decomposing(self, experiment, owner, builder,
+                                                  monkeypatch):
+        steps = []
+        build = getattr(owner, builder)
+
+        def keep_ref(*args, **kwargs):
+            timeline = build(*args, **kwargs)
+            steps.append(weakref.ref(timeline.steps))
+            return timeline
+
+        monkeypatch.setattr(owner, builder, keep_ref)
+        dead = self.at_each_svd(monkeypatch, lambda out: [ref() is None for ref in steps])
+        run_experiment(streamed_config(experiment))
+        assert len(steps) == (2 if experiment == "tomo" else 4)
+        assert len(dead) == 6 and all(all(flags) for flags in dead)
+
 
 class TestCli:
     def test_run_with_config_file(self, tmp_path):
@@ -626,7 +693,9 @@ class TestCli:
           "sweep": {"param": "direction", "values": ["up"]}}, "sweep.values"),
         ({"experiment": "ordered-bloch", "model": {"kind": "kicked_top", "j": 2},
           "sweep": {"param": "eta", "values": ["abc"]}}, "sweep.values"),
-    ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta"])
+        ({"experiment": "ordered-bloch", "model": {"j": 0.3},
+          "sweep": {"param": "eta", "values": [0.1]}}, "model.j"),
+    ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta", "kindless-j"])
     def test_wrong_type_exit_code(self, tmp_path, cfg, fieldname):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({**cfg, "steps": 4}))

@@ -116,8 +116,8 @@ class TestMismatched:
         tl_true = heisenberg_timeline(jy, u_true, 19)
         cov_model = build_covariance(heisenberg_timeline(jy, u_model, 19), basis)
         rec = generate_record(psi, tl_true, 0.1, 7)
-        mism = reconstruct_series(rec, cov_model, basis, psi0=psi)
-        assert np.max(np.abs(mism.fidelities - ideal.fidelities)) < 1e-9
+        mism = reconstruct_series([rec], cov_model, basis, [psi])
+        assert np.max(np.abs(mism.fidelities[0] - ideal)) < 1e-9
 
     def test_small_perturbation_limit(self, rng):
         # fidelity series converges to the ideal one as delta_lambda -> 0
@@ -132,8 +132,8 @@ class TestMismatched:
             tl_true = heisenberg_timeline(jy, u_true, 14)
             cov_model = build_covariance(heisenberg_timeline(jy, u_model, 14), basis)
             rec = generate_record(psi, tl_true, 0.05, 3)
-            mism = reconstruct_series(rec, cov_model, basis, psi0=psi)
-            sup[dl] = np.max(np.abs(mism.fidelities - ideal.fidelities))
+            mism = reconstruct_series([rec], cov_model, basis, [psi])
+            sup[dl] = np.max(np.abs(mism.fidelities[0] - ideal))
         assert sup[1e-4] < sup[1e-3]
         assert sup[1e-4] < 0.01
 

@@ -125,7 +125,7 @@ class TestSeries:
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         cov = build_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4))
-        series = quantifier_series(cov, range(1, 41))
+        series = quantifier_series(cov, [cov.truncated(n) for n in range(1, 41)])
         assert list(series) == ["shannon", "fisher", "rank", "mutual_info"]
         assert all(len(column) == 40 for column in series.values())
         rank, fisher = series["rank"], series["fisher"]
