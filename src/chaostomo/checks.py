@@ -70,14 +70,18 @@ def _check_xxz_conservation():
     return dev < 1e-10, f"[U, S_z] = {dev:.1e}"
 
 
+def _covariance(blocks, n_rows, basis, u, op):
+    design, offsets, _, _ = tomography.read_timeline(blocks, n_rows, basis)
+    return tomography.build_covariance(design, offsets, basis, u, op)
+
+
 def _check_trace_identity():
     jx, jy, _ = dynamics.angular_momentum_ops(3)
     u = dynamics.kicked_top_floquet(dynamics.KickedTop(j=3, lam=3.0, alpha=1.4))
-    tl = dynamics.heisenberg_timeline(jy, u, 79)
     basis = gell_mann_basis(7)
-    cov = tomography.build_covariance(tl, basis)
+    cov = _covariance(dynamics.timeline_blocks(jy, 79, u), 80, basis, u, jy)
     lhs = float(cov.eigenvalues().sum())
-    rhs = len(tl) * float(np.sum(bloch_encode(jy, basis) ** 2))
+    rhs = 80 * float(np.sum(bloch_encode(jy, basis) ** 2))
     rel = abs(lhs - rhs) / abs(rhs)
     return rel < 1e-10, f"Tr(C^-1) = N |O|^2 to relative {rel:.1e}"
 
@@ -91,8 +95,8 @@ def _check_factored_design():
     }
     parts = []
     for name, (model, obs) in cases.items():
-        tl = dynamics.heisenberg_timeline(obs, dynamics.build_propagator(model), 511)
-        cov = tomography.build_covariance(tl, gell_mann_basis(16))
+        u = dynamics.build_propagator(model)
+        cov = _covariance(dynamics.timeline_blocks(obs, 511, u), 512, gell_mann_basis(16), u, obs)
         if cov.span is None:
             return False, f"{name}: no eigenframe span"
         k = len(cov.span)
@@ -116,12 +120,14 @@ def _check_zero_noise():
     rng = np.random.default_rng(3)
     d = 5
     psi = tomography.haar_random_pure(d, rng)
+    basis = gell_mann_basis(d)
     timeline = tomography.model_timeline(
         dynamics.HaarSteps(dim=d, seed=9), np.diag(np.arange(d) - 2.0).astype(complex), d * d)
-    basis = gell_mann_basis(d)
+    # the collected stack is one block
+    design, offsets, expected, _ = tomography.read_timeline([timeline.steps], d * d, basis, [psi])
     run = tomography.reconstruct_series(
-        [tomography.generate_record(psi, timeline, 0.0, 4)],
-        tomography.build_covariance(timeline, basis), basis, [psi], eval_steps=[d * d],
+        [tomography.generate_record(expected[0], 0.0, 4)],
+        tomography.build_covariance(design, offsets, basis), basis, [psi], eval_steps=[d * d],
     )
     fid = run.fidelities[0, -1]
     return fid > 1 - 1e-9, f"zero-noise fidelity {fid:.12f}"

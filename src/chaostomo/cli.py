@@ -7,7 +7,7 @@ their provenance, and ``chaostomo check`` runs the fast invariant suite.
 Exit codes: 0 success, 2 a configuration error (from validation, or
 from building the model or observable), 3 the
 positivity solver hit its iteration cap somewhere (the CSV is still
-written from the best iterates; it carries no per-row flag).
+written from the last iterates; it carries no per-row flag).
 """
 
 from __future__ import annotations

@@ -13,14 +13,19 @@ fully chaotic:
 All chains use free boundary conditions.  A timeline is the Heisenberg
 sequence O_n = U^dag^n O U^n built by iterated single-step conjugation,
 which costs O(N d^3) and avoids the phase error of accumulated powers.
-Matrix exponentials of Hermitian generators go through eigendecomposition,
+:func:`timeline_blocks` is that recurrence: it hands the sequence out in
+blocks of ``TIMELINE_BLOCK`` operators, so a consumer that reads each
+block and drops it never holds the (N + 1, d, d) stack.
+:func:`heisenberg_timeline` and :func:`haar_timeline` collect the blocks
+into one stack, for callers that index the whole sequence.  Matrix
+exponentials of Hermitian generators go through eigendecomposition,
 exact at these sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -44,6 +49,8 @@ __all__ = [
     "tki_floquet",
     "hamiltonian",
     "build_propagator",
+    "TIMELINE_BLOCK",
+    "timeline_blocks",
     "heisenberg_timeline",
     "haar_timeline",
 ]
@@ -52,6 +59,12 @@ _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"x": _SX, "y": _SY, "z": _SZ}
+
+# Operators per block of timeline_blocks.  A product over fewer rows than
+# this can go to another BLAS kernel than the rows of the whole stack (a
+# one-row product, or OpenBLAS's small-matrix kernels), which rounds
+# differently; no block but a lone one is shorter.
+TIMELINE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -178,10 +191,6 @@ class OperatorTimeline:
 
     def __len__(self):
         return len(self.steps)
-
-    @property
-    def dim(self) -> int:
-        return self.steps.shape[1]
 
 
 def expm_hermitian(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
@@ -340,31 +349,52 @@ def build_propagator(spec: ModelSpec) -> np.ndarray:
     raise TypeError(f"no single propagator for model {type(spec).__name__}")
 
 
+def timeline_blocks(
+    op: np.ndarray, n_steps: int, u: Optional[np.ndarray] = None, rng=None
+) -> Iterator[np.ndarray]:
+    """The timeline [O_0, ..., O_N], N = n_steps, in consecutive (k, d, d) blocks.
+
+    With a fixed (d, d) unitary ``u``, O_{k+1} = U^dag O_k U; with ``u``
+    None, every step draws a fresh Haar unitary from ``rng``.  Each block
+    holds ``TIMELINE_BLOCK`` operators and the last one also the rest, so
+    a timeline shorter than two blocks comes as one.  A row encoded or
+    contracted block by block then equals the row of the whole stack bit
+    for bit (``TIMELINE_BLOCK``).
+    """
+    op = np.asarray(op, dtype=complex)
+    if u is not None and op.shape != u.shape:
+        raise ValueError(f"observable shape {op.shape} != propagator {u.shape}")
+    if u is None and rng is None:
+        raise ValueError("a timeline needs a fixed step u or an rng for Haar steps")
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    udag = None if u is None else u.conj().T
+    prev = op
+    n_blocks = max(1, (n_steps + 1) // TIMELINE_BLOCK)
+    for b in range(n_blocks):
+        start = b * TIMELINE_BLOCK
+        stop = n_steps + 1 if b == n_blocks - 1 else start + TIMELINE_BLOCK
+        block = np.empty((stop - start,) + op.shape, dtype=complex)
+        for i in range(len(block)):
+            if start + i > 0:
+                if u is None:
+                    step = haar_unitary(len(op), rng)
+                    prev = step.conj().T @ prev @ step
+                else:
+                    prev = udag @ prev @ u
+            block[i] = prev
+        yield block
+
+
 def heisenberg_timeline(op: np.ndarray, u: np.ndarray, n_steps: int) -> OperatorTimeline:
     """Timeline [O_0, ..., O_N] with O_k = U^dag^k O U^k, N = n_steps, for a (d, d) unitary U.
 
-    Built by conjugating the previous entry once per step.
+    The collected form of :func:`timeline_blocks`.
     """
-    op = np.asarray(op, dtype=complex)
-    if op.shape != u.shape:
-        raise ValueError(f"observable shape {op.shape} != propagator {u.shape}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    udag = u.conj().T
-    steps = np.empty((n_steps + 1,) + op.shape, dtype=complex)
-    steps[0] = op
-    for k in range(1, n_steps + 1):
-        steps[k] = udag @ steps[k - 1] @ u
-    return OperatorTimeline(steps=steps, propagator=u)
+    return OperatorTimeline(steps=np.concatenate(list(timeline_blocks(op, n_steps, u))),
+                            propagator=u)
 
 
 def haar_timeline(op: np.ndarray, n_steps: int, rng) -> OperatorTimeline:
-    """Timeline under random control: a fresh Haar unitary every step."""
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    steps = np.empty((n_steps + 1, d, d), dtype=complex)
-    steps[0] = op
-    for k in range(1, n_steps + 1):
-        u = haar_unitary(d, rng)
-        steps[k] = u.conj().T @ steps[k - 1] @ u
-    return OperatorTimeline(steps=steps)
+    """Timeline under random control, a fresh Haar unitary every step: :func:`timeline_blocks` collected."""
+    return OperatorTimeline(steps=np.concatenate(list(timeline_blocks(op, n_steps, rng=rng))))

@@ -337,18 +337,16 @@ def _cell_streams(cfg: ExperimentConfig, n_cells: int):
     return obs_rng, aux_rng, cells
 
 
-def _draw_records(cfg: ExperimentConfig, timeline, rngs) -> tuple:
-    """One reference state per stream in ``rngs``, and its record from ``timeline``."""
-    d = timeline.dim
-    states, records = [], []
-    for rng in rngs:
-        if cfg.state == "coherent":
-            psi0 = phase_space.spin_coherent((d - 1) / 2.0, cfg.theta, cfg.phi)
-        else:
-            psi0 = tomography.haar_random_pure(d, rng)
-        states.append(psi0)
-        records.append(tomography.generate_record(psi0, timeline, cfg.sigma, rng))
-    return states, records
+def _draw_states(cfg: ExperimentConfig, d: int, rngs) -> list:
+    """One reference state per stream in ``rngs``; its record noise comes later from the same stream."""
+    if cfg.state == "coherent":
+        return [phase_space.spin_coherent((d - 1) / 2.0, cfg.theta, cfg.phi) for _ in rngs]
+    return [tomography.haar_random_pure(d, rng) for rng in rngs]
+
+
+def _records(cfg: ExperimentConfig, expected, rngs) -> list:
+    """Each noiseless record with its noise, drawn from the stream that drew its state."""
+    return [tomography.generate_record(e, cfg.sigma, rng) for e, rng in zip(expected, rngs)]
 
 
 def _fidelity_rows(rows: _Rows, value, run, eval_steps) -> bool:
@@ -368,12 +366,13 @@ def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
     observable = _build_observable(cfg.observable, first_model, obs_rng)
     for iv, value in enumerate(cfg.sweep["values"]):
         model = _build_model(cfg.model, (param, value))
-        timeline = tomography.model_timeline(model, observable, n_rows)
-        cov = tomography.build_covariance(timeline, basis)
-        states, records = _draw_records(cfg, timeline,
-                                        cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
-        del timeline  # the reconstruction reads only the design
-        run = tomography.reconstruct_series(records, cov, basis, states, eval_steps)
+        rngs = cells[iv * cfg.n_states:(iv + 1) * cfg.n_states]
+        states = _draw_states(cfg, basis.dim, rngs)
+        blocks, u = tomography.model_blocks(model, observable, n_rows)
+        design, offsets, expected, _ = tomography.read_timeline(blocks, n_rows, basis, states)
+        cov = tomography.build_covariance(design, offsets, basis, u, observable)
+        run = tomography.reconstruct_series(_records(cfg, expected, rngs), cov, basis, states,
+                                            eval_steps)
         rows.add_steps(value, eval_steps, quantifiers.quantifier_series(cov, run.spectra))
         converged &= _fidelity_rows(rows, value, run, eval_steps)
     return rows.table(converged)
@@ -393,10 +392,16 @@ def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
         model = _build_model(cfg.model, (param, value))
         u_true, u_model = perturbation.perturbed_kicked_top(j, model.lam, model.alpha,
                                                             cfg.delta_lambda)
-        tl_true = dynamics.heisenberg_timeline(observable, u_true, n_rows - 1)
-        tl_model = dynamics.heisenberg_timeline(observable, u_model, n_rows - 1)
+        rngs = cells[iv * cfg.n_states:(iv + 1) * cfg.n_states]
+        states = _draw_states(cfg, base.dim, rngs)
         # operator metrics compare the timeline entries measured at row n
-        pairs = [(tl_true.steps[n - 1], tl_model.steps[n - 1]) for n in eval_steps]
+        at = [n - 1 for n in eval_steps]
+        _, _, expected, true_ops = tomography.read_timeline(
+            dynamics.timeline_blocks(observable, n_rows - 1, u_true), n_rows, states=states,
+            keep=at)
+        design, offsets, _, model_ops = tomography.read_timeline(
+            dynamics.timeline_blocks(observable, n_rows - 1, u_model), n_rows, basis, keep=at)
+        pairs = list(zip(true_ops, model_ops))
         rows.add_steps(value, eval_steps, {
             "loschmidt_echo": [perturbation.operator_loschmidt_echo(t, m, observable)
                                for t, m in pairs],
@@ -404,11 +409,10 @@ def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
             "incompatibility": [perturbation.operator_incompatibility(t, m, j=j)
                                 for t, m in pairs],
         })
-        cov_model = tomography.build_covariance(tl_model, basis)
-        states, records = _draw_records(cfg, tl_true,
-                                        cells[iv * cfg.n_states:(iv + 1) * cfg.n_states])
-        del tl_true, tl_model, pairs  # the reconstruction reads only the model design
-        run = tomography.reconstruct_series(records, cov_model, basis, states, eval_steps)
+        del true_ops, model_ops, pairs  # the reconstruction reads only the model design
+        cov_model = tomography.build_covariance(design, offsets, basis, u_model, observable)
+        run = tomography.reconstruct_series(_records(cfg, expected, rngs), cov_model, basis,
+                                            states, eval_steps)
         converged &= _fidelity_rows(rows, value, run, eval_steps)
     return rows.table(converged)
 
@@ -476,9 +480,10 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
     return rows.table()
 
 
-def _spectrum_series(timeline, basis, eval_steps) -> dict:
+def _spectrum_series(blocks, u, observable, basis, n_rows, eval_steps) -> dict:
     """Quantifier columns of a timeline's record prefixes, read off singular values alone."""
-    cov = tomography.build_covariance(timeline, basis)
+    design, offsets, _, _ = tomography.read_timeline(blocks, n_rows, basis)
+    cov = tomography.build_covariance(design, offsets, basis, u, observable)
     return quantifiers.quantifier_series(cov, [cov.truncated(n) for n in eval_steps])
 
 
@@ -494,8 +499,8 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     n_rows, eval_steps = _record_steps(cfg, d)
     for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
-        timeline = tomography.model_timeline(model, observable, n_rows)
-        series = _spectrum_series(timeline, basis, eval_steps)
+        blocks, u = tomography.model_blocks(model, observable, n_rows)
+        series = _spectrum_series(blocks, u, observable, basis, n_rows, eval_steps)
         rows.add_steps(value, eval_steps, {metric: series[metric] for metric in metrics})
     # ensemble baseline, block diagonal in the reflection eigenbasis
     vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
@@ -505,8 +510,8 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
         mat = rmt.block_diagonal_sample(ens_kind, block_dims, vbasis, aux_rng)
         # a GOE draw is a Hamiltonian evolved for dt = 1, a COE draw the step itself
         u = dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat
-        tl = dynamics.heisenberg_timeline(observable, u, n_rows - 1)
-        samples.append(_spectrum_series(tl, basis, eval_steps))
+        blocks = dynamics.timeline_blocks(observable, n_rows - 1, u)
+        samples.append(_spectrum_series(blocks, u, observable, basis, n_rows, eval_steps))
     for metric in metrics:
         column = np.array([s[metric] for s in samples], dtype=float)
         rows.add_means("rmt", eval_steps, {metric: column})

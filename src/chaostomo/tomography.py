@@ -11,6 +11,14 @@ positive-semidefinite state in the covariance-weighted norm, found by an
 operator-splitting solver that alternates a weighted least-squares step
 with an eigenvalue projection of the decoded matrix.
 
+The timeline is never held whole.  :func:`read_timeline` takes it block by
+block from :func:`~chaostomo.dynamics.timeline_blocks` and fills, in one
+pass, the design rows, the row offsets Tr(O_n)/d and each state's
+noiseless record, dropping each block before the next is made; the
+(N, d, d) operator stack (19.7 MB for N = 1200 at d = 32) never exists.
+:func:`build_covariance` takes the design from there, and
+:func:`generate_record` adds each record's noise.
+
 A fixed step U confines the timeline to a subspace known in advance.  In
 the eigenbasis V of U, entry (a, b) of V^dag O_n V is O'_ab e^{in(theta_b -
 theta_a)}: conjugation turns each entry by its own phase and never moves
@@ -29,7 +37,7 @@ the covariance are dimensionless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +48,7 @@ from .dynamics import (
     build_propagator,
     haar_timeline,
     heisenberg_timeline,
+    timeline_blocks,
     unitary_eigh,
 )
 from .operator_space import (
@@ -55,6 +64,7 @@ __all__ = [
     "SolverDiagnostics",
     "TomographyRun",
     "haar_random_pure",
+    "read_timeline",
     "generate_record",
     "build_covariance",
     "ml_estimate",
@@ -62,6 +72,7 @@ __all__ = [
     "fidelity",
     "reconstruct_series",
     "model_timeline",
+    "model_blocks",
 ]
 
 # Relative singular-value cut of the measured subspace (CovarianceData.rank).
@@ -234,40 +245,98 @@ def _as_density(state: np.ndarray) -> np.ndarray:
     return state
 
 
-def generate_record(
-    rho0: np.ndarray, timeline: OperatorTimeline, sigma: float, seed
-) -> MeasurementRecord:
-    """M_n = Tr(O_n rho_0) + W_n with i.i.d. Gaussian W_n of spread sigma."""
+def read_timeline(
+    blocks: Iterable[np.ndarray],
+    n_rows: int,
+    basis: Optional[HermitianBasis] = None,
+    states: Sequence[np.ndarray] = (),
+    keep: Sequence[int] = (),
+) -> tuple:
+    """One pass over the blocks of a timeline O_0..O_{n_rows-1}, dropping each block after use.
+
+    ``blocks`` are consecutive (k, d, d) stacks, as
+    :func:`~chaostomo.dynamics.timeline_blocks` yields them.  Returns
+    (design, offsets, expected, kept):
+
+    * ``design[n, a] = Tr(O_n E_a)`` and ``offsets[n] = Tr(O_n)/d`` when a
+      basis is given, else None;
+    * ``expected[i, n] = Tr(O_n rho_i)``, the noiseless record of each of
+      ``states`` (vectors or density matrices), shape (len(states), n_rows);
+    * ``kept``, a copy of O_n for each 0-based row n in ``keep``, in order.
+
+    So the pass holds one block at a time, never the (n_rows, d, d) stack.
+    Each row is computed as from the whole stack, bit for bit, when the
+    blocks are those of ``timeline_blocks``.
+    """
+    design = offsets = None
+    if basis is not None:
+        design, offsets = np.empty((n_rows, len(basis))), np.empty(n_rows)
+    rhos = [_as_density(state) for state in states]
+    expected = np.empty((len(rhos), n_rows))
+    keep = list(keep)
+    if any(not 0 <= n < n_rows for n in keep):
+        raise ValueError(f"rows to keep {keep} outside 0..{n_rows - 1}")
+    kept = [None] * len(keep)
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        if stop > n_rows:
+            raise ValueError(f"timeline blocks hold more than {n_rows} rows")
+        if basis is not None:
+            if block.shape[1:] != (basis.dim, basis.dim):
+                raise ValueError(f"timeline dim {block.shape[1]} != basis dim {basis.dim}")
+            design[start:stop] = bloch_encode_batch(block, basis)
+            offsets[start:stop] = np.einsum("nii->n", block).real / basis.dim
+        flat = block.reshape(len(block), -1)
+        for i, rho in enumerate(rhos):
+            if rho.shape != block.shape[1:]:
+                raise ValueError(f"state dimension {rho.shape} does not match "
+                                 f"timeline {block.shape[1:]}")
+            expected[i, start:stop] = (flat @ rho.conj().reshape(-1)).real
+        for k, n in enumerate(keep):
+            if start <= n < stop:
+                kept[k] = block[n - start].copy()
+        start = stop
+        del block, flat  # before the next block is made
+    if start != n_rows:
+        raise ValueError(f"timeline blocks hold {start} rows, expected {n_rows}")
+    return design, offsets, expected, kept
+
+
+def generate_record(expected: np.ndarray, sigma: float, seed) -> MeasurementRecord:
+    """M_n = Tr(O_n rho_0) + W_n with i.i.d. Gaussian W_n of spread sigma.
+
+    ``expected`` is the noiseless record Tr(O_n rho_0), one row of
+    :func:`read_timeline`'s ``expected``.
+    """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    rho0 = _as_density(rho0)
-    if rho0.shape != timeline.steps.shape[1:]:
-        raise ValueError(
-            f"state dimension {rho0.shape} does not match timeline {timeline.steps.shape[1:]}"
-        )
-    flat = timeline.steps.reshape(len(timeline), -1)
-    values = (flat @ rho0.conj().reshape(-1)).real
+    values = np.asarray(expected, dtype=float)
     if sigma > 0:
         values = values + sigma * np.random.default_rng(seed).standard_normal(len(values))
     return MeasurementRecord(values=values, sigma=float(sigma))
 
 
-def build_covariance(timeline: OperatorTimeline, basis: HermitianBasis) -> CovarianceData:
-    """Design matrix Tr(O_n E_a) and covariance spectrum for a timeline.
+def build_covariance(
+    design: np.ndarray,
+    offsets: np.ndarray,
+    basis: HermitianBasis,
+    propagator: Optional[np.ndarray] = None,
+    op0: Optional[np.ndarray] = None,
+) -> CovarianceData:
+    """Covariance of a design and its row offsets, as :func:`read_timeline` fills them.
 
-    A timeline with one fixed step gets the eigenframe span of its
-    observable when that span limits the rank (:func:`_eigenframe_span`).
+    A timeline with one fixed step U = ``propagator`` from the observable
+    ``op0`` gets the eigenframe span of that observable when the span limits
+    the rank (:func:`_eigenframe_span`).
     """
-    if timeline.dim != basis.dim:
-        raise ValueError(f"timeline dim {timeline.dim} != basis dim {basis.dim}")
-    design = bloch_encode_batch(timeline.steps, basis)
-    offsets = np.einsum("nii->n", timeline.steps).real / basis.dim
-    return CovarianceData(design=design, row_offsets=offsets,
-                          span=_eigenframe_span(timeline, basis))
+    span = None if propagator is None else _eigenframe_span(propagator, op0, len(design), basis)
+    return CovarianceData(design=design, row_offsets=offsets, span=span)
 
 
-def _eigenframe_span(timeline: OperatorTimeline, basis: HermitianBasis) -> Optional[np.ndarray]:
-    """Orthonormal Bloch rows Phi spanning every O_n of a fixed-step timeline, or None.
+def _eigenframe_span(u: np.ndarray, op: np.ndarray, n_rows: int,
+                     basis: HermitianBasis) -> Optional[np.ndarray]:
+    """Orthonormal Bloch rows Phi spanning every O_n = U^dag^n O U^n, or None.
 
     Phi holds the d - 1 traceless diagonals of U's eigenframe and the two
     Bloch directions of each pair (a, b) with |O'_ab| > 1e-12 |O|,
@@ -278,18 +347,15 @@ def _eigenframe_span(timeline: OperatorTimeline, basis: HermitianBasis) -> Optio
     cut falls, conjugation keeps the modulus of each entry, so a dropped
     pair puts at most 1e-12 |O| into each row of the residual, which the
     singular values see at second order (:class:`CovarianceData`).
-    Returns None when the timeline has no fixed step or the span does not
-    limit the rank, k >= min(n_rows, d^2 - 1).
+    Returns None when the span does not limit the rank of n_rows rows,
+    k >= min(n_rows, d^2 - 1).
     """
-    u = timeline.propagator
-    if u is None:
-        return None
     d = basis.dim
-    op = timeline.steps[0]
+    op = np.asarray(op, dtype=complex)
     _, vecs = unitary_eigh(u)
     o = vecs.conj().T @ op @ vecs
     touched = np.flatnonzero(np.abs(o[basis.rows, basis.cols]) > 1e-12 * np.linalg.norm(op))
-    if d - 1 + 2 * len(touched) >= min(len(timeline), len(basis)):
+    if d - 1 + 2 * len(touched) >= min(n_rows, len(basis)):
         return None
     pairs = d - 1 + touched
     sel = np.concatenate([np.arange(d - 1), pairs, pairs + len(basis.rows)])
@@ -356,8 +422,8 @@ def psd_project(
     fixed-point residual, measured in the C^-1 norm scaled by its largest
     eigenvalue, drops below ``_PSD_TOL`` relative to the data scale.
 
-    Returns (r_bar, rho_bar, diagnostics); on hitting ``_PSD_MAX_ITERS`` the best
-    feasible iterate is returned with ``converged=False``.
+    Returns (r_bar, rho_bar, diagnostics); on hitting ``_PSD_MAX_ITERS`` the last
+    iterate, which is feasible, is returned with ``converged=False``.
     """
     r_ml = np.asarray(r_ml, dtype=float)
     decoded = bloch_decode(r_ml, basis)
@@ -388,7 +454,6 @@ def psd_project(
 
     scale = max(1.0, weighted_norm(r_ml))
     z = r_ml.copy() if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    r_bar = _project_feasible(z, basis)
     check_every = 10
     iters = 0
     residual = np.inf
@@ -480,7 +545,17 @@ def reconstruct_series(
 
 
 def model_timeline(model: ModelSpec, observable: np.ndarray, n_rows: int) -> OperatorTimeline:
-    """Timeline with n_rows entries O_0..O_{n_rows-1} for a model spec."""
+    """Timeline with n_rows entries O_0..O_{n_rows-1} for a model spec, as one stack."""
     if isinstance(model, HaarSteps):
         return haar_timeline(observable, n_rows - 1, np.random.default_rng(model.seed))
     return heisenberg_timeline(observable, build_propagator(model), n_rows - 1)
+
+
+def model_blocks(model: ModelSpec, observable: np.ndarray,
+                 n_rows: int) -> tuple[Iterator[np.ndarray], Optional[np.ndarray]]:
+    """Blocks of :func:`model_timeline`'s timeline, and its fixed step U (None for Haar steps)."""
+    if isinstance(model, HaarSteps):
+        rng = np.random.default_rng(model.seed)
+        return timeline_blocks(observable, n_rows - 1, rng=rng), None
+    u = build_propagator(model)
+    return timeline_blocks(observable, n_rows - 1, u), u

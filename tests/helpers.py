@@ -7,7 +7,8 @@ same recursion on full-length frame vectors, re-orthogonalized against
 every earlier vector.  ``stepwise_amplitudes`` is the reference for
 ``krylov_amplitudes``: each O(t) evolved on its own and projected.
 ``run_tomography`` is the record-to-fidelity pipeline of the experiment
-runners in one call.
+runners in one call.  ``timeline_covariance`` and ``timeline_record`` read
+a collected timeline as a single block.
 """
 
 from typing import Optional, Sequence
@@ -20,7 +21,8 @@ from chaostomo.operator_space import gell_mann_basis
 from chaostomo.tomography import (
     build_covariance,
     generate_record,
-    model_timeline,
+    model_blocks,
+    read_timeline,
     reconstruct_series,
 )
 
@@ -104,8 +106,21 @@ def run_tomography(
     applications of the propagator.  Deterministic for a fixed seed.
     """
     psi0 = np.asarray(psi0)
-    timeline = model_timeline(model, observable, n_steps)
-    basis = gell_mann_basis(timeline.dim)
-    cov = build_covariance(timeline, basis)
-    record = generate_record(psi0, timeline, sigma, seed)
+    basis = gell_mann_basis(model.dim)
+    blocks, u = model_blocks(model, observable, n_steps)
+    design, offsets, expected, _ = read_timeline(blocks, n_steps, basis, [psi0])
+    cov = build_covariance(design, offsets, basis, u, observable)
+    record = generate_record(expected[0], sigma, seed)
     return reconstruct_series([record], cov, basis, [psi0], eval_steps).fidelities[0]
+
+
+def timeline_covariance(timeline, basis):
+    """``build_covariance`` of a collected timeline."""
+    design, offsets, _, _ = read_timeline([timeline.steps], len(timeline), basis)
+    return build_covariance(design, offsets, basis, timeline.propagator, timeline.steps[0])
+
+
+def timeline_record(state, timeline, sigma, seed):
+    """``generate_record`` of a state's expectations along a collected timeline."""
+    _, _, expected, _ = read_timeline([timeline.steps], len(timeline), states=[state])
+    return generate_record(expected[0], sigma, seed)

@@ -40,12 +40,10 @@ from chaostomo.rmt import (
     reflection_operator,
 )
 from chaostomo.tomography import (
-    build_covariance,
-    generate_record,
     haar_random_pure,
     reconstruct_series,
 )
-from helpers import run_tomography, unitary_mode_count
+from helpers import run_tomography, timeline_covariance, timeline_record, unitary_mode_count
 
 LONG = bool(os.environ.get("CHAOSTOMO_LONG"))
 
@@ -97,7 +95,7 @@ def test_criterion_1_rank_and_arnoldi_saturation(L, reference):
         assert deficit == 0
     expected = reference - deficit
     n_rows = round(1.5 * d * d) + 8
-    cov = build_covariance(heisenberg_timeline(o, u, n_rows - 1), gell_mann_basis(d))
+    cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1), gell_mann_basis(d))
     rank = cov.rank()
     K = arnoldi_unitary_dim(u, o)
     assert rank == K, f"rank {rank} and Arnoldi dimension {K} disagree at L={L}"
@@ -120,7 +118,7 @@ def test_criterion_1_oracle_cross_check():
 @pytest.mark.skipif(not LONG, reason="optional long run; set CHAOSTOMO_LONG=1")
 def test_criterion_1_l5_long():
     u, o = tki_setup(5)
-    cov = build_covariance(heisenberg_timeline(o, u, 1535), gell_mann_basis(32))
+    cov = timeline_covariance(heisenberg_timeline(o, u, 1535), gell_mann_basis(32))
     assert cov.rank() == 993
     assert arnoldi_unitary_dim(u, o) == 993
     verdict(1, "L=5 long run: rank = Arnoldi K = 993")
@@ -136,7 +134,7 @@ def test_criterion_2_trace_identity():
     ]
     for name, model, obs in cases:
         basis = gell_mann_basis(model.dim)
-        cov = build_covariance(heisenberg_timeline(obs, build_propagator(model), 199), basis)
+        cov = timeline_covariance(heisenberg_timeline(obs, build_propagator(model), 199), basis)
         norm2 = float(np.sum(bloch_encode(obs, basis) ** 2))
         row_norms = np.cumsum(np.sum(cov.design**2, axis=1))
         for n in (1, 50, 200):
@@ -183,12 +181,12 @@ def _mean_step50_fidelity(model, psi_source, sigma, seeds, observable, eval_step
     basis = gell_mann_basis(model.dim)
     u = build_propagator(model)
     tl = heisenberg_timeline(observable, u, eval_step - 1)
-    cov = build_covariance(tl, basis)
+    cov = timeline_covariance(tl, basis)
     states, records = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         states.append(psi_source(rng))
-        records.append(generate_record(states[-1], tl, sigma, rng))
+        records.append(timeline_record(states[-1], tl, sigma, rng))
     run = reconstruct_series(records, cov, basis, states, eval_steps=[eval_step])
     assert all(diags[-1].converged for diags in run.results)
     fids = run.fidelities[:, -1]
@@ -240,13 +238,13 @@ def _perturbed_profile(lam, n_states, n_steps=100):
     obs = w.conj().T @ angular_momentum_ops(j)[0] @ w
     tl_true = heisenberg_timeline(obs, u_true, n_steps - 1)
     tl_model = heisenberg_timeline(obs, u_model, n_steps - 1)
-    cov_model = build_covariance(tl_model, basis)
+    cov_model = timeline_covariance(tl_model, basis)
     eval_steps = list(range(2, n_steps + 1, 2))
     states, records = [], []
     for ss in np.random.SeedSequence(77).spawn(n_states):
         rng = np.random.default_rng(ss)
         states.append(haar_random_pure(d, rng))
-        records.append(generate_record(states[-1], tl_true, 0.1, rng))
+        records.append(timeline_record(states[-1], tl_true, 0.1, rng))
     run = reconstruct_series(records, cov_model, basis, states, eval_steps=eval_steps)
     mean = run.fidelities.mean(axis=0)
     f_o = operator_loschmidt_echo(tl_true.steps[-1], tl_model.steps[-1], obs)
@@ -300,13 +298,13 @@ def test_criterion_9_rmt_agreement():
     u1 = haar_unitary(2, rng)
     obs = np.kron(u1, np.eye(16)).conj().T @ (pauli_site("y", 1, L) / 2) @ np.kron(u1, np.eye(16))
     u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
-    cov = build_covariance(heisenberg_timeline(obs, u, n_rows - 1), basis)
+    cov = timeline_covariance(heisenberg_timeline(obs, u, n_rows - 1), basis)
     s_model = shannon_entropy(cov)
     vbasis, dims = reflection_eigenbasis(L)
     samples = []
     for _ in range(10):
         w = block_diagonal_sample("COE", dims, vbasis, rng)
-        cov_r = build_covariance(heisenberg_timeline(obs, w, n_rows - 1), basis)
+        cov_r = timeline_covariance(heisenberg_timeline(obs, w, n_rows - 1), basis)
         samples.append(shannon_entropy(cov_r))
     s_rmt = float(np.mean(samples))
     assert abs(s_model - s_rmt) <= 0.05 * s_rmt

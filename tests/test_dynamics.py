@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chaostomo.dynamics import (
+    TIMELINE_BLOCK,
     HaarSteps,
     KickedIsing,
     KickedTop,
@@ -17,6 +18,7 @@ from chaostomo.dynamics import (
     heisenberg_timeline,
     kicked_top_floquet,
     pauli_site,
+    timeline_blocks,
     tki_floquet,
     unitary_eigh,
 )
@@ -209,6 +211,32 @@ class TestTimelines:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             heisenberg_timeline(np.eye(3), tki_floquet(KickedIsing(L=2)), 3)
+
+    @pytest.mark.parametrize("n_rows", [1, TIMELINE_BLOCK - 1, TIMELINE_BLOCK, TIMELINE_BLOCK + 1,
+                                        2 * TIMELINE_BLOCK - 1, 3 * TIMELINE_BLOCK + 5])
+    def test_blocks_cover_the_timeline(self, n_rows):
+        # every block holds TIMELINE_BLOCK operators, the last one also the rest
+        sizes = [len(b) for b in timeline_blocks(np.eye(2), n_rows - 1, np.eye(2))]
+        assert sum(sizes) == n_rows
+        assert all(k == TIMELINE_BLOCK for k in sizes[:-1])
+        assert sizes[-1] < 2 * TIMELINE_BLOCK and (sizes[-1] >= TIMELINE_BLOCK or len(sizes) == 1)
+
+    @pytest.mark.parametrize("haar", [False, True], ids=["fixed", "haar"])
+    def test_recurrence_is_stepwise_conjugation(self, haar):
+        # the collected timeline is each previous entry conjugated once, bit for bit
+        d, n_steps = 5, 2 * TIMELINE_BLOCK + 3
+        o = angular_momentum_ops(2)[1]
+        u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
+        draws = np.random.default_rng(4)
+        want = [o]
+        for _ in range(n_steps):
+            step = haar_unitary(d, draws) if haar else u
+            want.append(step.conj().T @ want[-1] @ step)
+        if haar:
+            tl = haar_timeline(o, n_steps, np.random.default_rng(4))
+        else:
+            tl = heisenberg_timeline(o, u, n_steps)
+        assert np.array_equal(tl.steps, np.array(want))
 
     def test_haar_timeline_spans_fast(self, rng):
         o = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)

@@ -546,25 +546,56 @@ class TestStreaming:
         run_experiment(streamed_config(experiment))
         assert len(counts) == 6 and max(counts) == 2
 
-    @pytest.mark.parametrize("experiment,owner,builder", [
-        ("tomo", tomography, "model_timeline"),
-        ("perturb", dynamics, "heisenberg_timeline"),
-    ], ids=["tomo", "perturb"])
-    def test_timeline_released_before_decomposing(self, experiment, owner, builder,
-                                                  monkeypatch):
-        steps = []
-        build = getattr(owner, builder)
+    @staticmethod
+    def track_blocks(monkeypatch) -> list:
+        """Weak references to every block the timeline recurrence yields."""
+        refs = []
+        stream = dynamics.timeline_blocks
 
-        def keep_ref(*args, **kwargs):
-            timeline = build(*args, **kwargs)
-            steps.append(weakref.ref(timeline.steps))
-            return timeline
+        def tracking(*args, **kwargs):
+            for block in stream(*args, **kwargs):
+                refs.append(weakref.ref(block))
+                yield block
 
-        monkeypatch.setattr(owner, builder, keep_ref)
-        dead = self.at_each_svd(monkeypatch, lambda out: [ref() is None for ref in steps])
+        for owner in (dynamics, tomography):
+            monkeypatch.setattr(owner, "timeline_blocks", tracking)
+        return refs
+
+    @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
+    def test_timeline_released_before_decomposing(self, experiment, monkeypatch):
+        blocks = self.track_blocks(monkeypatch)
+        dead = self.at_each_svd(monkeypatch, lambda out: [ref() is None for ref in blocks])
         run_experiment(streamed_config(experiment))
-        assert len(steps) == (2 if experiment == "tomo" else 4)
+        # one block per timeline: 2 sweep values, and perturb reads two timelines each
+        assert len(blocks) == (2 if experiment == "tomo" else 4)
         assert len(dead) == 6 and all(all(flags) for flags in dead)
+
+    @pytest.mark.parametrize("cfg", [
+        dict(experiment="tomo", model={"kind": "kicked_top", "j": 2, "lambda": 3.0},
+             sweep={"param": "lambda", "values": [3.0]}, n_states=2),
+        dict(experiment="tomo", model={"kind": "haar", "dim": 5, "seed": 1},
+             sweep={"param": "seed", "values": [1]}),
+        dict(experiment="perturb", model={"kind": "kicked_top", "j": 2, "lambda": 3.0},
+             sweep={"param": "lambda", "values": [3.0]}, n_states=2),
+        dict(experiment="rmt-compare", observable="s1y", model={"kind": "kicked_ising", "L": 2},
+             sweep={"param": "hz", "values": [1.4]}, n_samples=1),
+    ], ids=["tomo", "tomo-haar", "perturb", "rmt-compare"])
+    def test_no_stack_of_the_timeline(self, cfg, monkeypatch):
+        # 200 rows span three blocks; no runner collects the timeline into one stack
+        blocks = self.track_blocks(monkeypatch)
+        sizes = []
+        empty = np.empty
+
+        def watching(shape, *args, **kwargs):
+            sizes.append(shape[0] if isinstance(shape, tuple) and len(shape) == 3 else 0)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", watching)
+        for owner, name in ((dynamics, "heisenberg_timeline"), (dynamics, "haar_timeline"),
+                            (tomography, "model_timeline")):
+            monkeypatch.setattr(owner, name, None)
+        run_experiment(ExperimentConfig(steps=200, eval_stride=100, seed=3, **cfg))
+        assert len(blocks) >= 3 and max(sizes) < 2 * dynamics.TIMELINE_BLOCK
 
 
 class TestCli:

@@ -14,13 +14,11 @@ from chaostomo.perturbation import (
 )
 from chaostomo.rmt import haar_unitary
 from chaostomo.tomography import (
-    build_covariance,
-    generate_record,
     haar_random_pure,
     reconstruct_series,
 )
 from chaostomo.dynamics import KickedTop
-from helpers import run_tomography
+from helpers import run_tomography, timeline_covariance, timeline_record
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +112,8 @@ class TestMismatched:
         u_true, u_model = perturbed_kicked_top(2, 3.0, 1.4, 0.0)
         basis = gell_mann_basis(d)
         tl_true = heisenberg_timeline(jy, u_true, 19)
-        cov_model = build_covariance(heisenberg_timeline(jy, u_model, 19), basis)
-        rec = generate_record(psi, tl_true, 0.1, 7)
+        cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 19), basis)
+        rec = timeline_record(psi, tl_true, 0.1, 7)
         mism = reconstruct_series([rec], cov_model, basis, [psi])
         assert np.max(np.abs(mism.fidelities[0] - ideal)) < 1e-9
 
@@ -130,8 +128,8 @@ class TestMismatched:
         for dl in (1e-3, 1e-4):
             u_true, u_model = perturbed_kicked_top(2, 3.0, 1.4, dl)
             tl_true = heisenberg_timeline(jy, u_true, 14)
-            cov_model = build_covariance(heisenberg_timeline(jy, u_model, 14), basis)
-            rec = generate_record(psi, tl_true, 0.05, 3)
+            cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 14), basis)
+            rec = timeline_record(psi, tl_true, 0.05, 3)
             mism = reconstruct_series([rec], cov_model, basis, [psi])
             sup[dl] = np.max(np.abs(mism.fidelities[0] - ideal))
         assert sup[1e-4] < sup[1e-3]

@@ -15,7 +15,8 @@ from chaostomo.quantifiers import (
     quantifier_series,
     shannon_entropy,
 )
-from chaostomo.tomography import CovarianceData, build_covariance, haar_random_pure
+from chaostomo.tomography import CovarianceData, haar_random_pure
+from helpers import timeline_covariance
 
 
 def cov_from_rows(rows):
@@ -45,7 +46,7 @@ class TestShannon:
         ent = {}
         for hz in (0.0, 0.4, 1.4):
             u = tki_floquet(KickedIsing(L=3, J=1.0, hx=1.4, hz=hz))
-            cov = build_covariance(heisenberg_timeline(o, u, 199), basis)
+            cov = timeline_covariance(heisenberg_timeline(o, u, 199), basis)
             ent[hz] = shannon_entropy(cov)
         assert ent[1.4] > ent[0.4] > ent[0.0]
 
@@ -58,7 +59,7 @@ class TestShannon:
         ent, rank = {}, {}
         for g in (0.0, 0.94):
             u = build_propagator(XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2))
-            cov = build_covariance(heisenberg_timeline(o, u, 299), basis)
+            cov = timeline_covariance(heisenberg_timeline(o, u, 299), basis)
             ent[g] = shannon_entropy(cov)
             rank[g] = cov.rank()
         assert ent[0.94] > ent[0.0]
@@ -124,7 +125,7 @@ class TestSeries:
     def test_series_shapes_and_fisher_monotone(self):
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
-        cov = build_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4))
+        cov = timeline_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4))
         series = quantifier_series(cov, [cov.truncated(n) for n in range(1, 41)])
         assert list(series) == ["shannon", "fisher", "rank", "mutual_info"]
         assert all(len(column) == 40 for column in series.values())

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chaostomo.dynamics import (
+    TIMELINE_BLOCK,
     HaarSteps,
     KickedIsing,
     KickedTop,
@@ -9,26 +12,28 @@ from chaostomo.dynamics import (
     XXZChain,
     angular_momentum_ops,
     build_propagator,
+    haar_timeline,
     heisenberg_timeline,
     kicked_top_floquet,
     pauli_site,
+    timeline_blocks,
     tki_floquet,
 )
 from chaostomo import tomography
-from chaostomo.operator_space import bloch_decode, bloch_encode, gell_mann_basis
+from chaostomo.operator_space import bloch_decode, bloch_encode, bloch_encode_batch, gell_mann_basis
 from chaostomo.tomography import (
     CovarianceData,
     MeasurementRecord,
     build_covariance,
     fidelity,
-    generate_record,
     haar_random_pure,
     ml_estimate,
     model_timeline,
     psd_project,
+    read_timeline,
     reconstruct_series,
 )
-from helpers import run_tomography
+from helpers import run_tomography, timeline_covariance, timeline_record
 
 
 class TestHaarStates:
@@ -58,7 +63,7 @@ class TestRecords:
         u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
         tl = heisenberg_timeline(jy, u, 10)
         psi = haar_random_pure(5, rng)
-        rec = generate_record(psi, tl, 0.0, 1)
+        rec = timeline_record(psi, tl, 0.0, 1)
         rho = np.outer(psi, psi.conj())
         want = [np.trace(o @ rho).real for o in tl.steps]
         assert np.allclose(rec.values, want, atol=1e-12)
@@ -67,9 +72,9 @@ class TestRecords:
         jy = angular_momentum_ops(2)[1]
         u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
         tl = heisenberg_timeline(jy, u, 30)
-        rec0 = generate_record(np.eye(5) / 5, tl, 0.0, 7)
+        rec0 = timeline_record(np.eye(5) / 5, tl, 0.0, 7)
         assert np.max(np.abs(rec0.values)) < 1e-12
-        rec = generate_record(np.eye(5) / 5, tl, 0.1, 7)
+        rec = timeline_record(np.eye(5) / 5, tl, 0.1, 7)
         noise = np.random.default_rng(7).standard_normal(31) * 0.1
         assert np.allclose(rec.values, noise)
 
@@ -78,15 +83,79 @@ class TestRecords:
         u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
         tl = heisenberg_timeline(jy, u, 10)
         psi = haar_random_pure(5, rng)
-        a = generate_record(psi, tl, 0.1, 42)
-        b = generate_record(psi, tl, 0.1, 42)
+        a = timeline_record(psi, tl, 0.1, 42)
+        b = timeline_record(psi, tl, 0.1, 42)
         assert np.array_equal(a.values, b.values)
 
     def test_negative_sigma_rejected(self, rng):
         jy = angular_momentum_ops(2)[1]
         tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(2, 1.0, 1.0)), 3)
         with pytest.raises(ValueError):
-            generate_record(haar_random_pure(5, rng), tl, -0.1, 0)
+            timeline_record(haar_random_pure(5, rng), tl, -0.1, 0)
+
+
+class TestStreamedTimeline:
+    """One pass over timeline blocks against the collected timeline, bit for bit.
+
+    At d = 32, a short block would take the encode to OpenBLAS's small-matrix
+    kernel, whose rows round otherwise than those of the whole stack.
+    """
+
+    @pytest.mark.parametrize("n_rows", [1, 40, TIMELINE_BLOCK + 1, 2 * TIMELINE_BLOCK,
+                                        2 * TIMELINE_BLOCK + 37, 3 * TIMELINE_BLOCK + 5])
+    @pytest.mark.parametrize("haar", [False, True], ids=["fixed", "haar"])
+    def test_matches_collected(self, n_rows, haar, rng):
+        d = 32
+        basis = gell_mann_basis(d)
+        o = pauli_site("y", 1, 5) / 2
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        states = [haar_random_pure(d, rng), a @ a.conj().T / np.trace(a @ a.conj().T)]
+        if haar:
+            blocks = timeline_blocks(o, n_rows - 1, rng=np.random.default_rng(9))
+            steps = haar_timeline(o, n_rows - 1, np.random.default_rng(9)).steps
+        else:
+            u = tki_floquet(KickedIsing(L=5, hz=0.4))
+            blocks = timeline_blocks(o, n_rows - 1, u)
+            steps = heisenberg_timeline(o, u, n_rows - 1).steps
+        keep = sorted({0, n_rows // 2, n_rows - 1})
+        design, offsets, expected, kept = read_timeline(blocks, n_rows, basis, states, keep)
+        assert np.array_equal(design, bloch_encode_batch(steps, basis))
+        assert np.array_equal(offsets, np.einsum("nii->n", steps).real / d)
+        flat = steps.reshape(n_rows, -1)
+        rhos = [np.outer(states[0], states[0].conj()), states[1]]
+        assert all(np.array_equal(row, (flat @ rho.conj().reshape(-1)).real)
+                   for row, rho in zip(expected, rhos))
+        assert all(np.array_equal(op, steps[n]) for op, n in zip(kept, keep))
+
+    def test_peak_below_the_stack(self, rng):
+        # kicked Ising L=4 at the default record length 2 d^2
+        d, n_rows = 16, 512
+        o = pauli_site("y", 1, 4) / 2
+        u = build_propagator(KickedIsing(L=4, hz=1.4))
+        basis = gell_mann_basis(d)
+        psi = haar_random_pure(d, rng)
+        tracemalloc.start()
+        try:
+            design, offsets, _, _ = read_timeline(timeline_blocks(o, n_rows - 1, u), n_rows,
+                                                  basis, [psi])
+            build_covariance(design, offsets, basis, u, o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_rows * d * d * np.dtype(complex).itemsize
+
+    def test_row_count_checked(self):
+        o = angular_momentum_ops(1)[1]
+        u = kicked_top_floquet(KickedTop(j=1, lam=2.0, alpha=1.0))
+        for n_rows in (9, 11):
+            with pytest.raises(ValueError, match="rows"):
+                read_timeline(timeline_blocks(o, 9, u), n_rows, gell_mann_basis(3))
+        with pytest.raises(ValueError, match="dim"):
+            read_timeline(timeline_blocks(o, 9, u), 10, gell_mann_basis(4))
+        with pytest.raises(ValueError, match="state dimension"):
+            read_timeline(timeline_blocks(o, 9, u), 10, states=[np.ones(4) / 2])
+        with pytest.raises(ValueError, match="keep"):
+            read_timeline(timeline_blocks(o, 9, u), 10, keep=[10])
 
 
 MODEL_CASES = [
@@ -105,7 +174,7 @@ class TestCovariance:
         basis = gell_mann_basis(d)
         o = obs(d)
         tl = heisenberg_timeline(o, build_propagator(model), 199)
-        cov = build_covariance(tl, basis)
+        cov = timeline_covariance(tl, basis)
         lhs = float(np.sum(cov.design**2))  # Tr(design^T design)
         rhs = len(tl) * float(np.sum(bloch_encode(o, basis) ** 2))
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
@@ -114,14 +183,14 @@ class TestCovariance:
         jy = angular_momentum_ops(1)[1]
         basis = gell_mann_basis(3)
         tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(1, 2.0, 1.0)), 0)
-        cov = build_covariance(tl, basis)
+        cov = timeline_covariance(tl, basis)
         assert cov.rank() == 1
 
     def test_kicked_ising_rank_saturates_at_13(self):
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         tl = heisenberg_timeline(o, u, 60)
-        cov = build_covariance(tl, gell_mann_basis(4))
+        cov = timeline_covariance(tl, gell_mann_basis(4))
         assert cov.rank() == 13
 
     def test_rank_bound_for_single_unitary_timelines(self, rng):
@@ -131,7 +200,7 @@ class TestCovariance:
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         o = (a + a.conj().T) / 2
         tl = heisenberg_timeline(o, u, 50)
-        cov = build_covariance(tl, gell_mann_basis(d))
+        cov = timeline_covariance(tl, gell_mann_basis(d))
         assert cov.rank() <= d * d - d + 1
 
     def test_monotone_rank_and_saturating_entropy(self):
@@ -144,7 +213,7 @@ class TestCovariance:
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         tl = heisenberg_timeline(o, u, 30)
-        cov = build_covariance(tl, gell_mann_basis(4))
+        cov = timeline_covariance(tl, gell_mann_basis(4))
         ranks = [cov.truncated(n).rank() for n in range(1, 31)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
         entropies = np.array([shannon_entropy(cov.truncated(n)) for n in range(2, 31)])
@@ -177,7 +246,7 @@ class TestMeasuredSubspace:
             model = KickedIsing(L=4, hz=0.0)
             o, n_rows = _chain_case(model)
             tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-            cov = build_covariance(tl, gell_mann_basis(model.dim))
+            cov = timeline_covariance(tl, gell_mann_basis(model.dim))
             assert cov.span is not None
         else:
             # rank 5 of 8 directions, so the cut drops rounding-level values
@@ -207,7 +276,7 @@ class TestSingularValues:
         model = XXZChain(L=4, g=0.94, site=2) if factored else KickedIsing(L=4, hz=1.4)
         o, n_rows = _chain_case(model)
         tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-        values, full = (build_covariance(tl, gell_mann_basis(16)) for _ in range(2))
+        values, full = (timeline_covariance(tl, gell_mann_basis(16)) for _ in range(2))
         assert (values.span is not None) == factored
         full.svd()
         s = full.svd()[1]
@@ -236,7 +305,7 @@ class TestFactoredDesign:
         o, n_rows = _chain_case(model)
         basis = gell_mann_basis(model.dim)
         tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-        cov = build_covariance(tl, basis)
+        cov = timeline_covariance(tl, basis)
         assert cov.span is not None
         k = len(cov.span)
         assert k < min(n_rows, len(basis))
@@ -262,7 +331,7 @@ class TestFactoredDesign:
         # the pseudoinverse amplifies the dropped residue by s_0 / s_min, so
         # the estimates are compared where every kept direction is clean
         psi = haar_random_pure(model.dim, np.random.default_rng(1))
-        record = generate_record(psi, tl, 0.1, 2)
+        record = timeline_record(psi, tl, 0.1, 2)
         for n in steps:
             prefix = plain.truncated(n)
             s = prefix.svd()[1]
@@ -274,7 +343,7 @@ class TestFactoredDesign:
 
     def test_prefix_keeps_span_while_it_limits_rank(self):
         o, n_rows = _chain_case(KickedIsing(L=4, hz=0.0))
-        cov = build_covariance(heisenberg_timeline(o, tki_floquet(KickedIsing(L=4, hz=0.0)),
+        cov = timeline_covariance(heisenberg_timeline(o, tki_floquet(KickedIsing(L=4, hz=0.0)),
                                                    n_rows - 1), gell_mann_basis(16))
         k = len(cov.span)
         assert cov.truncated(k + 1).span is cov.span
@@ -285,15 +354,15 @@ class TestFactoredDesign:
         # kicked top j=10, 100 rows: the span (240 directions) exceeds the rows
         jy = angular_momentum_ops(10)[1]
         tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(10, 0.5, np.pi / 2)), 99)
-        assert build_covariance(tl, gell_mann_basis(21)).span is None
+        assert timeline_covariance(tl, gell_mann_basis(21)).span is None
         # kicked Ising hz=1.4: O touches every eigenframe pair
         model = KickedIsing(L=4, hz=1.4)
         o, n_rows = _chain_case(model)
         tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-        assert build_covariance(tl, gell_mann_basis(16)).span is None
+        assert timeline_covariance(tl, gell_mann_basis(16)).span is None
         # random control: no fixed step
         tl = model_timeline(HaarSteps(dim=4, seed=1), np.diag([1.0, -1.0, 0.0, 0.0]) + 0j, 40)
-        assert build_covariance(tl, gell_mann_basis(4)).span is None
+        assert timeline_covariance(tl, gell_mann_basis(4)).span is None
 
 
 class TestMLEstimate:
@@ -302,8 +371,8 @@ class TestMLEstimate:
         basis = gell_mann_basis(d)
         psi = haar_random_pure(d, rng)
         tl = model_timeline(HaarSteps(dim=d, seed=3), np.diag(np.arange(d) - 3.5).astype(complex), d * d)
-        cov = build_covariance(tl, basis)
-        rec = generate_record(psi, tl, 0.0, 0)
+        cov = timeline_covariance(tl, basis)
+        rec = timeline_record(psi, tl, 0.0, 0)
         r = ml_estimate(rec, cov)
         want = bloch_encode(np.outer(psi, psi.conj()), basis)
         assert np.max(np.abs(r - want)) < 1e-8
@@ -313,9 +382,9 @@ class TestMLEstimate:
         basis = gell_mann_basis(d)
         jy = angular_momentum_ops(1)[1]
         tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(1, 2.0, 1.0)), 0)
-        cov = build_covariance(tl, basis)
+        cov = timeline_covariance(tl, basis)
         psi = haar_random_pure(d, rng)
-        rec = generate_record(psi, tl, 0.0, 0)
+        rec = timeline_record(psi, tl, 0.0, 0)
         r = ml_estimate(rec, cov)
         o_vec = bloch_encode(jy, basis)
         r_true = bloch_encode(np.outer(psi, psi.conj()), basis)
@@ -327,8 +396,8 @@ class TestMLEstimate:
         basis = gell_mann_basis(d)
         jy = angular_momentum_ops(1)[1]
         tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(1, 2.0, 1.0)), 20)
-        cov = build_covariance(tl, basis)
-        rec = generate_record(np.eye(d) / d, tl, 0.0, 0)
+        cov = timeline_covariance(tl, basis)
+        rec = timeline_record(np.eye(d) / d, tl, 0.0, 0)
         assert np.max(np.abs(ml_estimate(rec, cov))) < 1e-12
 
     def test_non_traceless_observable_inverts_exactly(self, rng):
@@ -337,9 +406,9 @@ class TestMLEstimate:
         basis = gell_mann_basis(d)
         o = np.diag(np.arange(d, dtype=float)).astype(complex)  # nonzero trace
         tl = model_timeline(HaarSteps(dim=d, seed=8), o, d * d)
-        cov = build_covariance(tl, basis)
+        cov = timeline_covariance(tl, basis)
         psi = haar_random_pure(d, rng)
-        rec = generate_record(psi, tl, 0.0, 0)
+        rec = timeline_record(psi, tl, 0.0, 0)
         r = ml_estimate(rec, cov)
         assert np.max(np.abs(r - bloch_encode(np.outer(psi, psi.conj()), basis))) < 1e-8
 
@@ -459,9 +528,9 @@ class TestPipeline:
         basis = gell_mann_basis(d)
         o = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
         tl = heisenberg_timeline(o, np.eye(d), 39)
-        cov = build_covariance(tl, basis)
+        cov = timeline_covariance(tl, basis)
         psi = haar_random_pure(d, rng)
-        rec = generate_record(psi, tl, 0.0, 0)
+        rec = timeline_record(psi, tl, 0.0, 0)
         fids = reconstruct_series([rec], cov, basis, [psi], eval_steps=[10, 40]).fidelities[0]
         r_true = bloch_encode(np.outer(psi, psi.conj()), basis)
         o_vec = bloch_encode(o, basis)
