@@ -80,7 +80,7 @@ def _check_trace_identity():
     u = dynamics.kicked_top_floquet(dynamics.KickedTop(j=3, lam=3.0, alpha=1.4))
     basis = gell_mann_basis(7)
     cov = _covariance(dynamics.timeline_blocks(jy, 79, u), 80, basis, u, jy)
-    lhs = float(cov.eigenvalues().sum())
+    lhs = float(np.sum(cov.singular_values() ** 2))
     rhs = 80 * float(np.sum(bloch_encode(jy, basis) ** 2))
     rel = abs(lhs - rhs) / abs(rhs)
     return rel < 1e-10, f"Tr(C^-1) = N |O|^2 to relative {rel:.1e}"
@@ -121,10 +121,9 @@ def _check_zero_noise():
     d = 5
     psi = tomography.haar_random_pure(d, rng)
     basis = gell_mann_basis(d)
-    timeline = tomography.model_timeline(
+    blocks, _ = tomography.model_blocks(
         dynamics.HaarSteps(dim=d, seed=9), np.diag(np.arange(d) - 2.0).astype(complex), d * d)
-    # the collected stack is one block
-    design, offsets, expected, _ = tomography.read_timeline([timeline.steps], d * d, basis, [psi])
+    design, offsets, expected, _ = tomography.read_timeline(blocks, d * d, basis, [psi])
     run = tomography.reconstruct_series(
         [tomography.generate_record(expected[0], 0.0, 4)],
         tomography.build_covariance(design, offsets, basis), basis, [psi], eval_steps=[d * d],
@@ -193,7 +192,7 @@ def _check_error_scrambling_identity():
     tl_m = dynamics.heisenberg_timeline(jx, u_model, 20)
     worst = 0.0
     for n in range(21):
-        lhs = perturbation.operator_incompatibility(tl_t.steps[n], tl_m.steps[n], j=j)
+        lhs = perturbation.operator_incompatibility(tl_t[n], tl_m[n], j=j)
         uu = perturbation.error_unitary(u_true, u_model, n)
         rhs = perturbation.operator_incompatibility(jx, uu.conj().T @ jx @ uu, j=j)
         worst = max(worst, abs(lhs - rhs))

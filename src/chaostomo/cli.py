@@ -53,13 +53,11 @@ def run(config_path, preset_name, seed, out_path):
             if not isinstance(raw, dict):
                 raise ConfigError("<root>", "config file must be a mapping")
         preset_name = raw.pop("preset", preset_name)
-        if preset_name:
-            cfg = config_from_preset(preset_name, **raw)
-        else:
-            try:
-                cfg = ExperimentConfig(**raw)
-            except TypeError as exc:
-                raise ConfigError("<root>", str(exc)) from exc
+        try:  # an unknown key, with or without a preset
+            cfg = config_from_preset(preset_name, **raw) if preset_name else ExperimentConfig(**raw)
+        except TypeError as exc:
+            raise ConfigError("<root>", str(exc)) from exc
+        cfg.validate()  # the config as written, before --seed and --out override it
         if seed is not None:
             cfg.seed = seed
         if out_path is not None:

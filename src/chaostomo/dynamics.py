@@ -16,9 +16,9 @@ which costs O(N d^3) and avoids the phase error of accumulated powers.
 :func:`timeline_blocks` is that recurrence: it hands the sequence out in
 blocks of ``TIMELINE_BLOCK`` operators, so a consumer that reads each
 block and drops it never holds the (N + 1, d, d) stack.
-:func:`heisenberg_timeline` and :func:`haar_timeline` collect the blocks
-into one stack, for callers that index the whole sequence.  Matrix
-exponentials of Hermitian generators go through eigendecomposition,
+:func:`heisenberg_timeline` collects the blocks of a fixed-step timeline
+into that (N + 1, d, d) array, for callers that index the whole sequence.
+Matrix exponentials of Hermitian generators go through eigendecomposition,
 exact at these sizes.
 """
 
@@ -38,7 +38,6 @@ __all__ = [
     "XXZChain",
     "HaarSteps",
     "ModelSpec",
-    "OperatorTimeline",
     "expm_hermitian",
     "unitary_eigh",
     "angular_momentum_ops",
@@ -52,7 +51,6 @@ __all__ = [
     "TIMELINE_BLOCK",
     "timeline_blocks",
     "heisenberg_timeline",
-    "haar_timeline",
 ]
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -176,21 +174,6 @@ class HaarSteps:
 
 
 ModelSpec = Union[KickedTop, KickedIsing, TiltedIsing, XXZChain, HaarSteps]
-
-
-@dataclass(frozen=True)
-class OperatorTimeline:
-    """Heisenberg sequence [O_0, O_1, ..., O_N] of a Hermitian observable.
-
-    ``propagator`` is the fixed step U, a (d, d) unitary with
-    O_{k+1} = U^dag O_k U, or None when every step draws a fresh unitary.
-    """
-
-    steps: np.ndarray  # shape (N + 1, d, d)
-    propagator: Optional[np.ndarray] = None
-
-    def __len__(self):
-        return len(self.steps)
 
 
 def expm_hermitian(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
@@ -386,15 +369,9 @@ def timeline_blocks(
         yield block
 
 
-def heisenberg_timeline(op: np.ndarray, u: np.ndarray, n_steps: int) -> OperatorTimeline:
-    """Timeline [O_0, ..., O_N] with O_k = U^dag^k O U^k, N = n_steps, for a (d, d) unitary U.
+def heisenberg_timeline(op: np.ndarray, u: np.ndarray, n_steps: int) -> np.ndarray:
+    """The (N + 1, d, d) array [O_0, ..., O_N] with O_k = U^dag^k O U^k, N = n_steps.
 
-    The collected form of :func:`timeline_blocks`.
+    The collected form of :func:`timeline_blocks` for a fixed (d, d) unitary U.
     """
-    return OperatorTimeline(steps=np.concatenate(list(timeline_blocks(op, n_steps, u))),
-                            propagator=u)
-
-
-def haar_timeline(op: np.ndarray, n_steps: int, rng) -> OperatorTimeline:
-    """Timeline under random control, a fresh Haar unitary every step: :func:`timeline_blocks` collected."""
-    return OperatorTimeline(steps=np.concatenate(list(timeline_blocks(op, n_steps, rng=rng))))
+    return np.concatenate(list(timeline_blocks(op, n_steps, u)))

@@ -13,8 +13,8 @@ Randomness discipline: the single config seed feeds a SeedSequence whose
 children are assigned by fixed position - child 0 randomizes observables,
 child 1 covers auxiliary draws (trajectory starts, perturbation
 unitaries), and child 2 + i belongs to work cell i, where cells enumerate
-(sweep value, repetition) pairs in row-major order.  Cell results are
-merged by index, so any parallel execution schedule yields the same bytes.
+(sweep value, repetition) pairs in row-major order.  Cells run serially in
+that index order, and no cell's draws depend on another's.
 """
 
 from __future__ import annotations
@@ -139,6 +139,10 @@ class ExperimentConfig:
             if not _is_real(getattr(self, name)):
                 raise ConfigError(name, f"must be a finite real number, "
                                         f"got {getattr(self, name)!r}")
+        if not isinstance(self.observable, str):
+            raise ConfigError("observable", f"must be a string, got {self.observable!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError("output_path", f"must be a string, got {self.output_path!r}")
         kind = self.model.get("kind")
         kinds = EXPERIMENT_KINDS.get(self.experiment, MODEL_KINDS)
         if kind not in kinds:
@@ -373,7 +377,7 @@ def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
         cov = tomography.build_covariance(design, offsets, basis, u, observable)
         run = tomography.reconstruct_series(_records(cfg, expected, rngs), cov, basis, states,
                                             eval_steps)
-        rows.add_steps(value, eval_steps, quantifiers.quantifier_series(cov, run.spectra))
+        rows.add_steps(value, eval_steps, quantifiers.quantifier_series(run.spectra, len(basis)))
         converged &= _fidelity_rows(rows, value, run, eval_steps)
     return rows.table(converged)
 
@@ -476,7 +480,7 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
         u = dynamics.build_propagator(model)
         tl = dynamics.heisenberg_timeline(observable, u, n_steps)
         rows.add_steps(value, steps, {
-            "husimi_entropy": [phase_space.husimi_entropy(tl.steps[n], grid) for n in steps]})
+            "husimi_entropy": [phase_space.husimi_entropy(tl[n], grid) for n in steps]})
     return rows.table()
 
 
@@ -484,7 +488,8 @@ def _spectrum_series(blocks, u, observable, basis, n_rows, eval_steps) -> dict:
     """Quantifier columns of a timeline's record prefixes, read off singular values alone."""
     design, offsets, _, _ = tomography.read_timeline(blocks, n_rows, basis)
     cov = tomography.build_covariance(design, offsets, basis, u, observable)
-    return quantifiers.quantifier_series(cov, [cov.truncated(n) for n in eval_steps])
+    return quantifiers.quantifier_series([cov.truncated(n).singular_values() for n in eval_steps],
+                                         len(basis))
 
 
 def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:

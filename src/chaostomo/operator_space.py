@@ -105,7 +105,16 @@ def bloch_encode(rho: np.ndarray, basis: HermitianBasis) -> np.ndarray:
 
 
 def bloch_encode_batch(ops: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Bloch components for a stack of Hermitian operators, shape (n, d^2 - 1)."""
+    """Bloch components for a stack of Hermitian operators, shape (n, d^2 - 1).
+
+    A row depends on how many rows are encoded together, at the ulp.  numpy
+    hands the diagonal part to BLAS, and the kernel depends on the row
+    count: a one-row product goes to gemv/dot, and at d >= 32 OpenBLAS's
+    small-matrix dgemm (AVX-512) takes products of 38 rows or fewer; each
+    rounds otherwise than a larger product.  So streaming callers encode
+    blocks of at least ``dynamics.TIMELINE_BLOCK`` rows, which round as the
+    rows of the whole stack do.
+    """
     ops = np.asarray(ops)
     if ops.ndim != 3 or ops.shape[1:] != (basis.dim, basis.dim):
         raise ValueError(f"expected a stack of ({basis.dim}, {basis.dim}) operators")

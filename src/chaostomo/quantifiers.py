@@ -6,6 +6,9 @@ spectrum measures how evenly the dynamics spreads information over operator
 directions, the rank counts directions measured at all, the
 pseudo-log-determinant is the mutual information between record and Bloch
 vector, and the regularized trace inverse is the total Fisher information.
+Each measure takes the design's singular values s, descending (the
+eigenvalues of C^-1 are s^2), and cuts the measured subspace as
+:func:`~chaostomo.tomography.measured_rank` does.
 
 Also here: the ordered-measurement analysis (how fast fidelity can rise
 when basis elements are measured in decreasing order of their Bloch
@@ -19,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .operator_space import HermitianBasis, bloch_encode
-from .tomography import CovarianceData
+from .tomography import measured_rank
 
 __all__ = [
     "shannon_entropy",
@@ -30,67 +33,70 @@ __all__ = [
 ]
 
 
-def _positive_spectrum(cov: CovarianceData) -> np.ndarray:
+def _positive_spectrum(s: np.ndarray) -> np.ndarray:
     """Eigenvalues of C^-1 on the measured subspace, descending."""
-    return cov.singular_values()[: cov.rank()] ** 2
+    return s[: measured_rank(s)] ** 2
 
 
-def shannon_entropy(cov: CovarianceData) -> float:
+def shannon_entropy(s: np.ndarray) -> float:
     """Entropy -sum p ln p of the normalized positive spectrum of C^-1."""
-    lam = _positive_spectrum(cov)
+    lam = _positive_spectrum(s)
     if len(lam) == 0:
         raise ValueError("covariance has no support; entropy undefined")
     p = lam / lam.sum()
     return float(-np.sum(p * np.log(p)))
 
 
-def _fisher_reg(cov: CovarianceData) -> float:
+def _fisher_reg(s: np.ndarray) -> float:
     """Regularizer: a small fraction of the largest eigenvalue (1 if all zero)."""
-    lam = _positive_spectrum(cov)
+    lam = _positive_spectrum(s)
     top = lam[0] if len(lam) else 1.0
     return 1e-6 * top
 
 
-def fisher_information(cov: CovarianceData, reg: float) -> float:
-    """Total Fisher information 1 / Tr[(C^-1 + reg I)^-1].
+def fisher_information(s: np.ndarray, n_directions: int, reg: float) -> float:
+    """Total Fisher information 1 / Tr[(C^-1 + reg I)^-1] over ``n_directions`` = d^2 - 1.
 
     C^-1 is never full rank for single-map timelines, so the zero
-    eigenvalues are lifted by ``reg`` before inverting.
+    eigenvalues, the directions past ``len(s)`` included, are lifted by
+    ``reg`` before inverting.
     """
     if reg <= 0:
         raise ValueError("regularizer must be positive")
-    lam = cov.eigenvalues()
+    lam = np.zeros(n_directions)
+    lam[: len(s)] = s**2
     return float(1.0 / np.sum(1.0 / (lam + reg)))
 
 
-def mutual_information(cov: CovarianceData) -> float:
+def mutual_information(s: np.ndarray) -> float:
     """(1/2) sum ln lambda over the positive spectrum of C^-1.
 
     The pseudo-log-determinant on the measured subspace: ln(1/V) with V the
     volume of the error ellipsoid restricted to measured directions.
     """
-    lam = _positive_spectrum(cov)
+    lam = _positive_spectrum(s)
     if len(lam) == 0:
         return 0.0
     return float(0.5 * np.sum(np.log(lam)))
 
 
-def quantifier_series(cov: CovarianceData, prefixes: Sequence[CovarianceData]) -> dict:
+def quantifier_series(spectra: Sequence[np.ndarray], n_directions: int) -> dict:
     """Shannon entropy, Fisher information, rank and mutual information per prefix.
 
-    ``prefixes`` are the covariances of growing prefixes of the record that
-    ``cov`` covers: ``cov.truncated(n)``, or the ``spectra`` of a
-    reconstruction (:func:`~chaostomo.tomography.reconstruct_series`).
-    Returns {"shannon", "fisher", "rank", "mutual_info"}, each with one
-    value per prefix.  The Fisher regularizer is fixed once from the full
-    record ``cov`` so the series is monotone in the record length.
+    ``spectra`` holds the singular values of growing prefixes of one
+    record's design, the full record last: the ``spectra`` of a
+    reconstruction (:func:`~chaostomo.tomography.reconstruct_series`), or
+    ``cov.truncated(n).singular_values()``.  Returns {"shannon", "fisher",
+    "rank", "mutual_info"}, each with one value per prefix.  The Fisher
+    regularizer is fixed once from the last prefix, so the series is
+    monotone in the record length.
     """
-    reg = _fisher_reg(cov)
+    reg = _fisher_reg(spectra[-1])
     return {
-        "shannon": np.array([shannon_entropy(c) for c in prefixes]),
-        "fisher": np.array([fisher_information(c, reg) for c in prefixes]),
-        "rank": np.array([c.rank() for c in prefixes]),
-        "mutual_info": np.array([mutual_information(c) for c in prefixes]),
+        "shannon": np.array([shannon_entropy(s) for s in spectra]),
+        "fisher": np.array([fisher_information(s, n_directions, reg) for s in spectra]),
+        "rank": np.array([measured_rank(s) for s in spectra]),
+        "mutual_info": np.array([mutual_information(s) for s in spectra]),
     }
 
 

@@ -17,7 +17,9 @@ pass, the design rows, the row offsets Tr(O_n)/d and each state's
 noiseless record, dropping each block before the next is made; the
 (N, d, d) operator stack (19.7 MB for N = 1200 at d = 32) never exists.
 :func:`build_covariance` takes the design from there, and
-:func:`generate_record` adds each record's noise.
+:func:`generate_record` adds each record's noise.  Records are plain 1-D
+arrays, and :func:`reconstruct_series` hands back each prefix's spectrum
+as the design's singular values.
 
 A fixed step U confines the timeline to a subspace known in advance.  In
 the eigenbasis V of U, entry (a, b) of V^dag O_n V is O'_ab e^{in(theta_b -
@@ -41,16 +43,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    HaarSteps,
-    ModelSpec,
-    OperatorTimeline,
-    build_propagator,
-    haar_timeline,
-    heisenberg_timeline,
-    timeline_blocks,
-    unitary_eigh,
-)
+from .dynamics import HaarSteps, ModelSpec, build_propagator, timeline_blocks, unitary_eigh
+# unused here; the benchmark tracer (bench/layers.py) wraps this alias
+from .dynamics import heisenberg_timeline  # noqa: F401
 from .operator_space import (
     HermitianBasis,
     bloch_decode,
@@ -59,7 +54,6 @@ from .operator_space import (
 )
 
 __all__ = [
-    "MeasurementRecord",
     "CovarianceData",
     "SolverDiagnostics",
     "TomographyRun",
@@ -71,11 +65,10 @@ __all__ = [
     "psd_project",
     "fidelity",
     "reconstruct_series",
-    "model_timeline",
     "model_blocks",
 ]
 
-# Relative singular-value cut of the measured subspace (CovarianceData.rank).
+# Relative singular-value cut of the measured subspace (measured_rank).
 RANK_TOL = 1e-10
 DEFAULT_SIGMA = 0.1
 # Douglas-Rachford stopping rule of psd_project, read at call time.
@@ -83,15 +76,9 @@ _PSD_TOL = 1e-7
 _PSD_MAX_ITERS = 5000
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Noisy expectation-value series M_1..M_N with its noise spread."""
-
-    values: np.ndarray
-    sigma: float
-
-    def __len__(self):
-        return len(self.values)
+def measured_rank(s: np.ndarray) -> int:
+    """Dimension of the measured subspace: descending singular values above RANK_TOL times s_0."""
+    return 0 if len(s) == 0 or s[0] == 0.0 else int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 @dataclass
@@ -100,10 +87,10 @@ class CovarianceData:
 
     ``design[n, a] = Tr(O_n E_a)``; the inverse covariance is
     C^-1 = design^T design.  The singular value decomposition of the design
-    is computed once and shared by the estimator and the projection solver;
-    :meth:`drop_vectors` releases its singular vectors and keeps its values.
-    The information quantifiers read only :meth:`singular_values`, which
-    computes no singular vectors unless the full decomposition is cached.
+    is computed once and shared by the estimator and the projection solver.
+    The information quantifiers take only the singular values, and
+    :meth:`singular_values` computes no singular vectors unless the full
+    decomposition is cached.
     ``row_offsets`` carries Tr(O_n)/d so that records of non-traceless
     observables invert exactly.
 
@@ -128,8 +115,6 @@ class CovarianceData:
     span: Optional[np.ndarray] = None
     _coords: Optional[np.ndarray] = field(default=None, repr=False)
     _svd: Optional[tuple] = field(default=None, repr=False)
-    _s: Optional[np.ndarray] = field(default=None, repr=False)
-    _rank: Optional[int] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.design = np.atleast_2d(np.asarray(self.design, dtype=float))
@@ -155,38 +140,18 @@ class CovarianceData:
             a = self.design if self.span is None else self.span_coords()
             u, s, vt = np.linalg.svd(a, full_matrices=False)
             self._svd = (u, s, vt if self.span is None else vt @ self.span)
-            self._rank = None  # measured() cuts these triples by their own s
         return self._svd
-
-    def drop_vectors(self) -> "CovarianceData":
-        """Release the cached singular vectors, keeping the singular values and the rank."""
-        if self._svd is not None:
-            self._s, self._svd = self._svd[1], None
-        return self
 
     def singular_values(self) -> np.ndarray:
         """Singular values of the design, descending: the cached :meth:`svd`'s, or values only."""
         if self._svd is not None:
             return self._svd[1]
-        if self._s is None:
-            a = self.design if self.span is None else self.span_coords()
-            self._s = np.linalg.svd(a, compute_uv=False)
-        return self._s
-
-    def eigenvalues(self) -> np.ndarray:
-        """All d^2 - 1 eigenvalues of C^-1 in descending order (zeros padded)."""
-        s = self.singular_values()
-        out = np.zeros(self.n_directions)
-        out[: len(s)] = s**2
-        return out
+        return np.linalg.svd(self.design if self.span is None else self.span_coords(),
+                             compute_uv=False)
 
     def rank(self) -> int:
-        """Dimension of the measured subspace: singular values above RANK_TOL times s_0."""
-        if self._rank is None:
-            s = self.singular_values()
-            self._rank = (0 if len(s) == 0 or s[0] == 0.0
-                          else int(np.count_nonzero(s > RANK_TOL * s[0])))
-        return self._rank
+        """Dimension of the measured subspace (:func:`measured_rank` of the singular values)."""
+        return measured_rank(self.singular_values())
 
     def measured(self) -> tuple:
         """(u, s, vt) of the measured subspace: the first :meth:`rank` singular triples.
@@ -303,8 +268,8 @@ def read_timeline(
     return design, offsets, expected, kept
 
 
-def generate_record(expected: np.ndarray, sigma: float, seed) -> MeasurementRecord:
-    """M_n = Tr(O_n rho_0) + W_n with i.i.d. Gaussian W_n of spread sigma.
+def generate_record(expected: np.ndarray, sigma: float, seed) -> np.ndarray:
+    """The record M_n = Tr(O_n rho_0) + W_n, i.i.d. Gaussian W_n of spread sigma, as a 1-D array.
 
     ``expected`` is the noiseless record Tr(O_n rho_0), one row of
     :func:`read_timeline`'s ``expected``.
@@ -314,7 +279,7 @@ def generate_record(expected: np.ndarray, sigma: float, seed) -> MeasurementReco
     values = np.asarray(expected, dtype=float)
     if sigma > 0:
         values = values + sigma * np.random.default_rng(seed).standard_normal(len(values))
-    return MeasurementRecord(values=values, sigma=float(sigma))
+    return values
 
 
 def build_covariance(
@@ -362,13 +327,13 @@ def _eigenframe_span(u: np.ndarray, op: np.ndarray, n_rows: int,
     return bloch_encode_batch(vecs @ basis.matrices(sel) @ vecs.conj().T, basis)
 
 
-def ml_estimate(record: MeasurementRecord, cov: CovarianceData) -> np.ndarray:
-    """Maximum-likelihood Bloch vector, pseudoinverted over the measured subspace.
+def ml_estimate(record: np.ndarray, cov: CovarianceData) -> np.ndarray:
+    """Maximum-likelihood Bloch vector of a 1-D record, pseudoinverted over the measured subspace.
 
     Only the measured subspace (:meth:`CovarianceData.measured`) is inverted,
     so unmeasured directions come back exactly 0.
     """
-    m = np.asarray(record.values, dtype=float)
+    m = np.asarray(record, dtype=float)
     if m.ndim != 1 or len(m) != cov.n_rows:
         raise ValueError(f"record length {m.shape} does not match {cov.n_rows} design rows")
     if len(m) == 0:
@@ -487,11 +452,10 @@ def fidelity(psi0: np.ndarray, rho_bar: np.ndarray) -> float:
 class TomographyRun:
     """Reconstructions of a batch of records against one covariance, prefix by prefix.
 
-    ``fidelities`` is (records, prefixes), NaN where no reference state was
-    given; ``results[i][k]`` holds the positivity-solver diagnostics of
-    record i at prefix k; ``spectra[k]`` is the covariance of prefix k with
-    its singular vectors dropped, so it holds the singular values that the
-    reconstruction used.
+    ``fidelities`` is (records, prefixes); ``results[i][k]`` holds the
+    positivity-solver diagnostics of record i at prefix k; ``spectra[k]``
+    holds the singular values of prefix k's design that the reconstruction
+    used, descending.
     """
 
     fidelities: np.ndarray
@@ -500,60 +464,53 @@ class TomographyRun:
 
 
 def reconstruct_series(
-    records: Sequence[MeasurementRecord],
+    records: Sequence[np.ndarray],
     cov: CovarianceData,
     basis: HermitianBasis,
-    states: Optional[Sequence[np.ndarray]] = None,
+    states: Sequence[np.ndarray],
     eval_steps: Optional[Sequence[int]] = None,
 ) -> TomographyRun:
-    """Reconstruct every record from growing prefixes, warm-starting each record's solver.
+    """Reconstruct every 1-D record from growing prefixes, warm-starting each record's solver.
 
     ``eval_steps`` lists ascending prefix lengths n (1-based row counts);
-    default is every step.  ``states`` holds each record's reference state;
-    without them the fidelities are NaN.
+    default is every step.  ``states`` holds each record's reference state
+    vector, against which its fidelities are taken.
 
     The loop is prefix-major.  Each prefix is decomposed once, that one
     decomposition serves the ML estimate and positivity projection of
     every record, and its singular vectors are released before the next
-    prefix.  So at most two decompositions are alive, however many
-    prefixes are evaluated, and each record still sees the arithmetic of a
-    record-by-record loop, in the same order.  The full record is the last
-    prefix and the quantifiers' Fisher regularizer reads it; it is
-    decomposed first: on the chain-spectra benchmark workload (kicked
-    Ising L=5, 1200 x 1023 designs, 2-vCPU x86-64) that order peaked at
-    138 MB RSS, against 147 MB with the full record decomposed last.
+    prefix, the full record's included.  So at most two decompositions
+    are alive, however many prefixes are evaluated, and each record still
+    sees the arithmetic of a record-by-record loop, in the same order.  The
+    full record is the last prefix; it is decomposed first: on the
+    chain-spectra benchmark workload (kicked Ising L=5, 1200 x 1023
+    designs, 2-vCPU x86-64) that order peaked at 138 MB RSS, against 147 MB
+    with the full record decomposed last.
     """
     if eval_steps is None:
         eval_steps = range(1, cov.n_rows + 1)
     eval_steps = [int(n) for n in eval_steps]
     if cov.n_rows in eval_steps:
         cov.svd()
-    fids = np.full((len(records), len(eval_steps)), np.nan)
+    fids = np.empty((len(records), len(eval_steps)))
     results = [[] for _ in records]
     warm = [None] * len(records)
     spectra = []
     for k, n in enumerate(eval_steps):
-        cov_n = cov.truncated(n)
+        cov_n = cov.truncated(n)  # cov itself for the full record
         for i, record in enumerate(records):
-            r_ml = ml_estimate(MeasurementRecord(record.values[:n], record.sigma), cov_n)
+            r_ml = ml_estimate(record[:n], cov_n)
             warm[i], rho_bar, diag = psd_project(r_ml, cov_n, basis, warm_start=warm[i])
-            if states is not None:
-                fids[i, k] = fidelity(states[i], rho_bar)
+            fids[i, k] = fidelity(states[i], rho_bar)
             results[i].append(diag)
-        spectra.append(cov_n.drop_vectors())
+        spectra.append(cov_n.singular_values())
+        cov_n._svd = None  # release the singular vectors, keeping the values
     return TomographyRun(fidelities=fids, results=results, spectra=spectra)
-
-
-def model_timeline(model: ModelSpec, observable: np.ndarray, n_rows: int) -> OperatorTimeline:
-    """Timeline with n_rows entries O_0..O_{n_rows-1} for a model spec, as one stack."""
-    if isinstance(model, HaarSteps):
-        return haar_timeline(observable, n_rows - 1, np.random.default_rng(model.seed))
-    return heisenberg_timeline(observable, build_propagator(model), n_rows - 1)
 
 
 def model_blocks(model: ModelSpec, observable: np.ndarray,
                  n_rows: int) -> tuple[Iterator[np.ndarray], Optional[np.ndarray]]:
-    """Blocks of :func:`model_timeline`'s timeline, and its fixed step U (None for Haar steps)."""
+    """Blocks of a model's timeline O_0..O_{n_rows-1}, and its fixed step U (None for Haar steps)."""
     if isinstance(model, HaarSteps):
         rng = np.random.default_rng(model.seed)
         return timeline_blocks(observable, n_rows - 1, rng=rng), None

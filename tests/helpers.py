@@ -8,7 +8,8 @@ every earlier vector.  ``stepwise_amplitudes`` is the reference for
 ``krylov_amplitudes``: each O(t) evolved on its own and projected.
 ``run_tomography`` is the record-to-fidelity pipeline of the experiment
 runners in one call.  ``timeline_covariance`` and ``timeline_record`` read
-a collected timeline as a single block.
+a collected (N + 1, d, d) timeline as a single block, and ``stack``
+collects the blocks of any timeline, random-control ones included.
 """
 
 from typing import Optional, Sequence
@@ -114,13 +115,18 @@ def run_tomography(
     return reconstruct_series([record], cov, basis, [psi0], eval_steps).fidelities[0]
 
 
-def timeline_covariance(timeline, basis):
-    """``build_covariance`` of a collected timeline."""
-    design, offsets, _, _ = read_timeline([timeline.steps], len(timeline), basis)
-    return build_covariance(design, offsets, basis, timeline.propagator, timeline.steps[0])
+def stack(blocks) -> np.ndarray:
+    """The (N + 1, d, d) timeline that ``blocks`` hand out in pieces."""
+    return np.concatenate(list(blocks))
 
 
-def timeline_record(state, timeline, sigma, seed):
+def timeline_covariance(steps, basis, u=None):
+    """``build_covariance`` of a collected timeline, with its fixed step ``u`` if it has one."""
+    design, offsets, _, _ = read_timeline([steps], len(steps), basis)
+    return build_covariance(design, offsets, basis, u, steps[0])
+
+
+def timeline_record(state, steps, sigma, seed):
     """``generate_record`` of a state's expectations along a collected timeline."""
-    _, _, expected, _ = read_timeline([timeline.steps], len(timeline), states=[state])
+    _, _, expected, _ = read_timeline([steps], len(steps), states=[state])
     return generate_record(expected[0], sigma, seed)

@@ -95,7 +95,7 @@ def test_criterion_1_rank_and_arnoldi_saturation(L, reference):
         assert deficit == 0
     expected = reference - deficit
     n_rows = round(1.5 * d * d) + 8
-    cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1), gell_mann_basis(d))
+    cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1), gell_mann_basis(d), u)
     rank = cov.rank()
     K = arnoldi_unitary_dim(u, o)
     assert rank == K, f"rank {rank} and Arnoldi dimension {K} disagree at L={L}"
@@ -118,7 +118,7 @@ def test_criterion_1_oracle_cross_check():
 @pytest.mark.skipif(not LONG, reason="optional long run; set CHAOSTOMO_LONG=1")
 def test_criterion_1_l5_long():
     u, o = tki_setup(5)
-    cov = timeline_covariance(heisenberg_timeline(o, u, 1535), gell_mann_basis(32))
+    cov = timeline_covariance(heisenberg_timeline(o, u, 1535), gell_mann_basis(32), u)
     assert cov.rank() == 993
     assert arnoldi_unitary_dim(u, o) == 993
     verdict(1, "L=5 long run: rank = Arnoldi K = 993")
@@ -134,7 +134,8 @@ def test_criterion_2_trace_identity():
     ]
     for name, model, obs in cases:
         basis = gell_mann_basis(model.dim)
-        cov = timeline_covariance(heisenberg_timeline(obs, build_propagator(model), 199), basis)
+        u = build_propagator(model)
+        cov = timeline_covariance(heisenberg_timeline(obs, u, 199), basis, u)
         norm2 = float(np.sum(bloch_encode(obs, basis) ** 2))
         row_norms = np.cumsum(np.sum(cov.design**2, axis=1))
         for n in (1, 50, 200):
@@ -154,7 +155,7 @@ def test_criterion_3_error_scrambling_identity():
     tl_model = heisenberg_timeline(obs, u_model, 100)
     worst = 0.0
     for n in range(101):
-        lhs = operator_incompatibility(tl_true.steps[n], tl_model.steps[n], j=j)
+        lhs = operator_incompatibility(tl_true[n], tl_model[n], j=j)
         uu = error_unitary(u_true, u_model, n)
         rhs = operator_incompatibility(obs, uu.conj().T @ obs @ uu, j=j)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -181,7 +182,7 @@ def _mean_step50_fidelity(model, psi_source, sigma, seeds, observable, eval_step
     basis = gell_mann_basis(model.dim)
     u = build_propagator(model)
     tl = heisenberg_timeline(observable, u, eval_step - 1)
-    cov = timeline_covariance(tl, basis)
+    cov = timeline_covariance(tl, basis, u)
     states, records = [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -238,7 +239,7 @@ def _perturbed_profile(lam, n_states, n_steps=100):
     obs = w.conj().T @ angular_momentum_ops(j)[0] @ w
     tl_true = heisenberg_timeline(obs, u_true, n_steps - 1)
     tl_model = heisenberg_timeline(obs, u_model, n_steps - 1)
-    cov_model = timeline_covariance(tl_model, basis)
+    cov_model = timeline_covariance(tl_model, basis, u_model)
     eval_steps = list(range(2, n_steps + 1, 2))
     states, records = [], []
     for ss in np.random.SeedSequence(77).spawn(n_states):
@@ -247,8 +248,8 @@ def _perturbed_profile(lam, n_states, n_steps=100):
         records.append(timeline_record(states[-1], tl_true, 0.1, rng))
     run = reconstruct_series(records, cov_model, basis, states, eval_steps=eval_steps)
     mean = run.fidelities.mean(axis=0)
-    f_o = operator_loschmidt_echo(tl_true.steps[-1], tl_model.steps[-1], obs)
-    i_o = operator_incompatibility(tl_true.steps[-1], tl_model.steps[-1], j=j)
+    f_o = operator_loschmidt_echo(tl_true[-1], tl_model[-1], obs)
+    i_o = operator_incompatibility(tl_true[-1], tl_model[-1], j=j)
     return np.array(eval_steps), mean, f_o, i_o
 
 
@@ -298,14 +299,14 @@ def test_criterion_9_rmt_agreement():
     u1 = haar_unitary(2, rng)
     obs = np.kron(u1, np.eye(16)).conj().T @ (pauli_site("y", 1, L) / 2) @ np.kron(u1, np.eye(16))
     u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
-    cov = timeline_covariance(heisenberg_timeline(obs, u, n_rows - 1), basis)
-    s_model = shannon_entropy(cov)
+    cov = timeline_covariance(heisenberg_timeline(obs, u, n_rows - 1), basis, u)
+    s_model = shannon_entropy(cov.singular_values())
     vbasis, dims = reflection_eigenbasis(L)
     samples = []
     for _ in range(10):
         w = block_diagonal_sample("COE", dims, vbasis, rng)
-        cov_r = timeline_covariance(heisenberg_timeline(obs, w, n_rows - 1), basis)
-        samples.append(shannon_entropy(cov_r))
+        cov_r = timeline_covariance(heisenberg_timeline(obs, w, n_rows - 1), basis, w)
+        samples.append(shannon_entropy(cov_r.singular_values()))
     s_rmt = float(np.mean(samples))
     assert abs(s_model - s_rmt) <= 0.05 * s_rmt
     verdict(9, f"saturated entropy {s_model:.4f} vs COE mean {s_rmt:.4f} "

@@ -13,7 +13,6 @@ from chaostomo.dynamics import (
     classical_kicked_top_step,
     collective_spin,
     expm_hermitian,
-    haar_timeline,
     hamiltonian,
     heisenberg_timeline,
     kicked_top_floquet,
@@ -23,6 +22,7 @@ from chaostomo.dynamics import (
     unitary_eigh,
 )
 from chaostomo.rmt import haar_unitary, reflection_operator
+from helpers import stack
 
 
 def unitarity_defect(u):
@@ -180,19 +180,19 @@ class TestTimelines:
         u = tki_floquet(KickedIsing(L=2))
         tl = heisenberg_timeline(o, u, 0)
         assert len(tl) == 1
-        assert np.array_equal(tl.steps[0], o)
+        assert np.array_equal(tl[0], o)
 
     def test_identity_propagator_constant(self):
         o = pauli_site("z", 1, 2)
         tl = heisenberg_timeline(o, np.eye(4), 5)
-        assert all(np.array_equal(s, o) for s in tl.steps)
+        assert all(np.array_equal(s, o) for s in tl)
 
     def test_rotation_period_four_timeline(self):
         jy = angular_momentum_ops(3)[1]
         u = kicked_top_floquet(KickedTop(j=3, lam=0.0, alpha=np.pi / 2))
         tl = heisenberg_timeline(jy, u, 8)
-        assert np.max(np.abs(tl.steps[4] - tl.steps[0])) < 1e-10
-        assert np.max(np.abs(tl.steps[8] - tl.steps[0])) < 1e-10
+        assert np.max(np.abs(tl[4] - tl[0])) < 1e-10
+        assert np.max(np.abs(tl[8] - tl[0])) < 1e-10
 
     @pytest.mark.parametrize("make", [
         lambda: (kicked_top_floquet(KickedTop(j=5, lam=3.0, alpha=1.4)), angular_momentum_ops(5)[1]),
@@ -203,9 +203,9 @@ class TestTimelines:
         u, o = make()
         tl = heisenberg_timeline(o, u, 200)
         norm0 = np.vdot(o, o).real
-        norms = np.einsum("nij,nij->n", tl.steps.conj(), tl.steps).real
+        norms = np.einsum("nij,nij->n", tl.conj(), tl).real
         assert np.max(np.abs(norms - norm0)) < 1e-8 * norm0
-        herm = max(np.max(np.abs(s - s.conj().T)) for s in tl.steps[::40])
+        herm = max(np.max(np.abs(s - s.conj().T)) for s in tl[::40])
         assert herm < 1e-10
 
     def test_dimension_mismatch(self):
@@ -233,15 +233,15 @@ class TestTimelines:
             step = haar_unitary(d, draws) if haar else u
             want.append(step.conj().T @ want[-1] @ step)
         if haar:
-            tl = haar_timeline(o, n_steps, np.random.default_rng(4))
+            tl = stack(timeline_blocks(o, n_steps, rng=np.random.default_rng(4)))
         else:
             tl = heisenberg_timeline(o, u, n_steps)
-        assert np.array_equal(tl.steps, np.array(want))
+        assert np.array_equal(tl, np.array(want))
 
     def test_haar_timeline_spans_fast(self, rng):
         o = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)
-        tl = haar_timeline(o, 20, rng)
-        flat = tl.steps.reshape(21, -1)
+        tl = stack(timeline_blocks(o, 20, rng=rng))
+        flat = tl.reshape(21, -1)
         assert np.linalg.matrix_rank(flat) > 13  # a fixed unitary caps at d^2-d+1 = 13
 
 

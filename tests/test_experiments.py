@@ -591,9 +591,8 @@ class TestStreaming:
             return empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "empty", watching)
-        for owner, name in ((dynamics, "heisenberg_timeline"), (dynamics, "haar_timeline"),
-                            (tomography, "model_timeline")):
-            monkeypatch.setattr(owner, name, None)
+        for owner in (dynamics, tomography):
+            monkeypatch.setattr(owner, "heisenberg_timeline", None)
         run_experiment(ExperimentConfig(steps=200, eval_stride=100, seed=3, **cfg))
         assert len(blocks) >= 3 and max(sizes) < 2 * dynamics.TIMELINE_BLOCK
 
@@ -726,7 +725,12 @@ class TestCli:
           "sweep": {"param": "eta", "values": ["abc"]}}, "sweep.values"),
         ({"experiment": "ordered-bloch", "model": {"j": 0.3},
           "sweep": {"param": "eta", "values": [0.1]}}, "model.j"),
-    ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta", "kindless-j"])
+        ({"experiment": "tomo", "observable": 5, "model": {"kind": "kicked_ising", "L": 2},
+          "sweep": {"param": "hz", "values": [1.4]}}, "observable"),
+        ({"experiment": "tomo", "output_path": 7, "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "output_path"),
+    ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta", "kindless-j",
+            "observable", "output-path"])
     def test_wrong_type_exit_code(self, tmp_path, cfg, fieldname):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({**cfg, "steps": 4}))
@@ -734,6 +738,17 @@ class TestCli:
                                            "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 2, result.output
         assert f"config field '{fieldname}'" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("preset", [{"preset": "fig3.6-husimi"}, {"experiment": "tomo"}],
+                             ids=["preset", "no-preset"])
+    def test_unknown_key_exit_code(self, tmp_path, preset):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({**preset, "stepz": 3}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert "config field '<root>'" in result.output and "stepz" in result.output
         assert not (tmp_path / "o.csv").exists()
 
     def test_presets_command(self):

@@ -1,9 +1,14 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import chaostomo
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_runtime_loads_no_scipy():
@@ -25,3 +30,22 @@ def test_runtime_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == ""
+
+
+def test_benchmark_tracer_targets_resolve():
+    # bench/run.py --trace 1 wraps every (owner, attribute) of layers.TARGETS
+    # through owner.__dict__, so each must exist where it is listed, and the
+    # tracer must put every original back when it exits
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    sites = [(owner, attr) for targets in layers.TARGETS.values() for owner, attr in targets]
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in sites
+               if attr not in owner.__dict__]
+    assert not missing
+    originals = [owner.__dict__[attr] for owner, attr in sites]
+    eigh = np.linalg.eigh
+    with layers.Tracer():
+        assert all(owner.__dict__[attr] is not fn for (owner, attr), fn in zip(sites, originals))
+    assert all(owner.__dict__[attr] is fn for (owner, attr), fn in zip(sites, originals))
+    assert np.linalg.eigh is eigh

@@ -425,7 +425,7 @@ class TestArnoldi:
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         o = pauli_site("y", 1, 2) / 2
         K = arnoldi_unitary_dim(u, o)
-        cov = timeline_covariance(heisenberg_timeline(o, u, 40), gell_mann_basis(4))
+        cov = timeline_covariance(heisenberg_timeline(o, u, 40), gell_mann_basis(4), u)
         assert K == cov.rank() == 13
 
     @pytest.mark.parametrize("lam,expected", [(0.5, 180), (2.5, 220), (7.0, 220)])

@@ -51,12 +51,12 @@ class TestPair:
 class TestEcho:
     def test_initial_value_one(self, bench):
         j, pair, obs, tl_t, tl_m = bench
-        assert operator_loschmidt_echo(tl_t.steps[0], tl_m.steps[0], obs) == pytest.approx(1.0)
+        assert operator_loschmidt_echo(tl_t[0], tl_m[0], obs) == pytest.approx(1.0)
 
     def test_bounded_by_one(self, bench):
         j, pair, obs, tl_t, tl_m = bench
         for n in range(0, 41, 5):
-            assert abs(operator_loschmidt_echo(tl_t.steps[n], tl_m.steps[n], obs)) <= 1 + 1e-10
+            assert abs(operator_loschmidt_echo(tl_t[n], tl_m[n], obs)) <= 1 + 1e-10
 
     def test_zero_observable_rejected(self):
         with pytest.raises(ValueError):
@@ -65,18 +65,18 @@ class TestEcho:
 class TestRelativeEntropy:
     def test_identical_operators_zero(self, bench):
         j, pair, obs, tl_t, tl_m = bench
-        assert operator_relative_entropy(tl_t.steps[0], tl_m.steps[0]) == pytest.approx(0.0, abs=1e-10)
+        assert operator_relative_entropy(tl_t[0], tl_m[0]) == pytest.approx(0.0, abs=1e-10)
 
     def test_nonnegative(self, bench):
         j, pair, obs, tl_t, tl_m = bench
         for n in range(0, 41, 5):
-            assert operator_relative_entropy(tl_t.steps[n], tl_m.steps[n]) >= -1e-10
+            assert operator_relative_entropy(tl_t[n], tl_m[n]) >= -1e-10
 
 
 class TestIncompatibility:
     def test_zero_at_start(self, bench):
         j, pair, obs, tl_t, tl_m = bench
-        assert operator_incompatibility(tl_t.steps[0], tl_m.steps[0], j=j) == pytest.approx(0.0, abs=1e-14)
+        assert operator_incompatibility(tl_t[0], tl_m[0], j=j) == pytest.approx(0.0, abs=1e-14)
 
     def test_error_unitary_identity_per_step(self, bench):
         # the module's central algebraic identity: the squared commutator of
@@ -84,7 +84,7 @@ class TestIncompatibility:
         # with its conjugation by the error unitary
         j, pair, obs, tl_t, tl_m = bench
         for n in range(41):
-            lhs = operator_incompatibility(tl_t.steps[n], tl_m.steps[n], j=j)
+            lhs = operator_incompatibility(tl_t[n], tl_m[n], j=j)
             uu = error_unitary(*pair, n)
             rhs = operator_incompatibility(obs, uu.conj().T @ obs @ uu, j=j)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -112,7 +112,7 @@ class TestMismatched:
         u_true, u_model = perturbed_kicked_top(2, 3.0, 1.4, 0.0)
         basis = gell_mann_basis(d)
         tl_true = heisenberg_timeline(jy, u_true, 19)
-        cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 19), basis)
+        cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 19), basis, u_model)
         rec = timeline_record(psi, tl_true, 0.1, 7)
         mism = reconstruct_series([rec], cov_model, basis, [psi])
         assert np.max(np.abs(mism.fidelities[0] - ideal)) < 1e-9
@@ -128,7 +128,7 @@ class TestMismatched:
         for dl in (1e-3, 1e-4):
             u_true, u_model = perturbed_kicked_top(2, 3.0, 1.4, dl)
             tl_true = heisenberg_timeline(jy, u_true, 14)
-            cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 14), basis)
+            cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 14), basis, u_model)
             rec = timeline_record(psi, tl_true, 0.05, 3)
             mism = reconstruct_series([rec], cov_model, basis, [psi])
             sup[dl] = np.max(np.abs(mism.fidelities[0] - ideal))

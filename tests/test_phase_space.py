@@ -195,7 +195,7 @@ class TestHusimiEntropy:
         for lam in (0.5, 7.0):
             u = kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=np.pi / 2))
             tl = heisenberg_timeline(jy, u, 15)
-            vals[lam] = husimi_entropy(tl.steps[-1], grid)
+            vals[lam] = husimi_entropy(tl[-1], grid)
         assert vals[7.0] > vals[0.5]
 
     @pytest.mark.parametrize("lam", [0.5, 7.0])
@@ -205,7 +205,7 @@ class TestHusimiEntropy:
         grid = sphere_grid()
         frame = gammaln_frame(j, grid)
         u = kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=np.pi / 2))
-        for op in heisenberg_timeline(angular_momentum_ops(j)[1], u, 8).steps:
+        for op in heisenberg_timeline(angular_momentum_ops(j)[1], u, 8):
             q = np.clip(np.einsum("nc,cd,nd->n", frame.conj(), regularize_operator(op), frame).real, 0, None)
             want = -(2 * j + 1) / (4 * np.pi) * np.sum(grid.weights * q * np.log(q))
             assert husimi_entropy(op, grid) == pytest.approx(want, rel=1e-13)

@@ -23,21 +23,26 @@ def cov_from_rows(rows):
     return CovarianceData(np.asarray(rows, dtype=float))
 
 
+def sv(rows):
+    """Singular values of a design given by its rows."""
+    return cov_from_rows(rows).singular_values()
+
+
 class TestShannon:
     def test_single_row_zero(self):
-        assert shannon_entropy(cov_from_rows([[1.0, 2.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)
+        assert shannon_entropy(sv([[1.0, 2.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_eigenvalues_log_k(self):
-        assert shannon_entropy(cov_from_rows(np.eye(5))) == pytest.approx(np.log(5), abs=1e-12)
+        assert shannon_entropy(sv(np.eye(5))) == pytest.approx(np.log(5), abs=1e-12)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            shannon_entropy(cov_from_rows(np.zeros((2, 4))))
+            shannon_entropy(sv(np.zeros((2, 4))))
 
     def test_bounded_by_log_rank(self, rng):
         design = rng.standard_normal((12, 8))
         cov = cov_from_rows(design)
-        assert shannon_entropy(cov) <= np.log(cov.rank()) + 1e-12
+        assert shannon_entropy(cov.singular_values()) <= np.log(cov.rank()) + 1e-12
 
     def test_chaotic_dynamics_saturates_higher(self):
         # kicked Ising at strong tilt spreads information more evenly
@@ -46,8 +51,8 @@ class TestShannon:
         ent = {}
         for hz in (0.0, 0.4, 1.4):
             u = tki_floquet(KickedIsing(L=3, J=1.0, hx=1.4, hz=hz))
-            cov = timeline_covariance(heisenberg_timeline(o, u, 199), basis)
-            ent[hz] = shannon_entropy(cov)
+            cov = timeline_covariance(heisenberg_timeline(o, u, 199), basis, u)
+            ent[hz] = shannon_entropy(cov.singular_values())
         assert ent[1.4] > ent[0.4] > ent[0.0]
 
     def test_xxz_impurity_strength_raises_quantifiers(self):
@@ -59,8 +64,8 @@ class TestShannon:
         ent, rank = {}, {}
         for g in (0.0, 0.94):
             u = build_propagator(XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2))
-            cov = timeline_covariance(heisenberg_timeline(o, u, 299), basis)
-            ent[g] = shannon_entropy(cov)
+            cov = timeline_covariance(heisenberg_timeline(o, u, 299), basis, u)
+            ent[g] = shannon_entropy(cov.singular_values())
             rank[g] = cov.rank()
         assert ent[0.94] > ent[0.0]
         assert rank[0.94] >= rank[0.0]
@@ -68,17 +73,15 @@ class TestShannon:
 
 class TestFisher:
     def test_identity_covariance(self):
-        cov = cov_from_rows(np.eye(8))
-        assert fisher_information(cov, reg=1e-12) == pytest.approx(1 / 8, rel=1e-6)
+        assert fisher_information(sv(np.eye(8)), 8, reg=1e-12) == pytest.approx(1 / 8, rel=1e-6)
 
     def test_zero_matrix_pure_regularizer(self):
-        cov = cov_from_rows(np.zeros((3, 8)))
         reg = 0.37
-        assert fisher_information(cov, reg) == pytest.approx(reg / 8, rel=1e-12)
+        assert fisher_information(sv(np.zeros((3, 8))), 8, reg) == pytest.approx(reg / 8, rel=1e-12)
 
     def test_rejects_nonpositive_reg(self):
         with pytest.raises(ValueError):
-            fisher_information(cov_from_rows(np.eye(3)), reg=0.0)
+            fisher_information(sv(np.eye(3)), 3, reg=0.0)
 
     def test_monotone_in_rows(self, rng):
         # Loewner order: appending a row never decreases J at fixed reg
@@ -86,8 +89,8 @@ class TestFisher:
         for _ in range(5):
             design = rng.standard_normal((6, k))
             extra = rng.standard_normal((1, k))
-            j1 = fisher_information(cov_from_rows(design), reg=1e-3)
-            j2 = fisher_information(cov_from_rows(np.vstack([design, extra])), reg=1e-3)
+            j1 = fisher_information(sv(design), k, reg=1e-3)
+            j2 = fisher_information(sv(np.vstack([design, extra])), k, reg=1e-3)
             assert j2 >= j1 - 1e-12
 
 
@@ -96,13 +99,13 @@ class TestRankAndMutualInfo:
         assert cov_from_rows([[0.3, 0.0, 0.1]]).rank() == 1
 
     def test_identity_mi_zero(self):
-        assert mutual_information(cov_from_rows(np.eye(6))) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(sv(np.eye(6))) == pytest.approx(0.0, abs=1e-12)
 
     def test_row_scaling_adds_k_log_c(self, rng):
         design = rng.standard_normal((5, 5))
         c = 2.7
-        mi1 = mutual_information(cov_from_rows(design))
-        mi2 = mutual_information(cov_from_rows(c * design))
+        mi1 = mutual_information(sv(design))
+        mi2 = mutual_information(sv(c * design))
         assert mi2 - mi1 == pytest.approx(5 * np.log(c), abs=1e-9)
 
     def test_am_gm_bound_on_measured_subspace(self, rng):
@@ -110,23 +113,24 @@ class TestRankAndMutualInfo:
             design = rng.standard_normal((7, 12))
             cov = cov_from_rows(design)
             k = cov.rank()
-            lam = cov.eigenvalues()[:k]
+            lam = cov.singular_values()[:k] ** 2
             bound = (k / 2) * np.log(np.sum(lam) / k)
-            assert mutual_information(cov) <= bound + 1e-10
+            assert mutual_information(cov.singular_values()) <= bound + 1e-10
 
     def test_am_gm_equality_for_uniform_spectrum(self):
         cov = cov_from_rows(3.0 * np.eye(4))
         k = cov.rank()
         bound = (k / 2) * np.log(np.sum(cov.design**2) / k)
-        assert mutual_information(cov) == pytest.approx(bound, abs=1e-12)
+        assert mutual_information(cov.singular_values()) == pytest.approx(bound, abs=1e-12)
 
 
 class TestSeries:
     def test_series_shapes_and_fisher_monotone(self):
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
-        cov = timeline_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4))
-        series = quantifier_series(cov, [cov.truncated(n) for n in range(1, 41)])
+        cov = timeline_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4), u)
+        series = quantifier_series([cov.truncated(n).singular_values() for n in range(1, 41)],
+                                   cov.n_directions)
         assert list(series) == ["shannon", "fisher", "rank", "mutual_info"]
         assert all(len(column) == 40 for column in series.values())
         rank, fisher = series["rank"], series["fisher"]

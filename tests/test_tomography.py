@@ -12,7 +12,6 @@ from chaostomo.dynamics import (
     XXZChain,
     angular_momentum_ops,
     build_propagator,
-    haar_timeline,
     heisenberg_timeline,
     kicked_top_floquet,
     pauli_site,
@@ -23,17 +22,16 @@ from chaostomo import tomography
 from chaostomo.operator_space import bloch_decode, bloch_encode, bloch_encode_batch, gell_mann_basis
 from chaostomo.tomography import (
     CovarianceData,
-    MeasurementRecord,
     build_covariance,
     fidelity,
     haar_random_pure,
     ml_estimate,
-    model_timeline,
+    model_blocks,
     psd_project,
     read_timeline,
     reconstruct_series,
 )
-from helpers import run_tomography, timeline_covariance, timeline_record
+from helpers import run_tomography, stack, timeline_covariance, timeline_record
 
 
 class TestHaarStates:
@@ -65,18 +63,18 @@ class TestRecords:
         psi = haar_random_pure(5, rng)
         rec = timeline_record(psi, tl, 0.0, 1)
         rho = np.outer(psi, psi.conj())
-        want = [np.trace(o @ rho).real for o in tl.steps]
-        assert np.allclose(rec.values, want, atol=1e-12)
+        want = [np.trace(o @ rho).real for o in tl]
+        assert np.allclose(rec, want, atol=1e-12)
 
     def test_maximally_mixed_gives_pure_noise(self):
         jy = angular_momentum_ops(2)[1]
         u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
         tl = heisenberg_timeline(jy, u, 30)
         rec0 = timeline_record(np.eye(5) / 5, tl, 0.0, 7)
-        assert np.max(np.abs(rec0.values)) < 1e-12
+        assert np.max(np.abs(rec0)) < 1e-12
         rec = timeline_record(np.eye(5) / 5, tl, 0.1, 7)
         noise = np.random.default_rng(7).standard_normal(31) * 0.1
-        assert np.allclose(rec.values, noise)
+        assert np.allclose(rec, noise)
 
     def test_deterministic_for_seed(self, rng):
         jy = angular_momentum_ops(2)[1]
@@ -85,7 +83,7 @@ class TestRecords:
         psi = haar_random_pure(5, rng)
         a = timeline_record(psi, tl, 0.1, 42)
         b = timeline_record(psi, tl, 0.1, 42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_negative_sigma_rejected(self, rng):
         jy = angular_momentum_ops(2)[1]
@@ -112,11 +110,11 @@ class TestStreamedTimeline:
         states = [haar_random_pure(d, rng), a @ a.conj().T / np.trace(a @ a.conj().T)]
         if haar:
             blocks = timeline_blocks(o, n_rows - 1, rng=np.random.default_rng(9))
-            steps = haar_timeline(o, n_rows - 1, np.random.default_rng(9)).steps
+            steps = stack(timeline_blocks(o, n_rows - 1, rng=np.random.default_rng(9)))
         else:
             u = tki_floquet(KickedIsing(L=5, hz=0.4))
             blocks = timeline_blocks(o, n_rows - 1, u)
-            steps = heisenberg_timeline(o, u, n_rows - 1).steps
+            steps = heisenberg_timeline(o, u, n_rows - 1)
         keep = sorted({0, n_rows // 2, n_rows - 1})
         design, offsets, expected, kept = read_timeline(blocks, n_rows, basis, states, keep)
         assert np.array_equal(design, bloch_encode_batch(steps, basis))
@@ -173,8 +171,9 @@ class TestCovariance:
         d = model.dim
         basis = gell_mann_basis(d)
         o = obs(d)
-        tl = heisenberg_timeline(o, build_propagator(model), 199)
-        cov = timeline_covariance(tl, basis)
+        u = build_propagator(model)
+        tl = heisenberg_timeline(o, u, 199)
+        cov = timeline_covariance(tl, basis, u)
         lhs = float(np.sum(cov.design**2))  # Tr(design^T design)
         rhs = len(tl) * float(np.sum(bloch_encode(o, basis) ** 2))
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
@@ -182,15 +181,15 @@ class TestCovariance:
     def test_single_row_rank_one(self):
         jy = angular_momentum_ops(1)[1]
         basis = gell_mann_basis(3)
-        tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(1, 2.0, 1.0)), 0)
-        cov = timeline_covariance(tl, basis)
+        u = kicked_top_floquet(KickedTop(1, 2.0, 1.0))
+        cov = timeline_covariance(heisenberg_timeline(jy, u, 0), basis, u)
         assert cov.rank() == 1
 
     def test_kicked_ising_rank_saturates_at_13(self):
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         tl = heisenberg_timeline(o, u, 60)
-        cov = timeline_covariance(tl, gell_mann_basis(4))
+        cov = timeline_covariance(tl, gell_mann_basis(4), u)
         assert cov.rank() == 13
 
     def test_rank_bound_for_single_unitary_timelines(self, rng):
@@ -200,7 +199,7 @@ class TestCovariance:
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         o = (a + a.conj().T) / 2
         tl = heisenberg_timeline(o, u, 50)
-        cov = timeline_covariance(tl, gell_mann_basis(d))
+        cov = timeline_covariance(tl, gell_mann_basis(d), u)
         assert cov.rank() <= d * d - d + 1
 
     def test_monotone_rank_and_saturating_entropy(self):
@@ -213,10 +212,11 @@ class TestCovariance:
         o = pauli_site("y", 1, 2) / 2
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         tl = heisenberg_timeline(o, u, 30)
-        cov = timeline_covariance(tl, gell_mann_basis(4))
+        cov = timeline_covariance(tl, gell_mann_basis(4), u)
         ranks = [cov.truncated(n).rank() for n in range(1, 31)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
-        entropies = np.array([shannon_entropy(cov.truncated(n)) for n in range(2, 31)])
+        entropies = np.array([shannon_entropy(cov.truncated(n).singular_values())
+                              for n in range(2, 31)])
         assert entropies[-1] > entropies[0]
         assert np.min(np.diff(entropies)) > -0.05
 
@@ -245,8 +245,9 @@ class TestMeasuredSubspace:
         if factored:
             model = KickedIsing(L=4, hz=0.0)
             o, n_rows = _chain_case(model)
-            tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-            cov = timeline_covariance(tl, gell_mann_basis(model.dim))
+            u = build_propagator(model)
+            cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1),
+                                      gell_mann_basis(model.dim), u)
             assert cov.span is not None
         else:
             # rank 5 of 8 directions, so the cut drops rounding-level values
@@ -275,19 +276,21 @@ class TestSingularValues:
 
         model = XXZChain(L=4, g=0.94, site=2) if factored else KickedIsing(L=4, hz=1.4)
         o, n_rows = _chain_case(model)
-        tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-        values, full = (timeline_covariance(tl, gell_mann_basis(16)) for _ in range(2))
+        u = build_propagator(model)
+        tl = heisenberg_timeline(o, u, n_rows - 1)
+        values, full = (timeline_covariance(tl, gell_mann_basis(16), u) for _ in range(2))
         assert (values.span is not None) == factored
         full.svd()
         s = full.svd()[1]
         assert np.max(np.abs(values.singular_values() - s)) <= 1e-13 * s[0]
         steps = [n_rows // 8, n_rows // 4, n_rows // 2, n_rows]
-        got, want = (quantifier_series(c, [c.truncated(n) for n in steps]) for c in (values, full))
+        got, want = (quantifier_series([c.truncated(n).singular_values() for n in steps],
+                                       c.n_directions) for c in (values, full))
         assert 0 < values.rank() == full.rank() < len(s)
         assert np.array_equal(got["rank"], want["rank"])
         for metric in ("shannon", "fisher", "mutual_info"):
             assert np.max(np.abs(got[metric] - want[metric]) / np.abs(want[metric])) <= 1e-12
-        # a full SVD taken later replaces the values-only spectrum, and the
+        # a full SVD taken later serves the singular values, and the
         # measured subspace is cut by its own singular values
         u, s, vt = values.svd()
         assert values.singular_values() is s
@@ -304,8 +307,9 @@ class TestFactoredDesign:
 
         o, n_rows = _chain_case(model)
         basis = gell_mann_basis(model.dim)
-        tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-        cov = timeline_covariance(tl, basis)
+        u = build_propagator(model)
+        tl = heisenberg_timeline(o, u, n_rows - 1)
+        cov = timeline_covariance(tl, basis, u)
         assert cov.span is not None
         k = len(cov.span)
         assert k < min(n_rows, len(basis))
@@ -315,7 +319,8 @@ class TestFactoredDesign:
 
         plain = CovarianceData(cov.design, row_offsets=cov.row_offsets)
         steps = [n_rows // 4, n_rows // 2, n_rows]
-        got, want = (quantifier_series(c, [c.truncated(n) for n in steps]) for c in (cov, plain))
+        got, want = (quantifier_series([c.truncated(n).singular_values() for n in steps],
+                                       len(basis)) for c in (cov, plain))
         assert np.array_equal(got["rank"], want["rank"])
         assert np.all(got["rank"] <= np.minimum(steps, k))
         for metric in ("shannon", "fisher"):
@@ -337,14 +342,14 @@ class TestFactoredDesign:
             s = prefix.svd()[1]
             if s[prefix.rank() - 1] < 1e-5 * s[0]:
                 continue
-            rec = MeasurementRecord(record.values[:n], record.sigma)
+            rec = record[:n]
             a, b = ml_estimate(rec, cov.truncated(n)), ml_estimate(rec, plain.truncated(n))
             assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
 
     def test_prefix_keeps_span_while_it_limits_rank(self):
         o, n_rows = _chain_case(KickedIsing(L=4, hz=0.0))
-        cov = timeline_covariance(heisenberg_timeline(o, tki_floquet(KickedIsing(L=4, hz=0.0)),
-                                                   n_rows - 1), gell_mann_basis(16))
+        u = tki_floquet(KickedIsing(L=4, hz=0.0))
+        cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1), gell_mann_basis(16), u)
         k = len(cov.span)
         assert cov.truncated(k + 1).span is cov.span
         assert cov.truncated(k).span is None
@@ -353,16 +358,17 @@ class TestFactoredDesign:
     def test_full_span_designs_stay_plain(self):
         # kicked top j=10, 100 rows: the span (240 directions) exceeds the rows
         jy = angular_momentum_ops(10)[1]
-        tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(10, 0.5, np.pi / 2)), 99)
-        assert timeline_covariance(tl, gell_mann_basis(21)).span is None
+        u = kicked_top_floquet(KickedTop(10, 0.5, np.pi / 2))
+        assert timeline_covariance(heisenberg_timeline(jy, u, 99), gell_mann_basis(21), u).span is None
         # kicked Ising hz=1.4: O touches every eigenframe pair
         model = KickedIsing(L=4, hz=1.4)
         o, n_rows = _chain_case(model)
-        tl = heisenberg_timeline(o, build_propagator(model), n_rows - 1)
-        assert timeline_covariance(tl, gell_mann_basis(16)).span is None
+        u = build_propagator(model)
+        tl = heisenberg_timeline(o, u, n_rows - 1)
+        assert timeline_covariance(tl, gell_mann_basis(16), u).span is None
         # random control: no fixed step
-        tl = model_timeline(HaarSteps(dim=4, seed=1), np.diag([1.0, -1.0, 0.0, 0.0]) + 0j, 40)
-        assert timeline_covariance(tl, gell_mann_basis(4)).span is None
+        blocks, u = model_blocks(HaarSteps(dim=4, seed=1), np.diag([1.0, -1.0, 0.0, 0.0]) + 0j, 40)
+        assert timeline_covariance(stack(blocks), gell_mann_basis(4), u).span is None
 
 
 class TestMLEstimate:
@@ -370,7 +376,8 @@ class TestMLEstimate:
         d = 8
         basis = gell_mann_basis(d)
         psi = haar_random_pure(d, rng)
-        tl = model_timeline(HaarSteps(dim=d, seed=3), np.diag(np.arange(d) - 3.5).astype(complex), d * d)
+        tl = stack(model_blocks(HaarSteps(dim=d, seed=3), np.diag(np.arange(d) - 3.5).astype(complex),
+                                d * d)[0])
         cov = timeline_covariance(tl, basis)
         rec = timeline_record(psi, tl, 0.0, 0)
         r = ml_estimate(rec, cov)
@@ -381,8 +388,9 @@ class TestMLEstimate:
         d = 3
         basis = gell_mann_basis(d)
         jy = angular_momentum_ops(1)[1]
-        tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(1, 2.0, 1.0)), 0)
-        cov = timeline_covariance(tl, basis)
+        u = kicked_top_floquet(KickedTop(1, 2.0, 1.0))
+        tl = heisenberg_timeline(jy, u, 0)
+        cov = timeline_covariance(tl, basis, u)
         psi = haar_random_pure(d, rng)
         rec = timeline_record(psi, tl, 0.0, 0)
         r = ml_estimate(rec, cov)
@@ -395,8 +403,9 @@ class TestMLEstimate:
         d = 3
         basis = gell_mann_basis(d)
         jy = angular_momentum_ops(1)[1]
-        tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(1, 2.0, 1.0)), 20)
-        cov = timeline_covariance(tl, basis)
+        u = kicked_top_floquet(KickedTop(1, 2.0, 1.0))
+        tl = heisenberg_timeline(jy, u, 20)
+        cov = timeline_covariance(tl, basis, u)
         rec = timeline_record(np.eye(d) / d, tl, 0.0, 0)
         assert np.max(np.abs(ml_estimate(rec, cov))) < 1e-12
 
@@ -405,7 +414,7 @@ class TestMLEstimate:
         d = 5
         basis = gell_mann_basis(d)
         o = np.diag(np.arange(d, dtype=float)).astype(complex)  # nonzero trace
-        tl = model_timeline(HaarSteps(dim=d, seed=8), o, d * d)
+        tl = stack(model_blocks(HaarSteps(dim=d, seed=8), o, d * d)[0])
         cov = timeline_covariance(tl, basis)
         psi = haar_random_pure(d, rng)
         rec = timeline_record(psi, tl, 0.0, 0)
@@ -414,7 +423,7 @@ class TestMLEstimate:
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            ml_estimate(MeasurementRecord(np.array([]), 0.0), CovarianceData(np.eye(3)))
+            ml_estimate(np.array([]), CovarianceData(np.eye(3)))
 
 
 class TestPsdProject:
@@ -528,7 +537,7 @@ class TestPipeline:
         basis = gell_mann_basis(d)
         o = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
         tl = heisenberg_timeline(o, np.eye(d), 39)
-        cov = timeline_covariance(tl, basis)
+        cov = timeline_covariance(tl, basis, np.eye(d))
         psi = haar_random_pure(d, rng)
         rec = timeline_record(psi, tl, 0.0, 0)
         fids = reconstruct_series([rec], cov, basis, [psi], eval_steps=[10, 40]).fidelities[0]
