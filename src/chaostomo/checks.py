@@ -103,7 +103,7 @@ def _check_factored_design():
         orth = np.max(np.abs(cov.span @ cov.span.T - np.eye(k)))
         resid = np.linalg.norm(cov.design - cov.span_coords() @ cov.span) / np.linalg.norm(cov.design)
         plain = tomography.CovarianceData(cov.design)
-        s_plain, s = plain.svd()[1], cov.svd()[1]
+        s_plain, s = plain.singular_values(), cov.singular_values()
         dev = np.max(np.abs(s_plain - np.pad(s, (0, len(s_plain) - len(s))))) / s_plain[0]
         rank = cov.rank()
         ok = (orth <= 1e-12 and resid <= 1e-11 and dev <= 1e-12

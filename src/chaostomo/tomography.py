@@ -4,12 +4,14 @@ The protocol: a Hermitian observable is Heisenberg-evolved into a timeline
 O_0, O_1, ..., and the record consists of noisy expectation values
 M_n = Tr(O_n rho_0) + W_n with Gaussian white noise of spread sigma.  In
 Bloch coordinates the record is linear, M = design @ r + W with
-design[n, a] = Tr(O_n E_a), so the maximum-likelihood Bloch vector is a
-least-squares solution through the Moore-Penrose pseudoinverse (inverting
-only over the measured subspace).  The physical estimate is the closest
+design[n, a] = Tr(O_n E_a), so the maximum-likelihood Bloch vector is the
+minimum-norm least-squares solution over the measured subspace: one
+LAPACK solve per prefix for every record at once, which also yields the
+prefix's singular values.  The physical estimate is the closest
 positive-semidefinite state in the covariance-weighted norm, found by an
 operator-splitting solver that alternates a weighted least-squares step
-with an eigenvalue projection of the decoded matrix.
+(a Gram-form shrink, built once per prefix) with an eigenvalue projection
+of the decoded matrix.  No singular vectors are formed.
 
 The timeline is never held whole.  :func:`read_timeline` takes it block by
 block from :func:`~chaostomo.dynamics.timeline_blocks` and fills, in one
@@ -29,7 +31,7 @@ the d - 1 traceless diagonals of the eigenframe and the two Bloch
 directions of each pair (a, b) that O touches.  Near integrability, or
 under a conserved charge, that span is much smaller than d^2 - 1 (191 of
 1023 directions for the hz=0 kicked Ising chain at L=5), and the prefix
-SVDs run on the design's coordinates in it (:class:`CovarianceData`).
+solves run on the design's coordinates in it (:class:`CovarianceData`).
 
 Units: the ensemble size is absorbed into the record (N_s = 1), so sigma is
 the per-sample standard deviation and all information quantifiers read off
@@ -71,9 +73,11 @@ __all__ = [
 # Relative singular-value cut of the measured subspace (measured_rank).
 RANK_TOL = 1e-10
 DEFAULT_SIGMA = 0.1
-# Douglas-Rachford stopping rule of psd_project, read at call time.
+# Douglas-Rachford stopping rule of psd_project, read at call time, and
+# its proximal parameter, tuned on kicked-top records.
 _PSD_TOL = 1e-7
 _PSD_MAX_ITERS = 5000
+_PROX_T = 100.0
 
 
 def measured_rank(s: np.ndarray) -> int:
@@ -86,21 +90,23 @@ class CovarianceData:
     """Design matrix and derived covariance spectrum for a timeline.
 
     ``design[n, a] = Tr(O_n E_a)``; the inverse covariance is
-    C^-1 = design^T design.  The singular value decomposition of the design
-    is computed once and shared by the estimator and the projection solver.
-    The information quantifiers take only the singular values, and
-    :meth:`singular_values` computes no singular vectors unless the full
-    decomposition is cached.
+    C^-1 = design^T design.  The estimator reads the design only through
+    least-squares solves and Gram products: :func:`ml_estimate` takes one
+    solve per prefix, which also sets the singular values, and
+    :func:`psd_project` builds its shrink from the Gram matrix once per
+    prefix; both are memoized here.  The information quantifiers take only
+    the singular values, and :meth:`singular_values` computes them without
+    vectors when no solve has set them.
     ``row_offsets`` carries Tr(O_n)/d so that records of non-traceless
     observables invert exactly.
 
     ``span`` (k, d^2 - 1), when set, has orthonormal rows Phi that hold
     every design row up to rounding: the eigenframe span of the module
     docstring.  It is set only when it limits the rank, k < min(n_rows,
-    d^2 - 1); otherwise the plain SVD is no larger.  The SVD is then taken
-    of the n x k coordinates G = design Phi^T and mapped back, vt = vt_G Phi,
-    so every consumer sees the same (u, s, vt) contract.  The cut is safe
-    to second order: with E = design - G Phi, orthonormal Phi gives
+    d^2 - 1); otherwise the plain design is no larger.  The solves and
+    the Gram then run on the n x k coordinates G = design Phi^T, and their
+    results are mapped back through Phi.  The cut is safe to second order:
+    with E = design - G Phi, orthonormal Phi gives
     design design^T = G G^T + E E^T, so each squared singular value moves
     by at most |E|^2, and a singular value s by at most min(|E|, |E|^2 / s).
     On the preset cells |E|_F / |design|_F is 2e-14 to 3e-13, so every
@@ -114,7 +120,8 @@ class CovarianceData:
     row_offsets: Optional[np.ndarray] = None
     span: Optional[np.ndarray] = None
     _coords: Optional[np.ndarray] = field(default=None, repr=False)
-    _svd: Optional[tuple] = field(default=None, repr=False)
+    _s: Optional[np.ndarray] = field(default=None, repr=False)
+    _shrink: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.design = np.atleast_2d(np.asarray(self.design, dtype=float))
@@ -125,58 +132,44 @@ class CovarianceData:
     def n_rows(self) -> int:
         return self.design.shape[0]
 
-    @property
-    def n_directions(self) -> int:
-        return self.design.shape[1]
-
     def span_coords(self) -> np.ndarray:
-        """G = design Phi^T, the design in the coordinates of ``span``."""
+        """G = design Phi^T, the design in the coordinates of ``span``; the design when unset."""
+        if self.span is None:
+            return self.design
         if self._coords is None:
             self._coords = self.design @ self.span.T
         return self._coords
 
     def svd(self):
-        if self._svd is None:
-            a = self.design if self.span is None else self.span_coords()
-            u, s, vt = np.linalg.svd(a, full_matrices=False)
-            self._svd = (u, s, vt if self.span is None else vt @ self.span)
-        return self._svd
+        """Full SVD (u, s, vt) of the design, vt mapped back through ``span``.
+
+        The library takes no singular vectors; this stays because the
+        benchmark tracer (bench/layers.py) wraps it.
+        """
+        u, s, vt = np.linalg.svd(self.span_coords(), full_matrices=False)
+        return u, s, vt if self.span is None else vt @ self.span
 
     def singular_values(self) -> np.ndarray:
-        """Singular values of the design, descending: the cached :meth:`svd`'s, or values only."""
-        if self._svd is not None:
-            return self._svd[1]
-        return np.linalg.svd(self.design if self.span is None else self.span_coords(),
-                             compute_uv=False)
+        """Singular values of the design, descending: the last solve's, or values only."""
+        if self._s is None:
+            self._s = np.linalg.svd(self.span_coords(), compute_uv=False)
+        return self._s
 
     def rank(self) -> int:
         """Dimension of the measured subspace (:func:`measured_rank` of the singular values)."""
         return measured_rank(self.singular_values())
 
-    def measured(self) -> tuple:
-        """(u, s, vt) of the measured subspace: the first :meth:`rank` singular triples.
-
-        Boolean-mask indexing hands BLAS the same contiguous copies on every
-        call; they are not cached, so the decomposition is the only copy a
-        prefix holds.
-        """
-        u, s, vt = self.svd()
-        keep = np.arange(len(s)) < self.rank()
-        return u[:, keep], s[keep], vt[keep]
-
     def truncated(self, n: int) -> "CovarianceData":
-        """Covariance restricted to the first n record rows.
+        """Covariance restricted to the first n record rows, a new one also for n = n_rows.
 
-        The prefix views the design's rows, and its decomposition is its
-        own: nothing is memoized here, so a prefix's decomposition lives only
-        as long as the caller holds the prefix (:func:`reconstruct_series`
-        holds one at a time).  A prefix keeps the span only while it still
-        limits the rank, k < n.
+        The prefix views the design's rows, and its solve and shrink are
+        its own: nothing is memoized here, so they live only as long as the
+        caller holds the prefix (:func:`reconstruct_series` holds one at a
+        time).  A prefix keeps the span only while it still limits the
+        rank, k < n.
         """
         if not 1 <= n <= self.n_rows:
             raise ValueError(f"prefix length {n} outside 1..{self.n_rows}")
-        if n == self.n_rows:
-            return self
         factored = self.span is not None and len(self.span) < n
         return CovarianceData(
             self.design[:n], self.row_offsets[:n],
@@ -201,13 +194,6 @@ def haar_random_pure(d: int, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return psi / np.linalg.norm(psi)
-
-
-def _as_density(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state)
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    return state
 
 
 def read_timeline(
@@ -236,7 +222,8 @@ def read_timeline(
     design = offsets = None
     if basis is not None:
         design, offsets = np.empty((n_rows, len(basis))), np.empty(n_rows)
-    rhos = [_as_density(state) for state in states]
+    rhos = [np.outer(state, np.conj(state)) if np.ndim(state) == 1 else np.asarray(state)
+            for state in states]
     expected = np.empty((len(rhos), n_rows))
     keep = list(keep)
     if any(not 0 <= n < n_rows for n in keep):
@@ -327,20 +314,20 @@ def _eigenframe_span(u: np.ndarray, op: np.ndarray, n_rows: int,
     return bloch_encode_batch(vecs @ basis.matrices(sel) @ vecs.conj().T, basis)
 
 
-def ml_estimate(record: np.ndarray, cov: CovarianceData) -> np.ndarray:
-    """Maximum-likelihood Bloch vector of a 1-D record, pseudoinverted over the measured subspace.
+def ml_estimate(records: np.ndarray, cov: CovarianceData) -> np.ndarray:
+    """Maximum-likelihood Bloch vector of a 1-D record, or one per row of a (records, n) stack.
 
-    Only the measured subspace (:meth:`CovarianceData.measured`) is inverted,
-    so unmeasured directions come back exactly 0.
+    One ``np.linalg.lstsq`` solve with ``rcond=RANK_TOL`` serves every
+    record.  LAPACK's gelsd zeroes the singular values s <= RANK_TOL s_0,
+    the cut of :func:`measured_rank`, so this is the pseudoinverse over the
+    measured subspace and unmeasured directions get no weight.  The
+    solve's singular values become ``cov``'s (:meth:`CovarianceData.singular_values`).
     """
-    m = np.asarray(record, dtype=float)
-    if m.ndim != 1 or len(m) != cov.n_rows:
-        raise ValueError(f"record length {m.shape} does not match {cov.n_rows} design rows")
-    if len(m) == 0:
-        raise ValueError("empty measurement record")
-    u, s, vt = cov.measured()
-    y = u.T @ (m - cov.row_offsets)
-    return vt.T @ (y / s)
+    m = np.asarray(records, dtype=float)
+    if m.ndim not in (1, 2) or m.shape[-1] != cov.n_rows:
+        raise ValueError(f"record shape {m.shape} does not match {cov.n_rows} design rows")
+    x, _, _, cov._s = np.linalg.lstsq(cov.span_coords(), (m - cov.row_offsets).T, rcond=RANK_TOL)
+    return x.T.copy() if cov.span is None else x.T @ cov.span
 
 
 def _project_eigs_simplex(w: np.ndarray) -> np.ndarray:
@@ -370,6 +357,52 @@ def _project_feasible(r: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     return bloch_encode(proj, basis)
 
 
+def _quadratic(cov: CovarianceData, r_ml: np.ndarray) -> tuple:
+    """Gradient, proximal map and norm of q(r) = |A (r - r_ml)|^2 / (2 s_0^2), in Gram form.
+
+    A is the design of ``cov``, or its span coordinates mapped through
+    Phi.  With c = s_0^2 / ``_PROX_T``, the proximal map is
+    x + A^T A (A^T A + c I)^-1 (r_ml - x), so no singular vectors are
+    formed.  Its shrink is memoized on ``cov``, and every record of the
+    prefix shares it: for n <= k rows it is B = (A A^T + c I)^-1 A, applied
+    as A^T B, otherwise the k x k matrix I - c (A^T A + c I)^-1.  The
+    regularized Gram matrix has condition number at most 1 + ``_PROX_T``,
+    so its inverse is safe.  Directions below ``RANK_TOL`` enter the
+    shrink with weight s^2 / (s^2 + c) < 1e-18.
+    """
+    a, phi, s0 = cov.span_coords(), cov.span, cov.singular_values()[0]
+    wide = len(a) <= a.shape[1]
+    if cov._shrink is None:
+        c = s0**2 / _PROX_T
+        inv = a @ a.T if wide else a.T @ a
+        inv.flat[:: len(inv) + 1] += c
+        inv = np.linalg.inv(inv)  # the Gram matrix is released here
+        if wide:
+            cov._shrink = inv @ a
+        else:
+            inv *= -c
+            inv.flat[:: len(inv) + 1] += 1.0
+            cov._shrink = inv
+
+    def coords(x):  # Bloch vector -> coordinates of A's columns
+        return x if phi is None else phi @ x
+
+    def bloch(y):
+        return y if phi is None else y @ phi
+
+    def grad(r):
+        return bloch(a.T @ (a @ coords(r - r_ml))) / s0**2
+
+    def prox(x):
+        y = cov._shrink @ coords(r_ml - x)
+        return x + bloch(a.T @ y if wide else y)
+
+    def norm(x):
+        return float(np.linalg.norm(a @ coords(x))) / s0
+
+    return grad, prox, norm
+
+
 def psd_project(
     r_ml: np.ndarray,
     cov: CovarianceData,
@@ -381,11 +414,12 @@ def psd_project(
 
     Minimizes (r - r_ml)^T C^-1 (r - r_ml) subject to
     I/d + sum_a r_a E_a >= 0, by Douglas-Rachford splitting: the proximal
-    step of the quadratic (a weighted least-squares shrink through the
-    cached design SVD) alternates with the exact eigenvalue projection onto
-    the state set.  Convergence is declared when the projected-gradient
-    fixed-point residual, measured in the C^-1 norm scaled by its largest
-    eigenvalue, drops below ``_PSD_TOL`` relative to the data scale.
+    step of the quadratic (a weighted least-squares shrink in Gram form,
+    :func:`_quadratic`, built once per prefix) alternates with the exact
+    eigenvalue projection onto the state set.  Convergence is declared
+    when the projected-gradient fixed-point residual, measured in the C^-1
+    norm scaled by its largest eigenvalue, drops below ``_PSD_TOL``
+    relative to the data scale.
 
     Returns (r_bar, rho_bar, diagnostics); on hitting ``_PSD_MAX_ITERS`` the last
     iterate, which is feasible, is returned with ``converged=False``.
@@ -395,27 +429,13 @@ def psd_project(
     if np.linalg.eigvalsh(decoded)[0] >= -1e-12:
         return r_ml, decoded, SolverDiagnostics(iters=0, residual=0.0, converged=True)
 
-    _, s, vt = cov.measured()
-    v = vt.T  # (k, r) eigenvectors of C^-1 with positive eigenvalue
-
-    if len(s) == 0:
+    if cov.rank() == 0:
         r_bar = _project_feasible(r_ml, basis)
         return r_bar, bloch_decode(r_bar, basis), SolverDiagnostics(1, 0.0, True)
 
-    lam = (s / s[0]) ** 2  # normalized spectrum of C^-1, max 1
-    # Proximal parameter and over-relaxation tuned on kicked-top records;
-    # relaxation < 2 keeps the splitting convergent.
-    prox_t = 100.0
+    grad, prox_quadratic, weighted_norm = _quadratic(cov, r_ml)
+    # Over-relaxation tuned on kicked-top records; < 2 keeps the splitting convergent.
     relax = 1.8
-
-    def grad(r):
-        return v @ (lam * (v.T @ (r - r_ml)))
-
-    def prox_quadratic(x):
-        return x + v @ ((lam / (lam + 1.0 / prox_t)) * (v.T @ (r_ml - x)))
-
-    def weighted_norm(x):
-        return float(np.sqrt(np.sum(lam * (v.T @ x) ** 2)))
 
     scale = max(1.0, weighted_norm(r_ml))
     z = r_ml.copy() if warm_start is None else np.asarray(warm_start, dtype=float).copy()
@@ -476,35 +496,29 @@ def reconstruct_series(
     default is every step.  ``states`` holds each record's reference state
     vector, against which its fidelities are taken.
 
-    The loop is prefix-major.  Each prefix is decomposed once, that one
-    decomposition serves the ML estimate and positivity projection of
-    every record, and its singular vectors are released before the next
-    prefix, the full record's included.  So at most two decompositions
-    are alive, however many prefixes are evaluated, and each record still
-    sees the arithmetic of a record-by-record loop, in the same order.  The
-    full record is the last prefix; it is decomposed first: on the
-    chain-spectra benchmark workload (kicked Ising L=5, 1200 x 1023
-    designs, 2-vCPU x86-64) that order peaked at 138 MB RSS, against 147 MB
-    with the full record decomposed last.
+    The loop is prefix-major.  Each prefix takes one least-squares solve
+    for every record at once (:func:`ml_estimate`), which also gives its
+    singular values, and every record's positivity projection shares the
+    prefix's shrink (:func:`psd_project`).  Both are released with the
+    prefix, before the next one, and no singular vectors are formed, so
+    memory does not grow with the number of prefixes evaluated.  Each
+    record's projection still runs in the order of a record-by-record loop.
     """
     if eval_steps is None:
         eval_steps = range(1, cov.n_rows + 1)
     eval_steps = [int(n) for n in eval_steps]
-    if cov.n_rows in eval_steps:
-        cov.svd()
     fids = np.empty((len(records), len(eval_steps)))
     results = [[] for _ in records]
     warm = [None] * len(records)
     spectra = []
     for k, n in enumerate(eval_steps):
-        cov_n = cov.truncated(n)  # cov itself for the full record
-        for i, record in enumerate(records):
-            r_ml = ml_estimate(record[:n], cov_n)
-            warm[i], rho_bar, diag = psd_project(r_ml, cov_n, basis, warm_start=warm[i])
+        cov_n = cov.truncated(n)
+        r_ml = ml_estimate([record[:n] for record in records], cov_n)
+        for i in range(len(records)):
+            warm[i], rho_bar, diag = psd_project(r_ml[i], cov_n, basis, warm_start=warm[i])
             fids[i, k] = fidelity(states[i], rho_bar)
             results[i].append(diag)
         spectra.append(cov_n.singular_values())
-        cov_n._svd = None  # release the singular vectors, keeping the values
     return TomographyRun(fidelities=fids, results=results, spectra=spectra)
 
 

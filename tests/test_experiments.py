@@ -472,18 +472,24 @@ class TestSmallRuns:
 
 
 class TestSvdCalls:
-    """Singular vectors are computed only where something reads them."""
+    """Singular vectors are computed nowhere: a prefix takes one least-squares solve (LAPACK
+    gelsd, an SVD-based solve) or a values-only SVD."""
 
     @staticmethod
     def count(monkeypatch) -> dict:
-        calls = {"full": 0, "values": 0}
-        svd = np.linalg.svd
+        calls = {"full": 0, "values": 0, "solves": 0}
+        svd, lstsq = np.linalg.svd, np.linalg.lstsq
 
         def counting(a, *args, compute_uv=True, **kwargs):
             calls["full" if compute_uv else "values"] += 1
             return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
+        def solving(*args, **kwargs):
+            calls["solves"] += 1
+            return lstsq(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, "lstsq", solving)
         return calls
 
     def test_rmt_compare_takes_values_only(self, monkeypatch):
@@ -492,20 +498,20 @@ class TestSvdCalls:
             experiment="rmt-compare", observable="s1y", model={"kind": "kicked_ising", "L": 3},
             sweep={"param": "hz", "values": [0.4, 1.4]}, steps=80, eval_stride=20, n_samples=2))
         # 2 sweep values and 2 ensemble samples, 4 prefixes each
-        assert calls == {"full": 0, "values": 16}
+        assert calls == {"full": 0, "values": 16, "solves": 0}
 
-    def test_tomo_takes_one_full_svd_per_prefix(self, monkeypatch):
+    def test_tomo_takes_one_solve_per_prefix(self, monkeypatch):
         calls = self.count(monkeypatch)
         run_experiment(tiny_tomo_config())
-        # 2 sweep values, prefixes 5, 10 and 15; the quantifiers reuse their values
-        assert calls == {"full": 6, "values": 0}
+        # 2 sweep values, prefixes 5, 10 and 15; the quantifiers reuse the solves' values
+        assert calls == {"full": 0, "values": 0, "solves": 6}
 
     @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
     def test_states_share_each_prefix_svd(self, experiment, monkeypatch):
         calls = self.count(monkeypatch)
         run_experiment(streamed_config(experiment))
-        # 2 states, 2 sweep values, prefixes 4, 8 and 12: one decomposition each
-        assert calls == {"full": 6, "values": 0}
+        # 2 states, 2 sweep values, prefixes 4, 8 and 12: one solve each
+        assert calls == {"full": 0, "values": 0, "solves": 6}
 
 
 def streamed_config(experiment: str) -> ExperimentConfig:
@@ -517,34 +523,35 @@ def streamed_config(experiment: str) -> ExperimentConfig:
 
 
 class TestStreaming:
-    """A cell holds the full record's decomposition, the current prefix's and no timeline."""
+    """A cell holds one prefix's solve and shrink at a time, and no timeline."""
 
     @staticmethod
-    def at_each_svd(monkeypatch, probe) -> list:
-        """Record ``probe(out)`` at every full SVD, once its decomposition ``out`` exists."""
+    def at_each_solve(monkeypatch, probe) -> list:
+        """Record ``probe()`` at every least-squares solve, before it runs."""
         seen = []
-        svd = np.linalg.svd
+        lstsq = np.linalg.lstsq
 
-        def probing(a, *args, compute_uv=True, **kwargs):
-            out = svd(a, *args, compute_uv=compute_uv, **kwargs)
-            if compute_uv:
-                seen.append(probe(out))
-            return out
+        def probing(*args, **kwargs):
+            seen.append(probe())
+            return lstsq(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", probing)
+        monkeypatch.setattr(np.linalg, "lstsq", probing)
         return seen
 
     @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
-    def test_at_most_two_decompositions_alive(self, experiment, monkeypatch):
-        made = []
+    def test_prefix_shrink_released_before_next_solve(self, experiment, monkeypatch):
+        shrinks = []
+        quadratic = tomography._quadratic
 
-        def alive(out):
-            made.append(weakref.ref(out[0]))
-            return sum(ref() is not None for ref in made)
+        def tracking(cov, r_ml):
+            out = quadratic(cov, r_ml)
+            shrinks.append(weakref.ref(cov._shrink))
+            return out
 
-        counts = self.at_each_svd(monkeypatch, alive)
+        monkeypatch.setattr(tomography, "_quadratic", tracking)
+        alive = self.at_each_solve(monkeypatch, lambda: sum(ref() is not None for ref in shrinks))
         run_experiment(streamed_config(experiment))
-        assert len(counts) == 6 and max(counts) == 2
+        assert shrinks and len(alive) == 6 and max(alive) == 0
 
     @staticmethod
     def track_blocks(monkeypatch) -> list:
@@ -564,7 +571,7 @@ class TestStreaming:
     @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
     def test_timeline_released_before_decomposing(self, experiment, monkeypatch):
         blocks = self.track_blocks(monkeypatch)
-        dead = self.at_each_svd(monkeypatch, lambda out: [ref() is None for ref in blocks])
+        dead = self.at_each_solve(monkeypatch, lambda: [ref() is None for ref in blocks])
         run_experiment(streamed_config(experiment))
         # one block per timeline: 2 sweep values, and perturb reads two timelines each
         assert len(blocks) == (2 if experiment == "tomo" else 4)

@@ -130,7 +130,7 @@ class TestSeries:
         u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         cov = timeline_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4), u)
         series = quantifier_series([cov.truncated(n).singular_values() for n in range(1, 41)],
-                                   cov.n_directions)
+                                   cov.design.shape[1])
         assert list(series) == ["shannon", "fisher", "rank", "mutual_info"]
         assert all(len(column) == 40 for column in series.values())
         rank, fisher = series["rank"], series["fisher"]

@@ -21,10 +21,12 @@ from chaostomo.dynamics import (
 from chaostomo import tomography
 from chaostomo.operator_space import bloch_decode, bloch_encode, bloch_encode_batch, gell_mann_basis
 from chaostomo.tomography import (
+    RANK_TOL,
     CovarianceData,
     build_covariance,
     fidelity,
     haar_random_pure,
+    measured_rank,
     ml_estimate,
     model_blocks,
     psd_project,
@@ -238,7 +240,7 @@ FACTORED_CASES = [KickedIsing(L=L, hz=0.0) for L in (4, 5)] + [
 
 
 class TestMeasuredSubspace:
-    """``measured()`` against the masked SVD triple the estimator used to cut itself."""
+    """The least-squares estimate against the masked SVD triple the estimator used to cut itself."""
 
     @pytest.mark.parametrize("factored", [True, False], ids=["factored", "plain"])
     def test_matches_masked_triple(self, factored, rng):
@@ -255,16 +257,21 @@ class TestMeasuredSubspace:
         for c in (cov, cov.truncated(cov.n_rows // 2)):
             u, s, vt = c.svd()
             keep = s > 1e-10 * s[0]
-            got = c.measured()
-            for a, b in zip(got, (u[:, keep], s[keep], vt[keep])):
-                assert np.array_equal(a, b)
-            assert c.rank() == len(got[1]) == np.count_nonzero(keep)
+            m = c.design @ rng.standard_normal(c.design.shape[1]) + c.row_offsets
+            want = vt[keep].T @ ((u[:, keep].T @ (m - c.row_offsets)) / s[keep])
+            got = ml_estimate(m, c)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+            assert c.rank() == np.count_nonzero(keep)
             assert 0 < c.rank() < len(s)
 
     def test_zero_design_measures_nothing(self):
         cov = CovarianceData(np.zeros((3, 8)))
-        u, s, vt = cov.measured()
-        assert cov.rank() == 0 and u.shape == (3, 0) and s.shape == (0,) and vt.shape == (0, 8)
+        assert np.array_equal(ml_estimate(np.ones(3), cov), np.zeros(8))
+        assert cov.rank() == 0
+        # nothing measured: the projection is the plain Euclidean one
+        basis, r_ml = gell_mann_basis(3), np.array([1.0] + [0.0] * 7)
+        r_bar, _, diag = psd_project(r_ml, cov, basis)
+        assert diag.iters == 1 and np.array_equal(r_bar, tomography._project_feasible(r_ml, basis))
 
 
 class TestSingularValues:
@@ -280,21 +287,21 @@ class TestSingularValues:
         tl = heisenberg_timeline(o, u, n_rows - 1)
         values, full = (timeline_covariance(tl, gell_mann_basis(16), u) for _ in range(2))
         assert (values.span is not None) == factored
-        full.svd()
         s = full.svd()[1]
         assert np.max(np.abs(values.singular_values() - s)) <= 1e-13 * s[0]
         steps = [n_rows // 8, n_rows // 4, n_rows // 2, n_rows]
         got, want = (quantifier_series([c.truncated(n).singular_values() for n in steps],
-                                       c.n_directions) for c in (values, full))
+                                       c.design.shape[1]) for c in (values, full))
         assert 0 < values.rank() == full.rank() < len(s)
         assert np.array_equal(got["rank"], want["rank"])
         for metric in ("shannon", "fisher", "mutual_info"):
             assert np.max(np.abs(got[metric] - want[metric]) / np.abs(want[metric])) <= 1e-12
-        # a full SVD taken later serves the singular values, and the
-        # measured subspace is cut by its own singular values
-        u, s, vt = values.svd()
-        assert values.singular_values() is s
-        assert values.rank() == len(values.measured()[1]) == np.count_nonzero(s > 1e-10 * s[0])
+        # a least-squares solve sets the singular values, and the measured
+        # subspace is cut by them
+        solved = timeline_covariance(tl, gell_mann_basis(16), u)
+        ml_estimate(np.zeros(n_rows), solved)
+        assert np.max(np.abs(solved.singular_values() - s)) <= 1e-13 * s[0]
+        assert solved.rank() == values.rank()
 
 
 class TestFactoredDesign:
@@ -329,7 +336,7 @@ class TestFactoredDesign:
         # mutual information sums ln s_i^2 of both signs and can cancel to
         # near 0, so it is relative to the sum of the terms' magnitudes
         for i, n in enumerate(steps):
-            s = plain.truncated(n).svd()[1][: want["rank"][i]]
+            s = plain.truncated(n).singular_values()[: want["rank"][i]]
             scale = np.sum(np.abs(np.log(s**2))) / 2
             assert abs(got["mutual_info"][i] - want["mutual_info"][i]) <= 1e-9 * scale
 
@@ -339,7 +346,7 @@ class TestFactoredDesign:
         record = timeline_record(psi, tl, 0.1, 2)
         for n in steps:
             prefix = plain.truncated(n)
-            s = prefix.svd()[1]
+            s = prefix.singular_values()
             if s[prefix.rank() - 1] < 1e-5 * s[0]:
                 continue
             rec = record[:n]
@@ -424,6 +431,70 @@ class TestMLEstimate:
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
             ml_estimate(np.array([]), CovarianceData(np.eye(3)))
+
+
+    def test_matches_masked_pseudoinverse_across_the_cut(self, rng):
+        # singular values on both sides of RANK_TOL s_0: 3e-10 s_0 is kept,
+        # 5e-11 s_0 cut.  Either cut moved would move the estimate by its
+        # whole size, and the pseudoinverse's own rounding is s_0 / s_min eps.
+        left, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        right, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        spectrum = np.array([1.0, 0.3, 1e-3, 1e-6, 3e-10, 5e-11, 1e-13] + [0.0] * 13)
+        cov = CovarianceData((left[:, :20] * spectrum) @ right.T)
+        m = rng.standard_normal(30)
+        u, s, vt = np.linalg.svd(cov.design, full_matrices=False)
+        keep = s > 1e-10 * s[0]
+        want = vt[keep].T @ ((u[:, keep].T @ m) / s[keep])
+        got = ml_estimate(m, cov)
+        assert np.count_nonzero(keep) == cov.rank() == 5
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("spectrum", [
+        [1.0, 0.3, 1e-3, 3e-10, 5e-11, 1e-13],
+        [1.0, 1.001e-10, 0.999e-10, 0.0, 0.0, 0.0],
+        [1.0] * 6,
+        [0.0] * 6,
+    ], ids=["straddle", "at-the-cut", "full", "zero"])
+    def test_lstsq_rank_is_measured_rank(self, spectrum, rng):
+        # numpy's rcond (gelsd zeroes s <= rcond s_0) is the cut of measured_rank
+        left, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        right, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        design = (left[:, :6] * spectrum) @ right.T
+        _, _, rank, s = np.linalg.lstsq(design, rng.standard_normal((9, 2)), rcond=RANK_TOL)
+        assert rank == measured_rank(s)
+
+
+class TestGramProx:
+    """The Gram-form proximal map against x + V lam/(lam + 1/t) V^T (r_ml - x) from an SVD."""
+
+    @pytest.mark.parametrize("shape", ["wide", "tall", "factored"])
+    def test_matches_singular_vector_form(self, shape, rng):
+        if shape == "factored":
+            model = KickedIsing(L=4, hz=0.0)
+            o, n_rows = _chain_case(model)
+            u = build_propagator(model)
+            cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1),
+                                      gell_mann_basis(model.dim), u)
+            assert cov.span is not None
+        else:
+            # columns scaled over three decades, so the shrink weights differ
+            n = 12 if shape == "wide" else 40
+            cov = CovarianceData(rng.standard_normal((n, 24)) * np.logspace(0, -3, 24))
+        a = cov.span_coords()
+        assert (len(a) <= a.shape[1]) == (shape == "wide")
+        r_ml, x = rng.standard_normal((2, cov.design.shape[1]))
+        grad, prox, norm = tomography._quadratic(cov, r_ml)
+        _, s, vt = cov.svd()
+        lam = (s / s[0]) ** 2
+        want = x + vt.T @ (lam / (lam + 1.0 / tomography._PROX_T) * (vt @ (r_ml - x)))
+        assert np.max(np.abs(prox(x) - want)) <= 1e-12 * np.max(np.abs(want))
+        step = x - r_ml
+        assert np.max(np.abs(grad(x) - vt.T @ (lam * (vt @ step)))) <= 1e-12 * np.max(np.abs(step))
+        assert abs(norm(x) - np.linalg.norm(np.sqrt(lam) * (vt @ x))) <= 1e-12 * norm(x)
+        # the shrink is built once per prefix and shared by later calls
+        shrink = cov._shrink
+        tomography._quadratic(cov, x)
+        assert cov._shrink is shrink
 
 
 class TestPsdProject:
