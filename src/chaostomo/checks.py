@@ -70,16 +70,11 @@ def _check_xxz_conservation():
     return dev < 1e-10, f"[U, S_z] = {dev:.1e}"
 
 
-def _covariance(blocks, n_rows, basis, u, op):
-    design, offsets, _, _ = tomography.read_timeline(blocks, n_rows, basis)
-    return tomography.build_covariance(design, offsets, basis, u, op)
-
-
 def _check_trace_identity():
     jx, jy, _ = dynamics.angular_momentum_ops(3)
     u = dynamics.kicked_top_floquet(dynamics.KickedTop(j=3, lam=3.0, alpha=1.4))
     basis = gell_mann_basis(7)
-    cov = _covariance(dynamics.timeline_blocks(jy, 79, u), 80, basis, u, jy)
+    cov = tomography.read_timeline(jy, 80, u, basis)[0]
     lhs = float(np.sum(cov.singular_values() ** 2))
     rhs = 80 * float(np.sum(bloch_encode(jy, basis) ** 2))
     rel = abs(lhs - rhs) / abs(rhs)
@@ -96,12 +91,13 @@ def _check_factored_design():
     parts = []
     for name, (model, obs) in cases.items():
         u = dynamics.build_propagator(model)
-        cov = _covariance(dynamics.timeline_blocks(obs, 511, u), 512, gell_mann_basis(16), u, obs)
+        cov = tomography.read_timeline(obs, 512, u, gell_mann_basis(16))[0]
         if cov.span is None:
             return False, f"{name}: no eigenframe span"
         k = len(cov.span)
         orth = np.max(np.abs(cov.span @ cov.span.T - np.eye(k)))
-        resid = np.linalg.norm(cov.design - cov.span_coords() @ cov.span) / np.linalg.norm(cov.design)
+        coords = cov.design @ cov.span.T
+        resid = np.linalg.norm(cov.design - coords @ cov.span) / np.linalg.norm(cov.design)
         plain = tomography.CovarianceData(cov.design)
         s_plain, s = plain.singular_values(), cov.singular_values()
         dev = np.max(np.abs(s_plain - np.pad(s, (0, len(s_plain) - len(s))))) / s_plain[0]
@@ -121,13 +117,10 @@ def _check_zero_noise():
     d = 5
     psi = tomography.haar_random_pure(d, rng)
     basis = gell_mann_basis(d)
-    blocks, _ = tomography.model_blocks(
-        dynamics.HaarSteps(dim=d, seed=9), np.diag(np.arange(d) - 2.0).astype(complex), d * d)
-    design, offsets, expected, _ = tomography.read_timeline(blocks, d * d, basis, [psi])
+    cov, expected, _ = tomography.read_timeline(
+        np.diag(np.arange(d) - 2.0), d * d, np.random.default_rng(9), basis, [psi])
     run = tomography.reconstruct_series(
-        [tomography.generate_record(expected[0], 0.0, 4)],
-        tomography.build_covariance(design, offsets, basis), basis, [psi], eval_steps=[d * d],
-    )
+        [tomography.generate_record(expected[0], 0.0, 4)], cov, basis, [psi], eval_steps=[d * d])
     fid = run.fidelities[0, -1]
     return fid > 1 - 1e-9, f"zero-noise fidelity {fid:.12f}"
 

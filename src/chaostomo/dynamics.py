@@ -25,7 +25,7 @@ exact at these sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -332,26 +332,23 @@ def build_propagator(spec: ModelSpec) -> np.ndarray:
     raise TypeError(f"no single propagator for model {type(spec).__name__}")
 
 
-def timeline_blocks(
-    op: np.ndarray, n_steps: int, u: Optional[np.ndarray] = None, rng=None
-) -> Iterator[np.ndarray]:
+def timeline_blocks(op: np.ndarray, n_steps: int, step) -> Iterator[np.ndarray]:
     """The timeline [O_0, ..., O_N], N = n_steps, in consecutive (k, d, d) blocks.
 
-    With a fixed (d, d) unitary ``u``, O_{k+1} = U^dag O_k U; with ``u``
-    None, every step draws a fresh Haar unitary from ``rng``.  Each block
-    holds ``TIMELINE_BLOCK`` operators and the last one also the rest, so
-    a timeline shorter than two blocks comes as one.  A row encoded or
-    contracted block by block then equals the row of the whole stack bit
-    for bit (``TIMELINE_BLOCK``).
+    ``step`` is the fixed (d, d) unitary U, O_{k+1} = U^dag O_k U, or the
+    ``np.random.Generator`` that draws a fresh Haar unitary for every step.
+    Each block holds ``TIMELINE_BLOCK`` operators and the last one also the
+    rest, so a timeline shorter than two blocks comes as one.  A row
+    encoded or contracted block by block then equals the row of the whole
+    stack bit for bit (``TIMELINE_BLOCK``).
     """
     op = np.asarray(op, dtype=complex)
-    if u is not None and op.shape != u.shape:
-        raise ValueError(f"observable shape {op.shape} != propagator {u.shape}")
-    if u is None and rng is None:
-        raise ValueError("a timeline needs a fixed step u or an rng for Haar steps")
+    haar = isinstance(step, np.random.Generator)
+    if not haar and op.shape != np.shape(step):
+        raise ValueError(f"observable shape {op.shape} != propagator {np.shape(step)}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    udag = None if u is None else u.conj().T
+    udag = None if haar else step.conj().T
     prev = op
     n_blocks = max(1, (n_steps + 1) // TIMELINE_BLOCK)
     for b in range(n_blocks):
@@ -360,11 +357,11 @@ def timeline_blocks(
         block = np.empty((stop - start,) + op.shape, dtype=complex)
         for i in range(len(block)):
             if start + i > 0:
-                if u is None:
-                    step = haar_unitary(len(op), rng)
-                    prev = step.conj().T @ prev @ step
+                if haar:
+                    w = haar_unitary(len(op), step)
+                    prev = w.conj().T @ prev @ w
                 else:
-                    prev = udag @ prev @ u
+                    prev = udag @ prev @ step
             block[i] = prev
         yield block
 

@@ -372,9 +372,8 @@ def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
         model = _build_model(cfg.model, (param, value))
         rngs = cells[iv * cfg.n_states:(iv + 1) * cfg.n_states]
         states = _draw_states(cfg, basis.dim, rngs)
-        blocks, u = tomography.model_blocks(model, observable, n_rows)
-        design, offsets, expected, _ = tomography.read_timeline(blocks, n_rows, basis, states)
-        cov = tomography.build_covariance(design, offsets, basis, u, observable)
+        cov, expected, _ = tomography.read_timeline(observable, n_rows,
+                                                    tomography.model_step(model), basis, states)
         run = tomography.reconstruct_series(_records(cfg, expected, rngs), cov, basis, states,
                                             eval_steps)
         rows.add_steps(value, eval_steps, quantifiers.quantifier_series(run.spectra, len(basis)))
@@ -400,11 +399,10 @@ def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
         states = _draw_states(cfg, base.dim, rngs)
         # operator metrics compare the timeline entries measured at row n
         at = [n - 1 for n in eval_steps]
-        _, _, expected, true_ops = tomography.read_timeline(
-            dynamics.timeline_blocks(observable, n_rows - 1, u_true), n_rows, states=states,
-            keep=at)
-        design, offsets, _, model_ops = tomography.read_timeline(
-            dynamics.timeline_blocks(observable, n_rows - 1, u_model), n_rows, basis, keep=at)
+        _, expected, true_ops = tomography.read_timeline(observable, n_rows, u_true,
+                                                         states=states, keep=at)
+        cov_model, _, model_ops = tomography.read_timeline(observable, n_rows, u_model, basis,
+                                                           keep=at)
         pairs = list(zip(true_ops, model_ops))
         rows.add_steps(value, eval_steps, {
             "loschmidt_echo": [perturbation.operator_loschmidt_echo(t, m, observable)
@@ -414,7 +412,6 @@ def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
                                 for t, m in pairs],
         })
         del true_ops, model_ops, pairs  # the reconstruction reads only the model design
-        cov_model = tomography.build_covariance(design, offsets, basis, u_model, observable)
         run = tomography.reconstruct_series(_records(cfg, expected, rngs), cov_model, basis,
                                             states, eval_steps)
         converged &= _fidelity_rows(rows, value, run, eval_steps)
@@ -484,10 +481,9 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
     return rows.table()
 
 
-def _spectrum_series(blocks, u, observable, basis, n_rows, eval_steps) -> dict:
+def _spectrum_series(observable, n_rows, step, basis, eval_steps) -> dict:
     """Quantifier columns of a timeline's record prefixes, read off singular values alone."""
-    design, offsets, _, _ = tomography.read_timeline(blocks, n_rows, basis)
-    cov = tomography.build_covariance(design, offsets, basis, u, observable)
+    cov = tomography.read_timeline(observable, n_rows, step, basis)[0]
     return quantifiers.quantifier_series([cov.truncated(n).singular_values() for n in eval_steps],
                                          len(basis))
 
@@ -504,8 +500,8 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
     n_rows, eval_steps = _record_steps(cfg, d)
     for value in cfg.sweep["values"]:
         model = _build_model(cfg.model, (param, value))
-        blocks, u = tomography.model_blocks(model, observable, n_rows)
-        series = _spectrum_series(blocks, u, observable, basis, n_rows, eval_steps)
+        series = _spectrum_series(observable, n_rows, tomography.model_step(model), basis,
+                                  eval_steps)
         rows.add_steps(value, eval_steps, {metric: series[metric] for metric in metrics})
     # ensemble baseline, block diagonal in the reflection eigenbasis
     vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
@@ -515,8 +511,7 @@ def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
         mat = rmt.block_diagonal_sample(ens_kind, block_dims, vbasis, aux_rng)
         # a GOE draw is a Hamiltonian evolved for dt = 1, a COE draw the step itself
         u = dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat
-        blocks = dynamics.timeline_blocks(observable, n_rows - 1, u)
-        samples.append(_spectrum_series(blocks, u, observable, basis, n_rows, eval_steps))
+        samples.append(_spectrum_series(observable, n_rows, u, basis, eval_steps))
     for metric in metrics:
         column = np.array([s[metric] for s in samples], dtype=float)
         rows.add_means("rmt", eval_steps, {metric: column})

@@ -114,16 +114,19 @@ def bloch_encode_batch(ops: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     rounds otherwise than a larger product.  So streaming callers encode
     blocks of at least ``dynamics.TIMELINE_BLOCK`` rows, which round as the
     rows of the whole stack do.
+
+    Each part goes straight into one preallocated output, so the
+    temporaries are the diagonal product and one real gather at a time.
     """
     ops = np.asarray(ops)
-    if ops.ndim != 3 or ops.shape[1:] != (basis.dim, basis.dim):
-        raise ValueError(f"expected a stack of ({basis.dim}, {basis.dim}) operators")
-    lower = ops[:, basis.rows, basis.cols]
-    return np.concatenate([
-        np.diagonal(ops, axis1=1, axis2=2).real @ basis.diag_mat.T,
-        np.sqrt(2.0) * lower.real,
-        np.sqrt(2.0) * lower.imag,
-    ], axis=1)
+    d, s = basis.dim, len(basis.rows)
+    if ops.ndim != 3 or ops.shape[1:] != (d, d):
+        raise ValueError(f"expected a stack of ({d}, {d}) operators")
+    out = np.empty((len(ops), len(basis)))
+    out[:, : d - 1] = np.diagonal(ops, axis1=1, axis2=2).real @ basis.diag_mat.T
+    np.multiply(ops.real[:, basis.rows, basis.cols], np.sqrt(2.0), out=out[:, d - 1 : d - 1 + s])
+    np.multiply(ops.imag[:, basis.rows, basis.cols], np.sqrt(2.0), out=out[:, d - 1 + s :])
+    return out
 
 
 def bloch_decode(r: np.ndarray, basis: HermitianBasis) -> np.ndarray:

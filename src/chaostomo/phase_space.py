@@ -111,16 +111,11 @@ def coherent_state_frame(j: float, grid: SphereGrid) -> np.ndarray:
     Row-batched analogue of :func:`spin_coherent`: amplitudes
     <j, m| theta, phi> = sqrt(C(2j, j-m)) cos^{j+m}(theta/2)
     sin^{j-m}(theta/2) e^{i (j-m) phi} in the descending-m ordering.
-    The frame is built once per spin on each grid and returned read-only.
+    :func:`husimi_q` builds no frame; this is its reference contraction.
     """
     d = round(2 * j) + 1
-    key = ("frame", d)
-    if key not in grid._cache:
-        amp = np.repeat(_polar_amplitudes(d, grid), grid.shape[1], axis=0)
-        frame = amp * np.exp(1j * np.arange(d)[None, :] * grid.phi[:, None])
-        frame.flags.writeable = False
-        grid._cache[key] = frame
-    return grid._cache[key]
+    amp = np.repeat(_polar_amplitudes(d, grid), grid.shape[1], axis=0)
+    return amp * np.exp(1j * np.arange(d)[None, :] * grid.phi[:, None])
 
 
 def _diagonal_terms(d: int, grid: SphereGrid) -> tuple:
@@ -131,16 +126,15 @@ def _diagonal_terms(d: int, grid: SphereGrid) -> tuple:
     each of the offsets m = -(d-1)..d-1 starts, and each offset's
     azimuthal frequency bin m mod n_phi.
     """
-    key = ("diagonals", d)
-    if key not in grid._cache:
+    if d not in grid._cache:
         amp = _polar_amplitudes(d, grid)
         k, l = np.divmod(np.arange(d * d), d)
         order = np.argsort(l - k, kind="stable")
         k, l = k[order], l[order]
         offsets = np.arange(1 - d, d)
         starts = np.searchsorted(l - k, offsets)
-        grid._cache[key] = (order, amp[:, k] * amp[:, l], starts, offsets % grid.shape[1])
-    return grid._cache[key]
+        grid._cache[d] = (order, amp[:, k] * amp[:, l], starts, offsets % grid.shape[1])
+    return grid._cache[d]
 
 
 def husimi_q(rho: np.ndarray, grid: SphereGrid) -> np.ndarray:

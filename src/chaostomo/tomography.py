@@ -13,12 +13,13 @@ operator-splitting solver that alternates a weighted least-squares step
 (a Gram-form shrink, built once per prefix) with an eigenvalue projection
 of the decoded matrix.  No singular vectors are formed.
 
-The timeline is never held whole.  :func:`read_timeline` takes it block by
-block from :func:`~chaostomo.dynamics.timeline_blocks` and fills, in one
-pass, the design rows, the row offsets Tr(O_n)/d and each state's
-noiseless record, dropping each block before the next is made; the
-(N, d, d) operator stack (19.7 MB for N = 1200 at d = 32) never exists.
-:func:`build_covariance` takes the design from there, and
+The record and its covariance are fixed by the observable O and the step
+U, and :func:`read_timeline` takes just those.  It runs
+:func:`~chaostomo.dynamics.timeline_blocks` itself and fills, in one pass,
+the design rows, the row offsets Tr(O_n)/d and each state's noiseless
+record, dropping each block before the next is made; the (N, d, d)
+operator stack (19.7 MB for N = 1200 at d = 32) never exists.  The
+covariance it returns gets its eigenframe span from the same O and U.
 :func:`generate_record` adds each record's noise.  Records are plain 1-D
 arrays, and :func:`reconstruct_series` hands back each prefix's spectrum
 as the design's singular values.
@@ -41,7 +42,7 @@ the covariance are dimensionless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,12 +63,11 @@ __all__ = [
     "haar_random_pure",
     "read_timeline",
     "generate_record",
-    "build_covariance",
     "ml_estimate",
     "psd_project",
     "fidelity",
     "reconstruct_series",
-    "model_blocks",
+    "model_step",
 ]
 
 # Relative singular-value cut of the measured subspace (measured_rank).
@@ -112,7 +112,8 @@ class CovarianceData:
     On the preset cells |E|_F / |design|_F is 2e-14 to 3e-13, so every
     rank is unchanged.  The singular vectors move at first order, and the
     pseudoinverse scales that by s_0 / s_min: ML estimates agree to 1e-9
-    wherever the kept spectrum stays above 1e-5 s_0.  G is formed once, and
+    wherever the kept spectrum stays above 1e-5 s_0.  G is formed once, on
+    construction (``_coords``, the design itself when no span is set), and
     the prefixes slice it.
     """
 
@@ -127,18 +128,12 @@ class CovarianceData:
         self.design = np.atleast_2d(np.asarray(self.design, dtype=float))
         if self.row_offsets is None:
             self.row_offsets = np.zeros(len(self.design))
+        if self._coords is None:
+            self._coords = self.design if self.span is None else self.design @ self.span.T
 
     @property
     def n_rows(self) -> int:
         return self.design.shape[0]
-
-    def span_coords(self) -> np.ndarray:
-        """G = design Phi^T, the design in the coordinates of ``span``; the design when unset."""
-        if self.span is None:
-            return self.design
-        if self._coords is None:
-            self._coords = self.design @ self.span.T
-        return self._coords
 
     def svd(self):
         """Full SVD (u, s, vt) of the design, vt mapped back through ``span``.
@@ -146,13 +141,13 @@ class CovarianceData:
         The library takes no singular vectors; this stays because the
         benchmark tracer (bench/layers.py) wraps it.
         """
-        u, s, vt = np.linalg.svd(self.span_coords(), full_matrices=False)
+        u, s, vt = np.linalg.svd(self._coords, full_matrices=False)
         return u, s, vt if self.span is None else vt @ self.span
 
     def singular_values(self) -> np.ndarray:
         """Singular values of the design, descending: the last solve's, or values only."""
         if self._s is None:
-            self._s = np.linalg.svd(self.span_coords(), compute_uv=False)
+            self._s = np.linalg.svd(self._coords, compute_uv=False)
         return self._s
 
     def rank(self) -> int:
@@ -174,7 +169,7 @@ class CovarianceData:
         return CovarianceData(
             self.design[:n], self.row_offsets[:n],
             span=self.span if factored else None,
-            _coords=self.span_coords()[:n] if factored else None,
+            _coords=self._coords[:n] if factored else None,
         )
 
 
@@ -197,62 +192,65 @@ def haar_random_pure(d: int, rng) -> np.ndarray:
 
 
 def read_timeline(
-    blocks: Iterable[np.ndarray],
+    op: np.ndarray,
     n_rows: int,
+    step,
     basis: Optional[HermitianBasis] = None,
     states: Sequence[np.ndarray] = (),
     keep: Sequence[int] = (),
 ) -> tuple:
-    """One pass over the blocks of a timeline O_0..O_{n_rows-1}, dropping each block after use.
+    """One pass over the timeline O_0..O_{n_rows-1} of ``op`` under ``step``, a block at a time.
 
-    ``blocks`` are consecutive (k, d, d) stacks, as
-    :func:`~chaostomo.dynamics.timeline_blocks` yields them.  Returns
-    (design, offsets, expected, kept):
+    ``step`` is the fixed (d, d) unitary U or the ``np.random.Generator``
+    of Haar steps, as :func:`~chaostomo.dynamics.timeline_blocks` takes it;
+    this runs that recurrence and drops each block after use.  Returns
+    (cov, expected, kept):
 
-    * ``design[n, a] = Tr(O_n E_a)`` and ``offsets[n] = Tr(O_n)/d`` when a
-      basis is given, else None;
+    * ``cov``, when a basis is given (else None), the
+      :class:`CovarianceData` of the design ``design[n, a] = Tr(O_n E_a)``
+      and the offsets Tr(O_n)/d, made by :func:`build_covariance` with the
+      eigenframe span of this ``op`` and fixed ``step``;
     * ``expected[i, n] = Tr(O_n rho_i)``, the noiseless record of each of
       ``states`` (vectors or density matrices), shape (len(states), n_rows);
     * ``kept``, a copy of O_n for each 0-based row n in ``keep``, in order.
 
-    So the pass holds one block at a time, never the (n_rows, d, d) stack.
-    Each row is computed as from the whole stack, bit for bit, when the
-    blocks are those of ``timeline_blocks``.
+    So the pass holds one block at a time, never the (n_rows, d, d) stack,
+    and each row is computed as from the whole stack, bit for bit.
     """
-    design = offsets = None
-    if basis is not None:
-        design, offsets = np.empty((n_rows, len(basis))), np.empty(n_rows)
+    op = np.asarray(op, dtype=complex)
+    if basis is not None and op.shape != (basis.dim, basis.dim):
+        raise ValueError(f"observable dim {op.shape[0]} != basis dim {basis.dim}")
     rhos = [np.outer(state, np.conj(state)) if np.ndim(state) == 1 else np.asarray(state)
             for state in states]
-    expected = np.empty((len(rhos), n_rows))
+    for rho in rhos:
+        if rho.shape != op.shape:
+            raise ValueError(f"state dimension {rho.shape} does not match observable {op.shape}")
     keep = list(keep)
     if any(not 0 <= n < n_rows for n in keep):
         raise ValueError(f"rows to keep {keep} outside 0..{n_rows - 1}")
+    design = offsets = None
+    if basis is not None:
+        design, offsets = np.empty((n_rows, len(basis))), np.empty(n_rows)
+    expected = np.empty((len(rhos), n_rows))
     kept = [None] * len(keep)
     start = 0
-    for block in blocks:
+    for block in timeline_blocks(op, n_rows - 1, step):
         stop = start + len(block)
-        if stop > n_rows:
-            raise ValueError(f"timeline blocks hold more than {n_rows} rows")
         if basis is not None:
-            if block.shape[1:] != (basis.dim, basis.dim):
-                raise ValueError(f"timeline dim {block.shape[1]} != basis dim {basis.dim}")
             design[start:stop] = bloch_encode_batch(block, basis)
             offsets[start:stop] = np.einsum("nii->n", block).real / basis.dim
         flat = block.reshape(len(block), -1)
         for i, rho in enumerate(rhos):
-            if rho.shape != block.shape[1:]:
-                raise ValueError(f"state dimension {rho.shape} does not match "
-                                 f"timeline {block.shape[1:]}")
             expected[i, start:stop] = (flat @ rho.conj().reshape(-1)).real
         for k, n in enumerate(keep):
             if start <= n < stop:
                 kept[k] = block[n - start].copy()
         start = stop
         del block, flat  # before the next block is made
-    if start != n_rows:
-        raise ValueError(f"timeline blocks hold {start} rows, expected {n_rows}")
-    return design, offsets, expected, kept
+    if basis is None:
+        return None, expected, kept
+    fixed = None if isinstance(step, np.random.Generator) else step
+    return build_covariance(design, offsets, basis, fixed, op), expected, kept
 
 
 def generate_record(expected: np.ndarray, sigma: float, seed) -> np.ndarray:
@@ -280,7 +278,8 @@ def build_covariance(
 
     A timeline with one fixed step U = ``propagator`` from the observable
     ``op0`` gets the eigenframe span of that observable when the span limits
-    the rank (:func:`_eigenframe_span`).
+    the rank (:func:`_eigenframe_span`).  :func:`read_timeline` is the one
+    caller; it passes the O and U that made the design.
     """
     span = None if propagator is None else _eigenframe_span(propagator, op0, len(design), basis)
     return CovarianceData(design=design, row_offsets=offsets, span=span)
@@ -326,7 +325,7 @@ def ml_estimate(records: np.ndarray, cov: CovarianceData) -> np.ndarray:
     m = np.asarray(records, dtype=float)
     if m.ndim not in (1, 2) or m.shape[-1] != cov.n_rows:
         raise ValueError(f"record shape {m.shape} does not match {cov.n_rows} design rows")
-    x, _, _, cov._s = np.linalg.lstsq(cov.span_coords(), (m - cov.row_offsets).T, rcond=RANK_TOL)
+    x, _, _, cov._s = np.linalg.lstsq(cov._coords, (m - cov.row_offsets).T, rcond=RANK_TOL)
     return x.T.copy() if cov.span is None else x.T @ cov.span
 
 
@@ -370,7 +369,7 @@ def _quadratic(cov: CovarianceData, r_ml: np.ndarray) -> tuple:
     so its inverse is safe.  Directions below ``RANK_TOL`` enter the
     shrink with weight s^2 / (s^2 + c) < 1e-18.
     """
-    a, phi, s0 = cov.span_coords(), cov.span, cov.singular_values()[0]
+    a, phi, s0 = cov._coords, cov.span, cov.singular_values()[0]
     wide = len(a) <= a.shape[1]
     if cov._shrink is None:
         c = s0**2 / _PROX_T
@@ -488,13 +487,13 @@ def reconstruct_series(
     cov: CovarianceData,
     basis: HermitianBasis,
     states: Sequence[np.ndarray],
-    eval_steps: Optional[Sequence[int]] = None,
+    eval_steps: Sequence[int],
 ) -> TomographyRun:
     """Reconstruct every 1-D record from growing prefixes, warm-starting each record's solver.
 
-    ``eval_steps`` lists ascending prefix lengths n (1-based row counts);
-    default is every step.  ``states`` holds each record's reference state
-    vector, against which its fidelities are taken.
+    ``eval_steps`` lists ascending prefix lengths n (1-based row counts).
+    ``states`` holds each record's reference state vector, against which
+    its fidelities are taken.
 
     The loop is prefix-major.  Each prefix takes one least-squares solve
     for every record at once (:func:`ml_estimate`), which also gives its
@@ -504,8 +503,6 @@ def reconstruct_series(
     memory does not grow with the number of prefixes evaluated.  Each
     record's projection still runs in the order of a record-by-record loop.
     """
-    if eval_steps is None:
-        eval_steps = range(1, cov.n_rows + 1)
     eval_steps = [int(n) for n in eval_steps]
     fids = np.empty((len(records), len(eval_steps)))
     results = [[] for _ in records]
@@ -522,11 +519,8 @@ def reconstruct_series(
     return TomographyRun(fidelities=fids, results=results, spectra=spectra)
 
 
-def model_blocks(model: ModelSpec, observable: np.ndarray,
-                 n_rows: int) -> tuple[Iterator[np.ndarray], Optional[np.ndarray]]:
-    """Blocks of a model's timeline O_0..O_{n_rows-1}, and its fixed step U (None for Haar steps)."""
+def model_step(model: ModelSpec):
+    """The ``step`` of a model's timeline: its propagator, or the Generator of its Haar steps."""
     if isinstance(model, HaarSteps):
-        rng = np.random.default_rng(model.seed)
-        return timeline_blocks(observable, n_rows - 1, rng=rng), None
-    u = build_propagator(model)
-    return timeline_blocks(observable, n_rows - 1, u), u
+        return np.random.default_rng(model.seed)
+    return build_propagator(model)

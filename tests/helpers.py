@@ -7,8 +7,10 @@ same recursion on full-length frame vectors, re-orthogonalized against
 every earlier vector.  ``stepwise_amplitudes`` is the reference for
 ``krylov_amplitudes``: each O(t) evolved on its own and projected.
 ``run_tomography`` is the record-to-fidelity pipeline of the experiment
-runners in one call.  ``timeline_covariance`` and ``timeline_record`` read
-a collected (N + 1, d, d) timeline as a single block, and ``stack``
+runners in one call.  ``timeline_covariance`` and ``timeline_record`` take
+a collected fixed-step (N + 1, d, d) timeline: the first reads the
+covariance of its observable and length off ``read_timeline``, the second
+contracts a state with every entry as ``read_timeline`` does.  ``stack``
 collects the blocks of any timeline, random-control ones included.
 """
 
@@ -19,13 +21,7 @@ from scipy.linalg import schur
 
 from chaostomo.krylov import _invariant_frame, _observable_coords, _rotate, evolve_operator
 from chaostomo.operator_space import gell_mann_basis
-from chaostomo.tomography import (
-    build_covariance,
-    generate_record,
-    model_blocks,
-    read_timeline,
-    reconstruct_series,
-)
+from chaostomo.tomography import generate_record, model_step, read_timeline, reconstruct_series
 
 
 def unitary_mode_count(u, op, weight_tol=1e-18, gap_tol=1e-9):
@@ -104,14 +100,15 @@ def run_tomography(
     """Timeline, record and per-step reconstruction fidelity for one state.
 
     The record has ``n_steps`` samples; sample n is taken after n - 1
-    applications of the propagator.  Deterministic for a fixed seed.
+    applications of the propagator.  ``eval_steps`` defaults to every
+    prefix.  Deterministic for a fixed seed.
     """
     psi0 = np.asarray(psi0)
     basis = gell_mann_basis(model.dim)
-    blocks, u = model_blocks(model, observable, n_steps)
-    design, offsets, expected, _ = read_timeline(blocks, n_steps, basis, [psi0])
-    cov = build_covariance(design, offsets, basis, u, observable)
+    cov, expected, _ = read_timeline(observable, n_steps, model_step(model), basis, [psi0])
     record = generate_record(expected[0], sigma, seed)
+    if eval_steps is None:
+        eval_steps = range(1, n_steps + 1)
     return reconstruct_series([record], cov, basis, [psi0], eval_steps).fidelities[0]
 
 
@@ -120,13 +117,20 @@ def stack(blocks) -> np.ndarray:
     return np.concatenate(list(blocks))
 
 
-def timeline_covariance(steps, basis, u=None):
-    """``build_covariance`` of a collected timeline, with its fixed step ``u`` if it has one."""
-    design, offsets, _, _ = read_timeline([steps], len(steps), basis)
-    return build_covariance(design, offsets, basis, u, steps[0])
+def timeline_covariance(steps, basis, u):
+    """The covariance ``read_timeline`` gives for the timeline ``steps`` of fixed step ``u``.
+
+    ``steps`` fixes the observable, ``steps[0]``, and the row count; the
+    pass remakes the same rows from them, bit for bit.
+    """
+    return read_timeline(steps[0], len(steps), u, basis)[0]
 
 
 def timeline_record(state, steps, sigma, seed):
-    """``generate_record`` of a state's expectations along a collected timeline."""
-    _, _, expected, _ = read_timeline([steps], len(steps), states=[state])
-    return generate_record(expected[0], sigma, seed)
+    """``generate_record`` of a state's expectations along a collected timeline.
+
+    The contraction is the one ``read_timeline`` makes.
+    """
+    rho = np.outer(state, np.conj(state)) if np.ndim(state) == 1 else np.asarray(state)
+    expected = (steps.reshape(len(steps), -1) @ rho.conj().reshape(-1)).real
+    return generate_record(expected, sigma, seed)

@@ -233,14 +233,14 @@ class TestTimelines:
             step = haar_unitary(d, draws) if haar else u
             want.append(step.conj().T @ want[-1] @ step)
         if haar:
-            tl = stack(timeline_blocks(o, n_steps, rng=np.random.default_rng(4)))
+            tl = stack(timeline_blocks(o, n_steps, np.random.default_rng(4)))
         else:
             tl = heisenberg_timeline(o, u, n_steps)
         assert np.array_equal(tl, np.array(want))
 
     def test_haar_timeline_spans_fast(self, rng):
         o = np.diag([1.0, -1.0, 0.5, -0.5]).astype(complex)
-        tl = stack(timeline_blocks(o, 20, rng=rng))
+        tl = stack(timeline_blocks(o, 20, rng))
         flat = tl.reshape(21, -1)
         assert np.linalg.matrix_rank(flat) > 13  # a fixed unitary caps at d^2-d+1 = 13
 

@@ -471,7 +471,7 @@ class TestSmallRuns:
         assert np.array_equal(series(tomo, "3", "fidelity"), series(unperturbed, "3", "fidelity"))
 
 
-class TestSvdCalls:
+class TestDecompositionCalls:
     """Singular vectors are computed nowhere: a prefix takes one least-squares solve (LAPACK
     gelsd, an SVD-based solve) or a values-only SVD."""
 
@@ -507,7 +507,7 @@ class TestSvdCalls:
         assert calls == {"full": 0, "values": 0, "solves": 6}
 
     @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
-    def test_states_share_each_prefix_svd(self, experiment, monkeypatch):
+    def test_states_share_each_prefix_solve(self, experiment, monkeypatch):
         calls = self.count(monkeypatch)
         run_experiment(streamed_config(experiment))
         # 2 states, 2 sweep values, prefixes 4, 8 and 12: one solve each

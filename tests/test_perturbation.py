@@ -114,7 +114,7 @@ class TestMismatched:
         tl_true = heisenberg_timeline(jy, u_true, 19)
         cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 19), basis, u_model)
         rec = timeline_record(psi, tl_true, 0.1, 7)
-        mism = reconstruct_series([rec], cov_model, basis, [psi])
+        mism = reconstruct_series([rec], cov_model, basis, [psi], range(1, 21))
         assert np.max(np.abs(mism.fidelities[0] - ideal)) < 1e-9
 
     def test_small_perturbation_limit(self, rng):
@@ -130,7 +130,7 @@ class TestMismatched:
             tl_true = heisenberg_timeline(jy, u_true, 14)
             cov_model = timeline_covariance(heisenberg_timeline(jy, u_model, 14), basis, u_model)
             rec = timeline_record(psi, tl_true, 0.05, 3)
-            mism = reconstruct_series([rec], cov_model, basis, [psi])
+            mism = reconstruct_series([rec], cov_model, basis, [psi], range(1, 16))
             sup[dl] = np.max(np.abs(mism.fidelities[0] - ideal))
         assert sup[1e-4] < sup[1e-3]
         assert sup[1e-4] < 0.01

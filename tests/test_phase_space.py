@@ -99,16 +99,6 @@ class TestSpinCoherent:
         grid = sphere_grid(16, 32)
         assert np.max(np.abs(coherent_state_frame(j, grid) - gammaln_frame(j, grid))) < 1e-13
 
-    def test_frame_cached_read_only(self):
-        grid = sphere_grid(6, 10)
-        frame = coherent_state_frame(4, grid)
-        assert coherent_state_frame(4.0, grid) is frame
-        assert coherent_state_frame(3, grid) is not frame
-        assert coherent_state_frame(4, sphere_grid(6, 10)) is not frame
-        assert not frame.flags.writeable
-        with pytest.raises(ValueError):
-            frame[0, 0] = 0.0
-
 
 class TestHusimi:
     def test_maximally_mixed_is_flat(self):

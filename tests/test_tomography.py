@@ -28,7 +28,7 @@ from chaostomo.tomography import (
     haar_random_pure,
     measured_rank,
     ml_estimate,
-    model_blocks,
+    model_step,
     psd_project,
     read_timeline,
     reconstruct_series,
@@ -111,16 +111,15 @@ class TestStreamedTimeline:
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         states = [haar_random_pure(d, rng), a @ a.conj().T / np.trace(a @ a.conj().T)]
         if haar:
-            blocks = timeline_blocks(o, n_rows - 1, rng=np.random.default_rng(9))
-            steps = stack(timeline_blocks(o, n_rows - 1, rng=np.random.default_rng(9)))
+            step = np.random.default_rng(9)
+            steps = stack(timeline_blocks(o, n_rows - 1, np.random.default_rng(9)))
         else:
-            u = tki_floquet(KickedIsing(L=5, hz=0.4))
-            blocks = timeline_blocks(o, n_rows - 1, u)
-            steps = heisenberg_timeline(o, u, n_rows - 1)
+            step = tki_floquet(KickedIsing(L=5, hz=0.4))
+            steps = heisenberg_timeline(o, step, n_rows - 1)
         keep = sorted({0, n_rows // 2, n_rows - 1})
-        design, offsets, expected, kept = read_timeline(blocks, n_rows, basis, states, keep)
-        assert np.array_equal(design, bloch_encode_batch(steps, basis))
-        assert np.array_equal(offsets, np.einsum("nii->n", steps).real / d)
+        cov, expected, kept = read_timeline(o, n_rows, step, basis, states, keep)
+        assert np.array_equal(cov.design, bloch_encode_batch(steps, basis))
+        assert np.array_equal(cov.row_offsets, np.einsum("nii->n", steps).real / d)
         flat = steps.reshape(n_rows, -1)
         rhos = [np.outer(states[0], states[0].conj()), states[1]]
         assert all(np.array_equal(row, (flat @ rho.conj().reshape(-1)).real)
@@ -136,26 +135,27 @@ class TestStreamedTimeline:
         psi = haar_random_pure(d, rng)
         tracemalloc.start()
         try:
-            design, offsets, _, _ = read_timeline(timeline_blocks(o, n_rows - 1, u), n_rows,
-                                                  basis, [psi])
-            build_covariance(design, offsets, basis, u, o)
+            read_timeline(o, n_rows, u, basis, [psi])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n_rows * d * d * np.dtype(complex).itemsize
 
-    def test_row_count_checked(self):
+    def test_row_count_checked(self, monkeypatch):
+        # the pass makes its own blocks, so only its inputs can disagree, and
+        # each is checked before the first block
+        def no_pass(*args):
+            raise AssertionError("timeline made before the inputs were checked")
+
+        monkeypatch.setattr(tomography, "timeline_blocks", no_pass)
         o = angular_momentum_ops(1)[1]
         u = kicked_top_floquet(KickedTop(j=1, lam=2.0, alpha=1.0))
-        for n_rows in (9, 11):
-            with pytest.raises(ValueError, match="rows"):
-                read_timeline(timeline_blocks(o, 9, u), n_rows, gell_mann_basis(3))
         with pytest.raises(ValueError, match="dim"):
-            read_timeline(timeline_blocks(o, 9, u), 10, gell_mann_basis(4))
+            read_timeline(o, 10, u, gell_mann_basis(4))
         with pytest.raises(ValueError, match="state dimension"):
-            read_timeline(timeline_blocks(o, 9, u), 10, states=[np.ones(4) / 2])
+            read_timeline(o, 10, u, states=[np.ones(4) / 2])
         with pytest.raises(ValueError, match="keep"):
-            read_timeline(timeline_blocks(o, 9, u), 10, keep=[10])
+            read_timeline(o, 10, u, keep=[10])
 
 
 MODEL_CASES = [
@@ -321,7 +321,7 @@ class TestFactoredDesign:
         k = len(cov.span)
         assert k < min(n_rows, len(basis))
         assert np.max(np.abs(cov.span @ cov.span.T - np.eye(k))) < 1e-12
-        resid = cov.design - cov.span_coords() @ cov.span
+        resid = cov.design - cov._coords @ cov.span
         assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(cov.design)
 
         plain = CovarianceData(cov.design, row_offsets=cov.row_offsets)
@@ -360,7 +360,22 @@ class TestFactoredDesign:
         k = len(cov.span)
         assert cov.truncated(k + 1).span is cov.span
         assert cov.truncated(k).span is None
-        assert np.array_equal(cov.truncated(k + 1).span_coords(), cov.span_coords()[: k + 1])
+        assert np.array_equal(cov.truncated(k + 1)._coords, cov._coords[: k + 1])
+
+    def test_pass_spans_by_its_own_step(self):
+        # the covariance of the pass is build_covariance of the collected
+        # timeline, given the same O and U, bit for bit
+        model = KickedIsing(L=4, hz=0.0)
+        o, n_rows = _chain_case(model)
+        u = build_propagator(model)
+        basis = gell_mann_basis(model.dim)
+        tl = heisenberg_timeline(o, u, n_rows - 1)
+        want = build_covariance(bloch_encode_batch(tl, basis),
+                                np.einsum("nii->n", tl).real / model.dim, basis, u, o)
+        got = read_timeline(o, n_rows, u, basis)[0]
+        assert got.span is not None
+        for name in ("design", "row_offsets", "span", "_coords"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_full_span_designs_stay_plain(self):
         # kicked top j=10, 100 rows: the span (240 directions) exceeds the rows
@@ -374,8 +389,9 @@ class TestFactoredDesign:
         tl = heisenberg_timeline(o, u, n_rows - 1)
         assert timeline_covariance(tl, gell_mann_basis(16), u).span is None
         # random control: no fixed step
-        blocks, u = model_blocks(HaarSteps(dim=4, seed=1), np.diag([1.0, -1.0, 0.0, 0.0]) + 0j, 40)
-        assert timeline_covariance(stack(blocks), gell_mann_basis(4), u).span is None
+        cov, _, _ = read_timeline(np.diag([1.0, -1.0, 0.0, 0.0]), 40,
+                                  model_step(HaarSteps(dim=4, seed=1)), gell_mann_basis(4))
+        assert cov.span is None
 
 
 class TestMLEstimate:
@@ -383,11 +399,9 @@ class TestMLEstimate:
         d = 8
         basis = gell_mann_basis(d)
         psi = haar_random_pure(d, rng)
-        tl = stack(model_blocks(HaarSteps(dim=d, seed=3), np.diag(np.arange(d) - 3.5).astype(complex),
-                                d * d)[0])
-        cov = timeline_covariance(tl, basis)
-        rec = timeline_record(psi, tl, 0.0, 0)
-        r = ml_estimate(rec, cov)
+        cov, expected, _ = read_timeline(np.diag(np.arange(d) - 3.5), d * d,
+                                         model_step(HaarSteps(dim=d, seed=3)), basis, [psi])
+        r = ml_estimate(expected[0], cov)
         want = bloch_encode(np.outer(psi, psi.conj()), basis)
         assert np.max(np.abs(r - want)) < 1e-8
 
@@ -420,12 +434,11 @@ class TestMLEstimate:
         # the known Tr(O)/d offset is subtracted before inversion
         d = 5
         basis = gell_mann_basis(d)
-        o = np.diag(np.arange(d, dtype=float)).astype(complex)  # nonzero trace
-        tl = stack(model_blocks(HaarSteps(dim=d, seed=8), o, d * d)[0])
-        cov = timeline_covariance(tl, basis)
+        o = np.diag(np.arange(d, dtype=float))  # nonzero trace
         psi = haar_random_pure(d, rng)
-        rec = timeline_record(psi, tl, 0.0, 0)
-        r = ml_estimate(rec, cov)
+        cov, expected, _ = read_timeline(o, d * d, model_step(HaarSteps(dim=d, seed=8)), basis,
+                                         [psi])
+        r = ml_estimate(expected[0], cov)
         assert np.max(np.abs(r - bloch_encode(np.outer(psi, psi.conj()), basis))) < 1e-8
 
     def test_empty_record_rejected(self):
@@ -480,7 +493,7 @@ class TestGramProx:
             # columns scaled over three decades, so the shrink weights differ
             n = 12 if shape == "wide" else 40
             cov = CovarianceData(rng.standard_normal((n, 24)) * np.logspace(0, -3, 24))
-        a = cov.span_coords()
+        a = cov._coords
         assert (len(a) <= a.shape[1]) == (shape == "wide")
         r_ml, x = rng.standard_normal((2, cov.design.shape[1]))
         grad, prox, norm = tomography._quadratic(cov, r_ml)

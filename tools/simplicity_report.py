@@ -1,0 +1,123 @@
+"""The two size-and-identity measures of the source tree.
+
+    python tools/simplicity_report.py lines [SRC_DIR]
+    python tools/simplicity_report.py hashes [--full] [PRESET ...]
+
+``lines`` prints, for each module of the package (``src/chaostomo`` unless
+SRC_DIR is given), its total lines and its code lines: non-blank lines that
+are neither comment-only (by ``tokenize``) nor part of a docstring (by
+``ast``).  It also prints how many names the modules' ``__all__`` lists hold.
+
+``hashes`` runs every preset, or the named ones, and prints the sha256 of
+each CSV and its run time.  By default each preset runs the small recipe of
+``RECIPES``; ``--full`` runs the preset as it stands.  The CSVs depend on the
+BLAS thread count, so OpenBLAS, OpenMP and MKL are pinned to one thread
+before numpy is imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import hashlib
+import io
+import os
+import sys
+import time
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chaostomo"
+
+_SMALL = dict(n_states=1, n_samples=2, eval_stride=300)
+# preset name -> overrides of its small run
+RECIPES = {
+    "fig2.1-phase-space": _SMALL,
+    "fig2.3-krylov-complexity": _SMALL,
+    "fig2.4-lanczos": _SMALL,
+    "fig3.1-coherent": _SMALL,
+    "fig3.1-random": _SMALL,
+    "fig3.3-ordered-bloch": _SMALL,
+    "fig3.6-husimi": _SMALL,
+    "fig4.2-tki-quantifiers": _SMALL,
+    "fig4.6-rmt-compare": _SMALL,
+    "fig4.8-xxz": _SMALL,
+    "fig5.2-perturb": _SMALL,
+    "fig5.3-perturbed-basis": _SMALL,
+}
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def code_lines(source: str) -> int:
+    """Lines that a non-comment token touches, less those of docstrings."""
+    code = set()
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in skip:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                code.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(code)
+
+
+def all_names(source: str) -> int:
+    """Length of the module's ``__all__`` list, 0 when it has none."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return len(node.value.elts)
+    return 0
+
+
+def report_lines(src: Path) -> None:
+    totals = [0, 0, 0]
+    print(f"{'module':<20} {'lines':>6} {'code':>6} {'__all__':>8}")
+    for path in sorted(src.glob("*.py")):
+        source = path.read_text()
+        row = [len(source.splitlines()), code_lines(source), all_names(source)]
+        totals = [a + b for a, b in zip(totals, row)]
+        print(f"{path.name:<20} {row[0]:>6} {row[1]:>6} {row[2]:>8}")
+    print(f"{'total':<20} {totals[0]:>6} {totals[1]:>6} {totals[2]:>8}")
+
+
+def report_hashes(names, full: bool) -> None:
+    for var in _THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path.insert(0, str(SRC.parent))
+    from chaostomo.experiments import config_from_preset, run_experiment
+
+    for name in names or RECIPES:
+        cfg = config_from_preset(name) if full else config_from_preset(name, **RECIPES[name])
+        start = time.perf_counter()
+        csv = run_experiment(cfg).to_csv()
+        took = time.perf_counter() - start
+        digest = hashlib.sha256(csv.encode()).hexdigest()
+        print(f"{name:<26} {digest}  {took:8.2f} s", flush=True)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    lines = sub.add_parser("lines", help="total and code lines per module, and __all__ names")
+    lines.add_argument("src", nargs="?", type=Path, default=SRC)
+    hashes = sub.add_parser("hashes", help="sha256 and run time of each preset CSV")
+    hashes.add_argument("--full", action="store_true", help="run the full presets")
+    hashes.add_argument("presets", nargs="*", metavar="PRESET")
+    args = parser.parse_args(argv)
+    unknown = set(getattr(args, "presets", ())) - set(RECIPES)
+    if unknown:
+        parser.error(f"unknown presets {sorted(unknown)}; known: {list(RECIPES)}")
+    if args.command == "lines":
+        report_lines(args.src)
+    else:
+        report_hashes(args.presets, args.full)
+
+
+if __name__ == "__main__":
+    main()
