@@ -140,16 +140,16 @@ def _check_krylov():
     o = dynamics.pauli_site("y", 1, 2) / 2
     liou = krylov.liouvillian(h)
     kb = krylov.lanczos_full_orth(liou, o)
-    g = kb.vectors @ kb.vectors.T
-    orth = np.max(np.abs(g - np.eye(kb.dim_k)))
+    vectors = kb.vectors()
+    orth = np.max(np.abs(vectors @ vectors.T - np.eye(kb.dim_k)))
     # the basis turns the generator into the antisymmetric tridiagonal of the b_k
-    t = kb.vectors @ np.array([liou.apply(v) for v in kb.vectors]).T
+    t = vectors @ np.array([liou.apply(v) for v in vectors]).T
     tri = np.max(np.abs(t - np.diag(kb.lanczos_b, -1) + np.diag(kb.lanczos_b, 1)))
     times = (0.0, 1.3)
     phi = krylov.krylov_amplitudes(o, kb, times)
     norm = np.max(np.abs(np.sum(phi**2, axis=-1) - 1.0))
     # the eigenframe series against each O(t) evolved on its own and projected
-    ref = np.array([kb.vectors @ liou.coords(krylov.evolve_operator(h, o, t)) for t in times])
+    ref = np.array([vectors @ liou.coords(krylov.evolve_operator(h, o, t)) for t in times])
     series = np.max(np.abs(phi - ref / kb.initial_norm))
     ok = orth < 1e-10 and tri < 1e-8 and norm < 1e-8 and series < 1e-12
     return ok, (f"orthonormality {orth:.1e}, tridiagonality {tri:.1e}, "

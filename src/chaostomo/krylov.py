@@ -37,6 +37,15 @@ full-length vectors.  It is Golub-Kahan bidiagonalization of the diagonal
 map u_j -> w_j J u_j, whose two diagonals are b_1, b_3, ... and
 b_2, b_4, ....
 
+The basis stays in those frame coordinates.  The frame is stored sparse,
+as each row's nonzero entries (at most d^2 per half), and the Lanczos
+vectors as two blocks, the even ones over the m + n rows of the first
+half and the odd ones over the n rows of the second: (m + n)^2 + n^2
+doubles, where dense operator coordinates take K d^2 for the basis and as
+much again for the frame (8.4 MB at d = 32, K = 513).  Those dense
+(K, d^2) coordinates are built only on request, by
+:meth:`KrylovBasis.vectors`.
+
 Either way the span dimension is capped at d^2 - d + 1: the operators that
 commute with the generator form a space of dimension at least d, and the
 span meets it in one direction only, O's projection onto it.  Lanczos
@@ -161,16 +170,17 @@ def _observable_coords(liou: Liouvillian, initial: np.ndarray) -> tuple:
 
 
 def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
-    """Orthonormal rows spanning the smallest invariant subspace that holds ``vec``.
+    """Orthonormal rows spanning the smallest invariant subspace that holds ``vec``, stored sparse.
 
     That subspace is the exact Krylov span.  Its zero-frequency part is one
     row, the part of ``vec`` the generator annihilates.  Each distinct
     nonzero gap w adds the part u of ``vec`` on the pairs with that gap and
     its rotation J u, on which the generator acts as w times a rotation.
-    Returns the rows, ordered (zero-frequency, u_1..u_n, J u_1..J u_n) for
-    :func:`_rotate`, the number m of zero-frequency rows, the gaps w_j, and
-    the nonzero entries of each half, (zero-frequency, u) and J u, as
-    (row within the half, coordinate) index arrays.
+    The rows are ordered (zero-frequency, u_1..u_n, J u_1..J u_n) for
+    :func:`_rotate`.  Returns the row count m + 2n, the number m of
+    zero-frequency rows, the gaps w_j, and the nonzero entries of each
+    half, (zero-frequency, u) and J u, as (row within the half, coordinate,
+    value) arrays; within one half no two entries share a coordinate.
     """
     d, gaps = liou.operator_basis.dim, liou.pair_gaps
     s = len(gaps)
@@ -179,41 +189,57 @@ def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
     freqs, group = np.unique(gaps[moving], return_inverse=True)
     frozen = vec.copy()
     frozen[d + moving] = frozen[d + s + moving] = 0.0
-    m = int(np.any(frozen != 0.0))
+    frozen_at = np.flatnonzero(frozen)
+    m = int(frozen_at.size > 0)
     n = len(freqs)
-    frame = np.zeros((m + 2 * n, vec.size))
-    if m:
-        frame[0] = frozen / np.linalg.norm(frozen)
     norms = np.sqrt(np.bincount(group, sym[moving] ** 2 + asym[moving] ** 2))
     cos, sin = sym[moving] / norms[group], asym[moving] / norms[group]
-    frame[m + group, d + moving] = cos
-    frame[m + group, d + s + moving] = sin
-    frame[m + n + group, d + moving] = -sin
-    frame[m + n + group, d + s + moving] = cos
     # cos is zero exactly where sym is, sin where asym is
     c_on, s_on = sym[moving] != 0.0, asym[moving] != 0.0
-    frozen_at = np.flatnonzero(frozen)
-    support = (
-        (np.concatenate([np.zeros(len(frozen_at), dtype=int), m + group[c_on], m + group[s_on]]),
-         np.concatenate([frozen_at, d + moving[c_on], d + s + moving[s_on]])),
-        (np.concatenate([group[s_on], group[c_on]]),
-         np.concatenate([d + moving[s_on], d + s + moving[c_on]])),
+    even = (
+        np.concatenate([np.zeros(frozen_at.size, dtype=int), m + group[c_on], m + group[s_on]]),
+        np.concatenate([frozen_at, d + moving[c_on], d + s + moving[s_on]]),
+        np.concatenate([frozen[frozen_at] / np.linalg.norm(frozen), cos[c_on], sin[s_on]]),
     )
-    return frame, m, freqs, support
+    odd = (
+        np.concatenate([group[s_on], group[c_on]]),
+        np.concatenate([d + moving[s_on], d + s + moving[c_on]]),
+        np.concatenate([-sin[s_on], cos[c_on]]),
+    )
+    return m + 2 * n, m, freqs, (even, odd)
 
 
 @dataclass(frozen=True)
 class KrylovBasis:
-    """Orthonormal coordinate vectors P_0..P_{K-1} and recursion coefficients b_1..b_{K-1}."""
+    """Orthonormal Krylov vectors P_0..P_{K-1} and recursion coefficients b_1..b_{K-1}.
 
-    vectors: np.ndarray  # (K, d^2) real operator coordinates
+    The vectors are kept in the coordinates of the invariant frame of
+    :func:`_invariant_frame`: ``blocks`` holds P_0, P_2, ... over the
+    (zero-frequency, u) rows and P_1, P_3, ... over the J u rows, and
+    ``rows`` holds those two halves' sparse entries.  The blocks take
+    (m + n)^2 + n^2 doubles for m + 2n frame rows, and the rows at most
+    d^2 entries per half, against K d^2 doubles for the dense vectors,
+    which :meth:`vectors` builds only on request.
+    """
+
+    blocks: tuple  # ((K + 1) // 2, m + n) and (K // 2, n) frame coordinates
+    rows: tuple  # per half: (row within the half, coordinate, value) arrays
     lanczos_b: np.ndarray  # (K - 1,)
     dim_k: int
     initial_norm: float
-    generator: Liouvillian  # whose coordinates ``vectors`` are in
+    generator: Liouvillian  # in whose coordinates the frame rows are
 
     def __len__(self):
         return self.dim_k
+
+    def vectors(self) -> np.ndarray:
+        """Dense (K, d^2) operator coordinates of P_0..P_{K-1}."""
+        # within one half no two frame rows share a coordinate, so each
+        # coordinate of P_k is one frame entry times one frame coordinate of P_k
+        out = np.zeros((self.dim_k, self.generator.operator_basis.dim ** 2))
+        for par, (q, (r, c, v)) in enumerate(zip(self.blocks, self.rows)):
+            out[par::2, c] = q[:, r] * v
+        return out
 
 
 def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
@@ -232,14 +258,15 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     parity, twice; the coefficient b_k is the remaining norm and iteration
     stops once it falls below 1e-8 times the observable norm, the
     floating-point stand-in for the exact-arithmetic b_k = 0.  Raises if
-    the dimension exceeds the d^2 - d + 1 bound.
+    the dimension exceeds the d^2 - d + 1 bound.  The vectors are returned
+    in frame coordinates (:class:`KrylovBasis`).
     """
     vec0, norm0 = _observable_coords(liou, initial)
-    frame, m, freqs, support = _invariant_frame(liou, vec0)
+    _, m, freqs, rows = _invariant_frame(liou, vec0)
     n = len(freqs)
-    halves = (frame[: m + n], frame[m + n :])
     q = (np.empty((m + n, m + n)), np.empty((n, n)))  # rows: P_0, P_2, ... and P_1, P_3, ...
-    q[0][0] = halves[0] @ vec0
+    r, c, v = rows[0]
+    q[0][0] = np.bincount(r, v * vec0[c], minlength=m + n)
     q[0][0] /= np.linalg.norm(q[0][0])
     bs = []
     k = 1
@@ -265,13 +292,8 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     d = liou.operator_basis.dim
     if k > d * d - d + 1:
         raise ValueError(f"Krylov dimension {k} exceeds the d^2 - d + 1 = {d * d - d + 1} bound")
-    # within one half no two frame rows share a coordinate, so each
-    # coordinate of P_k is one frame entry times one frame coordinate of P_k
-    vectors = np.zeros((k, vec0.size))
-    for par, (rows, (r, c)) in enumerate(zip(halves, support)):
-        vectors[par::2, c] = q[par][: (k + 1 - par) // 2, r] * rows[r, c]
-    return KrylovBasis(vectors=vectors, lanczos_b=np.array(bs), dim_k=k,
-                       initial_norm=norm0, generator=liou)
+    return KrylovBasis(blocks=(q[0][: (k + 1) // 2], q[1][: k // 2]), rows=rows,
+                       lanczos_b=np.array(bs), dim_k=k, initial_norm=norm0, generator=liou)
 
 
 def evolve_operator(h: np.ndarray, op: np.ndarray, t: float) -> np.ndarray:
@@ -290,7 +312,8 @@ def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> np.ndarray:
     O(t) = e^{iHt} O e^{-iHt} under the Hamiltonian that generated the
     basis.  Its coordinates are those of O with each Bloch pair rotated by
     (E_a - E_b) t at the exact gaps (module docstring), so all times take
-    one product with the basis.  O(t) stays inside the Krylov span, so
+    one projection on the frame rows and one product with each block of
+    Lanczos vectors.  O(t) stays inside the Krylov span, so
     sum_k phi_k^2 = 1; weight escaping the span by more than 1e-6 at any
     time signals an operator that did not generate the basis.
     """
@@ -307,7 +330,13 @@ def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> np.ndarray:
     coords[:, :d] = vec[:d]
     coords[:, d : d + s] = sym * cos - asym * sin
     coords[:, d + s :] = sym * sin + asym * cos
-    phi = coords @ basis.vectors.T / basis.initial_norm
+    # project on the frame rows of each half, then on that half's vectors
+    phi = np.empty((len(times), basis.dim_k))
+    for par, (q, (r, c, v)) in enumerate(zip(basis.blocks, basis.rows)):
+        proj = np.zeros((q.shape[1], len(times)))
+        np.add.at(proj, r, (coords[:, c] * v).T)
+        phi[:, par::2] = proj.T @ q.T
+    phi /= basis.initial_norm
     deficit = np.abs(np.sum(phi**2, axis=-1) - 1.0)
     if np.any(deficit > 1e-6):
         i = int(np.argmax(deficit))
@@ -347,5 +376,5 @@ def arnoldi_unitary_dim(u: np.ndarray, initial: np.ndarray) -> int:
     # the eigenphases stand in for E; the orbit count never evolves O
     liou = Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps,
                        energies=phases)
-    frame, _, freqs, _ = _invariant_frame(liou, _observable_coords(liou, initial)[0])
-    return len(frame) - int(np.any(np.pi - freqs < tol))
+    size, _, freqs, _ = _invariant_frame(liou, _observable_coords(liou, initial)[0])
+    return size - int(np.any(np.pi - freqs < tol))

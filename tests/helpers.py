@@ -2,10 +2,12 @@
 
 ``unitary_mode_count`` is the independent oracle for the unitary orbit
 dimension: it uses scipy's Schur form, not the library's eigenbasis.
-``lanczos_full_vector`` is the reference for ``lanczos_full_orth``: the
-same recursion on full-length frame vectors, re-orthogonalized against
-every earlier vector.  ``stepwise_amplitudes`` is the reference for
-``krylov_amplitudes``: each O(t) evolved on its own and projected.
+``dense_frame`` is the (m + 2n, d^2) matrix of the invariant frame's rows,
+which the library keeps sparse.  ``lanczos_full_vector`` is the reference
+for ``lanczos_full_orth``: the same recursion on full-length frame vectors,
+re-orthogonalized against every earlier vector.  ``stepwise_amplitudes``
+is the reference for ``krylov_amplitudes``: each O(t) evolved on its own
+and projected.
 ``run_tomography`` is the record-to-fidelity pipeline of the experiment
 runners in one call.  ``timeline_covariance`` and ``timeline_record`` take
 a collected fixed-step (N + 1, d, d) timeline: the first reads the
@@ -51,6 +53,15 @@ def unitary_mode_count(u, op, weight_tol=1e-18, gap_tol=1e-9):
     return sum(1 for _, w in groups if w > weight_tol)
 
 
+def dense_frame(liou, vec):
+    """The rows of ``_invariant_frame(liou, vec)`` as one dense (m + 2n, d^2) array, and m, w_j."""
+    size, m, freqs, (even, odd) = _invariant_frame(liou, vec)
+    frame = np.zeros((size, vec.size))
+    for offset, (r, c, v) in ((0, even), (m + len(freqs), odd)):
+        frame[offset + r, c] = v
+    return frame, m, freqs
+
+
 def lanczos_full_vector(liou, initial):
     """Dimension and b_k of the full-vector recursion.
 
@@ -60,7 +71,7 @@ def lanczos_full_vector(liou, initial):
     recursion stops when b_k falls below 1e-8 of the observable norm.
     """
     vec0, norm0 = _observable_coords(liou, initial)
-    frame, m, freqs, _ = _invariant_frame(liou, vec0)
+    frame, m, freqs = dense_frame(liou, vec0)
     dim = len(frame)
     q = np.empty((dim, dim))
     q[0] = frame @ vec0
@@ -85,7 +96,7 @@ def lanczos_full_vector(liou, initial):
 def stepwise_amplitudes(h, op, basis, times):
     """Amplitudes phi_k(t), (T, K): each evolve_operator(h, op, t) projected on the basis."""
     coords = [basis.generator.coords(evolve_operator(h, op, t)) for t in times]
-    return np.array(coords) @ basis.vectors.T / basis.initial_norm
+    return np.array(coords) @ basis.vectors().T / basis.initial_norm
 
 
 def run_tomography(

@@ -279,11 +279,12 @@ def test_criterion_8_lanczos_hygiene(L):
     o = pauli_site("y", 1, L) / 2
     liou = liouvillian(h)
     kb = lanczos_full_orth(liou, o)
-    gram = kb.vectors.conj() @ kb.vectors.T
+    vectors = kb.vectors()
+    gram = vectors.conj() @ vectors.T
     orth = np.max(np.abs(gram - np.eye(kb.dim_k)))
     assert orth <= 1e-10
-    lq = np.array([liou.apply(v) for v in kb.vectors])
-    tri = kb.vectors.conj() @ lq.T
+    lq = np.array([liou.apply(v) for v in vectors])
+    tri = vectors.conj() @ lq.T
     ev = np.linalg.eigvalsh(h)
     norm_l = ev[-1] - ev[0]
     tridiag = np.max(np.abs(np.triu(tri, 2))) / norm_l

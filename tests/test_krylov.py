@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from chaostomo.dynamics import (
 )
 from chaostomo.experiments import config_from_preset, run_experiment
 from chaostomo.krylov import (
-    _invariant_frame,
     _observable_coords,
     arnoldi_unitary_dim,
     evolve_operator,
@@ -26,7 +27,7 @@ from chaostomo.krylov import (
     lanczos_full_orth,
     liouvillian,
 )
-from helpers import lanczos_full_vector, stepwise_amplitudes, unitary_mode_count
+from helpers import dense_frame, lanczos_full_vector, stepwise_amplitudes, unitary_mode_count
 
 
 def liouvillian_matrix(h):
@@ -190,18 +191,19 @@ class TestLanczos:
         vectors, bs = dense_lanczos(real_generator(liou, h), liou.coords(o), 16)
         assert kb_free.dim_k == len(vectors)
         assert np.max(np.abs(kb_free.lanczos_b - bs)) < 1e-10
-        assert np.max(np.abs(kb_free.vectors - vectors)) < 1e-9
+        assert np.max(np.abs(kb_free.vectors() - vectors)) < 1e-9
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_hygiene_orthonormality_and_tridiagonality(self, L):
         h = hamiltonian(TiltedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
         o = pauli_site("y", 1, L) / 2
         kb = lanczos_full_orth(liouvillian(h), o)
-        gram = kb.vectors.conj() @ kb.vectors.T
+        vectors = kb.vectors()
+        gram = vectors.conj() @ vectors.T
         assert np.max(np.abs(gram - np.eye(kb.dim_k))) < 1e-10
         liou = liouvillian(h)
-        lq = np.array([liou.apply(v) for v in kb.vectors])
-        tri = kb.vectors.conj() @ lq.T
+        lq = np.array([liou.apply(v) for v in vectors])
+        tri = vectors.conj() @ lq.T
         ev = np.linalg.eigvalsh(h)
         norm_l = ev[-1] - ev[0]  # spectral width bounds the Liouvillian norm
         off = np.triu(tri, 2)
@@ -246,8 +248,8 @@ class TestParitySplit:
         o = collective_spin("z", L) if obs == "Sz" else pauli_site("y", 1, L) / 2
         liou = liouvillian(_tilted(L, 0.4))
         kb = lanczos_full_orth(liou, o)
-        frame, m, freqs, _ = _invariant_frame(liou, _observable_coords(liou, o)[0])
-        coords = kb.vectors @ frame.T
+        frame, m, freqs = dense_frame(liou, _observable_coords(liou, o)[0])
+        coords = kb.vectors() @ frame.T
         split = m + len(freqs)
         assert np.all(coords[0::2, split:] == 0.0)
         assert np.all(coords[1::2, :split] == 0.0)
@@ -259,11 +261,40 @@ class TestParitySplit:
         liou = liouvillian(h)
         kb = lanczos_full_orth(liou, collective_spin("z", 5))
         assert kb.dim_k == 513
-        assert np.max(np.abs(kb.vectors @ kb.vectors.T - np.eye(kb.dim_k))) < 1e-10
-        tri = kb.vectors @ np.array([liou.apply(v) for v in kb.vectors]).T
+        vectors = kb.vectors()
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(kb.dim_k))) < 1e-10
+        tri = vectors @ np.array([liou.apply(v) for v in vectors]).T
         ev = np.linalg.eigvalsh(h)
         assert np.max(np.abs(np.triu(tri, 2))) < 1e-8 * (ev[-1] - ev[0])
         assert np.max(np.abs(np.diag(tri, -1) - kb.lanczos_b)) < 1e-8
+
+
+class TestFootprint:
+    """Traced peak memory of the Krylov calls at d = 32.
+
+    Neither keeps a dense (K, d^2) basis or (m + 2n, d^2) frame: at these
+    cells either alone is 4 MiB or more (513 and 993 rows of 1024 doubles).
+    """
+
+    @staticmethod
+    def traced(call, *args):
+        tracemalloc.start()
+        try:
+            return call(*args), tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_lanczos_at_fig23_cell(self):
+        liou = liouvillian(_tilted(5, 1.4))
+        kb, peak = self.traced(lanczos_full_orth, liou, collective_spin("z", 5))
+        assert kb.dim_k == 513
+        assert peak < 4.0
+
+    def test_unitary_orbit_count(self):
+        u = tki_floquet(KickedIsing(L=5, J=1.0, hx=1.4, hz=0.4))
+        k, peak = self.traced(arnoldi_unitary_dim, u, pauli_site("y", 1, 5) / 2)
+        assert k == 993
+        assert peak < 1.0
 
 
 class TestAmplitudes:
