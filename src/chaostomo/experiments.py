@@ -11,10 +11,13 @@ identical configs reproduce byte-identical files.
 
 Randomness discipline: the single config seed feeds a SeedSequence whose
 children are assigned by fixed position - child 0 randomizes observables,
-child 1 covers auxiliary draws (trajectory starts, perturbation
-unitaries), and child 2 + i belongs to work cell i, where cells enumerate
-(sweep value, repetition) pairs in row-major order.  Cells run serially in
-that index order, and no cell's draws depend on another's.
+child 1 covers auxiliary draws (trajectory starts, perturbation unitaries,
+ensemble samples), and child 2 + iv * n_states + i draws the state and the
+record noise of repetition i at sweep value iv.  ordered-bloch measures the
+same states at every sweep value, those of the first value's children
+2 ... 2 + n_states - 1.  Cells run serially in that index order, and no
+cell's draws depend on another's.  ``_Sweep`` is the one place that spawns
+the children.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ ORDERED_BLOCH_SWEEPS = ("direction", "eta")
 _INTEGER_FIELDS = {"steps": 0, "n_states": 1, "seed": 0, "eval_stride": 1, "n_samples": 1,
                    "n_trajectories": 1}
 _REAL_FIELDS = ("sigma", "theta", "phi", "delta_lambda")
+# String fields with the types they take, and the fields that take one of a few words.
+_STRING_FIELDS = {"observable": str, "output_path": (str, type(None))}
+_CHOICE_FIELDS = {"state": ("haar", "coherent"), "mode": ("portrait", "husimi")}
 
 
 def _is_integer(value) -> bool:
@@ -108,7 +114,9 @@ class ExperimentConfig:
     experiment: str
     model: dict = field(default_factory=dict)
     observable: str = "J_y"
-    steps: int = 0  # 0 means the 2 d^2 artifact default, resolved at run time
+    # 0 means: 2 d^2 for tomo, perturb and rmt-compare; 200 for phase-space; no complexity
+    # or entropy rows for krylov; ordered-bloch takes no record and ignores steps
+    steps: int = 0
     sigma: float = DEFAULT_SIGMA
     n_states: int = 1
     sweep: dict = field(default_factory=dict)
@@ -139,10 +147,9 @@ class ExperimentConfig:
             if not _is_real(getattr(self, name)):
                 raise ConfigError(name, f"must be a finite real number, "
                                         f"got {getattr(self, name)!r}")
-        if not isinstance(self.observable, str):
-            raise ConfigError("observable", f"must be a string, got {self.observable!r}")
-        if not isinstance(self.output_path, (str, type(None))):
-            raise ConfigError("output_path", f"must be a string, got {self.output_path!r}")
+        for name, types in _STRING_FIELDS.items():
+            if not isinstance(getattr(self, name), types):
+                raise ConfigError(name, f"must be a string, got {getattr(self, name)!r}")
         kind = self.model.get("kind")
         kinds = EXPERIMENT_KINDS.get(self.experiment, MODEL_KINDS)
         if kind not in kinds:
@@ -182,10 +189,9 @@ class ExperimentConfig:
                                              f"size, so it cannot sweep {param!r}")
         if self.sigma < 0:
             raise ConfigError("sigma", "must be >= 0")
-        if self.state not in ("haar", "coherent"):
-            raise ConfigError("state", "must be 'haar' or 'coherent'")
-        if self.mode not in ("portrait", "husimi"):
-            raise ConfigError("mode", "must be 'portrait' or 'husimi'")
+        for name, choices in _CHOICE_FIELDS.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(name, "must be " + " or ".join(map(repr, choices)))
         return self
 
     def resolved(self) -> dict:
@@ -315,7 +321,7 @@ class _Rows:
         self.rows.extend((param, label, step, metric, *_mean_stderr(samples[:, i]), len(samples))
                          for i, step in enumerate(steps) for metric, samples in items)
 
-    def table(self, solver_converged: bool = True) -> ResultTable:
+    def table(self, solver_converged: bool) -> ResultTable:
         return ResultTable(header=[], rows=self.rows, solver_converged=solver_converged)
 
 
@@ -326,19 +332,43 @@ def _eval_steps(n_rows: int, stride: int) -> list:
     return steps
 
 
-def _record_steps(cfg: ExperimentConfig, d: int) -> tuple:
-    """Record length (``steps``, or 2 d^2 when 0) and the prefix lengths evaluated."""
-    n_rows = cfg.steps if cfg.steps > 0 else 2 * d * d
-    return n_rows, _eval_steps(n_rows, cfg.eval_stride)
+class _Sweep:
+    """The sweep of one run: its seed streams, its rows and its convergence flag.
 
+    The only code that knows the SeedSequence layout of the module docstring.
+    Iterating yields (value, model, rngs) per sweep value, ``rngs`` being that
+    value's ``n_states`` cell streams.
+    """
 
-def _cell_streams(cfg: ExperimentConfig, n_cells: int):
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(2 + n_cells)
-    obs_rng = np.random.default_rng(children[0])
-    aux_rng = np.random.default_rng(children[1])
-    cells = [np.random.default_rng(c) for c in children[2:]]
-    return obs_rng, aux_rng, cells
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.param, self.values = cfg.sweep["param"], cfg.sweep["values"]
+        children = np.random.SeedSequence(cfg.seed).spawn(2 + len(self.values) * cfg.n_states)
+        self.obs_rng, self.aux_rng, *self.cells = map(np.random.default_rng, children)
+        self.rows = _Rows(self.param)
+        self.converged = True
+
+    def model(self, value) -> dynamics.ModelSpec:
+        return _build_model(self.cfg.model, (self.param, value))
+
+    def __iter__(self):
+        n = self.cfg.n_states
+        for iv, value in enumerate(self.values):
+            yield value, self.model(value), self.cells[iv * n:(iv + 1) * n]
+
+    def fixed_size(self) -> tuple:
+        """The first value's model, the basis, the observable, the record length (``steps``,
+        or 2 d^2 when 0) and the prefix lengths evaluated, shared by every sweep value."""
+        cfg, model = self.cfg, self.model(self.values[0])
+        basis = gell_mann_basis(model.dim)
+        n_rows = cfg.steps if cfg.steps > 0 else 2 * model.dim ** 2
+        observable = _build_observable(cfg.observable, model, self.obs_rng)
+        return model, basis, observable, n_rows, _eval_steps(n_rows, cfg.eval_stride)
+
+    def add_fidelities(self, value, run, eval_steps):
+        """Mean reconstruction fidelity of a run; the flag notes any projection left unconverged."""
+        self.rows.add_means(value, eval_steps, {"fidelity": run.fidelities})
+        self.converged &= all(diag.converged for diags in run.results for diag in diags)
 
 
 def _draw_states(cfg: ExperimentConfig, d: int, rngs) -> list:
@@ -353,78 +383,49 @@ def _records(cfg: ExperimentConfig, expected, rngs) -> list:
     return [tomography.generate_record(e, cfg.sigma, rng) for e, rng in zip(expected, rngs)]
 
 
-def _fidelity_rows(rows: _Rows, value, run, eval_steps) -> bool:
-    """Mean reconstruction fidelity of a run; returns whether every projection converged."""
-    rows.add_means(value, eval_steps, {"fidelity": run.fidelities})
-    return all(diag.converged for diags in run.results for diag in diags)
-
-
-def _run_tomo(cfg: ExperimentConfig) -> ResultTable:
-    param = cfg.sweep["param"]
-    rows = _Rows(param)
-    converged = True
-    obs_rng, aux_rng, cells = _cell_streams(cfg, len(cfg.sweep["values"]) * cfg.n_states)
-    first_model = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
-    basis = gell_mann_basis(first_model.dim)
-    n_rows, eval_steps = _record_steps(cfg, first_model.dim)
-    observable = _build_observable(cfg.observable, first_model, obs_rng)
-    for iv, value in enumerate(cfg.sweep["values"]):
-        model = _build_model(cfg.model, (param, value))
-        rngs = cells[iv * cfg.n_states:(iv + 1) * cfg.n_states]
+def _run_tomo(cfg: ExperimentConfig, sweep: _Sweep):
+    _, basis, observable, n_rows, eval_steps = sweep.fixed_size()
+    for value, model, rngs in sweep:
         states = _draw_states(cfg, basis.dim, rngs)
         cov, expected, _ = tomography.read_timeline(observable, n_rows,
                                                     tomography.model_step(model), basis, states)
         run = tomography.reconstruct_series(_records(cfg, expected, rngs), cov, basis, states,
                                             eval_steps)
-        rows.add_steps(value, eval_steps, quantifiers.quantifier_series(run.spectra, len(basis)))
-        converged &= _fidelity_rows(rows, value, run, eval_steps)
-    return rows.table(converged)
+        sweep.rows.add_steps(value, eval_steps,
+                             quantifiers.quantifier_series(run.spectra, len(basis)))
+        sweep.add_fidelities(value, run, eval_steps)
 
 
-def _run_perturb(cfg: ExperimentConfig) -> ResultTable:
-    param = cfg.sweep["param"]
-    rows = _Rows(param)
-    converged = True
-    obs_rng, aux_rng, cells = _cell_streams(cfg, len(cfg.sweep["values"]) * cfg.n_states)
-    base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
-    j = base.j
-    basis = gell_mann_basis(base.dim)
-    n_rows, eval_steps = _record_steps(cfg, base.dim)
-    observable = _build_observable(cfg.observable, base, obs_rng)
-    for iv, value in enumerate(cfg.sweep["values"]):
-        model = _build_model(cfg.model, (param, value))
-        u_true, u_model = perturbation.perturbed_kicked_top(j, model.lam, model.alpha,
+def _run_perturb(cfg: ExperimentConfig, sweep: _Sweep):
+    _, basis, observable, n_rows, eval_steps = sweep.fixed_size()
+    # operator metrics compare the timeline entries measured at row n
+    at = [n - 1 for n in eval_steps]
+    for value, model, rngs in sweep:
+        u_true, u_model = perturbation.perturbed_kicked_top(model.j, model.lam, model.alpha,
                                                             cfg.delta_lambda)
-        rngs = cells[iv * cfg.n_states:(iv + 1) * cfg.n_states]
-        states = _draw_states(cfg, base.dim, rngs)
-        # operator metrics compare the timeline entries measured at row n
-        at = [n - 1 for n in eval_steps]
+        states = _draw_states(cfg, basis.dim, rngs)
         _, expected, true_ops = tomography.read_timeline(observable, n_rows, u_true,
                                                          states=states, keep=at)
         cov_model, _, model_ops = tomography.read_timeline(observable, n_rows, u_model, basis,
                                                            keep=at)
         pairs = list(zip(true_ops, model_ops))
-        rows.add_steps(value, eval_steps, {
+        sweep.rows.add_steps(value, eval_steps, {
             "loschmidt_echo": [perturbation.operator_loschmidt_echo(t, m, observable)
                                for t, m in pairs],
             "relative_entropy": [perturbation.operator_relative_entropy(t, m) for t, m in pairs],
-            "incompatibility": [perturbation.operator_incompatibility(t, m, j=j)
+            "incompatibility": [perturbation.operator_incompatibility(t, m, j=model.j)
                                 for t, m in pairs],
         })
         del true_ops, model_ops, pairs  # the reconstruction reads only the model design
         run = tomography.reconstruct_series(_records(cfg, expected, rngs), cov_model, basis,
                                             states, eval_steps)
-        converged &= _fidelity_rows(rows, value, run, eval_steps)
-    return rows.table(converged)
+        sweep.add_fidelities(value, run, eval_steps)
 
 
-def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
-    param = cfg.sweep["param"]
-    rows = _Rows(param)
-    obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
-    for value in cfg.sweep["values"]:
-        model = _build_model(cfg.model, (param, value))
-        observable = _build_observable(cfg.observable, model, obs_rng)
+def _run_krylov(cfg: ExperimentConfig, sweep: _Sweep):
+    rows = sweep.rows
+    for value, model, _ in sweep:
+        observable = _build_observable(cfg.observable, model, sweep.obs_rng)
         if isinstance(model, (dynamics.TiltedIsing, dynamics.XXZChain)):
             h = dynamics.hamiltonian(model)
             kb = krylov.lanczos_full_orth(krylov.liouvillian(h), observable)
@@ -440,21 +441,16 @@ def _run_krylov(cfg: ExperimentConfig) -> ResultTable:
         else:
             u = dynamics.build_propagator(model)
             rows.add_steps(value, [0], {"krylov_dim": [krylov.arnoldi_unitary_dim(u, observable)]})
-    return rows.table()
 
 
-def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
-    param = cfg.sweep["param"]
-    rows = _Rows(param)
-    obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
+def _run_phase_space(cfg: ExperimentConfig, sweep: _Sweep):
     n_steps = cfg.steps if cfg.steps > 0 else 200
     if cfg.mode == "portrait":
         # shared random starts on the unit sphere so panels are comparable
-        z0 = aux_rng.uniform(-1.0, 1.0, cfg.n_trajectories)
-        ph0 = aux_rng.uniform(0.0, 2 * np.pi, cfg.n_trajectories)
+        z0 = sweep.aux_rng.uniform(-1.0, 1.0, cfg.n_trajectories)
+        ph0 = sweep.aux_rng.uniform(0.0, 2 * np.pi, cfg.n_trajectories)
         s0 = np.sqrt(1.0 - z0**2)
-        for value in cfg.sweep["values"]:
-            model = _build_model(cfg.model, (param, value))
+        for value, model, _ in sweep:
             x, y, z = s0 * np.cos(ph0), s0 * np.sin(ph0), z0.copy()
             theta, phi = np.empty((2, n_steps, cfg.n_trajectories))
             for n in range(n_steps):
@@ -465,20 +461,16 @@ def _run_phase_space(cfg: ExperimentConfig) -> ResultTable:
             for t in range(cfg.n_trajectories):
                 columns[f"theta.{t:02d}"] = theta[:, t].tolist()
                 columns[f"phi.{t:02d}"] = phi[:, t].tolist()
-            rows.add_steps(value, range(1, n_steps + 1), columns)
-        return rows.table()
+            sweep.rows.add_steps(value, range(1, n_steps + 1), columns)
+        return
     # husimi mode: Wehrl entropy of the evolved observable
     grid = phase_space.sphere_grid()
-    base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
-    observable = _build_observable(cfg.observable, base, obs_rng)
+    observable = _build_observable(cfg.observable, sweep.model(sweep.values[0]), sweep.obs_rng)
     steps = _eval_steps(n_steps, cfg.eval_stride)
-    for value in cfg.sweep["values"]:
-        model = _build_model(cfg.model, (param, value))
-        u = dynamics.build_propagator(model)
-        tl = dynamics.heisenberg_timeline(observable, u, n_steps)
-        rows.add_steps(value, steps, {
+    for value, model, _ in sweep:
+        tl = dynamics.heisenberg_timeline(observable, dynamics.build_propagator(model), n_steps)
+        sweep.rows.add_steps(value, steps, {
             "husimi_entropy": [phase_space.husimi_entropy(tl[n], grid) for n in steps]})
-    return rows.table()
 
 
 def _spectrum_series(observable, n_rows, step, basis, eval_steps) -> dict:
@@ -488,57 +480,40 @@ def _spectrum_series(observable, n_rows, step, basis, eval_steps) -> dict:
                                          len(basis))
 
 
-def _run_rmt_compare(cfg: ExperimentConfig) -> ResultTable:
-    param = cfg.sweep["param"]
-    rows = _Rows(param)
+def _run_rmt_compare(cfg: ExperimentConfig, sweep: _Sweep):
     metrics = ("shannon", "fisher", "rank")
-    obs_rng, aux_rng, _ = _cell_streams(cfg, 0)
-    base = _build_model(cfg.model, (param, cfg.sweep["values"][0]))
-    d = base.dim
-    basis = gell_mann_basis(d)
-    observable = _build_observable(cfg.observable, base, obs_rng)
-    n_rows, eval_steps = _record_steps(cfg, d)
-    for value in cfg.sweep["values"]:
-        model = _build_model(cfg.model, (param, value))
+    base, basis, observable, n_rows, eval_steps = sweep.fixed_size()
+    for value, model, _ in sweep:
         series = _spectrum_series(observable, n_rows, tomography.model_step(model), basis,
                                   eval_steps)
-        rows.add_steps(value, eval_steps, {metric: series[metric] for metric in metrics})
+        sweep.rows.add_steps(value, eval_steps, {metric: series[metric] for metric in metrics})
     # ensemble baseline, block diagonal in the reflection eigenbasis
     vbasis, block_dims = rmt.reflection_eigenbasis(base.L)
     ens_kind = "COE" if cfg.model["kind"] == "kicked_ising" else "GOE"
     samples = []
     for _ in range(cfg.n_samples):
-        mat = rmt.block_diagonal_sample(ens_kind, block_dims, vbasis, aux_rng)
+        mat = rmt.block_diagonal_sample(ens_kind, block_dims, vbasis, sweep.aux_rng)
         # a GOE draw is a Hamiltonian evolved for dt = 1, a COE draw the step itself
         u = dynamics.expm_hermitian(mat) if ens_kind == "GOE" else mat
         samples.append(_spectrum_series(observable, n_rows, u, basis, eval_steps))
     for metric in metrics:
         column = np.array([s[metric] for s in samples], dtype=float)
-        rows.add_means("rmt", eval_steps, {metric: column})
-    return rows.table()
+        sweep.rows.add_means("rmt", eval_steps, {metric: column})
 
 
-def _run_ordered_bloch(cfg: ExperimentConfig) -> ResultTable:
-    param = cfg.sweep["param"]
-    rows = _Rows(param)
-    obs_rng, aux_rng, cells = _cell_streams(cfg, cfg.n_states)
+def _run_ordered_bloch(cfg: ExperimentConfig, sweep: _Sweep):
     model = _build_model(cfg.model) if cfg.model.get("kind") else None
     d = model.dim if model is not None else round(2 * cfg.model.get("j", 10)) + 1
     basis = gell_mann_basis(d)
-    j = (d - 1) / 2.0
-    states = []
-    for i_state in range(cfg.n_states):
-        if cfg.state == "coherent":
-            states.append(phase_space.spin_coherent(j, cfg.theta, cfg.phi))
-        else:
-            states.append(tomography.haar_random_pure(d, cells[i_state]))
-    u_r = rmt.haar_unitary(d, aux_rng)
+    # every sweep value measures the same states, those of the first value's cells
+    states = _draw_states(cfg, d, sweep.cells[:cfg.n_states])
+    u_r = rmt.haar_unitary(d, sweep.aux_rng)
     ks = range(1, d * d)  # number of basis elements measured
-    for value in cfg.sweep["values"]:
-        if param == "direction":
+    for value in sweep.values:
+        if sweep.param == "direction":
             per_state = [quantifiers.ordered_bloch_values(np.outer(psi, psi.conj()), basis,
                                                           direction=value) for psi in states]
-            rows.add_means(value, ks, {
+            sweep.rows.add_means(value, ks, {
                 "bloch_value": np.array([part for part, _ in per_state]),
                 "fidelity_bound": np.array([bound for _, bound in per_state]),
             })
@@ -547,8 +522,7 @@ def _run_ordered_bloch(cfg: ExperimentConfig) -> ResultTable:
             w = perturbation.fractional_unitary_power(u_r, value)
             fid = np.array([perturbation.ordered_perturbed_fidelity(psi, basis, w)
                             for psi in states])
-            rows.add_means(value, ks, {"fidelity": fid})
-    return rows.table()
+            sweep.rows.add_means(value, ks, {"fidelity": fid})
 
 
 _RUNNERS = {
@@ -564,7 +538,9 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Dispatch, run, stamp the header, and write the CSV if requested."""
     cfg.validate()
-    table = _RUNNERS[cfg.experiment](cfg)
+    sweep = _Sweep(cfg)
+    _RUNNERS[cfg.experiment](cfg, sweep)
+    table = sweep.rows.table(sweep.converged)
     header = [
         f"chaostomo {TOOL_VERSION}",
         f"config_hash: {cfg.config_hash()}",

@@ -6,7 +6,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from chaostomo import dynamics, experiments, tomography
+from chaostomo import dynamics, experiments, perturbation, tomography
 from chaostomo.cli import main
 from chaostomo.dynamics import angular_momentum_ops, classical_kicked_top_step
 from chaostomo.experiments import (
@@ -522,6 +522,50 @@ def streamed_config(experiment: str) -> ExperimentConfig:
         sweep={"param": "lambda", "values": [3.0, 7.0]})
 
 
+class TestSeedLayout:
+    """Child 2 + iv * n_states + i of the config seed draws repetition i at sweep value iv.
+
+    The small preset recipes run one state, where a transposed layout gives the same child."""
+
+    @staticmethod
+    def cell_states(seed: int, d: int, n_cells: int) -> list:
+        children = np.random.SeedSequence(seed).spawn(2 + n_cells)[2:]
+        return [tomography.haar_random_pure(d, np.random.default_rng(c)) for c in children]
+
+    @staticmethod
+    def capture(monkeypatch, owner, name: str, position: int) -> list:
+        """Record argument ``position`` of every call of ``owner.name``."""
+        seen, real = [], getattr(owner, name)
+
+        def recording(*args):
+            seen.append(args[position])
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+        return seen
+
+    @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
+    def test_state_of_each_cell(self, experiment, monkeypatch):
+        received = self.capture(monkeypatch, tomography, "reconstruct_series", 3)
+        cfg = streamed_config(experiment)
+        cfg.n_states = 3
+        run_experiment(cfg)
+        # the fidelity references of value iv are children 2 + 3 iv ... 2 + 3 iv + 2
+        want = self.cell_states(cfg.seed, 5, 2 * 3)
+        got = [psi for states in received for psi in states]
+        assert len(received) == 2 and len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_ordered_bloch_same_states_at_every_value(self, monkeypatch):
+        seen = self.capture(monkeypatch, perturbation, "ordered_perturbed_fidelity", 0)
+        run_experiment(ExperimentConfig(
+            experiment="ordered-bloch", model={"kind": "kicked_top", "j": 1}, state="haar",
+            n_states=2, seed=4, sweep={"param": "eta", "values": [0.0, 0.1, 0.2]}))
+        first = self.cell_states(4, 3, 2)
+        assert len(seen) == 3 * 2
+        assert all(np.array_equal(psi, first[k % 2]) for k, psi in enumerate(seen))
+
+
 class TestStreaming:
     """A cell holds one prefix's solve and shrink at a time, and no timeline."""
 
@@ -790,6 +834,25 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", "--config", str(path),
                                            "--out", str(tmp_path / "o.csv")])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("experiment", ["tomo", "perturb"])
+    def test_iteration_cap_exit_code(self, experiment, tmp_path, monkeypatch):
+        # one check of the projection loop: infeasible estimates stop short of converging
+        monkeypatch.setattr(tomography, "_PSD_MAX_ITERS", 1)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "experiment": experiment,
+            "model": {"kind": "kicked_top", "j": 2, "alpha": 1.4, "lambda": 3.0},
+            "steps": 12, "n_states": 2, "observable": "J_y", "sigma": 0.1, "seed": 2,
+            "sweep": {"param": "lambda", "values": [3.0, 7.0]}, "eval_stride": 4,
+        }))
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 3
+        assert "warning: positivity solver hit its iteration cap" in result.output
+        rows = out.read_text().splitlines()  # four comment lines, the column names, the rows
+        assert f"wrote {len(rows) - 5} rows" in result.output
+        assert sum(",fidelity," in row for row in rows) == 2 * 3
 
     def test_seed_override_changes_hash(self, tmp_path):
         path = tmp_path / "cfg.yaml"
