@@ -23,6 +23,7 @@ the children.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -45,7 +46,6 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
-EXPERIMENTS = ("phase-space", "tomo", "krylov", "perturb", "rmt-compare", "ordered-bloch")
 # Each model kind: its spec type, and the config keys it takes with their
 # defaults.  The xxz impurity site defaults to the middle of the chain.
 MODELS = {
@@ -57,18 +57,8 @@ MODELS = {
     "haar": (dynamics.HaarSteps, {"dim": 8, "seed": 0}),
 }
 MODEL_KINDS = tuple(MODELS)
-# Knobs that set the Hilbert-space dimension, and the experiments whose
-# runner builds the observable and basis once, for the first sweep value.
+# Knobs that set the Hilbert-space dimension.
 SIZE_KNOBS = ("L", "j", "dim")
-FIXED_SIZE_EXPERIMENTS = ("tomo", "perturb", "rmt-compare", "phase-space")
-# The model kinds an experiment takes, where that is not every kind;
-# ordered-bloch may omit the kind and give only the spin j.
-EXPERIMENT_KINDS = {
-    "perturb": ("kicked_top",),
-    "phase-space": ("kicked_top",),
-    "rmt-compare": ("kicked_ising", "tilted_ising"),
-    "ordered-bloch": (None,) + MODEL_KINDS,
-}
 ORDERED_BLOCH_SWEEPS = ("direction", "eta")
 # Integer config fields with their least value, and the real-valued fields.
 _INTEGER_FIELDS = {"steps": 0, "n_states": 1, "seed": 0, "eval_stride": 1, "n_samples": 1,
@@ -77,6 +67,8 @@ _REAL_FIELDS = ("sigma", "theta", "phi", "delta_lambda")
 # String fields with the types they take, and the fields that take one of a few words.
 _STRING_FIELDS = {"observable": str, "output_path": (str, type(None))}
 _CHOICE_FIELDS = {"state": ("haar", "coherent"), "mode": ("portrait", "husimi")}
+# Config fields every experiment reads; ``_EXPERIMENTS`` names the others each one reads.
+_ALWAYS_READ = ("experiment", "model", "sweep", "seed", "output_path", "provenance")
 
 
 def _is_integer(value) -> bool:
@@ -115,7 +107,7 @@ class ExperimentConfig:
     model: dict = field(default_factory=dict)
     observable: str = "J_y"
     # 0 means: 2 d^2 for tomo, perturb and rmt-compare; 200 for phase-space; no complexity
-    # or entropy rows for krylov; ordered-bloch takes no record and ignores steps
+    # or entropy rows for krylov
     steps: int = 0
     sigma: float = DEFAULT_SIGMA
     n_states: int = 1
@@ -134,8 +126,10 @@ class ExperimentConfig:
     provenance: str = ""
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError("experiment", f"must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        if self.experiment not in _EXPERIMENTS:
+            raise ConfigError("experiment", f"must be one of {tuple(_EXPERIMENTS)}, "
+                                            f"got {self.experiment!r}")
+        _, kinds, fixed_size, reads = _EXPERIMENTS[self.experiment]
         for name in ("model", "sweep"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(name, "must be a mapping")
@@ -151,7 +145,6 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), types):
                 raise ConfigError(name, f"must be a string, got {getattr(self, name)!r}")
         kind = self.model.get("kind")
-        kinds = EXPERIMENT_KINDS.get(self.experiment, MODEL_KINDS)
         if kind not in kinds:
             raise ConfigError("model.kind", f"{self.experiment} takes one of {kinds}, "
                                             f"got {kind!r}")
@@ -184,7 +177,7 @@ class ExperimentConfig:
                                        f"known: {sorted(known)}")
         for value in values:
             _check_value("sweep.values", param, value)
-        if self.experiment in FIXED_SIZE_EXPERIMENTS and param in SIZE_KNOBS:
+        if fixed_size and param in SIZE_KNOBS:
             raise ConfigError("sweep.param", f"{self.experiment} runs at one Hilbert-space "
                                              f"size, so it cannot sweep {param!r}")
         if self.sigma < 0:
@@ -192,10 +185,19 @@ class ExperimentConfig:
         for name, choices in _CHOICE_FIELDS.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(name, "must be " + " or ".join(map(repr, choices)))
+        for f in fields(self):
+            if f.name not in _ALWAYS_READ + reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f.name, f"{self.experiment} does not read it; leave it unset")
         return self
 
     def resolved(self) -> dict:
-        """Every field that can change the numbers; ``config_hash`` digests it."""
+        """Every field but the labels output_path and provenance; ``config_hash`` digests it.
+
+        A valid config leaves each field its experiment does not read at its
+        default, so two valid configs of one experiment whose hashes differ
+        differ in a field that experiment reads, if only under a condition
+        (``theta`` and ``phi`` without a coherent state, say).
+        """
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("output_path", "provenance")}
         out["model"] = dict(self.model)
@@ -320,9 +322,6 @@ class _Rows:
         param, label, items = self.param, self._label(value), columns.items()
         self.rows.extend((param, label, step, metric, *_mean_stderr(samples[:, i]), len(samples))
                          for i, step in enumerate(steps) for metric, samples in items)
-
-    def table(self, solver_converged: bool) -> ResultTable:
-        return ResultTable(header=[], rows=self.rows, solver_converged=solver_converged)
 
 
 def _eval_steps(n_rows: int, stride: int) -> list:
@@ -468,9 +467,11 @@ def _run_phase_space(cfg: ExperimentConfig, sweep: _Sweep):
     observable = _build_observable(cfg.observable, sweep.model(sweep.values[0]), sweep.obs_rng)
     steps = _eval_steps(n_steps, cfg.eval_stride)
     for value, model, _ in sweep:
-        tl = dynamics.heisenberg_timeline(observable, dynamics.build_propagator(model), n_steps)
-        sweep.rows.add_steps(value, steps, {
-            "husimi_entropy": [phase_space.husimi_entropy(tl[n], grid) for n in steps]})
+        # O_0, O_1, ... read one block at a time, at the evaluated steps
+        blocks = dynamics.timeline_blocks(observable, n_steps, dynamics.build_propagator(model))
+        entropy = [phase_space.husimi_entropy(op, grid)
+                   for n, op in enumerate(itertools.chain.from_iterable(blocks)) if n in steps]
+        sweep.rows.add_steps(value, steps, {"husimi_entropy": entropy})
 
 
 def _spectrum_series(observable, n_rows, step, basis, eval_steps) -> dict:
@@ -525,13 +526,21 @@ def _run_ordered_bloch(cfg: ExperimentConfig, sweep: _Sweep):
             sweep.rows.add_means(value, ks, {"fidelity": fid})
 
 
-_RUNNERS = {
-    "tomo": _run_tomo,
-    "perturb": _run_perturb,
-    "krylov": _run_krylov,
-    "phase-space": _run_phase_space,
-    "rmt-compare": _run_rmt_compare,
-    "ordered-bloch": _run_ordered_bloch,
+# Each experiment: its runner, the model kinds it takes (ordered-bloch may omit the
+# kind and give only the spin j), whether it runs at one Hilbert-space size (its
+# runner builds the observable and basis once, for the first sweep value), and the
+# config fields it reads besides _ALWAYS_READ.
+_RECORD = ("observable", "steps", "eval_stride")
+_STATES = ("n_states", "state", "theta", "phi")
+_EXPERIMENTS = {
+    "phase-space": (_run_phase_space, ("kicked_top",), True, _RECORD + ("mode", "n_trajectories")),
+    "tomo": (_run_tomo, MODEL_KINDS, True, _RECORD + ("sigma",) + _STATES),
+    "krylov": (_run_krylov, MODEL_KINDS, False, _RECORD),
+    "perturb": (_run_perturb, ("kicked_top",), True,
+                _RECORD + ("sigma",) + _STATES + ("delta_lambda",)),
+    "rmt-compare": (_run_rmt_compare, ("kicked_ising", "tilted_ising"), True,
+                    _RECORD + ("n_samples",)),
+    "ordered-bloch": (_run_ordered_bloch, (None,) + MODEL_KINDS, False, _STATES),
 }
 
 
@@ -539,8 +548,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Dispatch, run, stamp the header, and write the CSV if requested."""
     cfg.validate()
     sweep = _Sweep(cfg)
-    _RUNNERS[cfg.experiment](cfg, sweep)
-    table = sweep.rows.table(sweep.converged)
+    _EXPERIMENTS[cfg.experiment][0](cfg, sweep)
     header = [
         f"chaostomo {TOOL_VERSION}",
         f"config_hash: {cfg.config_hash()}",
@@ -550,7 +558,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     ]
     if cfg.provenance:
         header.insert(3, f"provenance: {cfg.provenance}")
-    table.header = header
+    table = ResultTable(header, sweep.rows.rows, sweep.converged)
     if cfg.output_path:
         table.write(cfg.output_path)
     return table

@@ -313,7 +313,8 @@ def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> np.ndarray:
     basis.  Its coordinates are those of O with each Bloch pair rotated by
     (E_a - E_b) t at the exact gaps (module docstring), so all times take
     one projection on the frame rows and one product with each block of
-    Lanczos vectors.  O(t) stays inside the Krylov span, so
+    Lanczos vectors.  Only the coordinates that a frame row touches are
+    formed, never all d^2 of them.  O(t) stays inside the Krylov span, so
     sum_k phi_k^2 = 1; weight escaping the span by more than 1e-6 at any
     time signals an operator that did not generate the basis.
     """
@@ -321,20 +322,24 @@ def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> np.ndarray:
     d = liou.operator_basis.dim
     rows, cols = liou.operator_basis.rows, liou.operator_basis.cols
     s = len(rows)
+    gaps = liou.energies[rows] - liou.energies[cols]
     times = np.asarray(times, dtype=float)
     vec = liou.coords(np.asarray(op))
-    angle = np.multiply.outer(times, liou.energies[rows] - liou.energies[cols])
-    cos, sin = np.cos(angle), np.sin(angle)
-    sym, asym = vec[d : d + s], vec[d + s :]
-    coords = np.empty((len(times), vec.size))
-    coords[:, :d] = vec[:d]
-    coords[:, d : d + s] = sym * cos - asym * sin
-    coords[:, d + s :] = sym * sin + asym * cos
-    # project on the frame rows of each half, then on that half's vectors
     phi = np.empty((len(times), basis.dim_k))
     for par, (q, (r, c, v)) in enumerate(zip(basis.blocks, basis.rows)):
+        # O(t) at the coordinates c: a symmetric Bloch coordinate x of a pair
+        # with antisymmetric partner y turns to x cos - y sin, y to y cos + x sin
+        turned = c >= d
+        at = c[turned]
+        pair = (at - d) % s
+        partner = np.where(at < d + s, -vec[d + s + pair], vec[d + pair])
+        angle = np.multiply.outer(times, gaps[pair])
+        coords = np.empty((len(times), c.size))
+        coords[:, ~turned] = vec[c[~turned]]
+        coords[:, turned] = vec[at] * np.cos(angle) + partner * np.sin(angle)
+        # project on the frame rows of this half, then on its vectors
         proj = np.zeros((q.shape[1], len(times)))
-        np.add.at(proj, r, (coords[:, c] * v).T)
+        np.add.at(proj, r, (coords * v).T)
         phi[:, par::2] = proj.T @ q.T
     phi /= basis.initial_norm
     deficit = np.abs(np.sum(phi**2, axis=-1) - 1.0)

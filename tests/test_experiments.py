@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,70 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep.param") as err:
             run_experiment(cfg)
         assert err.value.fieldname == "sweep.param" and f"'{param}'" in str(err.value)
+
+
+# one valid config of each experiment, and a field it does not read set off its default
+UNREAD = {
+    "phase-space": (dict(model={"kind": "kicked_top", "j": 2},
+                         sweep={"param": "lambda", "values": [3.0]}), "sigma", 0.5),
+    "tomo": (dict(model={"kind": "kicked_top", "j": 2},
+                  sweep={"param": "lambda", "values": [3.0]}), "n_samples", 3),
+    "krylov": (dict(observable="Sz", model={"kind": "tilted_ising", "L": 2},
+                    sweep={"param": "hz", "values": [1.4]}), "n_states", 3),
+    "perturb": (dict(model={"kind": "kicked_top", "j": 2},
+                     sweep={"param": "lambda", "values": [3.0]}), "mode", "husimi"),
+    "rmt-compare": (dict(observable="s1y", model={"kind": "kicked_ising", "L": 2},
+                         sweep={"param": "hz", "values": [1.4]}), "delta_lambda", 0.1),
+    "ordered-bloch": (dict(model={"j": 2}, sweep={"param": "eta", "values": [0.1]}),
+                      "steps", 4),
+}
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReadFields:
+    @pytest.mark.parametrize("experiment", UNREAD)
+    def test_unread_field_rejected(self, experiment):
+        base, name, value = UNREAD[experiment]
+        ExperimentConfig(experiment=experiment, **base).validate()
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(experiment=experiment, **base, **{name: value}).validate()
+        assert err.value.fieldname == name
+        assert str(err.value) == (f"config field '{name}': {experiment} does not read it; "
+                                  f"leave it unset")
+
+    def test_first_unread_field_in_field_order(self):
+        base, _, _ = UNREAD["krylov"]
+        cfg = ExperimentConfig(experiment="krylov", n_samples=3, sigma=0.5, **base)
+        with pytest.raises(ConfigError, match="'sigma'"):
+            cfg.validate()
+
+    def test_unread_field_at_its_default_accepted(self):
+        base, _, _ = UNREAD["krylov"]
+        ExperimentConfig(experiment="krylov", n_states=1, sigma=tomography.DEFAULT_SIGMA,
+                         **base).validate()
+
+    def test_lanczos_preset_with_state_fields(self):
+        # the same rows as the preset, so it may not carry another config_hash
+        with pytest.raises(ConfigError, match="krylov does not read it") as err:
+            config_from_preset("fig2.4-lanczos", n_states=3, sigma=0.5).validate()
+        assert err.value.fieldname == "sigma"
+
+    def test_every_benchmark_cell_validates(self):
+        # a rejected cell would count as a failed benchmark operation; the
+        # presets themselves validate in TestPresets
+        workloads = load_workloads()
+        for cells in workloads.WORKLOADS.values():
+            for cell in cells:
+                for seed in range(workloads.POOL_SIZE):
+                    cell.config(seed)  # validates
 
 
 class TestDeterminism:
@@ -630,7 +697,9 @@ class TestStreaming:
              sweep={"param": "lambda", "values": [3.0]}, n_states=2),
         dict(experiment="rmt-compare", observable="s1y", model={"kind": "kicked_ising", "L": 2},
              sweep={"param": "hz", "values": [1.4]}, n_samples=1),
-    ], ids=["tomo", "tomo-haar", "perturb", "rmt-compare"])
+        dict(experiment="phase-space", mode="husimi", model={"kind": "kicked_top", "j": 2},
+             sweep={"param": "lambda", "values": [3.0]}),
+    ], ids=["tomo", "tomo-haar", "perturb", "rmt-compare", "husimi"])
     def test_no_stack_of_the_timeline(self, cfg, monkeypatch):
         # 200 rows span three blocks; no runner collects the timeline into one stack
         blocks = self.track_blocks(monkeypatch)
@@ -732,6 +801,18 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"config field '{fieldname}'" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("experiment", UNREAD)
+    def test_unread_field_exit_code(self, tmp_path, experiment):
+        base, name, value = UNREAD[experiment]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"experiment": experiment, **base, name: value}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert (f"config field '{name}': {experiment} does not read it; leave it unset"
+                in result.output)
         assert not (tmp_path / "o.csv").exists()
 
     def test_run_time_config_error_exit_code(self, tmp_path):

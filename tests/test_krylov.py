@@ -272,7 +272,7 @@ class TestParitySplit:
 class TestFootprint:
     """Traced peak memory of the Krylov calls at d = 32.
 
-    Neither keeps a dense (K, d^2) basis or (m + 2n, d^2) frame: at these
+    None keeps a dense (K, d^2) basis or (m + 2n, d^2) frame: at these
     cells either alone is 4 MiB or more (513 and 993 rows of 1024 doubles).
     """
 
@@ -289,6 +289,15 @@ class TestFootprint:
         kb, peak = self.traced(lanczos_full_orth, liou, collective_spin("z", 5))
         assert kb.dim_k == 513
         assert peak < 4.0
+
+    def test_amplitudes_at_fig23_cell(self):
+        # 61 times: the full (T, d^2) coordinates of O(t) alone would take 0.48 MiB,
+        # and the three (T, d(d-1)/2) angle, cosine and sine arrays 0.69 MiB more
+        o = collective_spin("z", 5)
+        kb = lanczos_full_orth(liouvillian(_tilted(5, 1.4)), o)
+        phi, peak = self.traced(krylov_amplitudes, o, kb, np.arange(61.0))
+        assert phi.shape == (61, 513)
+        assert peak < 1.3
 
     def test_unitary_orbit_count(self):
         u = tki_floquet(KickedIsing(L=5, J=1.0, hx=1.4, hz=0.4))

@@ -6,7 +6,9 @@
 ``lines`` prints, for each module of the package (``src/chaostomo`` unless
 SRC_DIR is given), its total lines and its code lines: non-blank lines that
 are neither comment-only (by ``tokenize``) nor part of a docstring (by
-``ast``).  It also prints how many names the modules' ``__all__`` lists hold.
+``ast``).  It also prints how many names the modules' ``__all__`` lists hold,
+and how many config fields each experiment takes: the ones it reads, any
+other field being a config error unless left at its default.
 
 ``hashes`` runs every preset, or the named ones, and prints the sha256 of
 each CSV and its run time.  By default each preset runs the small recipe of
@@ -25,26 +27,29 @@ import os
 import sys
 import time
 import tokenize
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "chaostomo"
 
-_SMALL = dict(n_states=1, n_samples=2, eval_stride=300)
-# preset name -> overrides of its small run
+# preset name -> overrides of its small run: one state, two ensemble samples and
+# a stride of 300, each where the preset's experiment reads that field
+_STRIDE = dict(eval_stride=300)
+_STATES = dict(n_states=1, eval_stride=300)
 RECIPES = {
-    "fig2.1-phase-space": _SMALL,
-    "fig2.3-krylov-complexity": _SMALL,
-    "fig2.4-lanczos": _SMALL,
-    "fig3.1-coherent": _SMALL,
-    "fig3.1-random": _SMALL,
-    "fig3.3-ordered-bloch": _SMALL,
-    "fig3.6-husimi": _SMALL,
-    "fig4.2-tki-quantifiers": _SMALL,
-    "fig4.6-rmt-compare": _SMALL,
-    "fig4.8-xxz": _SMALL,
-    "fig5.2-perturb": _SMALL,
-    "fig5.3-perturbed-basis": _SMALL,
+    "fig2.1-phase-space": _STRIDE,
+    "fig2.3-krylov-complexity": _STRIDE,
+    "fig2.4-lanczos": _STRIDE,
+    "fig3.1-coherent": _STATES,
+    "fig3.1-random": _STATES,
+    "fig3.3-ordered-bloch": dict(n_states=1),
+    "fig3.6-husimi": _STRIDE,
+    "fig4.2-tki-quantifiers": _STATES,
+    "fig4.6-rmt-compare": dict(n_samples=2, eval_stride=300),
+    "fig4.8-xxz": _STATES,
+    "fig5.2-perturb": _STATES,
+    "fig5.3-perturbed-basis": dict(n_states=1),
 }
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -84,6 +89,26 @@ def report_lines(src: Path) -> None:
         totals = [a + b for a, b in zip(totals, row)]
         print(f"{path.name:<20} {row[0]:>6} {row[1]:>6} {row[2]:>8}")
     print(f"{'total':<20} {totals[0]:>6} {totals[1]:>6} {totals[2]:>8}")
+    counts = settable_fields(src)
+    print(f"\n{'experiment':<20} {'settable fields':>15}")
+    for name, count in counts.items():
+        print(f"{name:<20} {count:>15}")
+    print(f"{'total':<20} {sum(counts.values()):>15}")
+
+
+def settable_fields(src: Path) -> dict:
+    """Config fields each experiment of the package at ``src`` takes.
+
+    A tree without the per-experiment table lets every experiment take every field.
+    """
+    sys.path.insert(0, str(src.parent))
+    from chaostomo import experiments
+
+    table = getattr(experiments, "_EXPERIMENTS", None)
+    if table is None:
+        n_fields = len(fields(experiments.ExperimentConfig))
+        return {name: n_fields for name in experiments.EXPERIMENTS}
+    return {name: len(experiments._ALWAYS_READ + reads) for name, (*_, reads) in table.items()}
 
 
 def report_hashes(names, full: bool) -> None:
