@@ -80,6 +80,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _canonical(key, value):
+    """A model knob or sweep value as the config hash reads it: a float, but for sizes,
+    seeds, sites and words."""
+    return float(value) if _is_real(value) and key not in SIZE_KNOBS + ("seed", "site") else value
+
+
 def _check_value(fieldname: str, key: str, value):
     """Raise ConfigError unless ``value`` fits the model knob or ordered-bloch sweep ``key``."""
     if key == "direction":
@@ -129,7 +135,7 @@ class ExperimentConfig:
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError("experiment", f"must be one of {tuple(_EXPERIMENTS)}, "
                                             f"got {self.experiment!r}")
-        _, kinds, fixed_size, reads = _EXPERIMENTS[self.experiment]
+        _, kinds, fixed_size, _ = _EXPERIMENTS[self.experiment]
         for name in ("model", "sweep"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(name, "must be a mapping")
@@ -186,23 +192,25 @@ class ExperimentConfig:
             if getattr(self, name) not in choices:
                 raise ConfigError(name, "must be " + " or ".join(map(repr, choices)))
         for f in fields(self):
-            if f.name not in _ALWAYS_READ + reads and getattr(self, f.name) != f.default:
+            if getattr(self, f.name) != f.default and f.name not in _reads(self):
                 raise ConfigError(f.name, f"{self.experiment} does not read it; leave it unset")
         return self
 
     def resolved(self) -> dict:
         """Every field but the labels output_path and provenance; ``config_hash`` digests it.
 
-        A valid config leaves each field its experiment does not read at its
-        default, so two valid configs of one experiment whose hashes differ
-        differ in a field that experiment reads, if only under a condition
-        (``theta`` and ``phi`` without a coherent state, say).
+        The real-valued fields, model knobs and sweep values are written as
+        floats, so ``theta: 0`` and ``theta: 0.0`` hash alike; sizes, seeds,
+        sites and words stay as written.  A valid config leaves each field its
+        run does not read at its default (:func:`_reads`), so two valid configs
+        of one experiment whose hashes differ differ in a value the run reads.
         """
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("output_path", "provenance")}
-        out["model"] = dict(self.model)
-        out["sweep"] = {"param": self.sweep.get("param"),
-                        "values": list(self.sweep.get("values", []))}
+        out.update({name: float(out[name]) for name in _REAL_FIELDS})
+        out["model"] = {key: _canonical(key, value) for key, value in self.model.items()}
+        values = [_canonical(self.sweep.get("param"), v) for v in self.sweep.get("values", [])]
+        out["sweep"] = {"param": self.sweep.get("param"), "values": values}
         return out
 
     def config_hash(self) -> str:
@@ -529,7 +537,7 @@ def _run_ordered_bloch(cfg: ExperimentConfig, sweep: _Sweep):
 # Each experiment: its runner, the model kinds it takes (ordered-bloch may omit the
 # kind and give only the spin j), whether it runs at one Hilbert-space size (its
 # runner builds the observable and basis once, for the first sweep value), and the
-# config fields it reads besides _ALWAYS_READ.
+# config fields it reads besides _ALWAYS_READ, some only under a condition (_reads).
 _RECORD = ("observable", "steps", "eval_stride")
 _STATES = ("n_states", "state", "theta", "phi")
 _EXPERIMENTS = {
@@ -542,6 +550,20 @@ _EXPERIMENTS = {
                     _RECORD + ("n_samples",)),
     "ordered-bloch": (_run_ordered_bloch, (None,) + MODEL_KINDS, False, _STATES),
 }
+
+
+def _reads(cfg: ExperimentConfig) -> set:
+    """The fields a run of ``cfg`` reads: _ALWAYS_READ and its experiment's, less those
+    it reads only under a condition that ``cfg`` does not meet.  krylov on a Floquet
+    model gives only the orbit dimension, and with steps 0 no complexity rows."""
+    unread = set() if cfg.state == "coherent" else {"theta", "phi"}
+    if cfg.experiment == "phase-space":
+        unread |= {"n_trajectories"} if cfg.mode == "husimi" else {"observable", "eval_stride"}
+    elif cfg.experiment == "krylov" and cfg.model.get("kind") not in ("tilted_ising", "xxz"):
+        unread |= {"steps", "eval_stride"}
+    elif cfg.experiment == "krylov" and cfg.steps == 0:
+        unread.add("eval_stride")
+    return set(_ALWAYS_READ + _EXPERIMENTS[cfg.experiment][3]) - unread
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:

@@ -46,7 +46,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import HaarSteps, ModelSpec, build_propagator, timeline_blocks, unitary_eigh
+from .dynamics import (TIMELINE_BLOCK, HaarSteps, ModelSpec, build_propagator, timeline_blocks,
+                       unitary_eigh)
 # unused here; the benchmark tracer (bench/layers.py) wraps this alias
 from .dynamics import heisenberg_timeline  # noqa: F401
 from .operator_space import (
@@ -299,7 +300,10 @@ def _eigenframe_span(u: np.ndarray, op: np.ndarray, n_rows: int,
     pair puts at most 1e-12 |O| into each row of the residual, which the
     singular values see at second order (:class:`CovarianceData`).
     Returns None when the span does not limit the rank of n_rows rows,
-    k >= min(n_rows, d^2 - 1).
+    k >= min(n_rows, d^2 - 1).  The k dense elements are made and encoded
+    in blocks of ``TIMELINE_BLOCK`` to twice that many (one block when k is
+    smaller), so the transient (k, d, d) stacks do not grow with k, and each
+    row rounds as in one stack (:func:`bloch_encode_batch`).
     """
     d = basis.dim
     op = np.asarray(op, dtype=complex)
@@ -310,7 +314,9 @@ def _eigenframe_span(u: np.ndarray, op: np.ndarray, n_rows: int,
         return None
     pairs = d - 1 + touched
     sel = np.concatenate([np.arange(d - 1), pairs, pairs + len(basis.rows)])
-    return bloch_encode_batch(vecs @ basis.matrices(sel) @ vecs.conj().T, basis)
+    parts = np.array_split(sel, max(1, len(sel) // TIMELINE_BLOCK))
+    return np.concatenate([bloch_encode_batch(vecs @ basis.matrices(part) @ vecs.conj().T, basis)
+                           for part in parts])
 
 
 def ml_estimate(records: np.ndarray, cov: CovarianceData) -> np.ndarray:
@@ -330,8 +336,8 @@ def ml_estimate(records: np.ndarray, cov: CovarianceData) -> np.ndarray:
 
 
 def _project_eigs_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of an eigenvalue vector onto the probability simplex."""
-    srt = np.sort(w)[::-1]
+    """Euclidean projection of ascending eigenvalues, as ``eigh`` gives them, onto the simplex."""
+    srt = w[::-1]
     cumsum = np.cumsum(srt) - 1.0
     ks = np.arange(1, len(w) + 1)
     mask = srt - cumsum / ks > 0

@@ -151,21 +151,34 @@ class TestValidation:
         assert err.value.fieldname == "sweep.param" and f"'{param}'" in str(err.value)
 
 
-# one valid config of each experiment, and a field it does not read set off its default
+# one valid config of each experiment, a field its run does not read set off its
+# default, and for a field read only under a condition, the change that meets it
+_KT2 = dict(model={"kind": "kicked_top", "j": 2}, sweep={"param": "lambda", "values": [3.0]})
+_TI2 = dict(observable="Sz", model={"kind": "tilted_ising", "L": 2},
+            sweep={"param": "hz", "values": [1.4]})
+_KI2 = {**_TI2, "model": {"kind": "kicked_ising", "L": 2}}
+_OB = dict(model={"j": 2}, sweep={"param": "eta", "values": [0.1]})
+_COHERENT = {"state": "coherent"}
 UNREAD = {
-    "phase-space": (dict(model={"kind": "kicked_top", "j": 2},
-                         sweep={"param": "lambda", "values": [3.0]}), "sigma", 0.5),
-    "tomo": (dict(model={"kind": "kicked_top", "j": 2},
-                  sweep={"param": "lambda", "values": [3.0]}), "n_samples", 3),
-    "krylov": (dict(observable="Sz", model={"kind": "tilted_ising", "L": 2},
-                    sweep={"param": "hz", "values": [1.4]}), "n_states", 3),
-    "perturb": (dict(model={"kind": "kicked_top", "j": 2},
-                     sweep={"param": "lambda", "values": [3.0]}), "mode", "husimi"),
-    "rmt-compare": (dict(observable="s1y", model={"kind": "kicked_ising", "L": 2},
-                         sweep={"param": "hz", "values": [1.4]}), "delta_lambda", 0.1),
-    "ordered-bloch": (dict(model={"j": 2}, sweep={"param": "eta", "values": [0.1]}),
-                      "steps", 4),
+    "phase-space": ("phase-space", _KT2, "sigma", 0.5, None),
+    "tomo": ("tomo", _KT2, "n_samples", 3, None),
+    "krylov": ("krylov", _TI2, "n_states", 3, None),
+    "perturb": ("perturb", _KT2, "mode", "husimi", None),
+    "rmt-compare": ("rmt-compare", {**_KI2, "observable": "s1y"}, "delta_lambda", 0.1, None),
+    "ordered-bloch": ("ordered-bloch", _OB, "steps", 4, None),
+    "tomo-haar-theta": ("tomo", _KT2, "theta", 0.5, _COHERENT),
+    "perturb-haar-phi": ("perturb", _KT2, "phi", 0.5, _COHERENT),
+    "ordered-bloch-haar-theta": ("ordered-bloch", _OB, "theta", 0.5, _COHERENT),
+    "husimi-n_trajectories": ("phase-space", {**_KT2, "mode": "husimi"}, "n_trajectories", 3,
+                              {"mode": "portrait"}),
+    "portrait-observable": ("phase-space", _KT2, "observable", "J_x", {"mode": "husimi"}),
+    "portrait-eval_stride": ("phase-space", _KT2, "eval_stride", 2, {"mode": "husimi"}),
+    "krylov-floquet-steps": ("krylov", _KI2, "steps", 4, {"model": _TI2["model"]}),
+    "krylov-floquet-eval_stride": ("krylov", _KI2, "eval_stride", 2,
+                                   {"model": _TI2["model"], "steps": 4}),
+    "krylov-steps-0-eval_stride": ("krylov", _TI2, "eval_stride", 2, {"steps": 4}),
 }
+CONDITIONAL = [case for case, (*_, read_when) in UNREAD.items() if read_when]
 
 
 def load_workloads():
@@ -178,9 +191,9 @@ def load_workloads():
 
 
 class TestReadFields:
-    @pytest.mark.parametrize("experiment", UNREAD)
-    def test_unread_field_rejected(self, experiment):
-        base, name, value = UNREAD[experiment]
+    @pytest.mark.parametrize("case", UNREAD)
+    def test_unread_field_rejected(self, case):
+        experiment, base, name, value, _ = UNREAD[case]
         ExperimentConfig(experiment=experiment, **base).validate()
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(experiment=experiment, **base, **{name: value}).validate()
@@ -188,14 +201,19 @@ class TestReadFields:
         assert str(err.value) == (f"config field '{name}': {experiment} does not read it; "
                                   f"leave it unset")
 
+    @pytest.mark.parametrize("case", CONDITIONAL)
+    def test_conditional_field_accepted_where_read(self, case):
+        experiment, base, name, value, read_when = UNREAD[case]
+        ExperimentConfig(experiment=experiment, **{**base, name: value, **read_when}).validate()
+
     def test_first_unread_field_in_field_order(self):
-        base, _, _ = UNREAD["krylov"]
+        _, base, _, _, _ = UNREAD["krylov"]
         cfg = ExperimentConfig(experiment="krylov", n_samples=3, sigma=0.5, **base)
         with pytest.raises(ConfigError, match="'sigma'"):
             cfg.validate()
 
     def test_unread_field_at_its_default_accepted(self):
-        base, _, _ = UNREAD["krylov"]
+        _, base, _, _, _ = UNREAD["krylov"]
         ExperimentConfig(experiment="krylov", n_states=1, sigma=tomography.DEFAULT_SIGMA,
                          **base).validate()
 
@@ -366,6 +384,19 @@ class TestConfigHash:
             same = f.name in ("output_path", "provenance")
             assert (other.config_hash() == base.config_hash()) == same, f.name
 
+    def test_real_values_hash_as_floats(self):
+        # an int where a real is read hashes as its float; a size stays as written
+        def digest(**over):
+            return tiny_tomo_config(state="coherent", **over).config_hash()
+
+        assert digest(theta=2, sigma=0) == digest(theta=2.0, sigma=0.0)
+        assert (digest(model={"kind": "kicked_top", "j": 2, "alpha": 1, "lambda": 0})
+                == digest(model={"kind": "kicked_top", "j": 2, "alpha": 1.0, "lambda": 0.0}))
+        assert (digest(sweep={"param": "lambda", "values": [7]})
+                == digest(sweep={"param": "lambda", "values": [7.0]}))
+        assert (digest(model={"kind": "kicked_top", "j": 2})
+                != digest(model={"kind": "kicked_top", "j": 2.0}))
+
 
 class TestPresets:
     def test_minimum_count_and_required_entries(self):
@@ -525,16 +556,16 @@ class TestSmallRuns:
             model={"kind": "kicked_top", "j": 2, "alpha": 1.4, "lambda": 3.0},
             observable="J_y", steps=12, n_states=2, eval_stride=4,
             sweep={"param": "lambda", "values": [3.0]}, seed=2,
-            theta=2.04, phi=2.42,
         )
+        state = dict(state="coherent", theta=2.04, phi=2.42)
         haar = run_experiment(ExperimentConfig(**base, state="haar"))
-        coherent = run_experiment(ExperimentConfig(**base, state="coherent"))
+        coherent = run_experiment(ExperimentConfig(**base, **state))
         operator_rows = [r for r in haar.rows if r[3] != "fidelity"]
         assert operator_rows == [r for r in coherent.rows if r[3] != "fidelity"]
         assert not np.allclose(series(haar, "3", "fidelity"), series(coherent, "3", "fidelity"))
         # at delta_lambda = 0 the mismatched run is the ideal run, record for record
-        tomo = run_experiment(ExperimentConfig(**{**base, "experiment": "tomo"}, state="coherent"))
-        unperturbed = run_experiment(ExperimentConfig(**base, state="coherent", delta_lambda=0.0))
+        tomo = run_experiment(ExperimentConfig(**{**base, "experiment": "tomo"}, **state))
+        unperturbed = run_experiment(ExperimentConfig(**base, **state, delta_lambda=0.0))
         assert np.array_equal(series(tomo, "3", "fidelity"), series(unperturbed, "3", "fidelity"))
 
 
@@ -803,9 +834,9 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("experiment", UNREAD)
-    def test_unread_field_exit_code(self, tmp_path, experiment):
-        base, name, value = UNREAD[experiment]
+    @pytest.mark.parametrize("case", UNREAD)
+    def test_unread_field_exit_code(self, tmp_path, case):
+        experiment, base, name, value, _ = UNREAD[case]
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({"experiment": experiment, **base, name: value}))
         result = CliRunner().invoke(main, ["run", "--config", str(path),

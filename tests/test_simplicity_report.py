@@ -23,3 +23,21 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
               'def f():\n    """Two\n    lines."""\n    return """not a\ndocstring"""\n')
     # x = 1, def f() and the two lines of the returned string
     assert load_report().code_lines(source) == 4
+
+
+def test_lines_prints_settable_fields_per_mode(capsys):
+    report = load_report()
+    counts = report.settable_fields(report.SRC)
+    assert counts == {
+        ("phase-space", "portrait"): 9, ("phase-space", "husimi"): 10,
+        ("tomo", "haar"): 12, ("tomo", "coherent"): 14,
+        ("krylov", "Floquet model"): 7, ("krylov", "Hamiltonian, steps 0"): 8,
+        ("krylov", "Hamiltonian, steps > 0"): 9,
+        ("perturb", "haar"): 13, ("perturb", "coherent"): 15,
+        ("rmt-compare", "-"): 10,
+        ("ordered-bloch", "haar"): 8, ("ordered-bloch", "coherent"): 10,
+    }
+    report.report_lines(report.SRC)
+    lines = capsys.readouterr().out.splitlines()
+    for (name, mode), count in counts.items():
+        assert f"{name:<15} {mode:<24} {count:>15}" in lines

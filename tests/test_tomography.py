@@ -377,6 +377,24 @@ class TestFactoredDesign:
         for name in ("design", "row_offsets", "span", "_coords"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_span_built_in_blocks(self, monkeypatch):
+        # XXZ L=5, g=0: 331 span rows in five blocks, each as from one stack; the
+        # transient (k, d, d) stacks hold one block, not all 331 rows
+        model = XXZChain(L=5, g=0.0, site=3)
+        o, n_rows = _chain_case(model)
+        u, basis = build_propagator(model), gell_mann_basis(model.dim)
+        tracemalloc.start()
+        try:
+            span = tomography._eigenframe_span(u, o, n_rows, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(span) > 4 * TIMELINE_BLOCK
+        block_stack = 2 * TIMELINE_BLOCK * model.dim**2 * np.dtype(complex).itemsize
+        assert peak < span.nbytes + 2 * block_stack
+        monkeypatch.setattr(tomography, "TIMELINE_BLOCK", len(span) + 1)  # one block
+        assert np.array_equal(span, tomography._eigenframe_span(u, o, n_rows, basis))
+
     def test_full_span_designs_stay_plain(self):
         # kicked top j=10, 100 rows: the span (240 directions) exceeds the rows
         jy = angular_momentum_ops(10)[1]

@@ -7,8 +7,9 @@
 SRC_DIR is given), its total lines and its code lines: non-blank lines that
 are neither comment-only (by ``tokenize``) nor part of a docstring (by
 ``ast``).  It also prints how many names the modules' ``__all__`` lists hold,
-and how many config fields each experiment takes: the ones it reads, any
-other field being a config error unless left at its default.
+and how many config fields a run of each experiment mode of ``MODES`` takes:
+the ones it reads, any other field being a config error unless left at its
+default.
 
 ``hashes`` runs every preset, or the named ones, and prints the sha256 of
 each CSV and its run time.  By default each preset runs the small recipe of
@@ -27,20 +28,19 @@ import os
 import sys
 import time
 import tokenize
-from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "chaostomo"
 
 # preset name -> overrides of its small run: one state, two ensemble samples and
-# a stride of 300, each where the preset's experiment reads that field
+# a stride of 300, each where the preset's run reads that field
 _STRIDE = dict(eval_stride=300)
 _STATES = dict(n_states=1, eval_stride=300)
 RECIPES = {
-    "fig2.1-phase-space": _STRIDE,
+    "fig2.1-phase-space": {},
     "fig2.3-krylov-complexity": _STRIDE,
-    "fig2.4-lanczos": _STRIDE,
+    "fig2.4-lanczos": {},
     "fig3.1-coherent": _STATES,
     "fig3.1-random": _STATES,
     "fig3.3-ordered-bloch": dict(n_states=1),
@@ -50,6 +50,21 @@ RECIPES = {
     "fig4.8-xxz": _STATES,
     "fig5.2-perturb": _STATES,
     "fig5.3-perturbed-basis": dict(n_states=1),
+}
+# (experiment, mode) -> the config fields that select the mode
+MODES = {
+    ("phase-space", "portrait"): {},
+    ("phase-space", "husimi"): dict(mode="husimi"),
+    ("tomo", "haar"): {},
+    ("tomo", "coherent"): dict(state="coherent"),
+    ("krylov", "Floquet model"): dict(model={"kind": "kicked_ising"}),
+    ("krylov", "Hamiltonian, steps 0"): dict(model={"kind": "tilted_ising"}),
+    ("krylov", "Hamiltonian, steps > 0"): dict(model={"kind": "tilted_ising"}, steps=1),
+    ("perturb", "haar"): {},
+    ("perturb", "coherent"): dict(state="coherent"),
+    ("rmt-compare", "-"): {},
+    ("ordered-bloch", "haar"): {},
+    ("ordered-bloch", "coherent"): dict(state="coherent"),
 }
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -90,25 +105,25 @@ def report_lines(src: Path) -> None:
         print(f"{path.name:<20} {row[0]:>6} {row[1]:>6} {row[2]:>8}")
     print(f"{'total':<20} {totals[0]:>6} {totals[1]:>6} {totals[2]:>8}")
     counts = settable_fields(src)
-    print(f"\n{'experiment':<20} {'settable fields':>15}")
-    for name, count in counts.items():
-        print(f"{name:<20} {count:>15}")
-    print(f"{'total':<20} {sum(counts.values()):>15}")
+    if counts is None:
+        print("\nno per-mode read rule (experiments._reads) in this tree")
+        return
+    print(f"\n{'experiment':<15} {'mode':<24} {'settable fields':>15}")
+    for (name, mode), count in counts.items():
+        print(f"{name:<15} {mode:<24} {count:>15}")
 
 
-def settable_fields(src: Path) -> dict:
-    """Config fields each experiment of the package at ``src`` takes.
-
-    A tree without the per-experiment table lets every experiment take every field.
-    """
+def settable_fields(src: Path):
+    """Config fields a run of each (experiment, mode) of ``MODES`` takes in the package at
+    ``src``, by its read rule; None for a tree without that rule."""
     sys.path.insert(0, str(src.parent))
     from chaostomo import experiments
 
-    table = getattr(experiments, "_EXPERIMENTS", None)
-    if table is None:
-        n_fields = len(fields(experiments.ExperimentConfig))
-        return {name: n_fields for name in experiments.EXPERIMENTS}
-    return {name: len(experiments._ALWAYS_READ + reads) for name, (*_, reads) in table.items()}
+    reads = getattr(experiments, "_reads", None)
+    if reads is None:
+        return None
+    return {(name, mode): len(reads(experiments.ExperimentConfig(experiment=name, **over)))
+            for (name, mode), over in MODES.items()}
 
 
 def report_hashes(names, full: bool) -> None:
