@@ -2,7 +2,9 @@
 
 Each check is a quick, deterministic guard on a core contract; the whole
 suite runs in a few seconds and is meant as a smoke test after install
-or environment changes, not as a replacement for the test suite.
+or environment changes, not as a replacement for the test suite.  The error
+unitary and the chain reflection operator are built here, for the checks and
+the tests; no runner needs them.
 """
 
 from __future__ import annotations
@@ -177,6 +179,11 @@ def _check_husimi():
                             f"kernel vs frame contraction {worst:.1e}")
 
 
+def _error_unitary(u_true: np.ndarray, u_model: np.ndarray, n: int) -> np.ndarray:
+    """Error unitary after n steps: model forward, true backward."""
+    return np.linalg.matrix_power(u_model, n) @ np.linalg.matrix_power(u_true.conj().T, n)
+
+
 def _check_error_scrambling_identity():
     j = 4
     u_true, u_model = perturbation.perturbed_kicked_top(j, 3.0, 1.4, 0.01)
@@ -186,14 +193,23 @@ def _check_error_scrambling_identity():
     worst = 0.0
     for n in range(21):
         lhs = perturbation.operator_incompatibility(tl_t[n], tl_m[n], j=j)
-        uu = perturbation.error_unitary(u_true, u_model, n)
+        uu = _error_unitary(u_true, u_model, n)
         rhs = perturbation.operator_incompatibility(jx, uu.conj().T @ jx @ uu, j=j)
         worst = max(worst, abs(lhs - rhs))
     return worst < 1e-10, f"commutator vs error-unitary form differ by {worst:.1e}"
 
 
+def _reflection_operator(n_spins: int) -> np.ndarray:
+    """Permutation reversing the site order of an n-spin computational basis.
+
+    Acts on dimension 2^n by sending basis label b to its bit reversal r(b).
+    r is an involution, so that matrix is the identity with its rows permuted by r.
+    """
+    return np.eye(2**n_spins)[rmt._bit_reversal(n_spins)]
+
+
 def _check_rmt():
-    p = rmt.reflection_operator(4)
+    p = _reflection_operator(4)
     u = dynamics.tki_floquet(dynamics.KickedIsing(L=4))
     comm = np.max(np.abs(p @ u - u @ p))
     vbasis, dims = rmt.reflection_eigenbasis(4)

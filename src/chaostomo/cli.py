@@ -4,8 +4,8 @@
 preset), ``chaostomo presets`` lists the built-in parameter sets with
 their provenance, and ``chaostomo check`` runs the fast invariant suite.
 
-Exit codes: 0 success, 2 a configuration error (from validation, or
-from building the model or observable), 3 the
+Exit codes: 0 success, 2 a configuration error (from validation, which
+builds every model the run uses, or from building the observable), 3 the
 positivity solver hit its iteration cap somewhere (the CSV is still
 written from the last iterates; it carries no per-row flag).
 """

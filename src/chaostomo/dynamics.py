@@ -25,7 +25,7 @@ exact at these sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -69,9 +69,9 @@ TIMELINE_BLOCK = 64
 class KickedTop:
     """Spin-j kicked top: one period is exp(-i lam Jz^2 / 2j) exp(-i alpha Jx)."""
 
-    j: float
-    lam: float
-    alpha: float
+    j: float = 10
+    lam: float = 3.0
+    alpha: float = np.pi / 2
 
     def __post_init__(self):
         twoj = 2 * self.j
@@ -94,7 +94,7 @@ def _check_chain(L, site=None):
 class KickedIsing:
     """Periodically kicked Ising chain in a tilted field (Floquet step)."""
 
-    L: int
+    L: int = 5
     J: float = 1.0
     hx: float = 1.4
     hz: float = 1.4
@@ -111,7 +111,7 @@ class KickedIsing:
 class TiltedIsing:
     """Time-independent tilted-field Ising chain, evolved for duration dt per step."""
 
-    L: int
+    L: int = 5
     J: float = 1.0
     hx: float = 1.4
     hz: float = 0.1
@@ -131,20 +131,23 @@ class TiltedIsing:
 class XXZChain:
     """Heisenberg XXZ chain with a single-site impurity of strength g.
 
-    The impurity term is (g/2) sigma^axis at the 1-based ``site``; the
-    conventional axis is z, which preserves total S_z.  The y axis is kept
-    available as an option since both appear in the literature for this model.
+    The impurity term is (g/2) sigma^axis at the 1-based ``site``, by
+    default the middle of the chain, (L + 1) // 2; the conventional axis is
+    z, which preserves total S_z.  The y axis is kept available as an option
+    since both appear in the literature for this model.
     """
 
-    L: int
+    L: int = 5
     Jxy: float = 1.0
     Jzz: float = 1.1
     g: float = 0.0
-    site: int = 1
+    site: Optional[int] = None
     dt: float = 1.0
     impurity_axis: str = "z"
 
     def __post_init__(self):
+        if self.site is None:
+            object.__setattr__(self, "site", (self.L + 1) // 2)
         _check_chain(self.L, self.site)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -165,7 +168,7 @@ class HaarSteps:
     length reaches d^2 - 1.
     """
 
-    dim: int
+    dim: int = 8
     seed: int = 0
 
     def __post_init__(self):

@@ -46,15 +46,14 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
-# Each model kind: its spec type, and the config keys it takes with their
-# defaults.  The xxz impurity site defaults to the middle of the chain.
+# Each model kind's spec type.  Its fields are the config keys the kind takes, with
+# their defaults; the kicked top's ``lam`` is written ``lambda``.
 MODELS = {
-    "kicked_top": (dynamics.KickedTop, {"j": 10, "lambda": 3.0, "alpha": np.pi / 2}),
-    "kicked_ising": (dynamics.KickedIsing, {"L": 5, "J": 1.0, "hx": 1.4, "hz": 1.4}),
-    "tilted_ising": (dynamics.TiltedIsing, {"L": 5, "J": 1.0, "hx": 1.4, "hz": 0.1, "dt": 1.0}),
-    "xxz": (dynamics.XXZChain, {"L": 5, "Jxy": 1.0, "Jzz": 1.1, "g": 0.0, "site": None,
-                                "dt": 1.0, "impurity_axis": "z"}),
-    "haar": (dynamics.HaarSteps, {"dim": 8, "seed": 0}),
+    "kicked_top": dynamics.KickedTop,
+    "kicked_ising": dynamics.KickedIsing,
+    "tilted_ising": dynamics.TiltedIsing,
+    "xxz": dynamics.XXZChain,
+    "haar": dynamics.HaarSteps,
 }
 MODEL_KINDS = tuple(MODELS)
 # Knobs that set the Hilbert-space dimension.
@@ -81,8 +80,10 @@ def _is_real(value) -> bool:
 
 
 def _canonical(key, value):
-    """A model knob or sweep value as the config hash reads it: a float, but for sizes,
-    seeds, sites and words."""
+    """A model knob or sweep value as the config hash reads it: a float, but for seeds,
+    sites and words, and sizes, which are ints where integral."""
+    if key in SIZE_KNOBS and _is_real(value) and float(value).is_integer():
+        return int(value)
     return float(value) if _is_real(value) and key not in SIZE_KNOBS + ("seed", "site") else value
 
 
@@ -161,7 +162,7 @@ class ExperimentConfig:
         if not isinstance(param, str) or not isinstance(values, list) or not values:
             raise ConfigError("sweep", "a sweep with 'param' and a nonempty 'values' list "
                                        "is required")
-        known = MODELS[kind][1] if kind is not None else {"j": None}
+        known = [{"lam": "lambda"}.get(f.name, f.name) for f in fields(MODELS[kind])]
         for key, value in self.model.items():
             if key == "kind":
                 continue
@@ -169,11 +170,6 @@ class ExperimentConfig:
                 raise ConfigError(f"model.{key}",
                                   f"not a parameter of {kind}; known: {sorted(known)}")
             _check_value(f"model.{key}", key, value)
-        if kind is None:  # ordered-bloch sized by j alone, under the kicked top's rule
-            try:
-                dynamics.KickedTop(self.model.get("j", MODELS["kicked_top"][1]["j"]), 0.0, 0.0)
-            except ValueError as exc:
-                raise ConfigError("model.j", str(exc)) from None
         if self.experiment == "ordered-bloch":
             if param not in ORDERED_BLOCH_SWEEPS:
                 raise ConfigError("sweep.param", f"ordered-bloch sweeps one of "
@@ -194,14 +190,19 @@ class ExperimentConfig:
         for f in fields(self):
             if getattr(self, f.name) != f.default and f.name not in _reads(self):
                 raise ConfigError(f.name, f"{self.experiment} does not read it; leave it unset")
+        # build every model the run builds; ordered-bloch sweeps no model knob
+        overrides = [None] if self.experiment == "ordered-bloch" else [(param, v) for v in values]
+        for override in overrides:
+            _build_model(self.model, override)
         return self
 
     def resolved(self) -> dict:
         """Every field but the labels output_path and provenance; ``config_hash`` digests it.
 
         The real-valued fields, model knobs and sweep values are written as
-        floats, so ``theta: 0`` and ``theta: 0.0`` hash alike; sizes, seeds,
-        sites and words stay as written.  A valid config leaves each field its
+        floats, so ``theta: 0`` and ``theta: 0.0`` hash alike; seeds, sites and
+        words stay as written, and sizes are ints where integral (``j: 10.0``
+        hashes as ``j: 10``).  A valid config leaves each field its
         run does not read at its default (:func:`_reads`), so two valid configs
         of one experiment whose hashes differ differ in a value the run reads.
         """
@@ -219,18 +220,12 @@ class ExperimentConfig:
 
 
 def _build_model(model: dict, override: Optional[tuple] = None) -> dynamics.ModelSpec:
-    spec = dict(model)
-    kind = spec.pop("kind", None)
-    if kind not in MODELS:
-        raise ConfigError("model.kind", f"unknown kind {kind!r}")
+    params = dict(model)
     if override is not None:
-        spec[override[0]] = override[1]
-    model_type, defaults = MODELS[kind]
-    params = {**defaults, **spec}
-    if kind == "kicked_top":
+        params[override[0]] = override[1]
+    model_type = MODELS[params.pop("kind")]
+    if "lambda" in params:
         params["lam"] = params.pop("lambda")
-    if kind == "xxz" and params["site"] is None:
-        params["site"] = (params["L"] + 1) // 2
     try:
         return model_type(**params)
     except (TypeError, ValueError) as exc:
@@ -511,8 +506,7 @@ def _run_rmt_compare(cfg: ExperimentConfig, sweep: _Sweep):
 
 
 def _run_ordered_bloch(cfg: ExperimentConfig, sweep: _Sweep):
-    model = _build_model(cfg.model) if cfg.model.get("kind") else None
-    d = model.dim if model is not None else round(2 * cfg.model.get("j", 10)) + 1
+    d = _build_model(cfg.model).dim
     basis = gell_mann_basis(d)
     # every sweep value measures the same states, those of the first value's cells
     states = _draw_states(cfg, d, sweep.cells[:cfg.n_states])
@@ -534,10 +528,10 @@ def _run_ordered_bloch(cfg: ExperimentConfig, sweep: _Sweep):
             sweep.rows.add_means(value, ks, {"fidelity": fid})
 
 
-# Each experiment: its runner, the model kinds it takes (ordered-bloch may omit the
-# kind and give only the spin j), whether it runs at one Hilbert-space size (its
-# runner builds the observable and basis once, for the first sweep value), and the
-# config fields it reads besides _ALWAYS_READ, some only under a condition (_reads).
+# Each experiment: its runner, the model kinds it takes, whether it runs at one
+# Hilbert-space size (its runner builds the observable and basis once, for the first
+# sweep value), and the config fields it reads besides _ALWAYS_READ, some only under
+# a condition (_reads).
 _RECORD = ("observable", "steps", "eval_stride")
 _STATES = ("n_states", "state", "theta", "phi")
 _EXPERIMENTS = {
@@ -548,7 +542,7 @@ _EXPERIMENTS = {
                 _RECORD + ("sigma",) + _STATES + ("delta_lambda",)),
     "rmt-compare": (_run_rmt_compare, ("kicked_ising", "tilted_ising"), True,
                     _RECORD + ("n_samples",)),
-    "ordered-bloch": (_run_ordered_bloch, (None,) + MODEL_KINDS, False, _STATES),
+    "ordered-bloch": (_run_ordered_bloch, MODEL_KINDS, False, _STATES),
 }
 
 

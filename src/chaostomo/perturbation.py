@@ -33,7 +33,6 @@ __all__ = [
     "operator_loschmidt_echo",
     "operator_relative_entropy",
     "operator_incompatibility",
-    "error_unitary",
     "fractional_unitary_power",
     "ordered_perturbed_fidelity",
 ]
@@ -79,15 +78,6 @@ def operator_incompatibility(op_true: np.ndarray, op_model: np.ndarray, j: float
     """Squared commutator norm Tr(|[O(t), O'(t)]|^2) / (2 j^4), the spin-j convention."""
     comm = op_true @ op_model - op_model @ op_true
     return float(np.vdot(comm, comm).real / (2.0 * j**4))
-
-
-def error_unitary(u_true: np.ndarray, u_model: np.ndarray, n: int) -> np.ndarray:
-    """Error unitary after n steps: model forward, true backward."""
-    if u_true.shape != u_model.shape:
-        raise ValueError("propagator dimensions differ")
-    forward = np.linalg.matrix_power(u_model, n)
-    backward = np.linalg.matrix_power(u_true.conj().T, n)
-    return forward @ backward
 
 
 def fractional_unitary_power(u: np.ndarray, eta: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Random-matrix baselines: GOE and COE blocks in the reflection eigenbasis.
 
-Includes the spin-chain reflection (bit-reversal) operator and sampling of
-matrices that are block diagonal in its eigenbasis, used to compare chaotic
-spin-chain dynamics against the appropriate random-matrix ensemble.
+Includes the eigenbasis of the spin-chain reflection (bit-reversal) operator
+and sampling of matrices that are block diagonal in it, used to compare
+chaotic spin-chain dynamics against the appropriate random-matrix ensemble.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "haar_unitary",
-    "reflection_operator",
     "reflection_eigenbasis",
     "block_diagonal_sample",
 ]
@@ -39,20 +38,6 @@ def _bit_reversal(n_spins: int) -> np.ndarray:
     for bit in range(n_spins):
         perm |= ((labels >> bit) & 1) << (n_spins - 1 - bit)
     return perm
-
-
-def reflection_operator(n_spins: int) -> np.ndarray:
-    """Permutation reversing the site order of an n-spin computational basis.
-
-    Acts on dimension 2^n by sending basis label b to its bit reversal;
-    an involution.
-    """
-    if n_spins < 2:
-        raise ValueError("need at least 2 spins")
-    d = 2**n_spins
-    p = np.zeros((d, d))
-    p[_bit_reversal(n_spins), np.arange(d)] = 1.0
-    return p
 
 
 def reflection_eigenbasis(n_spins: int) -> tuple[np.ndarray, tuple[int, int]]:

@@ -10,6 +10,8 @@ import os
 import numpy as np
 import pytest
 
+from chaostomo.checks import _error_unitary as error_unitary
+from chaostomo.checks import _reflection_operator as reflection_operator
 from chaostomo.dynamics import (
     HaarSteps,
     KickedIsing,
@@ -26,7 +28,6 @@ from chaostomo.dynamics import (
 from chaostomo.krylov import arnoldi_unitary_dim, lanczos_full_orth, liouvillian
 from chaostomo.operator_space import bloch_encode, gell_mann_basis
 from chaostomo.perturbation import (
-    error_unitary,
     operator_incompatibility,
     operator_loschmidt_echo,
     perturbed_kicked_top,
@@ -37,7 +38,6 @@ from chaostomo.rmt import (
     block_diagonal_sample,
     haar_unitary,
     reflection_eigenbasis,
-    reflection_operator,
 )
 from chaostomo.tomography import (
     haar_random_pure,

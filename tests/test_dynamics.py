@@ -21,7 +21,8 @@ from chaostomo.dynamics import (
     tki_floquet,
     unitary_eigh,
 )
-from chaostomo.rmt import haar_unitary, reflection_operator
+from chaostomo.checks import _reflection_operator as reflection_operator
+from chaostomo.rmt import haar_unitary
 from helpers import stack
 
 

@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from chaostomo import dynamics, experiments, perturbation, tomography
+from chaostomo import dynamics, experiments, krylov, perturbation, tomography
 from chaostomo.cli import main
 from chaostomo.dynamics import angular_momentum_ops, classical_kicked_top_step
 from chaostomo.experiments import (
@@ -27,6 +27,29 @@ from chaostomo.rmt import haar_unitary
 def series(table, sweep_value: str, metric: str) -> np.ndarray:
     """Mean column of one (formatted sweep value, metric), in step order."""
     return np.array([r[4] for r in table.rows if r[1] == sweep_value and r[3] == metric])
+
+
+# configs whose every field passes its own check but whose model its spec rejects,
+# with the spec call that raises the run's message
+_KRYLOV = dict(experiment="krylov", observable="Sz", sweep={"param": "hz", "values": [0.1]})
+BAD_MODELS = {
+    "L-1": (dict(experiment="tomo", observable="s1y", model={"kind": "kicked_ising", "L": 1},
+                 sweep={"param": "hz", "values": [1.4]}), lambda: dynamics.KickedIsing(L=1)),
+    "krylov-L-sweep": (dict(_KRYLOV, model={"kind": "tilted_ising"},
+                            sweep={"param": "L", "values": [5, 1]}),
+                       lambda: dynamics.TiltedIsing(L=1)),
+    "site-7-at-L-3": (dict(_KRYLOV, model={"kind": "xxz", "L": 3, "site": 7},
+                           sweep={"param": "g", "values": [0.1]}),
+                      lambda: dynamics.XXZChain(L=3, site=7)),
+    "j-0.3": (dict(experiment="tomo", model={"kind": "kicked_top", "j": 0.3},
+                   sweep={"param": "lambda", "values": [3.0]}),
+              lambda: dynamics.KickedTop(j=0.3)),
+    "dt-negative": (dict(_KRYLOV, model={"kind": "tilted_ising", "dt": -1}),
+                    lambda: dynamics.TiltedIsing(dt=-1)),
+    "impurity-axis-x": (dict(_KRYLOV, model={"kind": "xxz", "impurity_axis": "x"},
+                             sweep={"param": "g", "values": [0.1]}),
+                        lambda: dynamics.XXZChain(impurity_axis="x")),
+}
 
 
 def tiny_tomo_config(**over):
@@ -84,12 +107,51 @@ class TestValidation:
         }
         # krylov rebuilds the model for each sweep value, so it takes every
         # knob as a sweep param, the size knobs included; it rejects haar,
-        # whose knobs tomo takes as model keys (its dim sweep is rejected below)
+        # whose knobs tomo takes as model keys (its dim sweep is rejected below).
+        # Validation builds each model, and no spec takes one spin, a 1 x 1 space or axis 1.
+        value = {"L": 2, "dim": 2, "impurity_axis": "y"}
         for kind, keys in knobs.items():
             for key in keys:
                 experiment, param = ("tomo", "seed") if kind == "haar" else ("krylov", key)
-                ExperimentConfig(experiment=experiment, model={"kind": kind, key: 1},
-                                 sweep={"param": param, "values": [1]}).validate()
+                model = {"kind": kind, key: value.get(key, 1)}
+                ExperimentConfig(experiment=experiment, model=model,
+                                 sweep={"param": param, "values": [value.get(param, 1)]}).validate()
+
+    def test_model_defaults_are_the_spec_fields(self):
+        # the defaults table that experiments.MODELS held, the xxz site at the middle
+        assert {kind: experiments._build_model({"kind": kind}) for kind in experiments.MODELS} == {
+            "kicked_top": dynamics.KickedTop(j=10, lam=3.0, alpha=np.pi / 2),
+            "kicked_ising": dynamics.KickedIsing(L=5, J=1.0, hx=1.4, hz=1.4),
+            "tilted_ising": dynamics.TiltedIsing(L=5, J=1.0, hx=1.4, hz=0.1, dt=1.0),
+            "xxz": dynamics.XXZChain(L=5, Jxy=1.0, Jzz=1.1, g=0.0, site=3, dt=1.0,
+                                     impurity_axis="z"),
+            "haar": dynamics.HaarSteps(dim=8, seed=0),
+        }
+        assert experiments._build_model({"kind": "xxz", "L": 4}).site == 2
+
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_model_rejected_with_its_spec_message(self, case):
+        config, spec = BAD_MODELS[case]
+        with pytest.raises(ValueError) as want:
+            spec()
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**config).validate()
+        assert err.value.fieldname == "model"
+        assert str(err.value) == f"config field 'model': {want.value}"
+
+    def test_size_sweep_fails_before_its_first_value(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(krylov, "lanczos_full_orth", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="need at least 2 spins, got L=1"):
+            run_experiment(ExperimentConfig(**BAD_MODELS["krylov-L-sweep"][0]))
+        assert calls == []
+
+    def test_kindless_ordered_bloch_rejected(self):
+        cfg = ExperimentConfig(experiment="ordered-bloch", model={"j": 2}, state="coherent",
+                               sweep={"param": "direction", "values": ["descending"]})
+        with pytest.raises(ConfigError, match="ordered-bloch takes one of") as err:
+            cfg.validate()
+        assert err.value.fieldname == "model.kind"
 
     @pytest.mark.parametrize("name", [*experiments._INTEGER_FIELDS, *experiments._REAL_FIELDS])
     def test_field_types(self, name):
@@ -157,7 +219,7 @@ _KT2 = dict(model={"kind": "kicked_top", "j": 2}, sweep={"param": "lambda", "val
 _TI2 = dict(observable="Sz", model={"kind": "tilted_ising", "L": 2},
             sweep={"param": "hz", "values": [1.4]})
 _KI2 = {**_TI2, "model": {"kind": "kicked_ising", "L": 2}}
-_OB = dict(model={"j": 2}, sweep={"param": "eta", "values": [0.1]})
+_OB = dict(model={"kind": "kicked_top", "j": 2}, sweep={"param": "eta", "values": [0.1]})
 _COHERENT = {"state": "coherent"}
 UNREAD = {
     "phase-space": ("phase-space", _KT2, "sigma", 0.5, None),
@@ -385,7 +447,7 @@ class TestConfigHash:
             assert (other.config_hash() == base.config_hash()) == same, f.name
 
     def test_real_values_hash_as_floats(self):
-        # an int where a real is read hashes as its float; a size stays as written
+        # an int where a real is read hashes as its float; a size as an int where integral
         def digest(**over):
             return tiny_tomo_config(state="coherent", **over).config_hash()
 
@@ -395,7 +457,7 @@ class TestConfigHash:
         assert (digest(sweep={"param": "lambda", "values": [7]})
                 == digest(sweep={"param": "lambda", "values": [7.0]}))
         assert (digest(model={"kind": "kicked_top", "j": 2})
-                != digest(model={"kind": "kicked_top", "j": 2.0}))
+                == digest(model={"kind": "kicked_top", "j": 2.0}))
 
 
 class TestPresets:
@@ -497,15 +559,6 @@ class TestSmallRuns:
         down = series(table, "descending", "bloch_value")
         up = series(table, "ascending", "bloch_value")
         assert np.all(down >= up - 1e-12)
-
-    def test_ordered_bloch_size_from_j(self):
-        # without a model kind the space is 2j + 1 dimensional, as with one
-        runs = [run_experiment(ExperimentConfig(
-            experiment="ordered-bloch", model=model, state="coherent",
-            sweep={"param": "direction", "values": ["descending"]}))
-            for model in ({"j": 2}, {"kind": "kicked_top", "j": 2})]
-        assert runs[0].rows == runs[1].rows
-        assert max(r[2] for r in runs[0].rows) == 5 * 5 - 1
 
     def test_perturb_small(self):
         cfg = ExperimentConfig(
@@ -834,6 +887,16 @@ class TestCli:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("case", BAD_MODELS)
+    def test_bad_model_exit_code(self, tmp_path, case):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(BAD_MODELS[case][0]))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert "config field 'model'" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("case", UNREAD)
     def test_unread_field_exit_code(self, tmp_path, case):
         experiment, base, name, value, _ = UNREAD[case]
@@ -886,13 +949,13 @@ class TestCli:
           "sweep": {"param": "direction", "values": ["up"]}}, "sweep.values"),
         ({"experiment": "ordered-bloch", "model": {"kind": "kicked_top", "j": 2},
           "sweep": {"param": "eta", "values": ["abc"]}}, "sweep.values"),
-        ({"experiment": "ordered-bloch", "model": {"j": 0.3},
-          "sweep": {"param": "eta", "values": [0.1]}}, "model.j"),
+        ({"experiment": "tomo", "model": {"kind": "kicked_top", "j": 0.3},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "model"),
         ({"experiment": "tomo", "observable": 5, "model": {"kind": "kicked_ising", "L": 2},
           "sweep": {"param": "hz", "values": [1.4]}}, "observable"),
         ({"experiment": "tomo", "output_path": 7, "model": {"kind": "kicked_top", "j": 2},
           "sweep": {"param": "lambda", "values": [3.0]}}, "output_path"),
-    ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta", "kindless-j",
+    ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta", "model-j",
             "observable", "output-path"])
     def test_wrong_type_exit_code(self, tmp_path, cfg, fieldname):
         path = tmp_path / "bad.yaml"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from chaostomo.checks import _error_unitary as error_unitary
 from chaostomo.dynamics import angular_momentum_ops, heisenberg_timeline
 from chaostomo.operator_space import bloch_encode, gell_mann_basis
 from chaostomo.perturbation import (
-    error_unitary,
     fractional_unitary_power,
     operator_incompatibility,
     operator_loschmidt_echo,

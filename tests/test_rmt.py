@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from chaostomo.checks import _reflection_operator as reflection_operator
 from chaostomo.dynamics import KickedIsing, tki_floquet
 from chaostomo.rmt import (
     block_diagonal_sample,
     haar_unitary,
     reflection_eigenbasis,
-    reflection_operator,
 )
 
 

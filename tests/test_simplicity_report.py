@@ -41,3 +41,13 @@ def test_lines_prints_settable_fields_per_mode(capsys):
     lines = capsys.readouterr().out.splitlines()
     for (name, mode), count in counts.items():
         assert f"{name:<15} {mode:<24} {count:>15}" in lines
+
+
+def test_lines_prints_knobs_per_model_kind(capsys):
+    report = load_report()
+    knobs = report.model_knobs(report.SRC)
+    assert knobs == {"kicked_top": 3, "kicked_ising": 4, "tilted_ising": 5, "xxz": 7, "haar": 2}
+    report.report_lines(report.SRC)
+    lines = capsys.readouterr().out.splitlines()
+    for kind, count in knobs.items():
+        assert f"{kind:<15} {count:>15}" in lines

@@ -7,9 +7,10 @@
 SRC_DIR is given), its total lines and its code lines: non-blank lines that
 are neither comment-only (by ``tokenize``) nor part of a docstring (by
 ``ast``).  It also prints how many names the modules' ``__all__`` lists hold,
-and how many config fields a run of each experiment mode of ``MODES`` takes:
+how many config fields a run of each experiment mode of ``MODES`` takes:
 the ones it reads, any other field being a config error unless left at its
-default.
+default, and how many knobs each model kind takes: the fields of its
+``dynamics`` spec.
 
 ``hashes`` runs every preset, or the named ones, and prints the sha256 of
 each CSV and its run time.  By default each preset runs the small recipe of
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import io
 import os
@@ -111,19 +113,40 @@ def report_lines(src: Path) -> None:
     print(f"\n{'experiment':<15} {'mode':<24} {'settable fields':>15}")
     for (name, mode), count in counts.items():
         print(f"{name:<15} {mode:<24} {count:>15}")
+    knobs = model_knobs(src)
+    if knobs is None:
+        print("\nno table of spec classes (experiments.MODELS) in this tree")
+        return
+    print(f"\n{'model kind':<15} {'settable knobs':>15}")
+    for kind, count in knobs.items():
+        print(f"{kind:<15} {count:>15}")
+
+
+def _experiments(src: Path):
+    sys.path.insert(0, str(src.parent))
+    from chaostomo import experiments
+
+    return experiments
 
 
 def settable_fields(src: Path):
     """Config fields a run of each (experiment, mode) of ``MODES`` takes in the package at
     ``src``, by its read rule; None for a tree without that rule."""
-    sys.path.insert(0, str(src.parent))
-    from chaostomo import experiments
-
+    experiments = _experiments(src)
     reads = getattr(experiments, "_reads", None)
     if reads is None:
         return None
     return {(name, mode): len(reads(experiments.ExperimentConfig(experiment=name, **over)))
             for (name, mode), over in MODES.items()}
+
+
+def model_knobs(src: Path):
+    """Knobs of each model kind in the package at ``src``: the fields of its spec; None
+    for a tree whose ``experiments.MODELS`` maps a kind to more than its spec class."""
+    models = _experiments(src).MODELS
+    if not all(dataclasses.is_dataclass(spec) for spec in models.values()):
+        return None
+    return {kind: len(dataclasses.fields(spec)) for kind, spec in models.items()}
 
 
 def report_hashes(names, full: bool) -> None:
