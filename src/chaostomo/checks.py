@@ -3,11 +3,14 @@
 Each check is a quick, deterministic guard on a core contract; the whole
 suite runs in a few seconds and is meant as a smoke test after install
 or environment changes, not as a replacement for the test suite.  The error
-unitary and the chain reflection operator are built here, for the checks and
+unitary, the chain reflection operator, the dense Krylov vectors and the
+Liouvillian on full operator coordinates are built here, for the checks and
 the tests; no runner needs them.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -137,15 +140,39 @@ def _check_psd_projection():
     return ok, "qubit Bloch-ball projection matches the analytic point"
 
 
+def _rotate(vec: np.ndarray, m: int, freqs: np.ndarray) -> np.ndarray:
+    """Generator on coordinates (m frozen, c_1..c_n, s_1..s_n): (c_j, s_j) -> w_j (-s_j, c_j).
+
+    With m = d and the Liouvillian's ``pair_gaps`` as the w_j, this is
+    X -> i[H, X] on the d^2 coordinates of ``Liouvillian.coords``.
+    """
+    n = len(freqs)
+    out = np.zeros_like(vec)
+    out[m : m + n] = -freqs * vec[m + n :]
+    out[m + n :] = freqs * vec[m : m + n]
+    return out
+
+
+def _krylov_vectors(kb: krylov.KrylovBasis) -> np.ndarray:
+    """Dense (K, d^2) operator coordinates of the Krylov vectors P_0..P_{K-1}."""
+    # within one half no two frame rows share a coordinate, so each
+    # coordinate of P_k is one frame entry times one frame coordinate of P_k
+    out = np.zeros((kb.dim_k, kb.generator.operator_basis.dim ** 2))
+    for par, (q, (r, c, v)) in enumerate(zip(kb.blocks, kb.rows)):
+        out[par::2, c] = q[:, r] * v
+    return out
+
+
 def _check_krylov():
     h = dynamics.hamiltonian(dynamics.TiltedIsing(L=2, hx=1.4, hz=1.4))
     o = dynamics.pauli_site("y", 1, 2) / 2
     liou = krylov.liouvillian(h)
     kb = krylov.lanczos_full_orth(liou, o)
-    vectors = kb.vectors()
+    vectors = _krylov_vectors(kb)
     orth = np.max(np.abs(vectors @ vectors.T - np.eye(kb.dim_k)))
     # the basis turns the generator into the antisymmetric tridiagonal of the b_k
-    t = vectors @ np.array([liou.apply(v) for v in vectors]).T
+    d = liou.operator_basis.dim
+    t = vectors @ np.array([_rotate(v, d, liou.pair_gaps) for v in vectors]).T
     tri = np.max(np.abs(t - np.diag(kb.lanczos_b, -1) + np.diag(kb.lanczos_b, 1)))
     times = (0.0, 1.3)
     phi = krylov.krylov_amplitudes(o, kb, times)
@@ -186,7 +213,10 @@ def _error_unitary(u_true: np.ndarray, u_model: np.ndarray, n: int) -> np.ndarra
 
 def _check_error_scrambling_identity():
     j = 4
-    u_true, u_model = perturbation.perturbed_kicked_top(j, 3.0, 1.4, 0.01)
+    model = dynamics.KickedTop(j=j, lam=3.0, alpha=1.4)
+    # the record's top kicks with lam + delta_lambda, the estimator's with lam
+    u_true = dynamics.build_propagator(replace(model, lam=model.lam + 0.01))
+    u_model = dynamics.build_propagator(model)
     jx = dynamics.angular_momentum_ops(j)[0]
     tl_t = dynamics.heisenberg_timeline(jx, u_true, 20)
     tl_m = dynamics.heisenberg_timeline(jx, u_model, 20)

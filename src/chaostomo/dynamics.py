@@ -65,6 +65,14 @@ _PAULI = {"x": _SX, "y": _SY, "z": _SZ}
 TIMELINE_BLOCK = 64
 
 
+def _spin_dim(j: float) -> int:
+    """The dimension 2j + 1 of spin j; raises unless j is a positive half-integer."""
+    twoj = 2 * j
+    if j <= 0 or abs(twoj - round(twoj)) > 1e-12:
+        raise ValueError(f"j must be a positive half-integer, got {j}")
+    return round(twoj) + 1
+
+
 @dataclass(frozen=True)
 class KickedTop:
     """Spin-j kicked top: one period is exp(-i lam Jz^2 / 2j) exp(-i alpha Jx)."""
@@ -74,13 +82,11 @@ class KickedTop:
     alpha: float = np.pi / 2
 
     def __post_init__(self):
-        twoj = 2 * self.j
-        if self.j <= 0 or abs(twoj - round(twoj)) > 1e-12:
-            raise ValueError(f"j must be a positive half-integer, got {self.j}")
+        _spin_dim(self.j)
 
     @property
     def dim(self) -> int:
-        return round(2 * self.j) + 1
+        return _spin_dim(self.j)
 
 
 def _check_chain(L, site=None):
@@ -213,10 +219,7 @@ def angular_momentum_ops(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Built from the ladder operators with <m+1|J_+|m> = sqrt((j-m)(j+m+1)).
     """
-    twoj = 2 * j
-    if j <= 0 or abs(twoj - round(twoj)) > 1e-12:
-        raise ValueError(f"j must be a positive half-integer, got {j}")
-    d = round(twoj) + 1
+    d = _spin_dim(j)
     m = j - np.arange(d)  # descending: j, j-1, ..., -j
     jp = np.zeros((d, d))
     # J+ raises m; with descending ordering it maps index i+1 -> i

@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -155,9 +155,6 @@ class ExperimentConfig:
         if kind not in kinds:
             raise ConfigError("model.kind", f"{self.experiment} takes one of {kinds}, "
                                             f"got {kind!r}")
-        if self.experiment == "krylov" and kind == "haar":
-            raise ConfigError("model.kind", "krylov needs a fixed generator, and haar draws "
-                                            "a fresh unitary every step")
         param, values = self.sweep.get("param"), self.sweep.get("values")
         if not isinstance(param, str) or not isinstance(values, list) or not values:
             raise ConfigError("sweep", "a sweep with 'param' and a nonempty 'values' list "
@@ -403,8 +400,9 @@ def _run_perturb(cfg: ExperimentConfig, sweep: _Sweep):
     # operator metrics compare the timeline entries measured at row n
     at = [n - 1 for n in eval_steps]
     for value, model, rngs in sweep:
-        u_true, u_model = perturbation.perturbed_kicked_top(model.j, model.lam, model.alpha,
-                                                            cfg.delta_lambda)
+        # the record's top kicks with lam + delta_lambda, the estimator's with lam
+        u_true = dynamics.build_propagator(replace(model, lam=model.lam + cfg.delta_lambda))
+        u_model = dynamics.build_propagator(model)
         states = _draw_states(cfg, basis.dim, rngs)
         _, expected, true_ops = tomography.read_timeline(observable, n_rows, u_true,
                                                          states=states, keep=at)
@@ -523,7 +521,7 @@ def _run_ordered_bloch(cfg: ExperimentConfig, sweep: _Sweep):
         else:  # eta sweep: fidelity with a perturbed measured basis
             value = float(value)
             w = perturbation.fractional_unitary_power(u_r, value)
-            fid = np.array([perturbation.ordered_perturbed_fidelity(psi, basis, w)
+            fid = np.array([quantifiers.ordered_perturbed_fidelity(psi, basis, w)
                             for psi in states])
             sweep.rows.add_means(value, ks, {"fidelity": fid})
 
@@ -537,7 +535,9 @@ _STATES = ("n_states", "state", "theta", "phi")
 _EXPERIMENTS = {
     "phase-space": (_run_phase_space, ("kicked_top",), True, _RECORD + ("mode", "n_trajectories")),
     "tomo": (_run_tomo, MODEL_KINDS, True, _RECORD + ("sigma",) + _STATES),
-    "krylov": (_run_krylov, MODEL_KINDS, False, _RECORD),
+    # haar draws a fresh unitary every step, and krylov needs a fixed generator
+    "krylov": (_run_krylov, ("kicked_top", "kicked_ising", "tilted_ising", "xxz"), False,
+               _RECORD),
     "perturb": (_run_perturb, ("kicked_top",), True,
                 _RECORD + ("sigma",) + _STATES + ("delta_lambda",)),
     "rmt-compare": (_run_rmt_compare, ("kicked_ising", "tilted_ising"), True,

@@ -42,9 +42,9 @@ as each row's nonzero entries (at most d^2 per half), and the Lanczos
 vectors as two blocks, the even ones over the m + n rows of the first
 half and the odd ones over the n rows of the second: (m + n)^2 + n^2
 doubles, where dense operator coordinates take K d^2 for the basis and as
-much again for the frame (8.4 MB at d = 32, K = 513).  Those dense
-(K, d^2) coordinates are built only on request, by
-:meth:`KrylovBasis.vectors`.
+much again for the frame (8.4 MB at d = 32, K = 513).  No run forms
+those dense (K, d^2) coordinates; only the invariant checks
+(:mod:`chaostomo.checks`) build them from the blocks.
 
 Either way the span dimension is capped at d^2 - d + 1: the operators that
 commute with the generator form a space of dimension at least d, and the
@@ -86,15 +86,6 @@ __all__ = [
 ]
 
 
-def _rotate(vec: np.ndarray, m: int, freqs: np.ndarray) -> np.ndarray:
-    """Generator on coordinates (m frozen, c_1..c_n, s_1..s_n): (c_j, s_j) -> w_j (-s_j, c_j)."""
-    n = len(freqs)
-    out = np.zeros_like(vec)
-    out[m : m + n] = -freqs * vec[m + n :]
-    out[m + n :] = freqs * vec[m : m + n]
-    return out
-
-
 def _merge_gaps(gaps: np.ndarray, tol: float) -> np.ndarray:
     """Gaps with every run of values within ``tol`` of its smallest set to that value.
 
@@ -120,7 +111,7 @@ class Liouvillian:
     generator multiplies entry (a, b) by i(E_a - E_b): it rotates the
     symmetric and antisymmetric Bloch coordinates (s, t) of each pair
     a > b into w (-t, s), w = E_a - E_b, and annihilates the identity and
-    diagonal coordinates.  ``apply`` is thus elementwise and O(d^2).
+    diagonal coordinates, so it is applied elementwise and never formed.
     """
 
     eigenvectors: np.ndarray
@@ -133,9 +124,6 @@ class Liouvillian:
         x = self.eigenvectors.conj().T @ op @ self.eigenvectors
         trace = np.trace(x).real / np.sqrt(len(x))
         return np.concatenate([[trace], bloch_encode(x, self.operator_basis)])
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return _rotate(vec, self.operator_basis.dim, self.pair_gaps)
 
 
 def liouvillian(h: np.ndarray) -> Liouvillian:
@@ -176,11 +164,11 @@ def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
     row, the part of ``vec`` the generator annihilates.  Each distinct
     nonzero gap w adds the part u of ``vec`` on the pairs with that gap and
     its rotation J u, on which the generator acts as w times a rotation.
-    The rows are ordered (zero-frequency, u_1..u_n, J u_1..J u_n) for
-    :func:`_rotate`.  Returns the row count m + 2n, the number m of
-    zero-frequency rows, the gaps w_j, and the nonzero entries of each
-    half, (zero-frequency, u) and J u, as (row within the half, coordinate,
-    value) arrays; within one half no two entries share a coordinate.
+    The rows are ordered (zero-frequency, u_1..u_n, J u_1..J u_n).
+    Returns the row count m + 2n, the number m of zero-frequency rows, the
+    gaps w_j, and the nonzero entries of each half, (zero-frequency, u) and
+    J u, as (row within the half, coordinate, value) arrays; within one
+    half no two entries share a coordinate.
     """
     d, gaps = liou.operator_basis.dim, liou.pair_gaps
     s = len(gaps)
@@ -218,8 +206,7 @@ class KrylovBasis:
     (zero-frequency, u) rows and P_1, P_3, ... over the J u rows, and
     ``rows`` holds those two halves' sparse entries.  The blocks take
     (m + n)^2 + n^2 doubles for m + 2n frame rows, and the rows at most
-    d^2 entries per half, against K d^2 doubles for the dense vectors,
-    which :meth:`vectors` builds only on request.
+    d^2 entries per half, against K d^2 doubles for the dense vectors.
     """
 
     blocks: tuple  # ((K + 1) // 2, m + n) and (K // 2, n) frame coordinates
@@ -228,18 +215,6 @@ class KrylovBasis:
     dim_k: int
     initial_norm: float
     generator: Liouvillian  # in whose coordinates the frame rows are
-
-    def __len__(self):
-        return self.dim_k
-
-    def vectors(self) -> np.ndarray:
-        """Dense (K, d^2) operator coordinates of P_0..P_{K-1}."""
-        # within one half no two frame rows share a coordinate, so each
-        # coordinate of P_k is one frame entry times one frame coordinate of P_k
-        out = np.zeros((self.dim_k, self.generator.operator_basis.dim ** 2))
-        for par, (q, (r, c, v)) in enumerate(zip(self.blocks, self.rows)):
-            out[par::2, c] = q[:, r] * v
-        return out
 
 
 def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
@@ -273,7 +248,7 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     while k < m + 2 * n:
         par = k % 2
         prev = q[1 - par][(k - 1) // 2]
-        # _rotate restricted to one parity: u_j -> w_j J u_j, J u_j -> -w_j u_j
+        # the generator on one parity: u_j -> w_j J u_j, J u_j -> -w_j u_j
         w = freqs * prev[m:] if par else np.concatenate([np.zeros(m), -freqs * prev])
         basis = q[par][: k // 2]
         for _ in range(2):

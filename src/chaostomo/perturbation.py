@@ -15,37 +15,32 @@ the information gain.  Three operator-level quantities track that decay:
 
 Convention throughout: the unprimed/true propagator generates the
 measurement record; the primed/model propagator is what the estimator
-believes and enters the covariance.
+believes and enters the covariance.  Both come from
+:func:`~chaostomo.dynamics.build_propagator`; the true kicked top kicks
+with lam + delta_lambda.
+
+Also here: :func:`fractional_unitary_power`, the rotation U^eta of the
+measured basis in the perturbed-basis analysis
+(:func:`~chaostomo.quantifiers.ordered_perturbed_fidelity`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import KickedTop, kicked_top_floquet, unitary_eigh
-from .operator_space import HermitianBasis, bloch_encode, regularize_operator
-from .quantifiers import _magnitude_order
+from .dynamics import unitary_eigh
+from .operator_space import regularize_operator
 # unused here; the benchmark tracer (bench/layers.py) wraps this alias
 from .tomography import reconstruct_series  # noqa: F401
 
 __all__ = [
-    "perturbed_kicked_top",
     "operator_loschmidt_echo",
     "operator_relative_entropy",
     "operator_incompatibility",
     "fractional_unitary_power",
-    "ordered_perturbed_fidelity",
 ]
 
 EIG_CLAMP = 1e-12
-
-
-def perturbed_kicked_top(
-    j: float, lam: float, alpha: float, delta_lambda: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kicked-top steps (u_true, u_model): the true top kicks with lam + delta_lambda."""
-    return (kicked_top_floquet(KickedTop(j=j, lam=lam + delta_lambda, alpha=alpha)),
-            kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=alpha)))
 
 
 def operator_loschmidt_echo(op_true: np.ndarray, op_model: np.ndarray, op0: np.ndarray) -> float:
@@ -92,26 +87,3 @@ def fractional_unitary_power(u: np.ndarray, eta: float) -> np.ndarray:
     phases = np.where(np.abs(phases - np.pi) < 1e-15, np.pi - 1e-12, phases)
     return (z * np.exp(1j * eta * phases)) @ z.conj().T
 
-
-def ordered_perturbed_fidelity(
-    psi0: np.ndarray,
-    basis: HermitianBasis,
-    w: np.ndarray,
-    direction: str = "descending",
-) -> np.ndarray:
-    """Zero-noise fidelity after k ordered single-direction measurements.
-
-    The estimator believes it measures the ideal elements E_a in order of
-    the state's |r_a| (:func:`~chaostomo.quantifiers.ordered_bloch_values`),
-    but the record reports the rotated elements W E_a W^dag, for instance
-    W = U_r^eta from :func:`fractional_unitary_power`.  Their expectations
-    Tr(rho W E_a W^dag) are the Bloch components of the rotated state
-    W^dag psi0.  The k-th fidelity is 1/d + sum_{i<=k} r'_i r_i with r' the
-    measured values and the unmeasured components estimated as zero.
-    """
-    rho0 = np.outer(psi0, psi0.conj())
-    r_true = bloch_encode(rho0, basis)
-    phi = w.conj().T @ psi0
-    r_meas = bloch_encode(np.outer(phi, phi.conj()), basis)
-    order = _magnitude_order(r_true, direction)
-    return 1.0 / basis.dim + np.cumsum(r_true[order] * r_meas[order])

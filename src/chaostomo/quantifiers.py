@@ -10,9 +10,10 @@ Each measure takes the design's singular values s, descending (the
 eigenvalues of C^-1 are s^2), and cuts the measured subspace as
 :func:`~chaostomo.tomography.measured_rank` does.
 
-Also here: the ordered-measurement analysis (how fast fidelity can rise
+Also here: the ordered-measurement analysis, how fast fidelity can rise
 when basis elements are measured in decreasing order of their Bloch
-weight).
+weight, with ideal measurements (:func:`ordered_bloch_values`) or with a
+rotated measured basis (:func:`ordered_perturbed_fidelity`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "mutual_information",
     "quantifier_series",
     "ordered_bloch_values",
+    "ordered_perturbed_fidelity",
 ]
 
 
@@ -126,3 +128,27 @@ def ordered_bloch_values(
     r = bloch_encode(np.asarray(rho0, dtype=complex), basis)
     partial = np.cumsum(r[_magnitude_order(r, direction)] ** 2)
     return partial, 1.0 / basis.dim + partial
+
+
+def ordered_perturbed_fidelity(
+    psi0: np.ndarray,
+    basis: HermitianBasis,
+    w: np.ndarray,
+    direction: str = "descending",
+) -> np.ndarray:
+    """Zero-noise fidelity after k ordered single-direction measurements.
+
+    The estimator believes it measures the ideal elements E_a in order of
+    the state's |r_a| (:func:`ordered_bloch_values`), but the record
+    reports the rotated elements W E_a W^dag, for instance W = U_r^eta from
+    :func:`~chaostomo.perturbation.fractional_unitary_power`.  Their
+    expectations Tr(rho W E_a W^dag) are the Bloch components of the
+    rotated state W^dag psi0.  The k-th fidelity is 1/d + sum_{i<=k} r'_i r_i with r' the
+    measured values and the unmeasured components estimated as zero.
+    """
+    rho0 = np.outer(psi0, psi0.conj())
+    r_true = bloch_encode(rho0, basis)
+    phi = w.conj().T @ psi0
+    r_meas = bloch_encode(np.outer(phi, phi.conj()), basis)
+    order = _magnitude_order(r_true, direction)
+    return 1.0 / basis.dim + np.cumsum(r_true[order] * r_meas[order])

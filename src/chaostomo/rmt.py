@@ -44,27 +44,16 @@ def reflection_eigenbasis(n_spins: int) -> tuple[np.ndarray, tuple[int, int]]:
     """Orthonormal eigenbasis of the reflection operator, grouped by eigenvalue.
 
     Returns (V, (n_plus, n_minus)) where the first n_plus columns of V span
-    the +1 eigenspace (palindromic labels, then symmetrized pairs) and the
-    remaining n_minus columns span the -1 eigenspace.
+    the +1 eigenspace and the remaining n_minus columns the -1 eigenspace.
+    With r the bit reversal, the +1 columns are e_b + e_r(b), normalized, for
+    each label b <= r(b), and the -1 columns (e_b - e_r(b)) / sqrt(2) for
+    each b < r(b), both in increasing b.
     """
-    d = 2**n_spins
-    perm = _bit_reversal(n_spins)
-    plus, minus = [], []
-    for b in range(d):
-        pb = perm[b]
-        if pb == b:
-            v = np.zeros(d)
-            v[b] = 1.0
-            plus.append(v)
-        elif pb > b:
-            v = np.zeros(d)
-            v[b] = v[pb] = 1.0 / np.sqrt(2.0)
-            plus.append(v)
-            w = np.zeros(d)
-            w[b], w[pb] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
-            minus.append(w)
-    basis = np.column_stack(plus + minus)
-    return basis, (len(plus), len(minus))
+    eye, perm = np.eye(2**n_spins), _bit_reversal(n_spins)
+    labels = np.arange(2**n_spins)
+    keep, pairs = labels[perm >= labels], labels[perm > labels]
+    basis = np.hstack([eye[:, keep] + eye[:, perm[keep]], eye[:, pairs] - eye[:, perm[pairs]]])
+    return basis / np.linalg.norm(basis, axis=0), (len(keep), len(pairs))
 
 
 def block_diagonal_sample(

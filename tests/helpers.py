@@ -7,7 +7,10 @@ which the library keeps sparse.  ``lanczos_full_vector`` is the reference
 for ``lanczos_full_orth``: the same recursion on full-length frame vectors,
 re-orthogonalized against every earlier vector.  ``stepwise_amplitudes``
 is the reference for ``krylov_amplitudes``: each O(t) evolved on its own
-and projected.
+and projected.  ``apply_generator`` is the Liouvillian on full operator
+coordinates.
+``perturbed_kicked_top`` is the (true, model) step pair of the perturb
+runner.
 ``run_tomography`` is the record-to-fidelity pipeline of the experiment
 runners in one call.  ``timeline_covariance`` and ``timeline_record`` take
 a collected fixed-step (N + 1, d, d) timeline: the first reads the
@@ -16,12 +19,15 @@ contracts a state with every entry as ``read_timeline`` does.  ``stack``
 collects the blocks of any timeline, random-control ones included.
 """
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import schur
 
-from chaostomo.krylov import _invariant_frame, _observable_coords, _rotate, evolve_operator
+from chaostomo.checks import _krylov_vectors, _rotate
+from chaostomo.dynamics import KickedTop, build_propagator
+from chaostomo.krylov import _invariant_frame, _observable_coords, evolve_operator
 from chaostomo.operator_space import gell_mann_basis
 from chaostomo.tomography import generate_record, model_step, read_timeline, reconstruct_series
 
@@ -96,7 +102,22 @@ def lanczos_full_vector(liou, initial):
 def stepwise_amplitudes(h, op, basis, times):
     """Amplitudes phi_k(t), (T, K): each evolve_operator(h, op, t) projected on the basis."""
     coords = [basis.generator.coords(evolve_operator(h, op, t)) for t in times]
-    return np.array(coords) @ basis.vectors().T / basis.initial_norm
+    return np.array(coords) @ _krylov_vectors(basis).T / basis.initial_norm
+
+
+def apply_generator(liou, v):
+    """X -> i[H, X] on the d^2 coordinates ``v`` of ``liou.coords``."""
+    return _rotate(v, liou.operator_basis.dim, liou.pair_gaps)
+
+
+def perturbed_kicked_top(j, lam, alpha, delta_lambda):
+    """Kicked-top steps (u_true, u_model) as the perturb runner builds them.
+
+    The true top kicks with lam + delta_lambda.
+    """
+    model = KickedTop(j=j, lam=lam, alpha=alpha)
+    return (build_propagator(replace(model, lam=model.lam + delta_lambda)),
+            build_propagator(model))
 
 
 def run_tomography(

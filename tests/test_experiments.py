@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from chaostomo import dynamics, experiments, krylov, perturbation, tomography
+from chaostomo import dynamics, experiments, krylov, quantifiers, tomography
 from chaostomo.cli import main
 from chaostomo.dynamics import angular_momentum_ops, classical_kicked_top_step
 from chaostomo.experiments import (
@@ -708,7 +708,7 @@ class TestSeedLayout:
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_ordered_bloch_same_states_at_every_value(self, monkeypatch):
-        seen = self.capture(monkeypatch, perturbation, "ordered_perturbed_fidelity", 0)
+        seen = self.capture(monkeypatch, quantifiers, "ordered_perturbed_fidelity", 0)
         run_experiment(ExperimentConfig(
             experiment="ordered-bloch", model={"kind": "kicked_top", "j": 1}, state="haar",
             n_states=2, seed=4, sweep={"param": "eta", "values": [0.0, 0.1, 0.2]}))

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -49,3 +50,21 @@ def test_benchmark_tracer_targets_resolve():
         assert all(owner.__dict__[attr] is not fn for (owner, attr), fn in zip(sites, originals))
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in zip(sites, originals))
     assert np.linalg.eigh is eigh
+
+
+def test_runtime_imports_no_private_names():
+    # a private name has one home: only checks and cli, which sit outside the
+    # runtime, may reach into another chaostomo module for one
+    package = Path(chaostomo.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("checks", "cli"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "chaostomo":
+                continue
+            found += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    assert not found

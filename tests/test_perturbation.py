@@ -9,16 +9,15 @@ from chaostomo.perturbation import (
     operator_incompatibility,
     operator_loschmidt_echo,
     operator_relative_entropy,
-    ordered_perturbed_fidelity,
-    perturbed_kicked_top,
 )
+from chaostomo.quantifiers import ordered_perturbed_fidelity
 from chaostomo.rmt import haar_unitary
 from chaostomo.tomography import (
     haar_random_pure,
     reconstruct_series,
 )
 from chaostomo.dynamics import KickedTop
-from helpers import run_tomography, timeline_covariance, timeline_record
+from helpers import perturbed_kicked_top, run_tomography, timeline_covariance, timeline_record
 
 
 @pytest.fixture(scope="module")
