@@ -87,7 +87,8 @@ def _check_trace_identity():
 
 
 def _check_factored_design():
-    # the eigenframe span against the plain SVD, where the span limits the rank
+    # the orbit frame's span against the plain SVD and the orbit count, where
+    # the span limits the rank
     cases = {
         "kicked Ising hz=0": (dynamics.KickedIsing(L=4, hz=0.0), dynamics.pauli_site("y", 1, 4) / 2),
         "XXZ g=0": (dynamics.XXZChain(L=4, g=0.0),
@@ -98,7 +99,7 @@ def _check_factored_design():
         u = dynamics.build_propagator(model)
         cov = tomography.read_timeline(obs, 512, u, gell_mann_basis(16))[0]
         if cov.span is None:
-            return False, f"{name}: no eigenframe span"
+            return False, f"{name}: no orbit span"
         k = len(cov.span)
         orth = np.max(np.abs(cov.span @ cov.span.T - np.eye(k)))
         coords = cov.design @ cov.span.T
@@ -106,13 +107,13 @@ def _check_factored_design():
         plain = tomography.CovarianceData(cov.design)
         s_plain, s = plain.singular_values(), cov.singular_values()
         dev = np.max(np.abs(s_plain - np.pad(s, (0, len(s_plain) - len(s))))) / s_plain[0]
-        rank = cov.rank()
+        rank, orbit = cov.rank(), krylov.arnoldi_unitary_dim(u, obs)
         ok = (orth <= 1e-12 and resid <= 1e-11 and dev <= 1e-12
-              and plain.rank() == rank <= min(cov.n_rows, k))
+              and plain.rank() == rank <= min(cov.n_rows, k) and k == orbit)
         if not ok:
             return False, (f"{name}: orthonormality {orth:.1e}, residual {resid:.1e}, "
                            f"singular values {dev:.1e}, rank {plain.rank()} plain vs {rank} "
-                           f"in a span of {k}")
+                           f"in a span of {k}, orbit dimension {orbit}")
         parts.append(f"{name} rank {rank} in a span of {k}, residual {resid:.1e}")
     return True, "; ".join(parts)
 

@@ -16,15 +16,21 @@ fixed unitary U (a Floquet period, or one step dt) are taken to the same
 eigenbasis frame, in which each off-diagonal Bloch pair rotates at its
 gap: E_a - E_b for A, the eigenphase difference folded into [0, pi] for
 the conjugation X -> U^dag X U, since e^{+-i w} form one conjugate pair of
-modes.  The exact Krylov span of O is one direction for the part of O
+modes.  A pair folded past pi turns the other way round, so its
+antisymmetric coordinate changes sign while the frame is built; without
+that, pairs of one gap that turn opposite ways get rows that miss the
+orbit.  The exact Krylov span of O is one direction for the part of O
 that no gap moves, plus two for each distinct gap O touches; a gap of pi
 adds one, since U^dag X U = -X there.  Lanczos with full (doubled
 Gram-Schmidt) re-orthogonalization against A runs inside that span, in
 real arithmetic.  Plain Lanczos loses orthogonality to rounding within a
 few dozen steps; brute-force re-orthogonalization keeps the basis
 orthonormal to machine precision, which is what makes the late, tiny
-recursion coefficients b_k trustworthy.  For a unitary only the
-dimension of the orbit span{O, U^dag O U, U^dag^2 O U^2, ...} is reported.
+recursion coefficients b_k trustworthy.  For a unitary the frame gives
+the dimension of the orbit span{O, U^dag O U, U^dag^2 O U^2, ...}
+(:func:`arnoldi_unitary_dim`) and, conjugated back to Gell-Mann Bloch
+rows, tomography's measured subspace (:func:`orbit_span`): every row of a
+fixed-step record's design lies in the orbit of O's traceless part.
 
 The generator pairs the rows of that frame: it maps each u onto w J u and
 J u onto -w u, and annihilates the zero-frequency row.  O lies on the
@@ -42,9 +48,11 @@ as each row's nonzero entries (at most d^2 per half), and the Lanczos
 vectors as two blocks, the even ones over the m + n rows of the first
 half and the odd ones over the n rows of the second: (m + n)^2 + n^2
 doubles, where dense operator coordinates take K d^2 for the basis and as
-much again for the frame (8.4 MB at d = 32, K = 513).  No run forms
-those dense (K, d^2) coordinates; only the invariant checks
-(:mod:`chaostomo.checks`) build them from the blocks.
+much again for the frame (8.4 MB at d = 32, K = 513).  No Krylov run
+forms those dense (K, d^2) coordinates; only the invariant checks
+(:mod:`chaostomo.checks`) build them from the blocks.  Tomography forms
+dense frame rows only through :func:`orbit_span`, and only for orbits of
+at most half its design's size.
 
 Either way the span dimension is capped at d^2 - d + 1: the operators that
 commute with the generator form a space of dimension at least d, and the
@@ -67,11 +75,12 @@ at t = 60 would turn the phase by about 1e-7, far above rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .dynamics import expm_hermitian, unitary_eigh
-from .operator_space import HermitianBasis, bloch_encode, gell_mann_basis
+from .dynamics import TIMELINE_BLOCK, expm_hermitian, unitary_eigh
+from .operator_space import HermitianBasis, bloch_encode, bloch_encode_batch, gell_mann_basis
 
 __all__ = [
     "Liouvillian",
@@ -83,6 +92,7 @@ __all__ = [
     "krylov_complexity",
     "krylov_entropy",
     "arnoldi_unitary_dim",
+    "orbit_span",
 ]
 
 
@@ -338,23 +348,72 @@ def krylov_entropy(phi: np.ndarray):
     return -np.sum(p * np.log(p, where=p > 0.0, out=np.zeros_like(p)), axis=-1)
 
 
-def arnoldi_unitary_dim(u: np.ndarray, initial: np.ndarray) -> int:
-    """Dimension of span{O, U^dag O U, U^dag^2 O U^2, ...}, counted from the modes of U.
+def _orbit_frame(u: np.ndarray, initial: np.ndarray, traceless: bool = False) -> tuple:
+    """Invariant frame of span{O, U^dag O U, U^dag^2 O U^2, ...} in the eigenframe of U.
 
     In the eigenbasis of U (:func:`~chaostomo.dynamics.unitary_eigh`)
-    conjugation rotates the Bloch pair of entries (a, b) by the phase
-    difference theta_a - theta_b, folded into [0, pi].  Folded gaps merge
-    within 1e-10 * 2 pi, the Hamiltonian path's rule, and the span is the
-    invariant frame of :func:`lanczos_full_orth`, less one direction when
-    O touches the gap pi, on which conjugation is -1 instead of a rotation.
+    conjugation turns the Bloch pair of entries (a, b) by the phase
+    difference theta_a - theta_b mod 2 pi; folded into [0, pi], that is the
+    pair's gap.  Folded gaps merge within 1e-10 * 2 pi, the Hamiltonian
+    path's rule.  A pair folded past pi turns the other way, so its
+    antisymmetric coordinate changes sign before :func:`_invariant_frame`
+    and back in the rows it returns.  At the gap pi conjugation is -1, not
+    a rotation, and the orbit never reaches that gap's J u row, which is
+    left out.  With ``traceless`` the frame is that of O - Tr(O)/d I.
+    Returns the orbit dimension K, the number of (zero-frequency, u) rows,
+    both halves' (row within the half, coordinate, value) entries, and the
+    Gell-Mann basis and eigenvectors V of U, in whose coordinates
+    (:meth:`Liouvillian.coords`) the entries are.
     """
     phases, vecs = unitary_eigh(u)
     basis = gell_mann_basis(len(phases))
     tol = 1e-10 * 2 * np.pi
-    gaps = np.mod(phases[basis.rows] - phases[basis.cols], 2 * np.pi)
-    gaps = _merge_gaps(np.minimum(gaps, 2 * np.pi - gaps), tol)
-    # the eigenphases stand in for E; the orbit count never evolves O
-    liou = Liouvillian(eigenvectors=vecs, operator_basis=basis, pair_gaps=gaps,
-                       energies=phases)
-    size, _, freqs, _ = _invariant_frame(liou, _observable_coords(liou, initial)[0])
-    return size - int(np.any(np.pi - freqs < tol))
+    turns = np.mod(phases[basis.rows] - phases[basis.cols], 2 * np.pi)
+    gaps = _merge_gaps(np.minimum(turns, 2 * np.pi - turns), tol)
+    # the eigenphases stand in for E; the orbit is never evolved
+    liou = Liouvillian(vecs, basis, gaps, phases)
+    vec = _observable_coords(liou, initial)[0]
+    vec[0] = 0.0 if traceless else vec[0]
+    sign = np.ones_like(vec)
+    sign[basis.dim + len(gaps) + np.flatnonzero(turns > np.pi)] = -1.0
+    _, m, freqs, halves = _invariant_frame(liou, vec * sign)
+    even, odd = ((r, c, v * sign[c]) for r, c, v in halves)
+    reached = np.pi - freqs >= tol  # at the gap pi the orbit never reaches J u
+    odd = tuple(a[reached[odd[0]]] for a in odd)
+    return m + len(freqs) + np.count_nonzero(reached), m + len(freqs), (even, odd), basis, vecs
+
+
+def arnoldi_unitary_dim(u: np.ndarray, initial: np.ndarray) -> int:
+    """Dimension of span{O, U^dag O U, U^dag^2 O U^2, ...}, counted from the modes of U.
+
+    The row count of the orbit frame (:func:`_orbit_frame`); no row is formed densely.
+    """
+    return _orbit_frame(u, initial)[0]
+
+
+def orbit_span(u: np.ndarray, op: np.ndarray, max_rows: int) -> Optional[np.ndarray]:
+    """Orthonormal Bloch rows spanning every U^dag^n O U^n - Tr(O)/d I, or None.
+
+    The rows are those of the orbit frame of O - Tr(O)/d I
+    (:func:`_orbit_frame`), one per orbit dimension, conjugated back by the
+    eigenvectors V of U and encoded in the Gell-Mann basis.  Conjugation by
+    V is orthogonal on Hermitian operators, so the rows stay orthonormal.
+    The elements V E_c V^dag of the frame's support are made and encoded
+    in blocks of ``TIMELINE_BLOCK`` to twice that many (one block when the
+    support is smaller), so the transient (block, d, d) stacks do not grow
+    with it and each element rounds as in one stack
+    (:func:`~chaostomo.operator_space.bloch_encode_batch`); then the
+    frame's entries combine them.  Returns None when O has no traceless
+    part or the orbit has more than ``max_rows`` dimensions.
+    """
+    size, half, rows, basis, vecs = _orbit_frame(u, op, traceless=True)
+    if not 0 < size <= max_rows:
+        return None
+    # frame coordinate c > 0 is Bloch element c - 1; the trace coordinate 0 is unused
+    support = np.unique(np.concatenate([c for _, c, _ in rows]))
+    coeffs = np.zeros((size, support.size))
+    for offset, (r, c, v) in zip((0, half), rows):
+        coeffs[offset + r, np.searchsorted(support, c)] = v
+    parts = np.array_split(support - 1, max(1, support.size // TIMELINE_BLOCK))
+    return coeffs @ np.concatenate([bloch_encode_batch(vecs @ basis.matrices(part) @ vecs.conj().T,
+                                                       basis) for part in parts])

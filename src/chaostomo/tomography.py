@@ -19,20 +19,23 @@ U, and :func:`read_timeline` takes just those.  It runs
 the design rows, the row offsets Tr(O_n)/d and each state's noiseless
 record, dropping each block before the next is made; the (N, d, d)
 operator stack (19.7 MB for N = 1200 at d = 32) never exists.  The
-covariance it returns gets its eigenframe span from the same O and U.
+covariance it returns gets its orbit span from the same O and U.
 :func:`generate_record` adds each record's noise.  Records are plain 1-D
 arrays, and :func:`reconstruct_series` hands back each prefix's spectrum
 as the design's singular values.
 
-A fixed step U confines the timeline to a subspace known in advance.  In
-the eigenbasis V of U, entry (a, b) of V^dag O_n V is O'_ab e^{in(theta_b -
-theta_a)}: conjugation turns each entry by its own phase and never moves
-weight between entries.  So every design row lies in the eigenframe span:
-the d - 1 traceless diagonals of the eigenframe and the two Bloch
-directions of each pair (a, b) that O touches.  Near integrability, or
-under a conserved charge, that span is much smaller than d^2 - 1 (191 of
-1023 directions for the hz=0 kicked Ising chain at L=5), and the prefix
-solves run on the design's coordinates in it (:class:`CovarianceData`).
+A fixed step U confines the timeline to a subspace known in advance: every
+design row lies in the orbit span{O, U^dag O U, U^dag^2 O U^2, ...} of the
+traceless part of O, its Krylov space.  :func:`~chaostomo.krylov.orbit_span`
+gives orthonormal Bloch rows for it, one per orbit dimension K, from the
+invariant frame that also counts the orbit
+(:func:`~chaostomo.krylov.arnoldi_unitary_dim`).  Near integrability, or
+under a conserved charge, K is far below d^2 - 1 (10 of 1023 directions for
+the hz=0 kicked Ising chain at L=5, 101-220 for the XXZ cells), and the
+prefix solves run on the design's coordinates in that span
+(:class:`CovarianceData`).  The span is used only when 2K <= min(n_rows,
+d^2 - 1): a span nearly as large as the design saves little and costs its
+own memory (993 of 1023 directions at kicked Ising hz=0.4).
 
 Units: the ensemble size is absorbed into the record (N_s = 1), so sigma is
 the per-sample standard deviation and all information quantifiers read off
@@ -46,10 +49,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (TIMELINE_BLOCK, HaarSteps, ModelSpec, build_propagator, timeline_blocks,
-                       unitary_eigh)
+from .dynamics import HaarSteps, ModelSpec, build_propagator, timeline_blocks
 # unused here; the benchmark tracer (bench/layers.py) wraps this alias
 from .dynamics import heisenberg_timeline  # noqa: F401
+from .krylov import orbit_span
 from .operator_space import (
     HermitianBasis,
     bloch_decode,
@@ -101,17 +104,16 @@ class CovarianceData:
     ``row_offsets`` carries Tr(O_n)/d so that records of non-traceless
     observables invert exactly.
 
-    ``span`` (k, d^2 - 1), when set, has orthonormal rows Phi that hold
-    every design row up to rounding: the eigenframe span of the module
-    docstring.  It is set only when it limits the rank, k < min(n_rows,
-    d^2 - 1); otherwise the plain design is no larger.  The solves and
-    the Gram then run on the n x k coordinates G = design Phi^T, and their
-    results are mapped back through Phi.  The cut is safe to second order:
-    with E = design - G Phi, orthonormal Phi gives
+    ``span`` (K, d^2 - 1), when set, has orthonormal rows Phi that hold
+    every design row up to rounding: the orbit span of the module
+    docstring, set by :func:`build_covariance` under its size rule.  The
+    solves and the Gram then run on the n x K coordinates G = design Phi^T,
+    and their results are mapped back through Phi.  The span's residue is
+    safe to second order: with E = design - G Phi, orthonormal Phi gives
     design design^T = G G^T + E E^T, so each squared singular value moves
     by at most |E|^2, and a singular value s by at most min(|E|, |E|^2 / s).
-    On the preset cells |E|_F / |design|_F is 2e-14 to 3e-13, so every
-    rank is unchanged.  The singular vectors move at first order, and the
+    On the preset cells |E|_F / |design|_F is at most 8e-13, so every rank
+    is unchanged.  The singular vectors move at first order, and the
     pseudoinverse scales that by s_0 / s_min: ML estimates agree to 1e-9
     wherever the kept spectrum stays above 1e-5 s_0.  G is formed once, on
     construction (``_coords``, the design itself when no span is set), and
@@ -161,8 +163,8 @@ class CovarianceData:
         The prefix views the design's rows, and its solve and shrink are
         its own: nothing is memoized here, so they live only as long as the
         caller holds the prefix (:func:`reconstruct_series` holds one at a
-        time).  A prefix keeps the span only while it still limits the
-        rank, k < n.
+        time).  A prefix keeps the span only while the span has fewer
+        rows, K < n.
         """
         if not 1 <= n <= self.n_rows:
             raise ValueError(f"prefix length {n} outside 1..{self.n_rows}")
@@ -210,7 +212,7 @@ def read_timeline(
     * ``cov``, when a basis is given (else None), the
       :class:`CovarianceData` of the design ``design[n, a] = Tr(O_n E_a)``
       and the offsets Tr(O_n)/d, made by :func:`build_covariance` with the
-      eigenframe span of this ``op`` and fixed ``step``;
+      orbit span of this ``op`` and fixed ``step``;
     * ``expected[i, n] = Tr(O_n rho_i)``, the noiseless record of each of
       ``states`` (vectors or density matrices), shape (len(states), n_rows);
     * ``kept``, a copy of O_n for each 0-based row n in ``keep``, in order.
@@ -278,45 +280,15 @@ def build_covariance(
     """Covariance of a design and its row offsets, as :func:`read_timeline` fills them.
 
     A timeline with one fixed step U = ``propagator`` from the observable
-    ``op0`` gets the eigenframe span of that observable when the span limits
-    the rank (:func:`_eigenframe_span`).  :func:`read_timeline` is the one
-    caller; it passes the O and U that made the design.
+    ``op0`` gets the orbit span of that observable
+    (:func:`~chaostomo.krylov.orbit_span`) when its K rows are at most half
+    of min(n_rows, d^2 - 1), so that the span coordinates take at most half
+    the design's; otherwise the design stays plain.  :func:`read_timeline`
+    is the one caller; it passes the O and U that made the design.
     """
-    span = None if propagator is None else _eigenframe_span(propagator, op0, len(design), basis)
+    max_rows = min(len(design), len(basis)) // 2
+    span = None if propagator is None else orbit_span(propagator, op0, max_rows)
     return CovarianceData(design=design, row_offsets=offsets, span=span)
-
-
-def _eigenframe_span(u: np.ndarray, op: np.ndarray, n_rows: int,
-                     basis: HermitianBasis) -> Optional[np.ndarray]:
-    """Orthonormal Bloch rows Phi spanning every O_n = U^dag^n O U^n, or None.
-
-    Phi holds the d - 1 traceless diagonals of U's eigenframe and the two
-    Bloch directions of each pair (a, b) with |O'_ab| > 1e-12 |O|,
-    O' = V^dag O V, each conjugated back by V and encoded in ``basis``
-    (module docstring).  On the preset cells that take this path the
-    untouched entries, rounding residue of the basis change, measure at
-    most 8e-14 |O| and the touched ones at least 2e-4 |O|.  Wherever the
-    cut falls, conjugation keeps the modulus of each entry, so a dropped
-    pair puts at most 1e-12 |O| into each row of the residual, which the
-    singular values see at second order (:class:`CovarianceData`).
-    Returns None when the span does not limit the rank of n_rows rows,
-    k >= min(n_rows, d^2 - 1).  The k dense elements are made and encoded
-    in blocks of ``TIMELINE_BLOCK`` to twice that many (one block when k is
-    smaller), so the transient (k, d, d) stacks do not grow with k, and each
-    row rounds as in one stack (:func:`bloch_encode_batch`).
-    """
-    d = basis.dim
-    op = np.asarray(op, dtype=complex)
-    _, vecs = unitary_eigh(u)
-    o = vecs.conj().T @ op @ vecs
-    touched = np.flatnonzero(np.abs(o[basis.rows, basis.cols]) > 1e-12 * np.linalg.norm(op))
-    if d - 1 + 2 * len(touched) >= min(n_rows, len(basis)):
-        return None
-    pairs = d - 1 + touched
-    sel = np.concatenate([np.arange(d - 1), pairs, pairs + len(basis.rows)])
-    parts = np.array_split(sel, max(1, len(sel) // TIMELINE_BLOCK))
-    return np.concatenate([bloch_encode_batch(vecs @ basis.matrices(part) @ vecs.conj().T, basis)
-                           for part in parts])
 
 
 def ml_estimate(records: np.ndarray, cov: CovarianceData) -> np.ndarray:

@@ -13,6 +13,7 @@ from chaostomo.dynamics import (
     build_propagator,
     collective_spin,
     hamiltonian,
+    heisenberg_timeline,
     kicked_top_floquet,
     pauli_site,
     tki_floquet,
@@ -27,7 +28,9 @@ from chaostomo.krylov import (
     krylov_entropy,
     lanczos_full_orth,
     liouvillian,
+    orbit_span,
 )
+from chaostomo.operator_space import bloch_encode_batch, gell_mann_basis
 from helpers import (
     apply_generator,
     dense_frame,
@@ -519,3 +522,33 @@ class TestArnoldi:
         o = (pauli_site("y", 2, 4) + pauli_site("y", 4, 4)) / 2
         k = arnoldi_unitary_dim(build_propagator(spec), o)
         assert k == lanczos_full_orth(liouvillian(hamiltonian(spec)), o).dim_k == expected
+
+
+# the factored-design cases of chaostomo check
+ORBIT_CASES = {
+    "kicked-ising-hz0": (KickedIsing(L=4, hz=0.0), pauli_site("y", 1, 4) / 2),
+    "xxz-g0": (XXZChain(L=4, g=0.0), (pauli_site("y", 2, 4) + pauli_site("y", 4, 4)) / 2),
+}
+
+
+class TestOrbitSpan:
+    """Bloch rows of the orbit frame against the timeline they span."""
+
+    @pytest.mark.parametrize("name", list(ORBIT_CASES))
+    def test_frame_holds_the_orbit(self, name):
+        # pairs whose phase difference folds past pi turn the other way; with
+        # their sign unflipped the rows miss the timeline at order 1
+        model, o = ORBIT_CASES[name]
+        u = build_propagator(model)
+        span = orbit_span(u, o, 255)
+        design = bloch_encode_batch(heisenberg_timeline(o, u, 511), gell_mann_basis(16))
+        resid = design - (design @ span.T) @ span
+        assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(design)
+        assert np.max(np.abs(span @ span.T - np.eye(len(span)))) <= 1e-12
+        traceless = o - np.trace(o) / 16 * np.eye(16)
+        assert len(span) == arnoldi_unitary_dim(u, traceless) == unitary_mode_count(u, traceless)
+        assert orbit_span(u, o, len(span) - 1) is None
+
+    def test_identity_has_no_span(self):
+        u = build_propagator(KickedIsing(L=2))
+        assert orbit_span(u, 0.7 * np.eye(4), 15) is None

@@ -18,7 +18,7 @@ from chaostomo.dynamics import (
     timeline_blocks,
     tki_floquet,
 )
-from chaostomo import tomography
+from chaostomo import krylov, tomography
 from chaostomo.operator_space import bloch_decode, bloch_encode, bloch_encode_batch, gell_mann_basis
 from chaostomo.tomography import (
     RANK_TOL,
@@ -262,7 +262,8 @@ class TestMeasuredSubspace:
             got = ml_estimate(m, c)
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
             assert c.rank() == np.count_nonzero(keep)
-            assert 0 < c.rank() < len(s)
+            # the orbit span has exactly the measured directions: nothing is left to cut
+            assert (0 < c.rank() == len(s)) if factored else (0 < c.rank() < len(s))
 
     def test_zero_design_measures_nothing(self):
         cov = CovarianceData(np.zeros((3, 8)))
@@ -292,7 +293,9 @@ class TestSingularValues:
         steps = [n_rows // 8, n_rows // 4, n_rows // 2, n_rows]
         got, want = (quantifier_series([c.truncated(n).singular_values() for n in steps],
                                        c.design.shape[1]) for c in (values, full))
-        assert 0 < values.rank() == full.rank() < len(s)
+        assert 0 < values.rank() == full.rank()
+        # the orbit span has exactly the measured directions: nothing is left to cut
+        assert (values.rank() == len(s)) if factored else (values.rank() < len(s))
         assert np.array_equal(got["rank"], want["rank"])
         for metric in ("shannon", "fisher", "mutual_info"):
             assert np.max(np.abs(got[metric] - want[metric]) / np.abs(want[metric])) <= 1e-12
@@ -305,7 +308,7 @@ class TestSingularValues:
 
 
 class TestFactoredDesign:
-    """Prefix SVDs in the eigenframe span against the plain SVD of the design."""
+    """Prefix SVDs in the orbit span against the plain SVD of the design."""
 
     @pytest.mark.parametrize("model", FACTORED_CASES, ids=lambda m: (
         f"ising-L{m.L}-hz{m.hz}" if isinstance(m, KickedIsing) else f"xxz-L{m.L}-g{m.g}"))
@@ -378,29 +381,35 @@ class TestFactoredDesign:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_span_built_in_blocks(self, monkeypatch):
-        # XXZ L=5, g=0: 331 span rows in five blocks, each as from one stack; the
-        # transient (k, d, d) stacks hold one block, not all 331 rows
+        # XXZ L=5, g=0: the 101 orbit-frame rows touch 308 Gell-Mann elements,
+        # encoded in four blocks, each as from one stack; the transient
+        # (block, d, d) stacks hold one block, not all 308 elements
         model = XXZChain(L=5, g=0.0, site=3)
         o, n_rows = _chain_case(model)
-        u, basis = build_propagator(model), gell_mann_basis(model.dim)
+        u = build_propagator(model)
+        rows = krylov._orbit_frame(u, o, traceless=True)[2]
+        support = np.unique(np.concatenate([c for _, c, _ in rows])).size
         tracemalloc.start()
         try:
-            span = tomography._eigenframe_span(u, o, n_rows, basis)
+            span = krylov.orbit_span(u, o, n_rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(span) > 4 * TIMELINE_BLOCK
+        assert support > 4 * TIMELINE_BLOCK
+        encoded = support * (model.dim**2 - 1) * np.dtype(float).itemsize
         block_stack = 2 * TIMELINE_BLOCK * model.dim**2 * np.dtype(complex).itemsize
-        assert peak < span.nbytes + 2 * block_stack
-        monkeypatch.setattr(tomography, "TIMELINE_BLOCK", len(span) + 1)  # one block
-        assert np.array_equal(span, tomography._eigenframe_span(u, o, n_rows, basis))
+        # the encoded blocks and their concatenation, and one block's stacks
+        assert peak < 2 * encoded + block_stack
+        monkeypatch.setattr(krylov, "TIMELINE_BLOCK", support + 1)  # one block
+        assert np.array_equal(span, krylov.orbit_span(u, o, n_rows))
 
     def test_full_span_designs_stay_plain(self):
         # kicked top j=10, 100 rows: the span (240 directions) exceeds the rows
         jy = angular_momentum_ops(10)[1]
         u = kicked_top_floquet(KickedTop(10, 0.5, np.pi / 2))
         assert timeline_covariance(heisenberg_timeline(jy, u, 99), gell_mann_basis(21), u).span is None
-        # kicked Ising hz=1.4: O touches every eigenframe pair
+        # kicked Ising hz=1.4: the orbit has K = 241 > 255 / 2 dimensions, the
+        # plain side of the size rule
         model = KickedIsing(L=4, hz=1.4)
         o, n_rows = _chain_case(model)
         u = build_propagator(model)
