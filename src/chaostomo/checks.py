@@ -156,11 +156,10 @@ def _rotate(vec: np.ndarray, m: int, freqs: np.ndarray) -> np.ndarray:
 
 def _krylov_vectors(kb: krylov.KrylovBasis) -> np.ndarray:
     """Dense (K, d^2) operator coordinates of the Krylov vectors P_0..P_{K-1}."""
-    # within one half no two frame rows share a coordinate, so each
-    # coordinate of P_k is one frame entry times one frame coordinate of P_k
-    out = np.zeros((kb.dim_k, kb.generator.operator_basis.dim ** 2))
-    for par, (q, (r, c, v)) in enumerate(zip(kb.blocks, kb.rows)):
-        out[par::2, c] = q[:, r] * v
+    rows, half = krylov._frame_rows(kb.frame), len(kb.frame.norms)
+    out = np.empty((kb.dim_k, rows.shape[1]))
+    out[0::2] = kb.blocks[0] @ rows[:half]
+    out[1::2] = kb.blocks[1] @ rows[half:]
     return out
 
 
@@ -176,7 +175,7 @@ def _check_krylov():
     t = vectors @ np.array([_rotate(v, d, liou.pair_gaps) for v in vectors]).T
     tri = np.max(np.abs(t - np.diag(kb.lanczos_b, -1) + np.diag(kb.lanczos_b, 1)))
     times = (0.0, 1.3)
-    phi = krylov.krylov_amplitudes(o, kb, times)
+    phi = krylov.krylov_amplitudes(kb, times)
     norm = np.max(np.abs(np.sum(phi**2, axis=-1) - 1.0))
     # the eigenframe series against each O(t) evolved on its own and projected
     ref = np.array([vectors @ liou.coords(krylov.evolve_operator(h, o, t)) for t in times])

@@ -137,10 +137,8 @@ class TiltedIsing:
 class XXZChain:
     """Heisenberg XXZ chain with a single-site impurity of strength g.
 
-    The impurity term is (g/2) sigma^axis at the 1-based ``site``, by
-    default the middle of the chain, (L + 1) // 2; the conventional axis is
-    z, which preserves total S_z.  The y axis is kept available as an option
-    since both appear in the literature for this model.
+    The impurity term is (g/2) sigma^z at the 1-based ``site``, by default
+    the middle of the chain, (L + 1) // 2; along z it preserves total S_z.
     """
 
     L: int = 5
@@ -149,7 +147,6 @@ class XXZChain:
     g: float = 0.0
     site: Optional[int] = None
     dt: float = 1.0
-    impurity_axis: str = "z"
 
     def __post_init__(self):
         if self.site is None:
@@ -157,8 +154,6 @@ class XXZChain:
         _check_chain(self.L, self.site)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.impurity_axis not in ("y", "z"):
-            raise ValueError("impurity_axis must be 'y' or 'z'")
 
     @property
     def dim(self) -> int:
@@ -314,7 +309,7 @@ def _xxz_hamiltonian(spec: XXZChain) -> np.ndarray:
             + pauli_site("y", s, L) @ pauli_site("y", s + 1, L)
         )
         h += (spec.Jzz / 4.0) * pauli_site("z", s, L) @ pauli_site("z", s + 1, L)
-    h += (spec.g / 2.0) * pauli_site(spec.impurity_axis, spec.site, L)
+    h += (spec.g / 2.0) * pauli_site("z", spec.site, L)
     return h
 
 

@@ -94,8 +94,8 @@ def _check_value(fieldname: str, key: str, value):
     elif key in ("L", "dim", "seed", "site"):  # a null site is the middle of the chain
         ok = (_is_integer(value) and value >= 0) or (key == "site" and value is None)
         want = "an integer >= 0"
-    else:  # impurity_axis is a string that its model checks
-        ok, want = key == "impurity_axis" or _is_real(value), "a finite real number"
+    else:
+        ok, want = _is_real(value), "a finite real number"
     if not ok:
         raise ConfigError(fieldname, f"{key} must be {want}, got {value!r}")
 
@@ -433,7 +433,7 @@ def _run_krylov(cfg: ExperimentConfig, sweep: _Sweep):
             rows.add_steps(value, range(1, kb.dim_k), {"lanczos_b": kb.lanczos_b})
             if cfg.steps > 0:
                 steps = _eval_steps(cfg.steps, cfg.eval_stride)
-                phi = krylov.krylov_amplitudes(observable, kb, np.array(steps) * model.dt)
+                phi = krylov.krylov_amplitudes(kb, np.array(steps) * model.dt)
                 rows.add_steps(value, steps, {
                     "krylov_complexity": krylov.krylov_complexity(phi),
                     "krylov_entropy": krylov.krylov_entropy(phi),

@@ -16,12 +16,12 @@ fixed unitary U (a Floquet period, or one step dt) are taken to the same
 eigenbasis frame, in which each off-diagonal Bloch pair rotates at its
 gap: E_a - E_b for A, the eigenphase difference folded into [0, pi] for
 the conjugation X -> U^dag X U, since e^{+-i w} form one conjugate pair of
-modes.  A pair folded past pi turns the other way round, so its
-antisymmetric coordinate changes sign while the frame is built; without
-that, pairs of one gap that turn opposite ways get rows that miss the
-orbit.  The exact Krylov span of O is one direction for the part of O
-that no gap moves, plus two for each distinct gap O touches; a gap of pi
-adds one, since U^dag X U = -X there.  Lanczos with full (doubled
+modes.  A pair folded past pi turns the other way round, so its entries
+in the frame's rotated rows (J u, below) change sign; without that, pairs
+of one gap that turn opposite ways get rows that miss the orbit.  The
+exact Krylov span of O is one direction for the part of O that no gap
+moves, plus two for each distinct gap O touches; a gap of pi adds one,
+since U^dag X U = -X there.  Lanczos with full (doubled
 Gram-Schmidt) re-orthogonalization against A runs inside that span, in
 real arithmetic.  Plain Lanczos loses orthogonality to rounding within a
 few dozen steps; brute-force re-orthogonalization keeps the basis
@@ -43,16 +43,20 @@ full-length vectors.  It is Golub-Kahan bidiagonalization of the diagonal
 map u_j -> w_j J u_j, whose two diagonals are b_1, b_3, ... and
 b_2, b_4, ....
 
-The basis stays in those frame coordinates.  The frame is stored sparse,
-as each row's nonzero entries (at most d^2 per half), and the Lanczos
-vectors as two blocks, the even ones over the m + n rows of the first
-half and the odd ones over the n rows of the second: (m + n)^2 + n^2
-doubles, where dense operator coordinates take K d^2 for the basis and as
-much again for the frame (8.4 MB at d = 32, K = 513).  No Krylov run
-forms those dense (K, d^2) coordinates; only the invariant checks
-(:mod:`chaostomo.checks`) build them from the blocks.  Tomography forms
-dense frame rows only through :func:`orbit_span`, and only for orbits of
-at most half its design's size.
+The basis stays in those frame coordinates.  The frame is stored as its
+modes (:class:`_Modes`): the frozen part f, and for each distinct gap
+w_j the norm a_j of O's part on the pairs with that gap, and those
+pairs' Bloch coordinates (x_p, y_p), from which every row is read:
+u_j holds (x_p, y_p) / a_j at each of its pairs, J u_j holds
+(-y_p, x_p) / a_j.  That takes O(d^2) numbers, and the Lanczos vectors
+two blocks, the even ones over the m + n rows of the first half and the
+odd ones over the n rows of the second: (m + n)^2 + n^2 doubles, where
+dense operator coordinates take K d^2 for the basis and as much again for
+the frame (8.4 MB at d = 32, K = 513).  No Krylov run forms those dense
+(K, d^2) coordinates; only the invariant checks (:mod:`chaostomo.checks`)
+build them from the blocks.  Tomography forms dense frame rows only
+through :func:`orbit_span`, and only for orbits of at most half its
+design's size.
 
 Either way the span dimension is capped at d^2 - d + 1: the operators that
 commute with the generator form a space of dimension at least d, and the
@@ -64,17 +68,19 @@ coordinates over the basis are the real amplitudes phi_k(t).  Krylov
 complexity is the mean position of the operator weight phi_k^2 over the
 ordered basis; Krylov entropy measures how evenly that weight is spread.
 In the eigenframe e^{tA} is a rotation of each Bloch pair by
-(E_a - E_b) t, so the coordinates of O(t) for every requested time come
-from those of O elementwise, and one product with the basis gives all
-amplitudes; no matrix exponential is taken per time.  The rotation uses
-the exact gaps, not the merged ``pair_gaps``: merging moves a gap by up to
-1e-10 of the spectral width, which is harmless for counting the span but
-at t = 60 would turn the phase by about 1e-7, far above rounding.
+(E_a - E_b) t, so the coordinates of O(t) on the frame rows are closed
+form in the modes, for every requested time, and one product with the
+basis gives all amplitudes; no matrix exponential is taken per time.  The
+rotation uses the exact gaps, not the merged ``pair_gaps``: merging moves
+a gap by up to 1e-10 of the spectral width, which is harmless for
+counting the span but at t = 60 would turn the phase by about 1e-7, far
+above rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -167,44 +173,71 @@ def _observable_coords(liou: Liouvillian, initial: np.ndarray) -> tuple:
     return vec, norm0
 
 
-def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> tuple:
-    """Orthonormal rows spanning the smallest invariant subspace that holds ``vec``, stored sparse.
+@dataclass(frozen=True)
+class _Modes:
+    """Mode table of an invariant frame (:func:`_invariant_frame`).
+
+    The frame's rows are read off it.  The first half is the
+    zero-frequency row f / |f| when f is nonzero, then per mode j the row
+    u_j, which holds (x_p, y_p) / a_j on the symmetric and antisymmetric
+    coordinates of each of its pairs p; ``norms`` holds the norms of the
+    part of the vector on each of these rows, (|f|, a_1..a_n).  The second
+    half is the row J u_j, which holds turn_p (-y_p, x_p) / a_j, for each
+    rotating mode.  Within one half no two rows share a coordinate.
+    """
+
+    frozen: np.ndarray  # f: the d^2 coordinates of the part no gap moves
+    pairs: np.ndarray  # moving Bloch pairs p, ordered by mode
+    mode: np.ndarray  # mode j of each pair
+    freqs: np.ndarray  # w_j, one distinct merged gap per mode
+    norms: np.ndarray  # |f| if f is nonzero, then a_1..a_n: one per first-half row
+    x: np.ndarray  # symmetric Bloch coordinate of each pair
+    y: np.ndarray  # antisymmetric Bloch coordinate of each pair
+    turn: np.ndarray  # +-1 per pair: -1 where it turns backwards, an orbit pair folded past pi
+    rotating: np.ndarray  # per mode: has a J u row, false at an orbit's gap pi
+
+    @property
+    def size(self) -> int:
+        """Row count: the first half and the J u rows."""
+        return len(self.norms) + int(np.count_nonzero(self.rotating))
+
+
+def _invariant_frame(liou: Liouvillian, vec: np.ndarray) -> _Modes:
+    """Mode table of the smallest invariant subspace that holds ``vec``.
 
     That subspace is the exact Krylov span.  Its zero-frequency part is one
-    row, the part of ``vec`` the generator annihilates.  Each distinct
-    nonzero gap w adds the part u of ``vec`` on the pairs with that gap and
-    its rotation J u, on which the generator acts as w times a rotation.
-    The rows are ordered (zero-frequency, u_1..u_n, J u_1..J u_n).
-    Returns the row count m + 2n, the number m of zero-frequency rows, the
-    gaps w_j, and the nonzero entries of each half, (zero-frequency, u) and
-    J u, as (row within the half, coordinate, value) arrays; within one
-    half no two entries share a coordinate.
+    row, the part f of ``vec`` the generator annihilates.  Each distinct
+    nonzero gap w_j adds the part u_j of ``vec`` on the pairs with that
+    gap and its rotation J u_j, on which the generator acts as w_j times a
+    rotation.  The rows are ordered (zero-frequency, u_1..u_n, J u_1..J u_n);
+    the table (:class:`_Modes`) holds f, and the pairs, gap and norm a_j of
+    each mode, from which every row is read.
     """
-    d, gaps = liou.operator_basis.dim, liou.pair_gaps
-    s = len(gaps)
+    d, gaps, s = liou.operator_basis.dim, liou.pair_gaps, len(liou.pair_gaps)
     sym, asym = vec[d : d + s], vec[d + s :]
     moving = np.flatnonzero(((sym != 0.0) | (asym != 0.0)) & (gaps > 0.0))
-    freqs, group = np.unique(gaps[moving], return_inverse=True)
+    moving = moving[np.argsort(gaps[moving], kind="stable")]
+    freqs, mode = np.unique(gaps[moving], return_inverse=True)
     frozen = vec.copy()
     frozen[d + moving] = frozen[d + s + moving] = 0.0
-    frozen_at = np.flatnonzero(frozen)
-    m = int(frozen_at.size > 0)
-    n = len(freqs)
-    norms = np.sqrt(np.bincount(group, sym[moving] ** 2 + asym[moving] ** 2))
-    cos, sin = sym[moving] / norms[group], asym[moving] / norms[group]
-    # cos is zero exactly where sym is, sin where asym is
-    c_on, s_on = sym[moving] != 0.0, asym[moving] != 0.0
-    even = (
-        np.concatenate([np.zeros(frozen_at.size, dtype=int), m + group[c_on], m + group[s_on]]),
-        np.concatenate([frozen_at, d + moving[c_on], d + s + moving[s_on]]),
-        np.concatenate([frozen[frozen_at] / np.linalg.norm(frozen), cos[c_on], sin[s_on]]),
-    )
-    odd = (
-        np.concatenate([group[s_on], group[c_on]]),
-        np.concatenate([d + moving[s_on], d + s + moving[c_on]]),
-        np.concatenate([-sin[s_on], cos[c_on]]),
-    )
-    return m + 2 * n, m, freqs, (even, odd)
+    x, y = sym[moving], asym[moving]
+    lead = np.linalg.norm(frozen, keepdims=True)  # |f|, a row only if f is nonzero
+    return _Modes(frozen=frozen, pairs=moving, mode=mode, freqs=freqs,
+                  norms=np.concatenate([lead[lead > 0.0], np.sqrt(np.bincount(mode, x**2 + y**2))]),
+                  x=x, y=y, turn=np.ones(len(moving)), rotating=np.ones(len(freqs), dtype=bool))
+
+
+def _frame_rows(frame: _Modes) -> np.ndarray:
+    """The frame's rows as one dense (size, d^2) array, in the order of :class:`_Modes`."""
+    d, m = math.isqrt(frame.frozen.size), len(frame.norms) - len(frame.freqs)
+    at = d + frame.pairs + np.array([[0], [d * (d - 1) // 2]])  # each pair's (x, y) coordinates
+    scale, on = frame.norms[m + frame.mode], frame.rotating[frame.mode]
+    rows = np.zeros((frame.size, frame.frozen.size))
+    rows[:m] = frame.frozen / frame.norms[:m, None]
+    rows[m + frame.mode, at] = np.stack([frame.x, frame.y]) / scale
+    ju = len(frame.norms) + np.cumsum(frame.rotating)[frame.mode[on]] - 1
+    rows[ju, at[:, on]] = frame.turn[on] * np.stack([-frame.y, frame.x])[:, on] / scale[on]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -214,13 +247,13 @@ class KrylovBasis:
     The vectors are kept in the coordinates of the invariant frame of
     :func:`_invariant_frame`: ``blocks`` holds P_0, P_2, ... over the
     (zero-frequency, u) rows and P_1, P_3, ... over the J u rows, and
-    ``rows`` holds those two halves' sparse entries.  The blocks take
-    (m + n)^2 + n^2 doubles for m + 2n frame rows, and the rows at most
-    d^2 entries per half, against K d^2 doubles for the dense vectors.
+    ``frame`` is the mode table those rows are read from.  The blocks take
+    (m + n)^2 + n^2 doubles for m + 2n frame rows, and the table O(d^2),
+    against K d^2 doubles for the dense vectors.
     """
 
     blocks: tuple  # ((K + 1) // 2, m + n) and (K // 2, n) frame coordinates
-    rows: tuple  # per half: (row within the half, coordinate, value) arrays
+    frame: _Modes
     lanczos_b: np.ndarray  # (K - 1,)
     dim_k: int
     initial_norm: float
@@ -238,7 +271,8 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
 
     P_k lies on the (zero-frequency, u) rows of the frame for even k and
     on the J u rows for odd k (module docstring), so the recursion runs on
-    half-length vectors.  Each new vector A P_{k-1} is
+    half-length vectors.  P_0 is the observable itself: (|f|, a_1..a_n)
+    normalized.  Each new vector A P_{k-1} is
     Gram-Schmidt-orthogonalized against the previous vectors of its
     parity, twice; the coefficient b_k is the remaining norm and iteration
     stops once it falls below 1e-8 times the observable norm, the
@@ -247,15 +281,14 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     in frame coordinates (:class:`KrylovBasis`).
     """
     vec0, norm0 = _observable_coords(liou, initial)
-    _, m, freqs, rows = _invariant_frame(liou, vec0)
-    n = len(freqs)
-    q = (np.empty((m + n, m + n)), np.empty((n, n)))  # rows: P_0, P_2, ... and P_1, P_3, ...
-    r, c, v = rows[0]
-    q[0][0] = np.bincount(r, v * vec0[c], minlength=m + n)
-    q[0][0] /= np.linalg.norm(q[0][0])
+    frame = _invariant_frame(liou, vec0)
+    freqs, half = frame.freqs, len(frame.norms)
+    m, n = half - len(freqs), len(freqs)
+    q = (np.empty((half, half)), np.empty((n, n)))  # rows: P_0, P_2, ... and P_1, P_3, ...
+    q[0][0] = frame.norms / np.linalg.norm(frame.norms)
     bs = []
     k = 1
-    while k < m + 2 * n:
+    while k < frame.size:
         par = k % 2
         prev = q[1 - par][(k - 1) // 2]
         # the generator on one parity: u_j -> w_j J u_j, J u_j -> -w_j u_j
@@ -277,7 +310,7 @@ def lanczos_full_orth(liou: Liouvillian, initial: np.ndarray) -> KrylovBasis:
     d = liou.operator_basis.dim
     if k > d * d - d + 1:
         raise ValueError(f"Krylov dimension {k} exceeds the d^2 - d + 1 = {d * d - d + 1} bound")
-    return KrylovBasis(blocks=(q[0][: (k + 1) // 2], q[1][: k // 2]), rows=rows,
+    return KrylovBasis(blocks=(q[0][: (k + 1) // 2], q[1][: k // 2]), frame=frame,
                        lanczos_b=np.array(bs), dim_k=k, initial_norm=norm0, generator=liou)
 
 
@@ -291,49 +324,43 @@ def evolve_operator(h: np.ndarray, op: np.ndarray, t: float) -> np.ndarray:
     return u.conj().T @ op @ u
 
 
-def krylov_amplitudes(op: np.ndarray, basis: KrylovBasis, times) -> np.ndarray:
+def krylov_amplitudes(basis: KrylovBasis, times) -> np.ndarray:
     """Amplitudes phi_k(t) = (P_k | O(t)) / |O| for each t in ``times``, shape (T, K).
 
-    O(t) = e^{iHt} O e^{-iHt} under the Hamiltonian that generated the
-    basis.  Its coordinates are those of O with each Bloch pair rotated by
-    (E_a - E_b) t at the exact gaps (module docstring), so all times take
-    one projection on the frame rows and one product with each block of
-    Lanczos vectors.  Only the coordinates that a frame row touches are
-    formed, never all d^2 of them.  O(t) stays inside the Krylov span, so
-    sum_k phi_k^2 = 1; weight escaping the span by more than 1e-6 at any
-    time signals an operator that did not generate the basis.
+    O(t) = e^{iHt} O e^{-iHt} for the observable O and Hamiltonian that
+    generated the basis.  O(t) turns each Bloch pair (x_p, y_p) by w_p t at
+    its exact gap w_p (module docstring), so its coordinates on the frame
+    rows are closed form, read off the mode table: on u_j the sum over the
+    mode's pairs of (x_p^2 + y_p^2) cos(w_p t) / a_j, on J u_j the same sum
+    with sin, and on the zero-frequency row f's diagonal weight plus each
+    of its pairs' weight times cos(w_p t), over |f|.  One product with each
+    block of Lanczos vectors then gives all amplitudes.  O(t) stays inside
+    the Krylov span, so sum_k phi_k^2 = 1; weight escaping the span by more
+    than 1e-6 at any time signals gaps merged into one mode that drift
+    apart in phase.
     """
-    liou = basis.generator
-    d = liou.operator_basis.dim
-    rows, cols = liou.operator_basis.rows, liou.operator_basis.cols
-    s = len(rows)
-    gaps = liou.energies[rows] - liou.energies[cols]
-    times = np.asarray(times, dtype=float)
-    vec = liou.coords(np.asarray(op))
+    liou, frame, f = basis.generator, basis.frame, basis.frame.frozen
+    d, rows, cols = liou.operator_basis.dim, liou.operator_basis.rows, liou.operator_basis.cols
+    gap = liou.energies[rows] - liou.energies[cols]  # exact, per pair
+    m = len(frame.norms) - len(frame.freqs)
+    # the zero-frequency row, if any (m = 1): f's diagonal weight, and its pairs turning
+    held = f[d : d + len(gap)] ** 2 + f[d + len(gap) :] ** 2
+    at = np.flatnonzero(held)
+    zero = (f[:d] @ f[:d] + np.cos(np.outer(times, gap[at])) @ held[at])[:, None][:, :m]
+    # per mode, sum over its pairs, which lie in one run of frame.pairs
+    angle, starts = np.outer(times, gap[frame.pairs]), np.flatnonzero(np.diff(frame.mode, prepend=-1))
+    weight = frame.x**2 + frame.y**2
+    first = np.hstack([zero, np.add.reduceat(np.cos(angle) * weight, starts, axis=1)]) / frame.norms
+    second = np.add.reduceat(np.sin(angle) * weight, starts, axis=1) / frame.norms[m:]
     phi = np.empty((len(times), basis.dim_k))
-    for par, (q, (r, c, v)) in enumerate(zip(basis.blocks, basis.rows)):
-        # O(t) at the coordinates c: a symmetric Bloch coordinate x of a pair
-        # with antisymmetric partner y turns to x cos - y sin, y to y cos + x sin
-        turned = c >= d
-        at = c[turned]
-        pair = (at - d) % s
-        partner = np.where(at < d + s, -vec[d + s + pair], vec[d + pair])
-        angle = np.multiply.outer(times, gaps[pair])
-        coords = np.empty((len(times), c.size))
-        coords[:, ~turned] = vec[c[~turned]]
-        coords[:, turned] = vec[at] * np.cos(angle) + partner * np.sin(angle)
-        # project on the frame rows of this half, then on its vectors
-        proj = np.zeros((q.shape[1], len(times)))
-        np.add.at(proj, r, (coords * v).T)
-        phi[:, par::2] = proj.T @ q.T
+    phi[:, 0::2] = first @ basis.blocks[0].T
+    phi[:, 1::2] = second @ basis.blocks[1].T
     phi /= basis.initial_norm
     deficit = np.abs(np.sum(phi**2, axis=-1) - 1.0)
     if np.any(deficit > 1e-6):
         i = int(np.argmax(deficit))
-        raise ValueError(
-            f"operator weight escapes the Krylov span by {deficit[i]:.2e} at t = {times[i]:g}; "
-            "operator did not generate the basis"
-        )
+        raise ValueError(f"operator weight escapes the Krylov span by {deficit[i]:.2e} at "
+                         f"t = {times[i]:g}; gaps merged into one mode drift apart in phase")
     return phi
 
 
@@ -355,15 +382,14 @@ def _orbit_frame(u: np.ndarray, initial: np.ndarray, traceless: bool = False) ->
     conjugation turns the Bloch pair of entries (a, b) by the phase
     difference theta_a - theta_b mod 2 pi; folded into [0, pi], that is the
     pair's gap.  Folded gaps merge within 1e-10 * 2 pi, the Hamiltonian
-    path's rule.  A pair folded past pi turns the other way, so its
-    antisymmetric coordinate changes sign before :func:`_invariant_frame`
-    and back in the rows it returns.  At the gap pi conjugation is -1, not
+    path's rule.  A pair folded past pi turns the other way, so its J u
+    entries change sign (``turn``).  At the gap pi conjugation is -1, not
     a rotation, and the orbit never reaches that gap's J u row, which is
-    left out.  With ``traceless`` the frame is that of O - Tr(O)/d I.
-    Returns the orbit dimension K, the number of (zero-frequency, u) rows,
-    both halves' (row within the half, coordinate, value) entries, and the
-    Gell-Mann basis and eigenvectors V of U, in whose coordinates
-    (:meth:`Liouvillian.coords`) the entries are.
+    left out (``rotating``).  With ``traceless`` the frame is that of
+    O - Tr(O)/d I.  Returns the mode table (:class:`_Modes`), whose
+    ``size`` is the orbit dimension K, and the Gell-Mann basis and
+    eigenvectors V of U, in whose coordinates (:meth:`Liouvillian.coords`)
+    the rows are.
     """
     phases, vecs = unitary_eigh(u)
     basis = gell_mann_basis(len(phases))
@@ -374,13 +400,10 @@ def _orbit_frame(u: np.ndarray, initial: np.ndarray, traceless: bool = False) ->
     liou = Liouvillian(vecs, basis, gaps, phases)
     vec = _observable_coords(liou, initial)[0]
     vec[0] = 0.0 if traceless else vec[0]
-    sign = np.ones_like(vec)
-    sign[basis.dim + len(gaps) + np.flatnonzero(turns > np.pi)] = -1.0
-    _, m, freqs, halves = _invariant_frame(liou, vec * sign)
-    even, odd = ((r, c, v * sign[c]) for r, c, v in halves)
-    reached = np.pi - freqs >= tol  # at the gap pi the orbit never reaches J u
-    odd = tuple(a[reached[odd[0]]] for a in odd)
-    return m + len(freqs) + np.count_nonzero(reached), m + len(freqs), (even, odd), basis, vecs
+    frame = _invariant_frame(liou, vec)
+    frame = replace(frame, turn=np.where(turns[frame.pairs] > np.pi, -1.0, 1.0),
+                    rotating=np.pi - frame.freqs >= tol)
+    return frame, basis, vecs
 
 
 def arnoldi_unitary_dim(u: np.ndarray, initial: np.ndarray) -> int:
@@ -388,7 +411,7 @@ def arnoldi_unitary_dim(u: np.ndarray, initial: np.ndarray) -> int:
 
     The row count of the orbit frame (:func:`_orbit_frame`); no row is formed densely.
     """
-    return _orbit_frame(u, initial)[0]
+    return _orbit_frame(u, initial)[0].size
 
 
 def orbit_span(u: np.ndarray, op: np.ndarray, max_rows: int) -> Optional[np.ndarray]:
@@ -403,17 +426,16 @@ def orbit_span(u: np.ndarray, op: np.ndarray, max_rows: int) -> Optional[np.ndar
     support is smaller), so the transient (block, d, d) stacks do not grow
     with it and each element rounds as in one stack
     (:func:`~chaostomo.operator_space.bloch_encode_batch`); then the
-    frame's entries combine them.  Returns None when O has no traceless
-    part or the orbit has more than ``max_rows`` dimensions.
+    frame's rows (:func:`_frame_rows`) combine them.  Returns None when O
+    has no traceless part or the orbit has more than ``max_rows``
+    dimensions.
     """
-    size, half, rows, basis, vecs = _orbit_frame(u, op, traceless=True)
-    if not 0 < size <= max_rows:
+    frame, basis, vecs = _orbit_frame(u, op, traceless=True)
+    if not 0 < frame.size <= max_rows:
         return None
+    rows = _frame_rows(frame)
     # frame coordinate c > 0 is Bloch element c - 1; the trace coordinate 0 is unused
-    support = np.unique(np.concatenate([c for _, c, _ in rows]))
-    coeffs = np.zeros((size, support.size))
-    for offset, (r, c, v) in zip((0, half), rows):
-        coeffs[offset + r, np.searchsorted(support, c)] = v
+    support = np.flatnonzero(rows.any(axis=0))
     parts = np.array_split(support - 1, max(1, support.size // TIMELINE_BLOCK))
-    return coeffs @ np.concatenate([bloch_encode_batch(vecs @ basis.matrices(part) @ vecs.conj().T,
-                                                       basis) for part in parts])
+    return rows[:, support] @ np.concatenate([bloch_encode_batch(
+        vecs @ basis.matrices(part) @ vecs.conj().T, basis) for part in parts])

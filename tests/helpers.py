@@ -3,9 +3,9 @@
 ``unitary_mode_count`` is the independent oracle for the unitary orbit
 dimension: it uses scipy's Schur form, not the library's eigenbasis.
 ``dense_frame`` is the (m + 2n, d^2) matrix of the invariant frame's rows,
-which the library keeps sparse.  ``lanczos_full_vector`` is the reference
-for ``lanczos_full_orth``: the same recursion on full-length frame vectors,
-re-orthogonalized against every earlier vector.  ``stepwise_amplitudes``
+which the library keeps as a mode table.  ``lanczos_full_vector`` is the
+reference for ``lanczos_full_orth``: the same recursion on full-length
+frame vectors, re-orthogonalized against every earlier vector.  ``stepwise_amplitudes``
 is the reference for ``krylov_amplitudes``: each O(t) evolved on its own
 and projected.  ``apply_generator`` is the Liouvillian on full operator
 coordinates.
@@ -27,7 +27,7 @@ from scipy.linalg import schur
 
 from chaostomo.checks import _krylov_vectors, _rotate
 from chaostomo.dynamics import KickedTop, build_propagator
-from chaostomo.krylov import _invariant_frame, _observable_coords, evolve_operator
+from chaostomo.krylov import _frame_rows, _invariant_frame, _observable_coords, evolve_operator
 from chaostomo.operator_space import gell_mann_basis
 from chaostomo.tomography import generate_record, model_step, read_timeline, reconstruct_series
 
@@ -61,11 +61,8 @@ def unitary_mode_count(u, op, weight_tol=1e-18, gap_tol=1e-9):
 
 def dense_frame(liou, vec):
     """The rows of ``_invariant_frame(liou, vec)`` as one dense (m + 2n, d^2) array, and m, w_j."""
-    size, m, freqs, (even, odd) = _invariant_frame(liou, vec)
-    frame = np.zeros((size, vec.size))
-    for offset, (r, c, v) in ((0, even), (m + len(freqs), odd)):
-        frame[offset + r, c] = v
-    return frame, m, freqs
+    frame = _invariant_frame(liou, vec)
+    return _frame_rows(frame), len(frame.norms) - len(frame.freqs), frame.freqs
 
 
 def lanczos_full_vector(liou, initial):

@@ -144,11 +144,6 @@ class TestChains:
         sz = collective_spin("z", 5)
         assert np.max(np.abs(u @ sz - sz @ u)) < 1e-10
 
-    def test_xxz_impurity_axis_option(self):
-        uy = build_propagator(XXZChain(L=3, g=0.9, site=2, impurity_axis="y"))
-        uz = build_propagator(XXZChain(L=3, g=0.9, site=2, impurity_axis="z"))
-        assert np.max(np.abs(uy - uz)) > 1e-3
-
     def test_site_bounds(self):
         with pytest.raises(ValueError):
             XXZChain(L=3, site=4)

@@ -46,9 +46,6 @@ BAD_MODELS = {
               lambda: dynamics.KickedTop(j=0.3)),
     "dt-negative": (dict(_KRYLOV, model={"kind": "tilted_ising", "dt": -1}),
                     lambda: dynamics.TiltedIsing(dt=-1)),
-    "impurity-axis-x": (dict(_KRYLOV, model={"kind": "xxz", "impurity_axis": "x"},
-                             sweep={"param": "g", "values": [0.1]}),
-                        lambda: dynamics.XXZChain(impurity_axis="x")),
 }
 
 
@@ -97,19 +94,19 @@ class TestValidation:
             run_experiment(tiny_tomo_config(model=model))
 
     def test_every_documented_knob_validates(self):
-        # the README model table, plus j, L and impurity_axis
+        # the README model table, plus j and L
         knobs = {
             "kicked_top": ["j", "lambda", "alpha"],
             "kicked_ising": ["L", "J", "hx", "hz"],
             "tilted_ising": ["L", "J", "hx", "hz", "dt"],
-            "xxz": ["L", "Jxy", "Jzz", "g", "site", "dt", "impurity_axis"],
+            "xxz": ["L", "Jxy", "Jzz", "g", "site", "dt"],
             "haar": ["dim", "seed"],
         }
         # krylov rebuilds the model for each sweep value, so it takes every
         # knob as a sweep param, the size knobs included; it rejects haar,
         # whose knobs tomo takes as model keys (its dim sweep is rejected below).
-        # Validation builds each model, and no spec takes one spin, a 1 x 1 space or axis 1.
-        value = {"L": 2, "dim": 2, "impurity_axis": "y"}
+        # Validation builds each model, and no spec takes one spin or a 1 x 1 space.
+        value = {"L": 2, "dim": 2}
         for kind, keys in knobs.items():
             for key in keys:
                 experiment, param = ("tomo", "seed") if kind == "haar" else ("krylov", key)
@@ -123,8 +120,7 @@ class TestValidation:
             "kicked_top": dynamics.KickedTop(j=10, lam=3.0, alpha=np.pi / 2),
             "kicked_ising": dynamics.KickedIsing(L=5, J=1.0, hx=1.4, hz=1.4),
             "tilted_ising": dynamics.TiltedIsing(L=5, J=1.0, hx=1.4, hz=0.1, dt=1.0),
-            "xxz": dynamics.XXZChain(L=5, Jxy=1.0, Jzz=1.1, g=0.0, site=3, dt=1.0,
-                                     impurity_axis="z"),
+            "xxz": dynamics.XXZChain(L=5, Jxy=1.0, Jzz=1.1, g=0.0, site=3, dt=1.0),
             "haar": dynamics.HaarSteps(dim=8, seed=0),
         }
         assert experiments._build_model({"kind": "xxz", "L": 4}).site == 2
@@ -175,9 +171,9 @@ class TestValidation:
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig(experiment="krylov", model=model, sweep=sweep).validate()
             assert err.value.fieldname == fieldname
-        # the model checks impurity_axis itself; site may be null
+        # site may be null
         ExperimentConfig(experiment="krylov", model={"kind": "xxz", "site": None},
-                         sweep={"param": "impurity_axis", "values": ["y"]}).validate()
+                         sweep={"param": "g", "values": [0.1]}).validate()
         cfg = ExperimentConfig(experiment="tomo", model={"kind": "haar", "dim": 3},
                                sweep={"param": "seed", "values": [2, -1]})
         with pytest.raises(ConfigError, match="seed must be an integer >= 0"):

@@ -22,7 +22,6 @@ from chaostomo.experiments import config_from_preset, run_experiment
 from chaostomo.krylov import (
     _observable_coords,
     arnoldi_unitary_dim,
-    evolve_operator,
     krylov_amplitudes,
     krylov_complexity,
     krylov_entropy,
@@ -305,7 +304,7 @@ class TestFootprint:
         # and the three (T, d(d-1)/2) angle, cosine and sine arrays 0.69 MiB more
         o = collective_spin("z", 5)
         kb = lanczos_full_orth(liouvillian(_tilted(5, 1.4)), o)
-        phi, peak = self.traced(krylov_amplitudes, o, kb, np.arange(61.0))
+        phi, peak = self.traced(krylov_amplitudes, kb, np.arange(61.0))
         assert phi.shape == (61, 513)
         assert peak < 1.3
 
@@ -325,32 +324,25 @@ class TestAmplitudes:
 
     def test_initial_amplitudes(self, small_system):
         h, o, kb = small_system
-        phi = krylov_amplitudes(o, kb, [0.0])[0]
+        phi = krylov_amplitudes(kb, [0.0])[0]
         assert phi[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(phi[1:])) < 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 1.7, 6.3])
     def test_normalization(self, small_system, t):
         h, o, kb = small_system
-        phi = krylov_amplitudes(o, kb, [t])
+        phi = krylov_amplitudes(kb, [t])
         assert abs(np.sum(phi**2) - 1.0) < 1e-8
 
     def test_short_time_slope_is_b1(self, small_system):
         h, o, kb = small_system
         t = 1e-6
-        phi = krylov_amplitudes(o, kb, [t])
+        phi = krylov_amplitudes(kb, [t])
         assert phi[0, 1] / t == pytest.approx(kb.lanczos_b[0], rel=1e-5)
-
-    def test_wrong_pairing_raises(self, small_system, hermitian_factory):
-        # an operator outside the span of the one that built the basis
-        h, o, kb = small_system
-        other = evolve_operator(hermitian_factory(4), o, 2.0)
-        with pytest.raises(ValueError, match="escapes the Krylov span"):
-            krylov_amplitudes(other, kb, [0.0, 1.0])
 
     def test_complexity_and_entropy_trivials(self, small_system):
         h, o, kb = small_system
-        phi0 = krylov_amplitudes(o, kb, [0.0])
+        phi0 = krylov_amplitudes(kb, [0.0])
         assert krylov_complexity(phi0)[0] == pytest.approx(0.0, abs=1e-12)
         assert krylov_entropy(phi0)[0] == pytest.approx(0.0, abs=1e-10)
         k = kb.dim_k
@@ -360,7 +352,7 @@ class TestAmplitudes:
 
     def test_entropy_bounded_by_log_k(self, small_system):
         h, o, kb = small_system
-        phi = krylov_amplitudes(o, kb, [0.5, 2.0, 10.0])
+        phi = krylov_amplitudes(kb, [0.5, 2.0, 10.0])
         assert np.all(krylov_entropy(phi) <= np.log(kb.dim_k) + 1e-10)
 
 
@@ -371,7 +363,7 @@ class TestAmplitudeSeries:
     def assert_matches_stepwise(h, o):
         times = np.arange(1, 61) * 1.0
         kb = lanczos_full_orth(liouvillian(h), o)
-        series = krylov_amplitudes(o, kb, times)
+        series = krylov_amplitudes(kb, times)
         reference = stepwise_amplitudes(h, o, kb, times)
         for measure in (krylov_complexity, krylov_entropy):
             want = measure(reference)
@@ -423,7 +415,7 @@ class TestFig23Cells:
         assert dims == [lanczos_dim_oracle(h, o)]
         assert dims[0] <= d * d - d + 1
         kb = lanczos_full_orth(liouvillian(h), o)
-        phi = krylov_amplitudes(o, kb, np.arange(1, cfg.steps + 1) * cfg.model["dt"])
+        phi = krylov_amplitudes(kb, np.arange(1, cfg.steps + 1) * cfg.model["dt"])
         assert np.max(np.abs(np.sum(phi**2, axis=-1) - 1)) <= 1e-12
 
     @pytest.mark.parametrize("hz", [0.0, 0.4, 1.4])

@@ -1,6 +1,8 @@
-"""tools/simplicity_report.py: its recipe table and its code-line counter, without runs."""
+"""tools/simplicity_report.py: its recipe table, its code-line counter and the Krylov preset bytes."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from chaostomo.experiments import PRESETS
@@ -46,8 +48,18 @@ def test_lines_prints_settable_fields_per_mode(capsys):
 def test_lines_prints_knobs_per_model_kind(capsys):
     report = load_report()
     knobs = report.model_knobs(report.SRC)
-    assert knobs == {"kicked_top": 3, "kicked_ising": 4, "tilted_ising": 5, "xxz": 7, "haar": 2}
+    assert knobs == {"kicked_top": 3, "kicked_ising": 4, "tilted_ising": 5, "xxz": 6, "haar": 2}
     report.report_lines(report.SRC)
     lines = capsys.readouterr().out.splitlines()
     for kind, count in knobs.items():
         assert f"{kind:<15} {count:>15}" in lines
+
+
+def test_krylov_preset_csv_bytes():
+    # the full fig2.3 and fig2.4 CSVs, which the tool writes at one BLAS thread
+    path = Path(__file__).resolve().parent.parent / "tools" / "simplicity_report.py"
+    out = subprocess.run([sys.executable, str(path), "hashes", "--full", "fig2.3-krylov-complexity",
+                          "fig2.4-lanczos"], capture_output=True, text=True, check=True).stdout
+    digests = dict(line.split()[:2] for line in out.splitlines())
+    assert {name: digest[:8] for name, digest in digests.items()} == {
+        "fig2.3-krylov-complexity": "55088548", "fig2.4-lanczos": "35e8d50c"}

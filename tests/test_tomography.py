@@ -387,8 +387,8 @@ class TestFactoredDesign:
         model = XXZChain(L=5, g=0.0, site=3)
         o, n_rows = _chain_case(model)
         u = build_propagator(model)
-        rows = krylov._orbit_frame(u, o, traceless=True)[2]
-        support = np.unique(np.concatenate([c for _, c, _ in rows])).size
+        frame = krylov._orbit_frame(u, o, traceless=True)[0]
+        support = np.count_nonzero(krylov._frame_rows(frame).any(axis=0))
         tracemalloc.start()
         try:
             span = krylov.orbit_span(u, o, n_rows)
