@@ -23,12 +23,12 @@ the children.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import numbers
+import typing
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -46,8 +46,8 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
-# Each model kind's spec type.  Its fields are the config keys the kind takes, with
-# their defaults; the kicked top's ``lam`` is written ``lambda``.
+# Each model kind's spec type.  Its fields are the knobs the kind takes, with their
+# defaults and annotations.
 MODELS = {
     "kicked_top": dynamics.KickedTop,
     "kicked_ising": dynamics.KickedIsing,
@@ -56,48 +56,51 @@ MODELS = {
     "haar": dynamics.HaarSteps,
 }
 MODEL_KINDS = tuple(MODELS)
-# Knobs that set the Hilbert-space dimension.
-SIZE_KNOBS = ("L", "j", "dim")
-ORDERED_BLOCH_SWEEPS = ("direction", "eta")
-# Integer config fields with their least value, and the real-valued fields.
-_INTEGER_FIELDS = {"steps": 0, "n_states": 1, "seed": 0, "eval_stride": 1, "n_samples": 1,
-                   "n_trajectories": 1}
-_REAL_FIELDS = ("sigma", "theta", "phi", "delta_lambda")
-# String fields with the types they take, and the fields that take one of a few words.
-_STRING_FIELDS = {"observable": str, "output_path": (str, type(None))}
-_CHOICE_FIELDS = {"state": ("haar", "coherent"), "mode": ("portrait", "husimi")}
+# Each kind's knobs by config key, (spec field, annotation); the kicked top's ``lam``
+# is written ``lambda``.
+_KNOBS = {kind: {{"lam": "lambda"}.get(name, name): (name, hint)
+                 for name, hint in typing.get_type_hints(spec).items()}
+          for kind, spec in MODELS.items()}
+# ordered-bloch builds one model and sweeps none of its knobs, but one of these
+ORDERED_BLOCH_SWEEPS = {"direction": Literal["descending", "ascending"], "eta": float}
+# The integer config fields whose least value is 1; every other integer's is 0.
+_COUNTS = ("n_states", "eval_stride", "n_samples", "n_trajectories")
 # Config fields every experiment reads; ``_EXPERIMENTS`` names the others each one reads.
 _ALWAYS_READ = ("experiment", "model", "sweep", "seed", "output_path", "provenance")
+_WANT = {float: "a finite real number", str: "a string", dict: "a mapping"}
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _check(fieldname: str, hint, value, key: str = "", least: int = 0):
+    """Raise ConfigError unless ``value`` fits the annotation ``hint`` of a config field,
+    or of the model knob or sweep param ``key``.
 
-
-def _is_real(value) -> bool:
-    """A finite real number: a NaN sigma would silently add no noise."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _canonical(key, value):
-    """A model knob or sweep value as the config hash reads it: a float, but for seeds,
-    sites and words, and sizes, which are ints where integral."""
-    if key in SIZE_KNOBS and _is_real(value) and float(value).is_integer():
-        return int(value)
-    return float(value) if _is_real(value) and key not in SIZE_KNOBS + ("seed", "site") else value
-
-
-def _check_value(fieldname: str, key: str, value):
-    """Raise ConfigError unless ``value`` fits the model knob or ordered-bloch sweep ``key``."""
-    if key == "direction":
-        ok, want = value in ("descending", "ascending"), "'descending' or 'ascending'"
-    elif key in ("L", "dim", "seed", "site"):  # a null site is the middle of the chain
-        ok = (_is_integer(value) and value >= 0) or (key == "site" and value is None)
-        want = "an integer >= 0"
+    ``float`` takes a finite real (a NaN sigma would silently add no noise) and
+    ``int`` an integer >= ``least``, neither a bool; ``str`` takes a string,
+    ``dict`` a mapping, a ``Literal`` one of its words, and ``Optional[...]``
+    also null.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Literal:
+        ok, want = value in args, " or ".join(map(repr, args))
     else:
-        ok, want = _is_real(value), "a finite real number"
+        optional = type(None) in args  # Optional[T] is Union[T, None]
+        base = args[0] if optional else hint
+        want = f"an integer >= {least}" if base is int else _WANT[base]
+        if value is None or isinstance(value, bool):
+            ok = value is None and optional
+        elif base is float:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        elif base is int:
+            ok = isinstance(value, numbers.Integral) and value >= least
+        else:
+            ok = isinstance(value, base)
     if not ok:
-        raise ConfigError(fieldname, f"{key} must be {want}, got {value!r}")
+        raise ConfigError(fieldname, (f"{key} " if key else "") + f"must be {want}, got {value!r}")
+
+
+def _hash_form(hint, value):
+    """``value`` as the config hash reads it: a float where its annotation is ``float``."""
+    return float(value) if hint is float else value
 
 
 class ConfigError(ValueError):
@@ -123,34 +126,22 @@ class ExperimentConfig:
     output_path: Optional[str] = None
     eval_stride: int = 1
     # experiment-specific knobs
-    state: str = "haar"  # or "coherent"
+    state: Literal["haar", "coherent"] = "haar"
     theta: float = 0.0
     phi: float = 0.0
     delta_lambda: float = 0.01
     n_samples: int = 10
     n_trajectories: int = 20
-    mode: str = "portrait"  # phase-space: portrait | husimi
+    mode: Literal["portrait", "husimi"] = "portrait"  # of phase-space
     provenance: str = ""
 
     def validate(self):
+        for name, hint in _FIELDS.items():
+            _check(name, hint, getattr(self, name), least=1 if name in _COUNTS else 0)
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError("experiment", f"must be one of {tuple(_EXPERIMENTS)}, "
                                             f"got {self.experiment!r}")
         _, kinds, fixed_size, _ = _EXPERIMENTS[self.experiment]
-        for name in ("model", "sweep"):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(name, "must be a mapping")
-        for name, least in _INTEGER_FIELDS.items():
-            value = getattr(self, name)
-            if not _is_integer(value) or value < least:
-                raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
-        for name in _REAL_FIELDS:
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(name, f"must be a finite real number, "
-                                        f"got {getattr(self, name)!r}")
-        for name, types in _STRING_FIELDS.items():
-            if not isinstance(getattr(self, name), types):
-                raise ConfigError(name, f"must be a string, got {getattr(self, name)!r}")
         kind = self.model.get("kind")
         if kind not in kinds:
             raise ConfigError("model.kind", f"{self.experiment} takes one of {kinds}, "
@@ -159,56 +150,65 @@ class ExperimentConfig:
         if not isinstance(param, str) or not isinstance(values, list) or not values:
             raise ConfigError("sweep", "a sweep with 'param' and a nonempty 'values' list "
                                        "is required")
-        known = [{"lam": "lambda"}.get(f.name, f.name) for f in fields(MODELS[kind])]
+        knobs = _KNOBS[kind]
         for key, value in self.model.items():
             if key == "kind":
                 continue
-            if key not in known:
+            if key not in knobs:
                 raise ConfigError(f"model.{key}",
-                                  f"not a parameter of {kind}; known: {sorted(known)}")
-            _check_value(f"model.{key}", key, value)
+                                  f"not a parameter of {kind}; known: {sorted(knobs)}")
+            _check(f"model.{key}", knobs[key][1], value, key)
         if self.experiment == "ordered-bloch":
             if param not in ORDERED_BLOCH_SWEEPS:
                 raise ConfigError("sweep.param", f"ordered-bloch sweeps one of "
-                                                 f"{ORDERED_BLOCH_SWEEPS}, got {param!r}")
-        elif param not in known:
+                                                 f"{tuple(ORDERED_BLOCH_SWEEPS)}, got {param!r}")
+        elif param not in knobs:
             raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
-                                       f"known: {sorted(known)}")
+                                       f"known: {sorted(knobs)}")
+        hint = _param_type(self)
         for value in values:
-            _check_value("sweep.values", param, value)
-        if fixed_size and param in SIZE_KNOBS:
-            raise ConfigError("sweep.param", f"{self.experiment} runs at one Hilbert-space "
-                                             f"size, so it cannot sweep {param!r}")
+            _check("sweep.values", hint, value, param)
         if self.sigma < 0:
             raise ConfigError("sigma", "must be >= 0")
-        for name, choices in _CHOICE_FIELDS.items():
-            if getattr(self, name) not in choices:
-                raise ConfigError(name, "must be " + " or ".join(map(repr, choices)))
         for f in fields(self):
             if getattr(self, f.name) != f.default and f.name not in _reads(self):
                 raise ConfigError(f.name, f"{self.experiment} does not read it; leave it unset")
         # build every model the run builds; ordered-bloch sweeps no model knob
         overrides = [None] if self.experiment == "ordered-bloch" else [(param, v) for v in values]
-        for override in overrides:
-            _build_model(self.model, override)
+        dims = {_build_model(self.model, override).dim for override in overrides}
+        if fixed_size and len(dims) > 1:
+            raise ConfigError("sweep.param", f"{self.experiment} runs at one Hilbert-space "
+                                             f"size, so it cannot sweep {param!r} over sizes")
         return self
 
     def resolved(self) -> dict:
-        """Every field but the labels output_path and provenance; ``config_hash`` digests it.
+        """What ``config_hash`` digests of a valid config: the run as it reads it.
 
-        The real-valued fields, model knobs and sweep values are written as
-        floats, so ``theta: 0`` and ``theta: 0.0`` hash alike; seeds, sites and
-        words stay as written, and sizes are ints where integral (``j: 10.0``
-        hashes as ``j: 10``).  A valid config leaves each field its
-        run does not read at its default (:func:`_reads`), so two valid configs
-        of one experiment whose hashes differ differ in a value the run reads.
+        Every field but the labels output_path and provenance, in its hash form
+        (:func:`_hash_form`): a float where its annotation is ``float``, so
+        ``theta: 0`` and ``theta: 0.0``, or ``j: 10`` and ``j: 10.0``, hash
+        alike.  The model is hashed as the run builds it: its kind and the
+        spec's fields with their defaults filled in, spelled as in the config
+        (``lambda``), less the swept knob and any field the sweep moves (an
+        xxz ``site`` left null under an ``L`` sweep); for ordered-bloch, which
+        reads only the size, its kind and ``dim``.  A valid config leaves each
+        field its run does not read at its default (:func:`_reads`), so two
+        valid configs of one experiment whose hashes differ differ in a value
+        the run reads.
         """
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("output_path", "provenance")}
-        out.update({name: float(out[name]) for name in _REAL_FIELDS})
-        out["model"] = {key: _canonical(key, value) for key, value in self.model.items()}
-        values = [_canonical(self.sweep.get("param"), v) for v in self.sweep.get("values", [])]
-        out["sweep"] = {"param": self.sweep.get("param"), "values": values}
+        out = {name: _hash_form(hint, getattr(self, name)) for name, hint in _FIELDS.items()
+               if name not in ("output_path", "provenance")}
+        kind, param, values = self.model["kind"], self.sweep["param"], self.sweep["values"]
+        if self.experiment == "ordered-bloch":
+            out["model"] = {"kind": kind, "dim": _build_model(self.model).dim}
+        else:
+            built = [vars(_build_model(self.model, (param, v))) for v in values]
+            out["model"] = {"kind": kind}
+            for key, (name, hint) in _KNOBS[kind].items():
+                if key != param and all(b[name] == built[0][name] for b in built):
+                    out["model"][key] = _hash_form(hint, built[0][name])
+        hint = _param_type(self)
+        out["sweep"] = {"param": param, "values": [_hash_form(hint, v) for v in values]}
         return out
 
     def config_hash(self) -> str:
@@ -216,15 +216,25 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+# Each config field's annotation, which types its value (_check) and its hash form.
+_FIELDS = typing.get_type_hints(ExperimentConfig)
+
+
+def _param_type(cfg: ExperimentConfig):
+    """The annotation of the sweep param of ``cfg``: a knob of its model, or for
+    ordered-bloch one of ``ORDERED_BLOCH_SWEEPS``."""
+    if cfg.experiment == "ordered-bloch":
+        return ORDERED_BLOCH_SWEEPS[cfg.sweep["param"]]
+    return _KNOBS[cfg.model["kind"]][cfg.sweep["param"]][1]
+
+
 def _build_model(model: dict, override: Optional[tuple] = None) -> dynamics.ModelSpec:
     params = dict(model)
     if override is not None:
         params[override[0]] = override[1]
-    model_type = MODELS[params.pop("kind")]
-    if "lambda" in params:
-        params["lam"] = params.pop("lambda")
+    kind = params.pop("kind")
     try:
-        return model_type(**params)
+        return MODELS[kind](**{_KNOBS[kind][key][0]: value for key, value in params.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError("model", str(exc)) from exc
 
@@ -468,11 +478,11 @@ def _run_phase_space(cfg: ExperimentConfig, sweep: _Sweep):
     observable = _build_observable(cfg.observable, sweep.model(sweep.values[0]), sweep.obs_rng)
     steps = _eval_steps(n_steps, cfg.eval_stride)
     for value, model, _ in sweep:
-        # O_0, O_1, ... read one block at a time, at the evaluated steps
-        blocks = dynamics.timeline_blocks(observable, n_steps, dynamics.build_propagator(model))
-        entropy = [phase_space.husimi_entropy(op, grid)
-                   for n, op in enumerate(itertools.chain.from_iterable(blocks)) if n in steps]
-        sweep.rows.add_steps(value, steps, {"husimi_entropy": entropy})
+        # O_n at the evaluated steps, read one block of the timeline at a time
+        kept = tomography.read_timeline(observable, n_steps + 1, dynamics.build_propagator(model),
+                                        keep=steps)[2]
+        sweep.rows.add_steps(value, steps, {
+            "husimi_entropy": [phase_space.husimi_entropy(op, grid) for op in kept]})
 
 
 def _spectrum_series(observable, n_rows, step, basis, eval_steps) -> dict:

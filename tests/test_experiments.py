@@ -149,14 +149,20 @@ class TestValidation:
             cfg.validate()
         assert err.value.fieldname == "model.kind"
 
-    @pytest.mark.parametrize("name", [*experiments._INTEGER_FIELDS, *experiments._REAL_FIELDS])
+    @pytest.mark.parametrize("name", [*(name for name, hint in experiments._FIELDS.items()
+                                         if hint in (int, float)), "provenance"])
     def test_field_types(self, name):
-        integer = name in experiments._INTEGER_FIELDS
-        bad = (1.5, True, "3", -1) if integer else (True, "0.1", None, float("nan"), np.inf)
+        bad = {int: (1.5, True, "3", -1), float: (True, "0.1", None, float("nan"), np.inf),
+               str: (5,)}[experiments._FIELDS[name]]
         for value in bad:
             with pytest.raises(ConfigError, match="must be") as err:
                 tiny_tomo_config(**{name: value}).validate()
             assert err.value.fieldname == name
+
+    def test_single_size_sweep_accepted(self):
+        # one value keeps one Hilbert-space size, so a fixed-size experiment takes it
+        ExperimentConfig(experiment="tomo", observable="Sz", model={"kind": "tilted_ising"},
+                         sweep={"param": "L", "values": [3]}).validate()
 
     def test_knob_types(self):
         for model, sweep, fieldname in [
@@ -408,21 +414,21 @@ class TestRowEmitter:
         assert ResultTable(["h"], new.rows).to_csv() == old_to_csv(ResultTable(["h"], old.rows))
 
 
-# config_hash of every preset, recorded when the hash payload became the
-# dataclass fields: a change here re-labels every CSV a preset has written
+# config_hash of every preset, recorded when the hash payload became the model
+# as the run builds it: a change here re-labels every CSV a preset has written
 PRESET_HASHES = {
-    "fig2.1-phase-space": "3cf905baf2130a10",
+    "fig2.1-phase-space": "0038255b00333451",
     "fig2.3-krylov-complexity": "b382bbf3439f2e91",
-    "fig2.4-lanczos": "3e83f79f04b7911e",
-    "fig3.1-coherent": "edb4e32405f39647",
-    "fig3.1-random": "01452f7e7b7abb80",
-    "fig3.3-ordered-bloch": "05bbece35c361f6c",
-    "fig3.6-husimi": "ba0d8a35d1482c59",
-    "fig4.2-tki-quantifiers": "51c89e05513addff",
-    "fig4.6-rmt-compare": "44eb6f819eb1b322",
-    "fig4.8-xxz": "986810e901f8c352",
-    "fig5.2-perturb": "90cb57fd18b38e70",
-    "fig5.3-perturbed-basis": "7ba3aa0bf15deca4",
+    "fig2.4-lanczos": "de89c433a721de8b",
+    "fig3.1-coherent": "467093648c2aa2c3",
+    "fig3.1-random": "868d530fd82b278c",
+    "fig3.3-ordered-bloch": "8c2206e7483baf11",
+    "fig3.6-husimi": "665efdce423e2a00",
+    "fig4.2-tki-quantifiers": "a1f4216737d8f5c6",
+    "fig4.6-rmt-compare": "f77fb38268d2305f",
+    "fig4.8-xxz": "a9c48b923be20c82",
+    "fig5.2-perturb": "a58cd8a568b75f25",
+    "fig5.3-perturbed-basis": "4407fb4a341d763d",
 }
 
 
@@ -442,8 +448,30 @@ class TestConfigHash:
             same = f.name in ("output_path", "provenance")
             assert (other.config_hash() == base.config_hash()) == same, f.name
 
+    def test_hash_reads_the_built_model(self):
+        # each gives the preset's rows: a knob left to its default, the swept knob's
+        # model value left out, a site left null, and knobs ordered-bloch does not read
+        def digest(name, **model):
+            return ExperimentConfig(**{**PRESETS[name], "model": model}).validate().config_hash()
+
+        def preset_model(name, *dropped):
+            return {k: v for k, v in PRESETS[name]["model"].items() if k not in dropped}
+
+        for name, model in [
+            ("fig4.2-tki-quantifiers", preset_model("fig4.2-tki-quantifiers", "J")),
+            ("fig4.8-xxz", preset_model("fig4.8-xxz", "g")),
+            ("fig4.8-xxz", {**preset_model("fig4.8-xxz"), "site": None}),
+            ("fig5.3-perturbed-basis", {"kind": "kicked_top", "j": 10}),
+        ]:
+            assert digest(name, **model) == PRESET_HASHES[name], (name, model)
+        # a site the sweep moves is not the site of its first value
+        moved = dict(experiment="krylov", observable="Sz", sweep={"param": "L", "values": [4, 5]})
+        assert (ExperimentConfig(**moved, model={"kind": "xxz"}).validate().config_hash()
+                != ExperimentConfig(**moved, model={"kind": "xxz", "site": 2}).validate()
+                .config_hash())
+
     def test_real_values_hash_as_floats(self):
-        # an int where a real is read hashes as its float; a size as an int where integral
+        # an int where a real is read hashes as its float, the kicked top's j included
         def digest(**over):
             return tiny_tomo_config(state="coherent", **over).config_hash()
 
@@ -951,8 +979,10 @@ class TestCli:
           "sweep": {"param": "hz", "values": [1.4]}}, "observable"),
         ({"experiment": "tomo", "output_path": 7, "model": {"kind": "kicked_top", "j": 2},
           "sweep": {"param": "lambda", "values": [3.0]}}, "output_path"),
+        ({"experiment": ["tomo"], "model": {"kind": "kicked_top", "j": 2},
+          "sweep": {"param": "lambda", "values": [3.0]}}, "experiment"),
     ], ids=["sweep-value", "model-knob", "sigma", "direction", "eta", "model-j",
-            "observable", "output-path"])
+            "observable", "output-path", "experiment-list"])
     def test_wrong_type_exit_code(self, tmp_path, cfg, fieldname):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump({**cfg, "steps": 4}))

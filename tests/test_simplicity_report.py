@@ -60,6 +60,8 @@ def test_krylov_preset_csv_bytes():
     path = Path(__file__).resolve().parent.parent / "tools" / "simplicity_report.py"
     out = subprocess.run([sys.executable, str(path), "hashes", "--full", "fig2.3-krylov-complexity",
                           "fig2.4-lanczos"], capture_output=True, text=True, check=True).stdout
-    digests = dict(line.split()[:2] for line in out.splitlines())
-    assert {name: digest[:8] for name, digest in digests.items()} == {
-        "fig2.3-krylov-complexity": "55088548", "fig2.4-lanczos": "35e8d50c"}
+    # each line: the preset, the file's digest and the body's digest
+    digests = {line.split()[0]: tuple(d[:8] for d in line.split()[1:3])
+               for line in out.splitlines()}
+    assert digests == {"fig2.3-krylov-complexity": ("55088548", "9a13698e"),
+                       "fig2.4-lanczos": ("90940217", "771a8999")}

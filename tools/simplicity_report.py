@@ -13,7 +13,8 @@ default, and how many knobs each model kind takes: the fields of its
 ``dynamics`` spec.
 
 ``hashes`` runs every preset, or the named ones, and prints the sha256 of
-each CSV and its run time.  By default each preset runs the small recipe of
+each CSV, the sha256 of its body (the lines after the ``#`` header, so a
+relabelled header shows apart from a moved number) and its run time.  By default each preset runs the small recipe of
 ``RECIPES``; ``--full`` runs the preset as it stands.  The CSVs depend on the
 BLAS thread count, so OpenBLAS, OpenMP and MKL are pinned to one thread
 before numpy is imported.
@@ -161,7 +162,9 @@ def report_hashes(names, full: bool) -> None:
         csv = run_experiment(cfg).to_csv()
         took = time.perf_counter() - start
         digest = hashlib.sha256(csv.encode()).hexdigest()
-        print(f"{name:<26} {digest}  {took:8.2f} s", flush=True)
+        body = "".join(line for line in csv.splitlines(keepends=True) if not line.startswith("#"))
+        print(f"{name:<26} {digest}  {hashlib.sha256(body.encode()).hexdigest()}  {took:8.2f} s",
+              flush=True)
 
 
 def main(argv=None) -> None:
@@ -169,7 +172,8 @@ def main(argv=None) -> None:
     sub = parser.add_subparsers(dest="command", required=True)
     lines = sub.add_parser("lines", help="total and code lines per module, and __all__ names")
     lines.add_argument("src", nargs="?", type=Path, default=SRC)
-    hashes = sub.add_parser("hashes", help="sha256 and run time of each preset CSV")
+    hashes = sub.add_parser("hashes", help="sha256 of each preset CSV and of its body, and "
+                                            "its run time")
     hashes.add_argument("--full", action="store_true", help="run the full presets")
     hashes.add_argument("presets", nargs="*", metavar="PRESET")
     args = parser.parse_args(argv)
