@@ -97,13 +97,10 @@ def _check_chain(L, site=None):
 
 
 @dataclass(frozen=True)
-class KickedIsing:
-    """Periodically kicked Ising chain in a tilted field (Floquet step)."""
+class _Chain:
+    """A chain of L spins 1/2, the base of the three chain specs."""
 
     L: int = 5
-    J: float = 1.0
-    hx: float = 1.4
-    hz: float = 1.4
 
     def __post_init__(self):
         _check_chain(self.L)
@@ -114,34 +111,37 @@ class KickedIsing:
 
 
 @dataclass(frozen=True)
-class TiltedIsing:
+class KickedIsing(_Chain):
+    """Periodically kicked Ising chain in a tilted field (Floquet step)."""
+
+    J: float = 1.0
+    hx: float = 1.4
+    hz: float = 1.4
+
+
+@dataclass(frozen=True)
+class TiltedIsing(_Chain):
     """Time-independent tilted-field Ising chain, evolved for duration dt per step."""
 
-    L: int = 5
     J: float = 1.0
     hx: float = 1.4
     hz: float = 0.1
     dt: float = 1.0
 
     def __post_init__(self):
-        _check_chain(self.L)
+        super().__post_init__()
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
-    @property
-    def dim(self) -> int:
-        return 2**self.L
-
 
 @dataclass(frozen=True)
-class XXZChain:
+class XXZChain(_Chain):
     """Heisenberg XXZ chain with a single-site impurity of strength g.
 
     The impurity term is (g/2) sigma^z at the 1-based ``site``, by default
     the middle of the chain, (L + 1) // 2; along z it preserves total S_z.
     """
 
-    L: int = 5
     Jxy: float = 1.0
     Jzz: float = 1.1
     g: float = 0.0
@@ -154,10 +154,6 @@ class XXZChain:
         _check_chain(self.L, self.site)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 2**self.L
 
 
 @dataclass(frozen=True)

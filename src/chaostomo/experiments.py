@@ -47,7 +47,7 @@ __all__ = [
 TOOL_VERSION = "0.1.0"
 
 # Each model kind's spec type.  Its fields are the knobs the kind takes, with their
-# defaults and annotations.
+# defaults and annotations; the first one sets the Hilbert-space size.
 MODELS = {
     "kicked_top": dynamics.KickedTop,
     "kicked_ising": dynamics.KickedIsing,
@@ -150,28 +150,25 @@ class ExperimentConfig:
         if not isinstance(param, str) or not isinstance(values, list) or not values:
             raise ConfigError("sweep", "a sweep with 'param' and a nonempty 'values' list "
                                        "is required")
-        knobs = _KNOBS[kind]
+        # a field or knob the run does not read must keep its default (for a knob, the
+        # class attribute of its spec)
+        knobs, reads = _KNOBS[kind], _reads(self)
         for key, value in self.model.items():
+            name = f"model.{key}"
             if key == "kind":
                 continue
             if key not in knobs:
-                raise ConfigError(f"model.{key}",
-                                  f"not a parameter of {kind}; known: {sorted(knobs)}")
-            _check(f"model.{key}", knobs[key][1], value, key)
-        if self.experiment == "ordered-bloch":
-            if param not in ORDERED_BLOCH_SWEEPS:
-                raise ConfigError("sweep.param", f"ordered-bloch sweeps one of "
-                                                 f"{tuple(ORDERED_BLOCH_SWEEPS)}, got {param!r}")
-        elif param not in knobs:
-            raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
-                                       f"known: {sorted(knobs)}")
+                raise ConfigError(name, f"not a parameter of {kind}; known: {sorted(knobs)}")
+            _check(name, knobs[key][1], value, key)
+            if value != getattr(MODELS[kind], knobs[key][0]) and name not in reads:
+                raise ConfigError(name, f"{self.experiment} does not read it; leave it unset")
         hint = _param_type(self)
         for value in values:
             _check("sweep.values", hint, value, param)
         if self.sigma < 0:
             raise ConfigError("sigma", "must be >= 0")
         for f in fields(self):
-            if getattr(self, f.name) != f.default and f.name not in _reads(self):
+            if getattr(self, f.name) != f.default and f.name not in reads:
                 raise ConfigError(f.name, f"{self.experiment} does not read it; leave it unset")
         # build every model the run builds; ordered-bloch sweeps no model knob
         overrides = [None] if self.experiment == "ordered-bloch" else [(param, v) for v in values]
@@ -188,24 +185,24 @@ class ExperimentConfig:
         (:func:`_hash_form`): a float where its annotation is ``float``, so
         ``theta: 0`` and ``theta: 0.0``, or ``j: 10`` and ``j: 10.0``, hash
         alike.  The model is hashed as the run builds it: its kind and the
-        spec's fields with their defaults filled in, spelled as in the config
-        (``lambda``), less the swept knob and any field the sweep moves (an
-        xxz ``site`` left null under an ``L`` sweep); for ordered-bloch, which
-        reads only the size, its kind and ``dim``.  A valid config leaves each
-        field its run does not read at its default (:func:`_reads`), so two
-        valid configs of one experiment whose hashes differ differ in a value
-        the run reads.
+        knobs the run reads (:func:`_reads`) with their defaults filled in,
+        spelled as in the config (``lambda``), less the swept knob and any
+        knob the sweep moves (an xxz ``site`` left null under an ``L``
+        sweep); for ordered-bloch, which reads only the size, its ``dim``
+        alone.  A valid config leaves each field and knob its run does not
+        read at its default, so two valid configs of one experiment whose
+        hashes differ differ in a value the run reads.
         """
         out = {name: _hash_form(hint, getattr(self, name)) for name, hint in _FIELDS.items()
                if name not in ("output_path", "provenance")}
         kind, param, values = self.model["kind"], self.sweep["param"], self.sweep["values"]
         if self.experiment == "ordered-bloch":
-            out["model"] = {"kind": kind, "dim": _build_model(self.model).dim}
+            out["model"] = {"dim": _build_model(self.model).dim}
         else:
-            built = [vars(_build_model(self.model, (param, v))) for v in values]
+            built, reads = [vars(_build_model(self.model, (param, v))) for v in values], _reads(self)
             out["model"] = {"kind": kind}
             for key, (name, hint) in _KNOBS[kind].items():
-                if key != param and all(b[name] == built[0][name] for b in built):
+                if key != param and f"model.{key}" in reads and len({b[name] for b in built}) == 1:
                     out["model"][key] = _hash_form(hint, built[0][name])
         hint = _param_type(self)
         out["sweep"] = {"param": param, "values": [_hash_form(hint, v) for v in values]}
@@ -221,11 +218,19 @@ _FIELDS = typing.get_type_hints(ExperimentConfig)
 
 
 def _param_type(cfg: ExperimentConfig):
-    """The annotation of the sweep param of ``cfg``: a knob of its model, or for
-    ordered-bloch one of ``ORDERED_BLOCH_SWEEPS``."""
-    if cfg.experiment == "ordered-bloch":
-        return ORDERED_BLOCH_SWEEPS[cfg.sweep["param"]]
-    return _KNOBS[cfg.model["kind"]][cfg.sweep["param"]][1]
+    """The annotation of the sweep param of ``cfg``: a knob of its model that its run
+    reads, or for ordered-bloch one of ``ORDERED_BLOCH_SWEEPS``.  Raises ConfigError
+    for any other param."""
+    param, kind, reads = cfg.sweep["param"], cfg.model["kind"], _reads(cfg)
+    if cfg.experiment != "ordered-bloch" and param not in _KNOBS[kind]:
+        raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
+                                   f"known: {sorted(_KNOBS[kind])}")
+    sweeps = ORDERED_BLOCH_SWEEPS if cfg.experiment == "ordered-bloch" else {
+        key: hint for key, (_, hint) in _KNOBS[kind].items() if f"model.{key}" in reads}
+    if param not in sweeps:
+        raise ConfigError("sweep.param", f"{cfg.experiment} sweeps one of {tuple(sweeps)}, "
+                                         f"got {param!r}")
+    return sweeps[param]
 
 
 def _build_model(model: dict, override: Optional[tuple] = None) -> dynamics.ModelSpec:
@@ -557,17 +562,25 @@ _EXPERIMENTS = {
 
 
 def _reads(cfg: ExperimentConfig) -> set:
-    """The fields a run of ``cfg`` reads: _ALWAYS_READ and its experiment's, less those
-    it reads only under a condition that ``cfg`` does not meet.  krylov on a Floquet
-    model gives only the orbit dimension, and with steps 0 no complexity rows."""
+    """The fields a run of ``cfg`` reads, and the knobs of its model it reads, written
+    ``model.<key>``: _ALWAYS_READ, its experiment's fields and every knob of its model
+    kind, less those it reads only under a condition that ``cfg`` does not meet.  The
+    classical portrait has no ``j``; krylov on a Floquet model gives only the orbit
+    dimension, and on a Hamiltonian with steps 0 only the Lanczos coefficients of H,
+    so no complexity rows and no ``dt``; ordered-bloch reads only its model's size, the
+    first knob of each spec."""
+    knobs = tuple(f"model.{key}" for key in _KNOBS[cfg.model["kind"]])
     unread = set() if cfg.state == "coherent" else {"theta", "phi"}
     if cfg.experiment == "phase-space":
-        unread |= {"n_trajectories"} if cfg.mode == "husimi" else {"observable", "eval_stride"}
-    elif cfg.experiment == "krylov" and cfg.model.get("kind") not in ("tilted_ising", "xxz"):
+        unread |= {"n_trajectories"} if cfg.mode == "husimi" else {"observable", "eval_stride",
+                                                                    "model.j"}
+    elif cfg.experiment == "krylov" and cfg.model["kind"] not in ("tilted_ising", "xxz"):
         unread |= {"steps", "eval_stride"}
     elif cfg.experiment == "krylov" and cfg.steps == 0:
-        unread.add("eval_stride")
-    return set(_ALWAYS_READ + _EXPERIMENTS[cfg.experiment][3]) - unread
+        unread |= {"eval_stride", "model.dt"}
+    elif cfg.experiment == "ordered-bloch":
+        unread.update(knobs[1:])
+    return set(_ALWAYS_READ + _EXPERIMENTS[cfg.experiment][3] + knobs) - unread
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
@@ -593,7 +606,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
 PRESETS = {
     "fig2.1-phase-space": dict(
         experiment="phase-space", mode="portrait",
-        model={"kind": "kicked_top", "j": 10, "alpha": np.pi / 2, "lambda": 0.5},
+        model={"kind": "kicked_top", "alpha": np.pi / 2, "lambda": 0.5},
         sweep={"param": "lambda", "values": [0.5, 2.5, 3.0, 6.5]},
         steps=300, n_trajectories=20,
         provenance="Fig. 2.1 parameter set: classical kicked top, alpha=pi/2, lambda in {0.5, 2.5, 3.0, 6.5}",
@@ -607,7 +620,7 @@ PRESETS = {
     ),
     "fig2.4-lanczos": dict(
         experiment="krylov", observable="s1y",
-        model={"kind": "tilted_ising", "J": 1.0, "hx": 1.4, "hz": 1.4, "dt": 1.0, "L": 2},
+        model={"kind": "tilted_ising", "J": 1.0, "hx": 1.4, "hz": 1.4, "L": 2},
         sweep={"param": "L", "values": [2, 3, 4]},
         provenance="Fig. 2.4 parameter set: tilted-field Ising, J=1, hx=hz=1.4, O=s1y, L sweep",
     ),
@@ -629,7 +642,7 @@ PRESETS = {
     ),
     "fig3.3-ordered-bloch": dict(
         experiment="ordered-bloch", state="coherent", theta=2.04, phi=2.42,
-        model={"kind": "kicked_top", "j": 20, "alpha": np.pi / 2, "lambda": 0.5},
+        model={"kind": "kicked_top", "j": 20},
         sweep={"param": "direction", "values": ["descending", "ascending"]},
         provenance="Fig. 3.3 parameter set: ordered Bloch components, coherent state j=20",
     ),
@@ -674,7 +687,7 @@ PRESETS = {
     ),
     "fig5.3-perturbed-basis": dict(
         experiment="ordered-bloch", state="haar",
-        model={"kind": "kicked_top", "j": 10, "alpha": 1.4, "lambda": 7.0},
+        model={"kind": "kicked_top", "j": 10},
         sweep={"param": "eta", "values": [0.0, 0.05, 0.1, 0.2]},
         n_states=20,
         provenance="Fig. 5.3 parameter set: ordered measurements in a basis perturbed by a"

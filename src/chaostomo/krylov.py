@@ -372,7 +372,8 @@ def krylov_complexity(phi: np.ndarray):
 def krylov_entropy(phi: np.ndarray):
     """Spread entropy -sum_k phi_k^2 ln phi_k^2 with 0 ln 0 = 0, over the last axis."""
     p = phi**2
-    return -np.sum(p * np.log(p, where=p > 0.0, out=np.zeros_like(p)), axis=-1)
+    # 0 - sum, not -sum: +0 where all the weight sits on one vector
+    return 0.0 - np.sum(p * np.log(p, where=p > 0.0, out=np.zeros_like(p)), axis=-1)
 
 
 def _orbit_frame(u: np.ndarray, initial: np.ndarray, traceless: bool = False) -> tuple:

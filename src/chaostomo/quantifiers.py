@@ -46,7 +46,8 @@ def shannon_entropy(s: np.ndarray) -> float:
     if len(lam) == 0:
         raise ValueError("covariance has no support; entropy undefined")
     p = lam / lam.sum()
-    return float(-np.sum(p * np.log(p)))
+    # 0 - sum, not -sum: +0 where all the weight sits in one direction
+    return float(0.0 - np.sum(p * np.log(p)))
 
 
 def _fisher_reg(s: np.ndarray) -> float:

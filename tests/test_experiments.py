@@ -44,7 +44,7 @@ BAD_MODELS = {
     "j-0.3": (dict(experiment="tomo", model={"kind": "kicked_top", "j": 0.3},
                    sweep={"param": "lambda", "values": [3.0]}),
               lambda: dynamics.KickedTop(j=0.3)),
-    "dt-negative": (dict(_KRYLOV, model={"kind": "tilted_ising", "dt": -1}),
+    "dt-negative": (dict(_KRYLOV, model={"kind": "tilted_ising", "dt": -1}, steps=4),
                     lambda: dynamics.TiltedIsing(dt=-1)),
 }
 
@@ -103,15 +103,16 @@ class TestValidation:
             "haar": ["dim", "seed"],
         }
         # krylov rebuilds the model for each sweep value, so it takes every
-        # knob as a sweep param, the size knobs included; it rejects haar,
-        # whose knobs tomo takes as model keys (its dim sweep is rejected below).
-        # Validation builds each model, and no spec takes one spin or a 1 x 1 space.
+        # knob as a sweep param, the size knobs included, and dt where it times
+        # complexity rows (steps > 0); it rejects haar, whose knobs tomo takes as
+        # model keys (its dim sweep is rejected below).  Validation builds each
+        # model, and no spec takes one spin or a 1 x 1 space.
         value = {"L": 2, "dim": 2}
         for kind, keys in knobs.items():
             for key in keys:
                 experiment, param = ("tomo", "seed") if kind == "haar" else ("krylov", key)
                 model = {"kind": kind, key: value.get(key, 1)}
-                ExperimentConfig(experiment=experiment, model=model,
+                ExperimentConfig(experiment=experiment, model=model, steps=int(key == "dt"),
                                  sweep={"param": param, "values": [value.get(param, 1)]}).validate()
 
     def test_model_defaults_are_the_spec_fields(self):
@@ -207,8 +208,10 @@ class TestValidation:
         ("phase-space", {"kind": "kicked_top", "j": 2}, "j"),
     ])
     def test_size_knob_sweep_rejected(self, experiment, model, param):
-        # these runners build the observable and basis for the first value only
-        cfg = ExperimentConfig(experiment=experiment, model=model, steps=4,
+        # these runners build the observable and basis for the first value only;
+        # phase-space reads j in husimi mode (the classical portrait has none)
+        mode = "husimi" if experiment == "phase-space" else "portrait"
+        cfg = ExperimentConfig(experiment=experiment, model=model, steps=4, mode=mode,
                                sweep={"param": param, "values": [2, 3]})
         with pytest.raises(ConfigError, match="sweep.param") as err:
             run_experiment(cfg)
@@ -217,14 +220,15 @@ class TestValidation:
 
 # one valid config of each experiment, a field its run does not read set off its
 # default, and for a field read only under a condition, the change that meets it
-_KT2 = dict(model={"kind": "kicked_top", "j": 2}, sweep={"param": "lambda", "values": [3.0]})
+_KT = dict(model={"kind": "kicked_top"}, sweep={"param": "lambda", "values": [3.0]})
+_KT2 = {**_KT, "model": {"kind": "kicked_top", "j": 2}}
 _TI2 = dict(observable="Sz", model={"kind": "tilted_ising", "L": 2},
             sweep={"param": "hz", "values": [1.4]})
 _KI2 = {**_TI2, "model": {"kind": "kicked_ising", "L": 2}}
 _OB = dict(model={"kind": "kicked_top", "j": 2}, sweep={"param": "eta", "values": [0.1]})
 _COHERENT = {"state": "coherent"}
 UNREAD = {
-    "phase-space": ("phase-space", _KT2, "sigma", 0.5, None),
+    "phase-space": ("phase-space", _KT, "sigma", 0.5, None),
     "tomo": ("tomo", _KT2, "n_samples", 3, None),
     "krylov": ("krylov", _TI2, "n_states", 3, None),
     "perturb": ("perturb", _KT2, "mode", "husimi", None),
@@ -233,16 +237,35 @@ UNREAD = {
     "tomo-haar-theta": ("tomo", _KT2, "theta", 0.5, _COHERENT),
     "perturb-haar-phi": ("perturb", _KT2, "phi", 0.5, _COHERENT),
     "ordered-bloch-haar-theta": ("ordered-bloch", _OB, "theta", 0.5, _COHERENT),
-    "husimi-n_trajectories": ("phase-space", {**_KT2, "mode": "husimi"}, "n_trajectories", 3,
+    "husimi-n_trajectories": ("phase-space", {**_KT, "mode": "husimi"}, "n_trajectories", 3,
                               {"mode": "portrait"}),
-    "portrait-observable": ("phase-space", _KT2, "observable", "J_x", {"mode": "husimi"}),
-    "portrait-eval_stride": ("phase-space", _KT2, "eval_stride", 2, {"mode": "husimi"}),
+    "portrait-observable": ("phase-space", _KT, "observable", "J_x", {"mode": "husimi"}),
+    "portrait-eval_stride": ("phase-space", _KT, "eval_stride", 2, {"mode": "husimi"}),
     "krylov-floquet-steps": ("krylov", _KI2, "steps", 4, {"model": _TI2["model"]}),
     "krylov-floquet-eval_stride": ("krylov", _KI2, "eval_stride", 2,
                                    {"model": _TI2["model"], "steps": 4}),
     "krylov-steps-0-eval_stride": ("krylov", _TI2, "eval_stride", 2, {"steps": 4}),
 }
 CONDITIONAL = [case for case, (*_, read_when) in UNREAD.items() if read_when]
+# the same for model knobs: a knob the run does not read set off its spec default
+_XXZ2 = dict(observable="Sz", model={"kind": "xxz", "L": 2}, sweep={"param": "g", "values": [0.1]})
+UNREAD_KNOBS = {
+    "portrait-j": ("phase-space", _KT, "j", 2, {"mode": "husimi"}),
+    "krylov-steps-0-tilted-dt": ("krylov", _TI2, "dt", 2.0, {"steps": 4}),
+    "krylov-steps-0-xxz-dt": ("krylov", _XXZ2, "dt", 2.0, {"steps": 4}),
+    "ordered-bloch-lambda": ("ordered-bloch", _OB, "lambda", 7.0, None),
+    "ordered-bloch-alpha": ("ordered-bloch", _OB, "alpha", 1.4, None),
+    "ordered-bloch-chain-J": ("ordered-bloch", {**_OB, "model": {"kind": "kicked_ising", "L": 2}},
+                              "J", 0.5, None),
+    "ordered-bloch-xxz-site": ("ordered-bloch", {**_OB, "model": {"kind": "xxz", "L": 2}},
+                               "site", 1, None),
+    "ordered-bloch-haar-seed": ("ordered-bloch", {**_OB, "model": {"kind": "haar", "dim": 3}},
+                                "seed", 1, None),
+}
+
+
+def with_knob(base: dict, key: str, value) -> dict:
+    return {**base, "model": {**base["model"], key: value}}
 
 
 def load_workloads():
@@ -295,6 +318,63 @@ class TestReadFields:
             for cell in cells:
                 for seed in range(workloads.POOL_SIZE):
                     cell.config(seed)  # validates
+
+
+class TestReadKnobs:
+    @pytest.mark.parametrize("case", UNREAD_KNOBS)
+    def test_unread_knob_rejected(self, case):
+        experiment, base, key, value, _ = UNREAD_KNOBS[case]
+        ExperimentConfig(experiment=experiment, **base).validate()
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(experiment=experiment, **with_knob(base, key, value)).validate()
+        assert err.value.fieldname == f"model.{key}"
+        assert str(err.value) == (f"config field 'model.{key}': {experiment} does not read it; "
+                                  f"leave it unset")
+
+    @pytest.mark.parametrize("case", [case for case, (*_, when) in UNREAD_KNOBS.items() if when])
+    def test_conditional_knob_accepted_where_read(self, case):
+        experiment, base, key, value, read_when = UNREAD_KNOBS[case]
+        ExperimentConfig(experiment=experiment, **with_knob(base, key, value),
+                         **read_when).validate()
+
+    @pytest.mark.parametrize("name,key,value", [("fig2.4-lanczos", "dt", 2.0),
+                                                ("fig2.1-phase-space", "j", 20)])
+    def test_preset_with_unread_knob(self, name, key, value):
+        # the preset's rows, so it may not carry another config_hash; at the
+        # spec default the knob is accepted and not hashed
+        with pytest.raises(ConfigError, match="does not read it") as err:
+            config_from_preset(name, model={**PRESETS[name]["model"], key: value}).validate()
+        assert err.value.fieldname == f"model.{key}"
+        default = getattr(experiments.MODELS[PRESETS[name]["model"]["kind"]], key)
+        cfg = config_from_preset(name, model={**PRESETS[name]["model"], key: default}).validate()
+        assert cfg.config_hash() == PRESET_HASHES[name]
+
+    @pytest.mark.parametrize("experiment,base,param", [
+        ("phase-space", _KT, "j"),
+        ("krylov", _TI2, "dt"),
+        ("krylov", _XXZ2, "dt"),
+        ("ordered-bloch", _OB, "lambda"),
+    ])
+    def test_unread_knob_sweep_rejected(self, experiment, base, param):
+        cfg = ExperimentConfig(experiment=experiment, **{**base, "sweep": {
+            "param": param, "values": [2.0, 3.0]}})
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.fieldname == "sweep.param"
+        assert str(err.value).endswith(f", got {param!r}")
+
+    def test_ordered_bloch_hashes_its_size_only(self):
+        # the same rows from every model of one dim: the measured states and
+        # the perturbing unitary draw only on d
+        def run(model):
+            cfg = ExperimentConfig(experiment="ordered-bloch", model=model,
+                                   sweep={"param": "eta", "values": [0.1]}).validate()
+            return cfg.config_hash(), run_experiment(cfg).to_csv()
+
+        (hash_a, csv_a), (hash_b, csv_b) = run({"kind": "haar", "dim": 5}), run(
+            {"kind": "kicked_top", "j": 2})
+        assert hash_a == hash_b and csv_a == csv_b
+        assert run({"kind": "kicked_top", "j": 3})[0] != hash_a
 
 
 class TestDeterminism:
@@ -387,7 +467,7 @@ class TestRowEmitter:
         else:
             cfg = ExperimentConfig(
                 experiment="ordered-bloch", state="haar", n_states=3, seed=3,
-                model={"kind": "kicked_top", "j": 2, "alpha": 1.0, "lambda": 1.0},
+                model={"kind": "kicked_top", "j": 2},
                 sweep={"param": "direction", "values": ["descending", "ascending"]})
         table = run_experiment(cfg)
         with monkeypatch.context() as m:
@@ -415,20 +495,21 @@ class TestRowEmitter:
 
 
 # config_hash of every preset, recorded when the hash payload became the model
-# as the run builds it: a change here re-labels every CSV a preset has written
+# knobs each run reads, as it builds them: a change here re-labels every CSV a
+# preset has written
 PRESET_HASHES = {
-    "fig2.1-phase-space": "0038255b00333451",
+    "fig2.1-phase-space": "51e7bf45adc8ff31",
     "fig2.3-krylov-complexity": "b382bbf3439f2e91",
-    "fig2.4-lanczos": "de89c433a721de8b",
+    "fig2.4-lanczos": "11fda35e99592f4f",
     "fig3.1-coherent": "467093648c2aa2c3",
     "fig3.1-random": "868d530fd82b278c",
-    "fig3.3-ordered-bloch": "8c2206e7483baf11",
+    "fig3.3-ordered-bloch": "87b6272cbfcdffc9",
     "fig3.6-husimi": "665efdce423e2a00",
     "fig4.2-tki-quantifiers": "a1f4216737d8f5c6",
     "fig4.6-rmt-compare": "f77fb38268d2305f",
     "fig4.8-xxz": "a9c48b923be20c82",
     "fig5.2-perturb": "a58cd8a568b75f25",
-    "fig5.3-perturbed-basis": "4407fb4a341d763d",
+    "fig5.3-perturbed-basis": "c57739a152e10600",
 }
 
 
@@ -438,7 +519,8 @@ class TestConfigHash:
 
     def test_every_field_but_labels_enters_hash(self):
         base = tiny_tomo_config()
-        changed = {"model": {**base.model, "j": 3}, "sweep": {"param": "lambda", "values": [0.5]},
+        changed = {"experiment": "perturb", "model": {**base.model, "j": 3},
+                   "sweep": {"param": "lambda", "values": [0.5]},
                    "output_path": "elsewhere.csv", "provenance": "a note"}
         for f in fields(ExperimentConfig):
             value = getattr(base, f.name)
@@ -450,7 +532,8 @@ class TestConfigHash:
 
     def test_hash_reads_the_built_model(self):
         # each gives the preset's rows: a knob left to its default, the swept knob's
-        # model value left out, a site left null, and knobs ordered-bloch does not read
+        # model value left out, a site left null, and for ordered-bloch, which reads
+        # only the size, another model kind of the same dim
         def digest(name, **model):
             return ExperimentConfig(**{**PRESETS[name], "model": model}).validate().config_hash()
 
@@ -461,7 +544,7 @@ class TestConfigHash:
             ("fig4.2-tki-quantifiers", preset_model("fig4.2-tki-quantifiers", "J")),
             ("fig4.8-xxz", preset_model("fig4.8-xxz", "g")),
             ("fig4.8-xxz", {**preset_model("fig4.8-xxz"), "site": None}),
-            ("fig5.3-perturbed-basis", {"kind": "kicked_top", "j": 10}),
+            ("fig5.3-perturbed-basis", {"kind": "haar", "dim": 21}),
         ]:
             assert digest(name, **model) == PRESET_HASHES[name], (name, model)
         # a site the sweep moves is not the site of its first value
@@ -538,7 +621,7 @@ class TestSmallRuns:
     def test_phase_space_portrait(self):
         cfg = ExperimentConfig(
             experiment="phase-space",
-            model={"kind": "kicked_top", "j": 2, "alpha": np.pi / 2, "lambda": 0.5},
+            model={"kind": "kicked_top", "alpha": np.pi / 2, "lambda": 0.5},
             sweep={"param": "lambda", "values": [0.5, 6.5]},
             steps=50,
             n_trajectories=5,
@@ -573,7 +656,7 @@ class TestSmallRuns:
     def test_ordered_bloch_directions(self):
         cfg = ExperimentConfig(
             experiment="ordered-bloch",
-            model={"kind": "kicked_top", "j": 3, "alpha": 1.0, "lambda": 1.0},
+            model={"kind": "kicked_top", "j": 3},
             state="haar",
             n_states=4,
             sweep={"param": "direction", "values": ["descending", "ascending"]},
@@ -644,6 +727,67 @@ class TestSmallRuns:
         tomo = run_experiment(ExperimentConfig(**{**base, "experiment": "tomo"}, **state))
         unperturbed = run_experiment(ExperimentConfig(**base, **state, delta_lambda=0.0))
         assert np.array_equal(series(tomo, "3", "fidelity"), series(unperturbed, "3", "fidelity"))
+
+    @pytest.mark.parametrize("cfg,metric", [
+        (dict(experiment="tomo", model={"kind": "kicked_top", "j": 1}, steps=4,
+              sweep={"param": "lambda", "values": [1]}), "shannon"),
+        (dict(experiment="rmt-compare", observable="s1y", model={"kind": "kicked_ising", "L": 2},
+              n_samples=2, sweep={"param": "hz", "values": [1.4]}), "shannon"),
+        (dict(experiment="krylov", observable="Sz", model={"kind": "xxz", "L": 3}, steps=3,
+              sweep={"param": "g", "values": [0.0]}), "krylov_entropy"),
+    ], ids=["tomo", "rmt-compare", "krylov"])
+    def test_zero_entropy_written_0(self, cfg, metric):
+        # all the weight in one direction: the first prefix of a record, or Sz, which
+        # the XXZ chain conserves at g = 0; the CSV says 0, not -0
+        table = run_experiment(ExperimentConfig(**cfg))
+        zeros = [r for r in table.rows if r[3] == metric and r[4] == 0.0]
+        assert zeros and not any(np.signbit(r[4]) for r in zeros)
+        assert f",{metric},-0," not in table.to_csv()
+
+    def test_chain_random_local_observable(self, monkeypatch):
+        # fig4.6's observable: s1y / 2 under a Haar unitary on site 1, drawn from the
+        # observable stream (child 0) alone
+        built = []
+
+        def build(name, model, rng):
+            built.append(real(name, model, rng))
+            return built[-1]
+
+        real = experiments._build_observable
+        monkeypatch.setattr(experiments, "_build_observable", build)
+        cfg = ExperimentConfig(experiment="rmt-compare", observable="random-local", seed=4,
+                               model={"kind": "kicked_ising", "L": 3}, n_samples=1, steps=8,
+                               sweep={"param": "hz", "values": [1.4]})
+        run_experiment(cfg)
+        op = built[0]
+        assert np.allclose(op, op.conj().T, rtol=0, atol=1e-15)
+        assert np.allclose(np.linalg.eigvalsh(op), [-0.5] * 4 + [0.5] * 4, atol=1e-12)
+        obs_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(3)[0])
+        w = np.kron(haar_unitary(2, obs_rng), np.eye(4))
+        assert np.array_equal(op, w.conj().T @ (dynamics.pauli_site("y", 1, 3) / 2.0) @ w)
+        # more ensemble samples draw more from the auxiliary stream, not this one
+        run_experiment(ExperimentConfig(**{**cfg.__dict__, "n_samples": 3}))
+        assert np.array_equal(built[1], op)
+
+    def test_rmt_compare_tilted_ising(self):
+        # the GOE baseline, each draw evolved for dt = 1 by expm_hermitian
+        cfg = dict(experiment="rmt-compare", observable="s1y", n_samples=2, steps=20,
+                   eval_stride=10, model={"kind": "tilted_ising", "L": 2},
+                   sweep={"param": "hz", "values": [0.5]}, seed=3)
+        table = run_experiment(ExperimentConfig(**cfg))
+        assert table.to_csv() == run_experiment(ExperimentConfig(**cfg)).to_csv()
+        ensemble = [r for r in table.rows if r[1] == "rmt"]
+        assert [(r[2], r[3]) for r in ensemble] == [
+            (n, m) for m in ("shannon", "fisher", "rank") for n in (10, 20)]
+        assert all(np.isfinite(r[4]) and r[6] == 2 for r in ensemble)
+
+    def test_stride_that_does_not_divide_the_record(self):
+        # the full record is the last prefix, evaluated once
+        assert experiments._eval_steps(10, 4) == [4, 8, 10]
+        assert experiments._eval_steps(10, 5) == [5, 10]
+        assert experiments._eval_steps(3, 7) == [3]
+        table = run_experiment(tiny_tomo_config(steps=14, eval_stride=4))
+        assert sorted({r[2] for r in table.rows}) == [4, 8, 12, 14]
 
 
 class TestDecompositionCalls:
@@ -931,6 +1075,18 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert (f"config field '{name}': {experiment} does not read it; leave it unset"
                 in result.output)
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("name,key,value", [("fig2.4-lanczos", "dt", 2.0),
+                                                ("fig2.1-phase-space", "j", 20)])
+    def test_unread_knob_exit_code(self, tmp_path, name, key, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({"preset": name,
+                                        "model": {**PRESETS[name]["model"], key: value}}))
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"config field 'model.{key}': " in result.output
         assert not (tmp_path / "o.csv").exists()
 
     def test_run_time_config_error_exit_code(self, tmp_path):

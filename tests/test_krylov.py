@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,6 +329,18 @@ class TestAmplitudes:
         assert phi[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(phi[1:])) < 1e-12
 
+    def test_weight_escaping_the_span_raises(self):
+        # one mode of two pairs at the gap 1 (H = diag(0, 1, 2), O = spin-1 J_x);
+        # shift one pair's exact gap and the pairs drift apart in phase, so O(t)
+        # leaves the span, more the later t is
+        kb = lanczos_full_orth(liouvillian(np.diag([0.0, 1.0, 2.0])), angular_momentum_ops(1)[0])
+        assert len(kb.frame.freqs) == 1 and len(kb.frame.pairs) == 2
+        assert np.allclose(np.sum(krylov_amplitudes(kb, [0.0, 1.0, 500.0]) ** 2, axis=-1), 1.0)
+        shifted = replace(kb, generator=replace(kb.generator, energies=np.array([0.0, 1.0, 2.001])))
+        krylov_amplitudes(shifted, [0.0])
+        with pytest.raises(ValueError, match=r"escapes the Krylov span by .* at t = 500;"):
+            krylov_amplitudes(shifted, [0.0, 1.0, 500.0])
+
     @pytest.mark.parametrize("t", [0.5, 1.7, 6.3])
     def test_normalization(self, small_system, t):
         h, o, kb = small_system
@@ -345,6 +358,9 @@ class TestAmplitudes:
         phi0 = krylov_amplitudes(kb, [0.0])
         assert krylov_complexity(phi0)[0] == pytest.approx(0.0, abs=1e-12)
         assert krylov_entropy(phi0)[0] == pytest.approx(0.0, abs=1e-10)
+        # all the weight on one vector: +0, not -0
+        one = krylov_entropy(np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]))
+        assert np.array_equal(one, [0.0, 0.0]) and not np.any(np.signbit(one))
         k = kb.dim_k
         uniform = np.full(k, 1 / np.sqrt(k))
         assert krylov_complexity(uniform) == pytest.approx((k - 1) / 2, rel=1e-12)

@@ -30,7 +30,9 @@ def sv(rows):
 
 class TestShannon:
     def test_single_row_zero(self):
-        assert shannon_entropy(sv([[1.0, 2.0, 0.0]])) == pytest.approx(0.0, abs=1e-12)
+        # all the weight in one direction gives exactly 0, which must not be -0
+        value = shannon_entropy(sv([[1.0, 2.0, 0.0]]))
+        assert value == 0.0 and not np.signbit(value)
 
     def test_equal_eigenvalues_log_k(self):
         assert shannon_entropy(sv(np.eye(5))) == pytest.approx(np.log(5), abs=1e-12)
