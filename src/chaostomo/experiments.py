@@ -179,20 +179,21 @@ class ExperimentConfig:
         return self
 
     def resolved(self) -> dict:
-        """What ``config_hash`` digests of a valid config: the run as it reads it.
+        """What ``config_hash`` digests: the run as it reads it, once ``validate`` passes.
 
-        Every field but the labels output_path and provenance, in its hash form
-        (:func:`_hash_form`): a float where its annotation is ``float``, so
-        ``theta: 0`` and ``theta: 0.0``, or ``j: 10`` and ``j: 10.0``, hash
-        alike.  The model is hashed as the run builds it: its kind and the
+        An invalid config raises its ConfigError here.  Every field but the
+        labels output_path and provenance, in its hash form (:func:`_hash_form`):
+        a float where its annotation is ``float``, so ``theta: 0`` and
+        ``theta: 0.0``, or ``j: 10`` and ``j: 10.0``, hash alike.  The model is hashed as the run builds it: its kind and the
         knobs the run reads (:func:`_reads`) with their defaults filled in,
         spelled as in the config (``lambda``), less the swept knob and any
         knob the sweep moves (an xxz ``site`` left null under an ``L``
         sweep); for ordered-bloch, which reads only the size, its ``dim``
         alone.  A valid config leaves each field and knob its run does not
-        read at its default, so two valid configs of one experiment whose
-        hashes differ differ in a value the run reads.
+        read at its default, so two configs of one experiment whose hashes
+        differ differ in a value the run reads.
         """
+        self.validate()
         out = {name: _hash_form(hint, getattr(self, name)) for name, hint in _FIELDS.items()
                if name not in ("output_path", "provenance")}
         kind, param, values = self.model["kind"], self.sweep["param"], self.sweep["values"]
@@ -223,8 +224,8 @@ def _param_type(cfg: ExperimentConfig):
     for any other param."""
     param, kind, reads = cfg.sweep["param"], cfg.model["kind"], _reads(cfg)
     if cfg.experiment != "ordered-bloch" and param not in _KNOBS[kind]:
-        raise ConfigError("sweep", f"param {param!r} is not a parameter of {kind}; "
-                                   f"known: {sorted(_KNOBS[kind])}")
+        raise ConfigError("sweep.param", f"param {param!r} is not a parameter of {kind}; "
+                                         f"known: {sorted(_KNOBS[kind])}")
     sweeps = ORDERED_BLOCH_SWEEPS if cfg.experiment == "ordered-bloch" else {
         key: hint for key, (_, hint) in _KNOBS[kind].items() if f"model.{key}" in reads}
     if param not in sweeps:

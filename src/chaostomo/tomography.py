@@ -11,7 +11,11 @@ prefix's singular values.  The physical estimate is the closest
 positive-semidefinite state in the covariance-weighted norm, found by an
 operator-splitting solver that alternates a weighted least-squares step
 (a Gram-form shrink, built once per prefix) with an eigenvalue projection
-of the decoded matrix.  No singular vectors are formed.
+of the decoded matrix.  No singular vectors are formed.  The shrink's
+regularized Gram matrix is inverted in place, a panel of 128 columns at a
+time, so a 1023 x 1023 Gram needs no second copy of itself; a kicked-top
+prefix (at most 100 rows) is one panel, and its shrink has the bits of a
+plain ``np.linalg.inv``.
 
 The record and its covariance are fixed by the observable O and the step
 U, and :func:`read_timeline` takes just those.  It runs
@@ -82,6 +86,9 @@ DEFAULT_SIGMA = 0.1
 _PSD_TOL = 1e-7
 _PSD_MAX_ITERS = 5000
 _PROX_T = 100.0
+# Panel width of _invert_in_place: a kicked-top Gram (at most 100 rows) is
+# one panel, so its inverse keeps the bits of a plain np.linalg.inv.
+_PANEL = 128
 
 
 def measured_rank(s: np.ndarray) -> int:
@@ -98,9 +105,10 @@ class CovarianceData:
     least-squares solves and Gram products: :func:`ml_estimate` takes one
     solve per prefix, which also sets the singular values, and
     :func:`psd_project` builds its shrink from the Gram matrix once per
-    prefix; both are memoized here.  The information quantifiers take only
-    the singular values, and :meth:`singular_values` computes them without
-    vectors when no solve has set them.
+    prefix, inverting the regularized Gram in place by panels
+    (:func:`_invert_in_place`); both are memoized here.  The information
+    quantifiers take only the singular values, and :meth:`singular_values`
+    computes them without vectors when no solve has set them.
     ``row_offsets`` carries Tr(O_n)/d so that records of non-traceless
     observables invert exactly.
 
@@ -334,6 +342,36 @@ def _project_feasible(r: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     return bloch_encode(proj, basis)
 
 
+def _invert_in_place(m: np.ndarray) -> None:
+    """Overwrite the symmetric positive definite ``m`` with its inverse, by panels.
+
+    Blocked Gauss-Jordan elimination without pivoting: for each panel P of
+    ``_PANEL`` columns and the rest R, m_PP becomes m_PP^-1, m_RP becomes
+    m_RP m_PP^-1, m_RR loses m_RP m_PP^-1 m_PR, and m_PR becomes
+    -m_PP^-1 m_PR; after the last panel m holds its inverse.  Each pivot
+    block is a Schur complement of m, so it is positive definite too, and
+    ``np.linalg.inv`` inverts it.  The update of m_RR runs in row tiles of
+    ``_PANEL`` rows, so no temporary exceeds a _PANEL x k block, where
+    ``np.linalg.inv(m)`` holds LAPACK's copy of m, an identity and its
+    output.  A matrix of one panel is ``np.linalg.inv``'s, bit for bit.
+    """
+    k = len(m)
+    for j0 in range(0, k, _PANEL):
+        j1 = min(j0 + _PANEL, k)
+        p = slice(j0, j1)
+        pivot = np.linalg.inv(m[p, p])
+        for t0 in range(0, k, _PANEL):
+            if t0 != j0:
+                t = slice(t0, t0 + _PANEL)
+                col = m[t, p] @ pivot
+                m[t, :j0] -= col @ m[p, :j0]
+                m[t, j1:] -= col @ m[p, j1:]
+                m[t, p] = col
+        m[p, :j0] = -pivot @ m[p, :j0]
+        m[p, j1:] = -pivot @ m[p, j1:]
+        m[p, p] = pivot
+
+
 def _quadratic(cov: CovarianceData, r_ml: np.ndarray) -> tuple:
     """Gradient, proximal map and norm of q(r) = |A (r - r_ml)|^2 / (2 s_0^2), in Gram form.
 
@@ -344,7 +382,10 @@ def _quadratic(cov: CovarianceData, r_ml: np.ndarray) -> tuple:
     prefix shares it: for n <= k rows it is B = (A A^T + c I)^-1 A, applied
     as A^T B, otherwise the k x k matrix I - c (A^T A + c I)^-1.  The
     regularized Gram matrix has condition number at most 1 + ``_PROX_T``,
-    so its inverse is safe.  Directions below ``RANK_TOL`` enter the
+    so its inverse is safe without pivoting: :func:`_invert_in_place`
+    overwrites it by panels of ``_PANEL`` = 128 columns, and a Gram of at
+    most 128 rows, every kicked-top prefix among them, is inverted by one
+    ``np.linalg.inv`` as before.  Directions below ``RANK_TOL`` enter the
     shrink with weight s^2 / (s^2 + c) < 1e-18.
     """
     a, phi, s0 = cov._coords, cov.span, cov.singular_values()[0]
@@ -353,7 +394,7 @@ def _quadratic(cov: CovarianceData, r_ml: np.ndarray) -> tuple:
         c = s0**2 / _PROX_T
         inv = a @ a.T if wide else a.T @ a
         inv.flat[:: len(inv) + 1] += c
-        inv = np.linalg.inv(inv)  # the Gram matrix is released here
+        _invert_in_place(inv)
         if wide:
             cov._shrink = inv @ a
         else:

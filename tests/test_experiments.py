@@ -196,8 +196,9 @@ class TestValidation:
     @pytest.mark.parametrize("key", ["lamda", "lam"])
     def test_unknown_sweep_param(self, key):
         cfg = tiny_tomo_config(sweep={"param": key, "values": [0.5, 7.0]})
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+        with pytest.raises(ConfigError, match=f"'{key}'") as err:
             run_experiment(cfg)
+        assert err.value.fieldname == "sweep.param"
 
     @pytest.mark.parametrize("experiment,model,param", [
         ("tomo", {"kind": "tilted_ising", "L": 2}, "L"),
@@ -518,17 +519,38 @@ class TestConfigHash:
         assert {name: config_from_preset(name).config_hash() for name in PRESETS} == PRESET_HASHES
 
     def test_every_field_but_labels_enters_hash(self):
-        base = tiny_tomo_config()
-        changed = {"experiment": "perturb", "model": {**base.model, "j": 3},
-                   "sweep": {"param": "lambda", "values": [0.5]},
-                   "output_path": "elsewhere.csv", "provenance": "a note"}
-        for f in fields(ExperimentConfig):
-            value = getattr(base, f.name)
-            if f.name not in changed:
-                changed[f.name] = value + "-other" if isinstance(value, str) else value + 1
-            other = ExperimentConfig(**{**base.__dict__, f.name: changed[f.name]})
-            same = f.name in ("output_path", "provenance")
-            assert (other.config_hash() == base.config_hash()) == same, f.name
+        # each field moved, one at a time, in a valid config of a run that reads it
+        haar, coherent = tiny_tomo_config(), tiny_tomo_config(state="coherent")
+        perturb = tiny_tomo_config(experiment="perturb")
+        rmt = ExperimentConfig(experiment="rmt-compare", model={"kind": "kicked_ising", "L": 2},
+                               sweep={"param": "hz", "values": [0.0]})
+        portrait = ExperimentConfig(experiment="phase-space", model={"kind": "kicked_top"},
+                                    sweep={"param": "lambda", "values": [0.5]})
+        moves = {
+            "experiment": (haar, "perturb"), "model": (haar, {**haar.model, "j": 3}),
+            "observable": (haar, "J_x"), "steps": (haar, 16), "sigma": (haar, 0.2),
+            "n_states": (haar, 4), "sweep": (haar, {"param": "lambda", "values": [0.5]}),
+            "seed": (haar, 6), "output_path": (haar, "elsewhere.csv"), "eval_stride": (haar, 6),
+            "state": (haar, "coherent"), "theta": (coherent, 1.0), "phi": (coherent, 1.0),
+            "delta_lambda": (perturb, 0.02), "n_samples": (rmt, 11),
+            "n_trajectories": (portrait, 21), "mode": (portrait, "husimi"),
+            "provenance": (haar, "a note"),
+        }
+        assert moves.keys() == {f.name for f in fields(ExperimentConfig)}
+        for name, (base, value) in moves.items():
+            other = ExperimentConfig(**{**base.__dict__, name: value})
+            same = name in ("output_path", "provenance")
+            assert (other.config_hash() == base.config_hash()) == same, name
+
+    @pytest.mark.parametrize("over,fieldname", [
+        (dict(experiment="tomo-other"), "experiment"),
+        (dict(model={"j": 2}), "model.kind"),
+    ], ids=["unknown-experiment", "no-kind"])
+    def test_hash_of_invalid_config_raises(self, over, fieldname):
+        # config_hash validates first, so a config never validated gets no bare KeyError
+        with pytest.raises(ConfigError) as err:
+            tiny_tomo_config(**over).config_hash()
+        assert err.value.fieldname == fieldname
 
     def test_hash_reads_the_built_model(self):
         # each gives the preset's rows: a knob left to its default, the swept knob's

@@ -94,3 +94,15 @@ def test_traffic_lists_statements_no_recipe_executes():
     assert listed('raise ValueError(f"operator weight escapes')
     assert not listed("bs.append(b)")
     assert out[-1].startswith("total: ")
+
+
+def test_peak_reads_each_preset_child():
+    # fig4.2's 1200 x 1023 design runs first, so a maximum over all children would
+    # give fig2.4 the same figure
+    path = Path(__file__).resolve().parent.parent / "tools" / "simplicity_report.py"
+    out = subprocess.run([sys.executable, str(path), "peak", "fig4.2-tki-quantifiers",
+                          "fig2.4-lanczos"], capture_output=True, text=True, check=True).stdout
+    peaks = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()}
+    assert list(peaks) == ["fig4.2-tki-quantifiers", "fig2.4-lanczos"]
+    assert all(line.split()[2] == "MB" for line in out.splitlines())
+    assert 0 < peaks["fig2.4-lanczos"] < peaks["fig4.2-tki-quantifiers"]

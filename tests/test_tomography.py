@@ -507,7 +507,9 @@ class TestMLEstimate:
 class TestGramProx:
     """The Gram-form proximal map against x + V lam/(lam + 1/t) V^T (r_ml - x) from an SVD."""
 
-    @pytest.mark.parametrize("shape", ["wide", "tall", "factored"])
+    # the "-panels" cases invert a Gram of more than one panel (_PANEL = 128)
+    @pytest.mark.parametrize("shape", ["wide", "tall", "factored", "wide-panels", "tall-panels",
+                                       "factored-panels"])
     def test_matches_singular_vector_form(self, shape, rng):
         if shape == "factored":
             model = KickedIsing(L=4, hz=0.0)
@@ -516,12 +518,19 @@ class TestGramProx:
             cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1),
                                       gell_mann_basis(model.dim), u)
             assert cov.span is not None
+        elif shape == "factored-panels":
+            # n = 200 rows in a span of K = 150 orthonormal rows of 400 columns
+            span = np.linalg.qr(rng.standard_normal((400, 150)))[0].T
+            coords = rng.standard_normal((200, 150)) * np.logspace(0, -3, 150)
+            cov = CovarianceData(coords @ span, span=span)
         else:
             # columns scaled over three decades, so the shrink weights differ
-            n = 12 if shape == "wide" else 40
-            cov = CovarianceData(rng.standard_normal((n, 24)) * np.logspace(0, -3, 24))
+            n, k = {"wide": (12, 24), "tall": (40, 24), "wide-panels": (300, 400),
+                    "tall-panels": (400, 300)}[shape]
+            cov = CovarianceData(rng.standard_normal((n, k)) * np.logspace(0, -3, k))
         a = cov._coords
-        assert (len(a) <= a.shape[1]) == (shape == "wide")
+        assert (len(a) <= a.shape[1]) == shape.startswith("wide")
+        assert (min(a.shape) > tomography._PANEL) == shape.endswith("-panels")
         r_ml, x = rng.standard_normal((2, cov.design.shape[1]))
         grad, prox, norm = tomography._quadratic(cov, r_ml)
         _, s, vt = cov.svd()
@@ -535,6 +544,37 @@ class TestGramProx:
         shrink = cov._shrink
         tomography._quadratic(cov, x)
         assert cov._shrink is shrink
+
+    @pytest.mark.parametrize("n,k", [(100, 440), (128, 300), (300, 128)],
+                             ids=["kicked-top-prefix", "wide-one-panel", "tall-one-panel"])
+    def test_one_panel_shrink_is_plain_inverse(self, n, k, rng):
+        # a Gram of at most _PANEL rows is np.linalg.inv's, so kicked-top CSVs keep their bytes
+        cov = CovarianceData(rng.standard_normal((n, k)))
+        tomography._quadratic(cov, np.zeros(k))
+        a, c = cov._coords, cov.singular_values()[0] ** 2 / tomography._PROX_T
+        gram = a @ a.T if n <= k else a.T @ a
+        gram.flat[:: len(gram) + 1] += c
+        want = np.linalg.inv(gram)
+        if n <= k:
+            want = want @ a
+        else:
+            want *= -c
+            want.flat[:: len(want) + 1] += 1.0
+        assert np.array_equal(cov._shrink, want)
+
+    def test_tall_shrink_footprint(self, rng):
+        # np.linalg.inv's traced output alone doubles the 8.4 MB Gram at k = 1023; its
+        # LAPACK copy is malloc'ed, so tracemalloc does not see it
+        cov = CovarianceData(rng.standard_normal((1100, 1023)))
+        cov.singular_values()
+        tracemalloc.start()
+        try:
+            tomography._quadratic(cov, np.zeros(1023))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cov._shrink.shape == (1023, 1023)
+        assert peak < 1.5 * cov._shrink.nbytes
 
 
 class TestPsdProject:

@@ -3,6 +3,7 @@
     python tools/simplicity_report.py lines [SRC_DIR]
     python tools/simplicity_report.py hashes [--full] [PRESET ...]
     python tools/simplicity_report.py traffic [PRESET ...]
+    python tools/simplicity_report.py peak [--full] [PRESET ...]
 
 ``lines`` prints, for each module of the package (``src/chaostomo`` unless
 SRC_DIR is given), its total lines and its code lines: non-blank lines that
@@ -24,6 +25,11 @@ before numpy is imported.
 under ``sys.settrace`` (imports included) at one BLAS thread, and prints,
 module by module, each statement of the package that none of them
 executes: the code a simplicity change can delete or must justify.
+
+``peak`` runs every preset, or the named ones, each in a fresh child process
+(``hashes`` on that one preset, so at one BLAS thread, small recipe unless
+``--full``), and prints the child's peak resident set size, its
+``ru_maxrss`` as ``os.wait4`` reports it, in MB of 1024 kB.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import time
 import tokenize
@@ -192,6 +199,17 @@ def report_hashes(names, full: bool) -> None:
               flush=True)
 
 
+def report_peak(names, full: bool) -> None:
+    for name in names or RECIPES:
+        command = [sys.executable, __file__, "hashes", *(["--full"] if full else []), name]
+        child = subprocess.Popen(command, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode:
+            raise subprocess.CalledProcessError(child.returncode, command)
+        print(f"{name:<26} {usage.ru_maxrss / 1024:8.1f} MB", flush=True)
+
+
 def executable_lines(source: str, path: str) -> set:
     """Lines the compiled module can report to a line tracer: those of its code objects."""
     todo, lines = [compile(source, path, "exec")], set()
@@ -271,6 +289,9 @@ def main(argv=None) -> None:
     traffic = sub.add_parser("traffic", help="statements of the package that no small recipe "
                                              "executes")
     traffic.add_argument("presets", nargs="*", metavar="PRESET")
+    peak = sub.add_parser("peak", help="peak RSS of each preset, each run in a fresh process")
+    peak.add_argument("--full", action="store_true", help="run the full presets")
+    peak.add_argument("presets", nargs="*", metavar="PRESET")
     args = parser.parse_args(argv)
     unknown = set(getattr(args, "presets", ())) - set(RECIPES)
     if unknown:
@@ -279,6 +300,8 @@ def main(argv=None) -> None:
         report_lines(args.src)
     elif args.command == "traffic":
         report_traffic(args.presets)
+    elif args.command == "peak":
+        report_peak(args.presets, args.full)
     else:
         report_hashes(args.presets, args.full)
 
