@@ -77,7 +77,7 @@ def _check_xxz_conservation():
 
 def _check_trace_identity():
     jx, jy, _ = dynamics.angular_momentum_ops(3)
-    u = dynamics.kicked_top_floquet(dynamics.KickedTop(j=3, lam=3.0, alpha=1.4))
+    u = dynamics.build_propagator(dynamics.KickedTop(j=3, lam=3.0, alpha=1.4))
     basis = gell_mann_basis(7)
     cov = tomography.read_timeline(jy, 80, u, basis)[0]
     lhs = float(np.sum(cov.singular_values() ** 2))
@@ -240,7 +240,7 @@ def _reflection_operator(n_spins: int) -> np.ndarray:
 
 def _check_rmt():
     p = _reflection_operator(4)
-    u = dynamics.tki_floquet(dynamics.KickedIsing(L=4))
+    u = dynamics.build_propagator(dynamics.KickedIsing(L=4))
     comm = np.max(np.abs(p @ u - u @ p))
     vbasis, dims = rmt.reflection_eigenbasis(4)
     w = rmt.block_diagonal_sample("COE", dims, vbasis, np.random.default_rng(5))

@@ -4,10 +4,12 @@
 preset), ``chaostomo presets`` lists the built-in parameter sets with
 their provenance, and ``chaostomo check`` runs the fast invariant suite.
 
-Exit codes: 0 success, 2 a configuration error (from validation, which
-builds every model the run uses, or from building the observable), 3 the
-positivity solver hit its iteration cap somewhere (the CSV is still
-written from the last iterates; it carries no per-row flag).
+Exit codes: 0 success; 2 a configuration error, found before any cell
+runs: a config file that is not valid YAML or not a mapping, a field that
+fails validation (which builds every model the run uses and every
+observable it reads), or an output path that is not a file in an existing
+directory; 3 the positivity solver hit its iteration cap somewhere (the
+CSV is still written from the last iterates; it carries no per-row flag).
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ def run(config_path, preset_name, seed, out_path):
         raw = {}
         if config_path:
             with open(config_path, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh) or {}
+                try:
+                    raw = yaml.safe_load(fh) or {}
+                except yaml.YAMLError as exc:
+                    raise ConfigError("<root>", f"not valid YAML: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError("<root>", "config file must be a mapping")
         preset_name = raw.pop("preset", preset_name)

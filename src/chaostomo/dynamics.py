@@ -41,11 +41,9 @@ __all__ = [
     "expm_hermitian",
     "unitary_eigh",
     "angular_momentum_ops",
-    "kicked_top_floquet",
     "classical_kicked_top_step",
     "pauli_site",
     "collective_spin",
-    "tki_floquet",
     "hamiltonian",
     "build_propagator",
     "TIMELINE_BLOCK",
@@ -223,7 +221,7 @@ def angular_momentum_ops(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def kicked_top_floquet(spec: KickedTop) -> np.ndarray:
+def _kicked_top_floquet(spec: KickedTop) -> np.ndarray:
     """One kicked-top period: torsion about z after linear precession about x."""
     jx, _, jz = angular_momentum_ops(spec.j)
     kick = expm_hermitian(jz @ jz, scale=-1j * spec.lam / (2 * spec.j))
@@ -282,7 +280,7 @@ def _field(hx: float, hz: float, L: int) -> np.ndarray:
     return out
 
 
-def tki_floquet(spec: KickedIsing) -> np.ndarray:
+def _tki_floquet(spec: KickedIsing) -> np.ndarray:
     """Kicked-Ising Floquet step: coupling exponential, then the field kick."""
     return expm_hermitian(spec.J * _ising_coupling(spec.L)) @ expm_hermitian(
         _field(spec.hx, spec.hz, spec.L)
@@ -321,9 +319,9 @@ def hamiltonian(spec: ModelSpec) -> np.ndarray:
 def build_propagator(spec: ModelSpec) -> np.ndarray:
     """The (d, d) unitary of one step: a Floquet period, or exp(-i H dt) for a chain."""
     if isinstance(spec, KickedTop):
-        return kicked_top_floquet(spec)
+        return _kicked_top_floquet(spec)
     if isinstance(spec, KickedIsing):
-        return tki_floquet(spec)
+        return _tki_floquet(spec)
     if isinstance(spec, (TiltedIsing, XXZChain)):
         return expm_hermitian(hamiltonian(spec), scale=-1j * spec.dt)
     raise TypeError(f"no single propagator for model {type(spec).__name__}")

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import typing
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Optional
@@ -170,12 +171,17 @@ class ExperimentConfig:
         for f in fields(self):
             if getattr(self, f.name) != f.default and f.name not in reads:
                 raise ConfigError(f.name, f"{self.experiment} does not read it; leave it unset")
-        # build every model the run builds; ordered-bloch sweeps no model knob
+        # build every model the run builds (ordered-bloch sweeps no model knob), and on each
+        # the observable the run reads; random-local, J_x or s1y under a Haar unitary, exists
+        # on every model and stays unbuilt, so validation draws from no stream
         overrides = [None] if self.experiment == "ordered-bloch" else [(param, v) for v in values]
-        dims = {_build_model(self.model, override).dim for override in overrides}
-        if fixed_size and len(dims) > 1:
+        models = [_build_model(self.model, override) for override in overrides]
+        if fixed_size and len({model.dim for model in models}) > 1:
             raise ConfigError("sweep.param", f"{self.experiment} runs at one Hilbert-space "
                                              f"size, so it cannot sweep {param!r} over sizes")
+        if "observable" in reads and self.observable != "random-local":
+            for model in models:
+                _build_observable(self.observable, model, rng=None)
         return self
 
     def resolved(self) -> dict:
@@ -253,8 +259,10 @@ KNOWN_OBSERVABLES = (
 )
 
 
-def _build_observable(name: str, model: dynamics.ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    """Resolve a named observable for the model's Hilbert space."""
+def _build_observable(name: str, model: dynamics.ModelSpec,
+                      rng: Optional[np.random.Generator]) -> np.ndarray:
+    """Resolve a named observable for the model's Hilbert space; ``rng`` draws the Haar
+    unitary of random-local, and no other name reads it."""
     d = model.dim
     spin_like = isinstance(model, (dynamics.KickedTop, dynamics.HaarSteps))
     if name in ("J_x", "J_y", "J_z"):
@@ -585,13 +593,21 @@ def _reads(cfg: ExperimentConfig) -> set:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
-    """Dispatch, run, stamp the header, and write the CSV if requested."""
-    cfg.validate()
+    """Validate, dispatch, run, stamp the header, and write the CSV if requested.
+
+    A config error raises ConfigError before any cell runs, and so does an
+    output path that names a directory or lies in a directory that does not
+    exist.
+    """
+    config_hash = cfg.config_hash()  # validates
+    out = cfg.output_path
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigError("output_path", f"{out!r} is not a file in an existing directory")
     sweep = _Sweep(cfg)
     _EXPERIMENTS[cfg.experiment][0](cfg, sweep)
     header = [
         f"chaostomo {TOOL_VERSION}",
-        f"config_hash: {cfg.config_hash()}",
+        f"config_hash: {config_hash}",
         f"seed: {cfg.seed}",
         "units: ensemble size N_s = 1; sigma is the per-sample noise spread,"
         " so Fisher information is dimensionless",

@@ -1,14 +1,16 @@
 """Information-theoretic measures read off the covariance spectrum.
 
 The eigenvalues of C^-1 = design^T design are per-direction signal-to-noise
-ratios of the measurement record.  Shannon entropy of the normalized
-spectrum measures how evenly the dynamics spreads information over operator
-directions, the rank counts directions measured at all, the
-pseudo-log-determinant is the mutual information between record and Bloch
-vector, and the regularized trace inverse is the total Fisher information.
-Each measure takes the design's singular values s, descending (the
-eigenvalues of C^-1 are s^2), and cuts the measured subspace as
-:func:`~chaostomo.tomography.measured_rank` does.
+ratios of the measurement record.  :func:`quantifier_series` reads four
+measures off each prefix of a record (Sahu et al., Phys. Rev. E 106, 024209
+(2022)): the Shannon entropy of the normalized spectrum, how evenly the
+dynamics spreads information over operator directions; the rank, how many
+directions are measured at all; the pseudo-log-determinant, the mutual
+information between record and Bloch vector; and the regularized trace
+inverse, the total Fisher information.  It takes each prefix's design
+singular values s, descending (the eigenvalues of C^-1 are s^2), and cuts
+them once at the measured subspace of
+:func:`~chaostomo.tomography.measured_rank`.
 
 Also here: the ordered-measurement analysis, how fast fidelity can rise
 when basis elements are measured in decreasing order of their Bloch
@@ -26,61 +28,10 @@ from .operator_space import HermitianBasis, bloch_encode
 from .tomography import measured_rank
 
 __all__ = [
-    "shannon_entropy",
-    "fisher_information",
-    "mutual_information",
     "quantifier_series",
     "ordered_bloch_values",
     "ordered_perturbed_fidelity",
 ]
-
-
-def _positive_spectrum(s: np.ndarray) -> np.ndarray:
-    """Eigenvalues of C^-1 on the measured subspace, descending."""
-    return s[: measured_rank(s)] ** 2
-
-
-def shannon_entropy(s: np.ndarray) -> float:
-    """Entropy -sum p ln p of the normalized positive spectrum of C^-1."""
-    lam = _positive_spectrum(s)
-    if len(lam) == 0:
-        raise ValueError("covariance has no support; entropy undefined")
-    p = lam / lam.sum()
-    # 0 - sum, not -sum: +0 where all the weight sits in one direction
-    return float(0.0 - np.sum(p * np.log(p)))
-
-
-def _fisher_reg(s: np.ndarray) -> float:
-    """Regularizer: a small fraction of the largest eigenvalue (1 if all zero)."""
-    lam = _positive_spectrum(s)
-    top = lam[0] if len(lam) else 1.0
-    return 1e-6 * top
-
-
-def fisher_information(s: np.ndarray, n_directions: int, reg: float) -> float:
-    """Total Fisher information 1 / Tr[(C^-1 + reg I)^-1] over ``n_directions`` = d^2 - 1.
-
-    C^-1 is never full rank for single-map timelines, so the zero
-    eigenvalues, the directions past ``len(s)`` included, are lifted by
-    ``reg`` before inverting.
-    """
-    if reg <= 0:
-        raise ValueError("regularizer must be positive")
-    lam = np.zeros(n_directions)
-    lam[: len(s)] = s**2
-    return float(1.0 / np.sum(1.0 / (lam + reg)))
-
-
-def mutual_information(s: np.ndarray) -> float:
-    """(1/2) sum ln lambda over the positive spectrum of C^-1.
-
-    The pseudo-log-determinant on the measured subspace: ln(1/V) with V the
-    volume of the error ellipsoid restricted to measured directions.
-    """
-    lam = _positive_spectrum(s)
-    if len(lam) == 0:
-        return 0.0
-    return float(0.5 * np.sum(np.log(lam)))
 
 
 def quantifier_series(spectra: Sequence[np.ndarray], n_directions: int) -> dict:
@@ -90,17 +41,36 @@ def quantifier_series(spectra: Sequence[np.ndarray], n_directions: int) -> dict:
     record's design, the full record last: the ``spectra`` of a
     reconstruction (:func:`~chaostomo.tomography.reconstruct_series`), or
     ``cov.truncated(n).singular_values()``.  Returns {"shannon", "fisher",
-    "rank", "mutual_info"}, each with one value per prefix.  The Fisher
-    regularizer is fixed once from the last prefix, so the series is
-    monotone in the record length.
+    "rank", "mutual_info"}, each with one value per prefix.  With lam the
+    spectrum of C^-1 on a prefix's measured subspace:
+
+    * shannon = -sum p ln p over p = lam / sum lam;
+    * rank = len(lam);
+    * mutual_info = (1/2) sum ln lam, ln(1/V) with V the volume of the error
+      ellipsoid restricted to the measured directions;
+    * fisher = 1 / Tr[(C^-1 + reg I)^-1] over all ``n_directions`` = d^2 - 1.
+      C^-1 is never full rank for single-map timelines, so its zero
+      eigenvalues, the directions past ``len(s)`` included, are lifted by
+      reg = 1e-6 lam_0 of the last prefix.  reg is fixed once, so the series
+      is monotone in the record length.
+
+    A prefix that measures no direction has no entropy: ValueError.
     """
-    reg = _fisher_reg(spectra[-1])
-    return {
-        "shannon": np.array([shannon_entropy(s) for s in spectra]),
-        "fisher": np.array([fisher_information(s, n_directions, reg) for s in spectra]),
-        "rank": np.array([measured_rank(s) for s in spectra]),
-        "mutual_info": np.array([mutual_information(s) for s in spectra]),
-    }
+    lams = [s[: measured_rank(s)] ** 2 for s in spectra]
+    if any(len(lam) == 0 for lam in lams):
+        raise ValueError("covariance has no support; entropy undefined")
+    reg = 1e-6 * lams[-1][0]
+    columns = {"shannon": [], "fisher": [], "rank": [], "mutual_info": []}
+    for s, lam in zip(spectra, lams):
+        p = lam / lam.sum()
+        # 0 - sum, not -sum: +0 where all the weight sits in one direction
+        columns["shannon"].append(0.0 - np.sum(p * np.log(p)))
+        lifted = np.zeros(n_directions)
+        lifted[: len(s)] = s**2
+        columns["fisher"].append(1.0 / np.sum(1.0 / (lifted + reg)))
+        columns["rank"].append(len(lam))
+        columns["mutual_info"].append(0.5 * np.sum(np.log(lam)))
+    return {metric: np.array(column) for metric, column in columns.items()}
 
 
 def _magnitude_order(r: np.ndarray, direction: str) -> np.ndarray:

@@ -73,7 +73,6 @@ __all__ = [
     "generate_record",
     "ml_estimate",
     "psd_project",
-    "fidelity",
     "reconstruct_series",
     "model_step",
 ]
@@ -473,7 +472,7 @@ def psd_project(
     return r_bar, bloch_decode(r_bar, basis), SolverDiagnostics(iters, residual, converged)
 
 
-def fidelity(psi0: np.ndarray, rho_bar: np.ndarray) -> float:
+def _fidelity(psi0: np.ndarray, rho_bar: np.ndarray) -> float:
     """Reconstruction fidelity <psi_0| rho_bar |psi_0>, clamped to [0, 1]."""
     psi0 = np.asarray(psi0)
     if psi0.ndim != 1:
@@ -532,7 +531,7 @@ def reconstruct_series(
         r_ml = ml_estimate([record[:n] for record in records], cov_n)
         for i in range(len(records)):
             warm[i], rho_bar, diag = psd_project(r_ml[i], cov_n, basis, warm_start=warm[i])
-            fids[i, k] = fidelity(states[i], rho_bar)
+            fids[i, k] = _fidelity(states[i], rho_bar)
             results[i].append(diag)
         spectra.append(cov_n.singular_values())
     return TomographyRun(fidelities=fids, results=results, spectra=spectra)

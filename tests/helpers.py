@@ -11,6 +11,7 @@ and projected.  ``apply_generator`` is the Liouvillian on full operator
 coordinates.
 ``perturbed_kicked_top`` is the (true, model) step pair of the perturb
 runner.
+``shannon`` reads one spectrum's entropy column off ``quantifier_series``.
 ``run_tomography`` is the record-to-fidelity pipeline of the experiment
 runners in one call.  ``timeline_covariance`` and ``timeline_record`` take
 a collected fixed-step (N + 1, d, d) timeline: the first reads the
@@ -29,6 +30,7 @@ from chaostomo.checks import _krylov_vectors, _rotate
 from chaostomo.dynamics import KickedTop, build_propagator
 from chaostomo.krylov import _frame_rows, _invariant_frame, _observable_coords, evolve_operator
 from chaostomo.operator_space import gell_mann_basis
+from chaostomo.quantifiers import quantifier_series
 from chaostomo.tomography import generate_record, model_step, read_timeline, reconstruct_series
 
 
@@ -163,3 +165,8 @@ def timeline_record(state, steps, sigma, seed):
     rho = np.outer(state, np.conj(state)) if np.ndim(state) == 1 else np.asarray(state)
     expected = (steps.reshape(len(steps), -1) @ rho.conj().reshape(-1)).real
     return generate_record(expected, sigma, seed)
+
+
+def shannon(s: np.ndarray) -> float:
+    """Shannon entropy of one prefix's singular values s, by ``quantifier_series``."""
+    return quantifier_series([s], len(s))["shannon"][0]

@@ -24,13 +24,12 @@ from chaostomo.dynamics import (
     hamiltonian,
     heisenberg_timeline,
     pauli_site,
-    tki_floquet,
 )
 from chaostomo.krylov import arnoldi_unitary_dim, lanczos_full_orth, liouvillian
 from chaostomo.operator_space import bloch_encode, gell_mann_basis
 from chaostomo.perturbation import operator_incompatibility, operator_loschmidt_echo
 from chaostomo.phase_space import husimi_q, sphere_grid, spin_coherent
-from chaostomo.quantifiers import ordered_bloch_values, shannon_entropy
+from chaostomo.quantifiers import ordered_bloch_values
 from chaostomo.rmt import (
     block_diagonal_sample,
     haar_unitary,
@@ -44,6 +43,7 @@ from helpers import (
     apply_generator,
     perturbed_kicked_top,
     run_tomography,
+    shannon,
     timeline_covariance,
     timeline_record,
     unitary_mode_count,
@@ -57,7 +57,7 @@ def verdict(num, text):
 
 
 def tki_setup(L):
-    u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
+    u = build_propagator(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
     return u, pauli_site("y", 1, L) / 2
 
 
@@ -303,15 +303,15 @@ def test_criterion_9_rmt_agreement():
     rng = np.random.default_rng(91)
     u1 = haar_unitary(2, rng)
     obs = np.kron(u1, np.eye(16)).conj().T @ (pauli_site("y", 1, L) / 2) @ np.kron(u1, np.eye(16))
-    u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
+    u = build_propagator(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
     cov = timeline_covariance(heisenberg_timeline(obs, u, n_rows - 1), basis, u)
-    s_model = shannon_entropy(cov.singular_values())
+    s_model = shannon(cov.singular_values())
     vbasis, dims = reflection_eigenbasis(L)
     samples = []
     for _ in range(10):
         w = block_diagonal_sample("COE", dims, vbasis, rng)
         cov_r = timeline_covariance(heisenberg_timeline(obs, w, n_rows - 1), basis, w)
-        samples.append(shannon_entropy(cov_r.singular_values()))
+        samples.append(shannon(cov_r.singular_values()))
     s_rmt = float(np.mean(samples))
     assert abs(s_model - s_rmt) <= 0.05 * s_rmt
     verdict(9, f"saturated entropy {s_model:.4f} vs COE mean {s_rmt:.4f} "

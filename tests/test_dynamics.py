@@ -15,10 +15,8 @@ from chaostomo.dynamics import (
     expm_hermitian,
     hamiltonian,
     heisenberg_timeline,
-    kicked_top_floquet,
     pauli_site,
     timeline_blocks,
-    tki_floquet,
     unitary_eigh,
 )
 from chaostomo.checks import _reflection_operator as reflection_operator
@@ -65,20 +63,20 @@ class TestAngularMomentum:
 class TestKickedTop:
     def test_zero_kick_is_rotation(self):
         spec = KickedTop(j=3, lam=0.0, alpha=0.9)
-        u = kicked_top_floquet(spec)
+        u = build_propagator(spec)
         jx = angular_momentum_ops(3)[0]
         w, v = np.linalg.eigh(jx)
         want = (v * np.exp(-1j * 0.9 * w)) @ v.conj().T
         assert np.max(np.abs(u - want)) < 1e-12
 
     def test_quarter_turn_period_four(self):
-        u = kicked_top_floquet(KickedTop(j=4, lam=0.0, alpha=np.pi / 2))
+        u = build_propagator(KickedTop(j=4, lam=0.0, alpha=np.pi / 2))
         u4 = np.linalg.matrix_power(u, 4)
         assert np.max(np.abs(u4 - np.eye(9))) < 1e-10
 
     @pytest.mark.parametrize("lam", [0.5, 2.5, 7.0])
     def test_unitary(self, lam):
-        u = kicked_top_floquet(KickedTop(j=10, lam=lam, alpha=1.4))
+        u = build_propagator(KickedTop(j=10, lam=lam, alpha=1.4))
         assert unitarity_defect(u) < 1e-10
 
     def test_spec_validation(self):
@@ -120,12 +118,12 @@ class TestClassicalMap:
 
 class TestChains:
     def test_tki_dimension_and_unitarity(self):
-        u = tki_floquet(KickedIsing(L=2))
+        u = build_propagator(KickedIsing(L=2))
         assert u.shape == (4, 4)
         assert unitarity_defect(u) < 1e-10
 
     def test_tki_diagonal_when_no_transverse_field(self):
-        u = tki_floquet(KickedIsing(L=3, hx=0.0, hz=0.8))
+        u = build_propagator(KickedIsing(L=3, hx=0.0, hz=0.8))
         off = u - np.diag(np.diag(u))
         assert np.max(np.abs(off)) == 0.0
 
@@ -173,7 +171,7 @@ class TestChains:
 class TestTimelines:
     def test_zero_steps(self):
         o = pauli_site("y", 1, 2) / 2
-        u = tki_floquet(KickedIsing(L=2))
+        u = build_propagator(KickedIsing(L=2))
         tl = heisenberg_timeline(o, u, 0)
         assert len(tl) == 1
         assert np.array_equal(tl[0], o)
@@ -185,14 +183,14 @@ class TestTimelines:
 
     def test_rotation_period_four_timeline(self):
         jy = angular_momentum_ops(3)[1]
-        u = kicked_top_floquet(KickedTop(j=3, lam=0.0, alpha=np.pi / 2))
+        u = build_propagator(KickedTop(j=3, lam=0.0, alpha=np.pi / 2))
         tl = heisenberg_timeline(jy, u, 8)
         assert np.max(np.abs(tl[4] - tl[0])) < 1e-10
         assert np.max(np.abs(tl[8] - tl[0])) < 1e-10
 
     @pytest.mark.parametrize("make", [
-        lambda: (kicked_top_floquet(KickedTop(j=5, lam=3.0, alpha=1.4)), angular_momentum_ops(5)[1]),
-        lambda: (tki_floquet(KickedIsing(L=3)), pauli_site("y", 1, 3) / 2),
+        lambda: (build_propagator(KickedTop(j=5, lam=3.0, alpha=1.4)), angular_momentum_ops(5)[1]),
+        lambda: (build_propagator(KickedIsing(L=3)), pauli_site("y", 1, 3) / 2),
         lambda: (build_propagator(XXZChain(L=3, g=0.94, site=2)), pauli_site("y", 2, 3) / 2),
     ])
     def test_isometry_over_200_steps(self, make):
@@ -206,7 +204,7 @@ class TestTimelines:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            heisenberg_timeline(np.eye(3), tki_floquet(KickedIsing(L=2)), 3)
+            heisenberg_timeline(np.eye(3), build_propagator(KickedIsing(L=2)), 3)
 
     @pytest.mark.parametrize("n_rows", [1, TIMELINE_BLOCK - 1, TIMELINE_BLOCK, TIMELINE_BLOCK + 1,
                                         2 * TIMELINE_BLOCK - 1, 3 * TIMELINE_BLOCK + 5])
@@ -222,7 +220,7 @@ class TestTimelines:
         # the collected timeline is each previous entry conjugated once, bit for bit
         d, n_steps = 5, 2 * TIMELINE_BLOCK + 3
         o = angular_momentum_ops(2)[1]
-        u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
+        u = build_propagator(KickedTop(j=2, lam=3.0, alpha=1.4))
         draws = np.random.default_rng(4)
         want = [o]
         for _ in range(n_steps):
@@ -268,7 +266,7 @@ class TestUnitaryEigh:
             "haar21": lambda: haar_unitary(21, np.random.default_rng(21)),
             "haar41": lambda: haar_unitary(41, np.random.default_rng(41)),
             # eigenphases degenerate to 1e-14
-            "top0.5": lambda: kicked_top_floquet(KickedTop(j=10, lam=0.5, alpha=np.pi / 2)),
+            "top0.5": lambda: build_propagator(KickedTop(j=10, lam=0.5, alpha=np.pi / 2)),
         }[case]()
         phases, v = unitary_eigh(u)
         assert np.all((phases > -np.pi) & (phases <= np.pi))

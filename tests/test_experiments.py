@@ -83,6 +83,45 @@ class TestValidation:
         with pytest.raises(ConfigError, match="known"):
             run_experiment(cfg)
 
+    def test_observable_checked_for_every_model_before_any_cell(self, monkeypatch):
+        # s3y exists at L=5 but not at L=2; validation finds it before the L=5 Lanczos
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(krylov, "lanczos_full_orth", fail)
+        cfg = ExperimentConfig(experiment="krylov", observable="s3y",
+                               model={"kind": "tilted_ising"},
+                               sweep={"param": "L", "values": [5, 2]})
+        with pytest.raises(ConfigError, match="field 'observable': unknown observable 's3y'"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="'observable'"):
+            run_experiment(cfg)
+
+    def test_run_validates_once(self, monkeypatch):
+        calls = []
+        real = ExperimentConfig.validate
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", counted)
+        run_experiment(tiny_tomo_config(n_states=1, steps=5, eval_stride=5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+    def test_bad_output_path_before_any_cell(self, tmp_path, monkeypatch, out):
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setitem(experiments._EXPERIMENTS, "tomo",
+                            (fail, *experiments._EXPERIMENTS["tomo"][1:]))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="config field 'output_path': .* is not a file in an "
+                                              "existing directory"):
+            run_experiment(tiny_tomo_config(output_path=out))
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_sigma(self):
         with pytest.raises(ConfigError, match="sigma"):
             tiny_tomo_config(sigma=-1).validate()
@@ -1180,6 +1219,29 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "config field '<root>'" in result.output and "stepz" in result.output
         assert not (tmp_path / "o.csv").exists()
+
+    def test_malformed_yaml_exit_code(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("experiment: tomo\nmodel: {kind: kicked_top, j: 2\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(path),
+                                           "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 2, result.output
+        assert "config field '<root>': not valid YAML" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setitem(experiments._EXPERIMENTS, "krylov",
+                            (fail, *experiments._EXPERIMENTS["krylov"][1:]))
+        out = tmp_path / "missing" / "x.csv"
+        result = CliRunner().invoke(main, ["run", "--preset", "fig2.4-lanczos", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config field 'output_path'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.parent.exists()
 
     def test_presets_command(self):
         result = CliRunner().invoke(main, ["presets"])

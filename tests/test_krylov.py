@@ -15,9 +15,7 @@ from chaostomo.dynamics import (
     collective_spin,
     hamiltonian,
     heisenberg_timeline,
-    kicked_top_floquet,
     pauli_site,
-    tki_floquet,
 )
 from chaostomo.experiments import config_from_preset, run_experiment
 from chaostomo.krylov import (
@@ -310,7 +308,7 @@ class TestFootprint:
         assert peak < 1.3
 
     def test_unitary_orbit_count(self):
-        u = tki_floquet(KickedIsing(L=5, J=1.0, hx=1.4, hz=0.4))
+        u = build_propagator(KickedIsing(L=5, J=1.0, hx=1.4, hz=0.4))
         k, peak = self.traced(arnoldi_unitary_dim, u, pauli_site("y", 1, 5) / 2)
         assert k == 993
         assert peak < 1.0
@@ -460,7 +458,7 @@ class TestArnoldi:
 
     @pytest.mark.parametrize("L,expected", [(2, 13), (3, 55)])
     def test_kicked_ising_dimension(self, L, expected):
-        u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
+        u = build_propagator(KickedIsing(L=L, J=1.0, hx=1.4, hz=1.4))
         o = pauli_site("y", 1, L) / 2
         assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u, o)
 
@@ -480,7 +478,7 @@ class TestArnoldi:
         from chaostomo.dynamics import heisenberg_timeline
         from helpers import timeline_covariance
 
-        u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
+        u = build_propagator(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         o = pauli_site("y", 1, 2) / 2
         K = arnoldi_unitary_dim(u, o)
         cov = timeline_covariance(heisenberg_timeline(o, u, 40), gell_mann_basis(4), u)
@@ -490,14 +488,14 @@ class TestArnoldi:
     def test_kicked_top_mode_count(self, lam, expected):
         # at lambda = 0.5 the eigenphases are degenerate to 1e-14; an orbit
         # rank under a tolerance cut counts 184 there
-        u = kicked_top_floquet(KickedTop(j=10, lam=lam, alpha=np.pi / 2))
+        u = build_propagator(KickedTop(j=10, lam=lam, alpha=np.pi / 2))
         o = angular_momentum_ops(10)[1]
         assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u, o)
 
     @pytest.mark.parametrize("L,expected", [(4, 241), (5, 993)])
     def test_kicked_ising_hz04_mode_count(self, L, expected):
         # an orbit rank under a tolerance cut counts 239 and 985 here
-        u = tki_floquet(KickedIsing(L=L, J=1.0, hx=1.4, hz=0.4))
+        u = build_propagator(KickedIsing(L=L, J=1.0, hx=1.4, hz=0.4))
         o = pauli_site("y", 1, L) / 2
         assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u, o)
 
@@ -506,7 +504,7 @@ class TestArnoldi:
         # alpha = pi/2, lambda = 0: U is a quarter turn about x, so J_y -> J_z
         # -> -J_y has period 4 and J_y^2 -> J_z^2 -> J_y^2 has period 2.  The
         # gap-pi modes of J_y^2 flip sign each step: one direction, not two
-        u = kicked_top_floquet(KickedTop(j=3, lam=0.0, alpha=np.pi / 2))
+        u = build_propagator(KickedTop(j=3, lam=0.0, alpha=np.pi / 2))
         o = np.linalg.matrix_power(angular_momentum_ops(3)[1], power)
         assert arnoldi_unitary_dim(u, o) == expected == unitary_mode_count(u, o)
 

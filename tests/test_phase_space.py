@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from chaostomo.dynamics import KickedTop, angular_momentum_ops, heisenberg_timeline, kicked_top_floquet
+from chaostomo.dynamics import KickedTop, angular_momentum_ops, build_propagator, heisenberg_timeline
 from chaostomo.operator_space import regularize_operator
 from chaostomo.phase_space import (
     coherent_state_frame,
@@ -183,7 +183,7 @@ class TestHusimiEntropy:
         jy = angular_momentum_ops(j)[1]
         vals = {}
         for lam in (0.5, 7.0):
-            u = kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=np.pi / 2))
+            u = build_propagator(KickedTop(j=j, lam=lam, alpha=np.pi / 2))
             tl = heisenberg_timeline(jy, u, 15)
             vals[lam] = husimi_entropy(tl[-1], grid)
         assert vals[7.0] > vals[0.5]
@@ -194,7 +194,7 @@ class TestHusimiEntropy:
         j = 20
         grid = sphere_grid()
         frame = gammaln_frame(j, grid)
-        u = kicked_top_floquet(KickedTop(j=j, lam=lam, alpha=np.pi / 2))
+        u = build_propagator(KickedTop(j=j, lam=lam, alpha=np.pi / 2))
         for op in heisenberg_timeline(angular_momentum_ops(j)[1], u, 8):
             q = np.clip(np.einsum("nc,cd,nd->n", frame.conj(), regularize_operator(op), frame).real, 0, None)
             want = -(2 * j + 1) / (4 * np.pi) * np.sum(grid.weights * q * np.log(q))

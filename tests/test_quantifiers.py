@@ -3,20 +3,14 @@ import pytest
 
 from chaostomo.dynamics import (
     KickedIsing,
+    build_propagator,
     heisenberg_timeline,
     pauli_site,
-    tki_floquet,
 )
 from chaostomo.operator_space import gell_mann_basis
-from chaostomo.quantifiers import (
-    fisher_information,
-    mutual_information,
-    ordered_bloch_values,
-    quantifier_series,
-    shannon_entropy,
-)
-from chaostomo.tomography import CovarianceData, haar_random_pure
-from helpers import timeline_covariance
+from chaostomo.quantifiers import ordered_bloch_values, quantifier_series
+from chaostomo.tomography import CovarianceData, haar_random_pure, measured_rank
+from helpers import shannon, timeline_covariance
 
 
 def cov_from_rows(rows):
@@ -28,23 +22,32 @@ def sv(rows):
     return cov_from_rows(rows).singular_values()
 
 
+def column(metric, *designs):
+    """One quantifier column of the prefixes ``designs``, the full record last."""
+    k = np.shape(designs[-1])[1]
+    return quantifier_series([sv(rows) for rows in designs], k)[metric]
+
+
 class TestShannon:
     def test_single_row_zero(self):
         # all the weight in one direction gives exactly 0, which must not be -0
-        value = shannon_entropy(sv([[1.0, 2.0, 0.0]]))
+        value = shannon(sv([[1.0, 2.0, 0.0]]))
         assert value == 0.0 and not np.signbit(value)
 
     def test_equal_eigenvalues_log_k(self):
-        assert shannon_entropy(sv(np.eye(5))) == pytest.approx(np.log(5), abs=1e-12)
+        assert shannon(sv(np.eye(5))) == pytest.approx(np.log(5), abs=1e-12)
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            shannon_entropy(sv(np.zeros((2, 4))))
+        with pytest.raises(ValueError, match="no support"):
+            column("shannon", np.zeros((2, 4)))
+        # any prefix that measures nothing, not only the last one
+        with pytest.raises(ValueError, match="no support"):
+            column("fisher", np.zeros((1, 4)), np.eye(4))
 
     def test_bounded_by_log_rank(self, rng):
         design = rng.standard_normal((12, 8))
         cov = cov_from_rows(design)
-        assert shannon_entropy(cov.singular_values()) <= np.log(cov.rank()) + 1e-12
+        assert shannon(cov.singular_values()) <= np.log(cov.rank()) + 1e-12
 
     def test_chaotic_dynamics_saturates_higher(self):
         # kicked Ising at strong tilt spreads information more evenly
@@ -52,14 +55,14 @@ class TestShannon:
         basis = gell_mann_basis(8)
         ent = {}
         for hz in (0.0, 0.4, 1.4):
-            u = tki_floquet(KickedIsing(L=3, J=1.0, hx=1.4, hz=hz))
+            u = build_propagator(KickedIsing(L=3, J=1.0, hx=1.4, hz=hz))
             cov = timeline_covariance(heisenberg_timeline(o, u, 199), basis, u)
-            ent[hz] = shannon_entropy(cov.singular_values())
+            ent[hz] = shannon(cov.singular_values())
         assert ent[1.4] > ent[0.4] > ent[0.0]
 
     def test_xxz_impurity_strength_raises_quantifiers(self):
         # breaking XXZ integrability with the impurity raises entropy and rank
-        from chaostomo.dynamics import XXZChain, build_propagator
+        from chaostomo.dynamics import XXZChain
 
         o = pauli_site("y", 2, 4) / 2
         basis = gell_mann_basis(16)
@@ -67,7 +70,7 @@ class TestShannon:
         for g in (0.0, 0.94):
             u = build_propagator(XXZChain(L=4, Jxy=1.0, Jzz=1.1, g=g, site=2))
             cov = timeline_covariance(heisenberg_timeline(o, u, 299), basis, u)
-            ent[g] = shannon_entropy(cov.singular_values())
+            ent[g] = shannon(cov.singular_values())
             rank[g] = cov.rank()
         assert ent[0.94] > ent[0.0]
         assert rank[0.94] >= rank[0.0]
@@ -75,39 +78,40 @@ class TestShannon:
 
 class TestFisher:
     def test_identity_covariance(self):
-        assert fisher_information(sv(np.eye(8)), 8, reg=1e-12) == pytest.approx(1 / 8, rel=1e-6)
+        # every eigenvalue 1, lifted by the regularizer 1e-6 lam_0 = 1e-6
+        assert column("fisher", np.eye(8))[0] == pytest.approx((1 + 1e-6) / 8, rel=1e-12)
 
-    def test_zero_matrix_pure_regularizer(self):
-        reg = 0.37
-        assert fisher_information(sv(np.zeros((3, 8))), 8, reg) == pytest.approx(reg / 8, rel=1e-12)
-
-    def test_rejects_nonpositive_reg(self):
-        with pytest.raises(ValueError):
-            fisher_information(sv(np.eye(3)), 3, reg=0.0)
+    def test_unmeasured_directions_take_last_prefix_regularizer(self):
+        # the first prefix measures one of 8 directions at lam = 1; the regularizer
+        # comes from the last prefix's largest eigenvalue, 9
+        reg = 1e-6 * 9.0
+        fisher = column("fisher", np.eye(1, 8), 3.0 * np.eye(8))
+        assert fisher[0] == pytest.approx(1 / (1 / (1 + reg) + 7 / reg), rel=1e-12)
+        assert fisher[1] == pytest.approx((9 + reg) / 8, rel=1e-12)
 
     def test_monotone_in_rows(self, rng):
-        # Loewner order: appending a row never decreases J at fixed reg
+        # Loewner order: appending a row never decreases J at the series' fixed reg
         k = 10
         for _ in range(5):
             design = rng.standard_normal((6, k))
             extra = rng.standard_normal((1, k))
-            j1 = fisher_information(sv(design), k, reg=1e-3)
-            j2 = fisher_information(sv(np.vstack([design, extra])), k, reg=1e-3)
+            j1, j2 = column("fisher", design, np.vstack([design, extra]))
             assert j2 >= j1 - 1e-12
 
 
 class TestRankAndMutualInfo:
     def test_single_row_rank(self):
         assert cov_from_rows([[0.3, 0.0, 0.1]]).rank() == 1
+        assert column("rank", [[0.3, 0.0, 0.1]])[0] == 1
 
     def test_identity_mi_zero(self):
-        assert mutual_information(sv(np.eye(6))) == pytest.approx(0.0, abs=1e-12)
+        assert column("mutual_info", np.eye(6))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_row_scaling_adds_k_log_c(self, rng):
         design = rng.standard_normal((5, 5))
         c = 2.7
-        mi1 = mutual_information(sv(design))
-        mi2 = mutual_information(sv(c * design))
+        mi1 = column("mutual_info", design)[0]
+        mi2 = column("mutual_info", c * design)[0]
         assert mi2 - mi1 == pytest.approx(5 * np.log(c), abs=1e-9)
 
     def test_am_gm_bound_on_measured_subspace(self, rng):
@@ -117,19 +121,19 @@ class TestRankAndMutualInfo:
             k = cov.rank()
             lam = cov.singular_values()[:k] ** 2
             bound = (k / 2) * np.log(np.sum(lam) / k)
-            assert mutual_information(cov.singular_values()) <= bound + 1e-10
+            assert column("mutual_info", design)[0] <= bound + 1e-10
 
     def test_am_gm_equality_for_uniform_spectrum(self):
         cov = cov_from_rows(3.0 * np.eye(4))
         k = cov.rank()
         bound = (k / 2) * np.log(np.sum(cov.design**2) / k)
-        assert mutual_information(cov.singular_values()) == pytest.approx(bound, abs=1e-12)
+        assert column("mutual_info", 3.0 * np.eye(4))[0] == pytest.approx(bound, abs=1e-12)
 
 
 class TestSeries:
     def test_series_shapes_and_fisher_monotone(self):
         o = pauli_site("y", 1, 2) / 2
-        u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
+        u = build_propagator(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         cov = timeline_covariance(heisenberg_timeline(o, u, 39), gell_mann_basis(4), u)
         series = quantifier_series([cov.truncated(n).singular_values() for n in range(1, 41)],
                                    cov.design.shape[1])
@@ -139,6 +143,34 @@ class TestSeries:
         assert all(a <= b for a, b in zip(rank, rank[1:]))
         assert all(b >= a - 1e-15 for a, b in zip(fisher, fisher[1:]))
         assert np.all(series["shannon"] >= -1e-12)
+
+
+    def test_columns_keep_the_per_prefix_bits(self, rng):
+        # reference: each measure on its own, as separate per-prefix functions computed
+        # them, with singular values below the measured cut in every prefix
+        design = rng.standard_normal((30, 15)) * np.logspace(0, -12, 15)
+        spectra = [sv(design[:n]) for n in (3, 9, 15, 30)]
+        k = 20
+
+        def measured(s):
+            return s[: measured_rank(s)] ** 2
+
+        reg = 1e-6 * measured(spectra[-1])[0]
+        want = {"shannon": [], "fisher": [], "rank": [], "mutual_info": []}
+        for s in spectra:
+            lam = measured(s)
+            p = lam / lam.sum()
+            want["shannon"].append(float(0.0 - np.sum(p * np.log(p))))
+            lifted = np.zeros(k)
+            lifted[: len(s)] = s**2
+            want["fisher"].append(float(1.0 / np.sum(1.0 / (lifted + reg))))
+            want["rank"].append(measured_rank(s))
+            want["mutual_info"].append(float(0.5 * np.sum(np.log(lam))))
+        assert [measured_rank(s) for s in spectra][-1] < 15  # the cut drops values
+        got = quantifier_series(spectra, k)
+        for metric, column in want.items():
+            assert np.array_equal(got[metric], np.array(column)), metric
+            assert got[metric].dtype == np.array(column).dtype
 
 
 class TestOrderedBloch:

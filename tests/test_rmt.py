@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from chaostomo.checks import _reflection_operator as reflection_operator
-from chaostomo.dynamics import KickedIsing, tki_floquet
+from chaostomo.dynamics import KickedIsing, build_propagator
 from chaostomo.rmt import (
     block_diagonal_sample,
     haar_unitary,
@@ -119,7 +119,7 @@ class TestReflection:
 
     def test_commutes_with_kicked_ising(self):
         p = reflection_operator(4)
-        u = tki_floquet(KickedIsing(L=4, J=1.0, hx=1.4, hz=1.4))
+        u = build_propagator(KickedIsing(L=4, J=1.0, hx=1.4, hz=1.4))
         assert np.max(np.abs(p @ u - u @ p)) < 1e-10
 
     @pytest.mark.parametrize("L,dims", [(2, (3, 1)), (3, (6, 2)), (4, (10, 6)), (5, (20, 12))])

@@ -13,10 +13,8 @@ from chaostomo.dynamics import (
     angular_momentum_ops,
     build_propagator,
     heisenberg_timeline,
-    kicked_top_floquet,
     pauli_site,
     timeline_blocks,
-    tki_floquet,
 )
 from chaostomo import krylov, tomography
 from chaostomo.operator_space import bloch_decode, bloch_encode, bloch_encode_batch, gell_mann_basis
@@ -24,7 +22,6 @@ from chaostomo.tomography import (
     RANK_TOL,
     CovarianceData,
     build_covariance,
-    fidelity,
     haar_random_pure,
     measured_rank,
     ml_estimate,
@@ -33,7 +30,7 @@ from chaostomo.tomography import (
     read_timeline,
     reconstruct_series,
 )
-from helpers import run_tomography, stack, timeline_covariance, timeline_record
+from helpers import run_tomography, shannon, stack, timeline_covariance, timeline_record
 
 
 class TestHaarStates:
@@ -60,7 +57,7 @@ class TestHaarStates:
 class TestRecords:
     def test_noiseless_record_is_expectations(self, rng):
         jy = angular_momentum_ops(2)[1]
-        u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
+        u = build_propagator(KickedTop(j=2, lam=3.0, alpha=1.4))
         tl = heisenberg_timeline(jy, u, 10)
         psi = haar_random_pure(5, rng)
         rec = timeline_record(psi, tl, 0.0, 1)
@@ -70,7 +67,7 @@ class TestRecords:
 
     def test_maximally_mixed_gives_pure_noise(self):
         jy = angular_momentum_ops(2)[1]
-        u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
+        u = build_propagator(KickedTop(j=2, lam=3.0, alpha=1.4))
         tl = heisenberg_timeline(jy, u, 30)
         rec0 = timeline_record(np.eye(5) / 5, tl, 0.0, 7)
         assert np.max(np.abs(rec0)) < 1e-12
@@ -80,7 +77,7 @@ class TestRecords:
 
     def test_deterministic_for_seed(self, rng):
         jy = angular_momentum_ops(2)[1]
-        u = kicked_top_floquet(KickedTop(j=2, lam=3.0, alpha=1.4))
+        u = build_propagator(KickedTop(j=2, lam=3.0, alpha=1.4))
         tl = heisenberg_timeline(jy, u, 10)
         psi = haar_random_pure(5, rng)
         a = timeline_record(psi, tl, 0.1, 42)
@@ -89,7 +86,7 @@ class TestRecords:
 
     def test_negative_sigma_rejected(self, rng):
         jy = angular_momentum_ops(2)[1]
-        tl = heisenberg_timeline(jy, kicked_top_floquet(KickedTop(2, 1.0, 1.0)), 3)
+        tl = heisenberg_timeline(jy, build_propagator(KickedTop(2, 1.0, 1.0)), 3)
         with pytest.raises(ValueError):
             timeline_record(haar_random_pure(5, rng), tl, -0.1, 0)
 
@@ -114,7 +111,7 @@ class TestStreamedTimeline:
             step = np.random.default_rng(9)
             steps = stack(timeline_blocks(o, n_rows - 1, np.random.default_rng(9)))
         else:
-            step = tki_floquet(KickedIsing(L=5, hz=0.4))
+            step = build_propagator(KickedIsing(L=5, hz=0.4))
             steps = heisenberg_timeline(o, step, n_rows - 1)
         keep = sorted({0, n_rows // 2, n_rows - 1})
         cov, expected, kept = read_timeline(o, n_rows, step, basis, states, keep)
@@ -149,7 +146,7 @@ class TestStreamedTimeline:
 
         monkeypatch.setattr(tomography, "timeline_blocks", no_pass)
         o = angular_momentum_ops(1)[1]
-        u = kicked_top_floquet(KickedTop(j=1, lam=2.0, alpha=1.0))
+        u = build_propagator(KickedTop(j=1, lam=2.0, alpha=1.0))
         with pytest.raises(ValueError, match="dim"):
             read_timeline(o, 10, u, gell_mann_basis(4))
         with pytest.raises(ValueError, match="state dimension"):
@@ -183,13 +180,13 @@ class TestCovariance:
     def test_single_row_rank_one(self):
         jy = angular_momentum_ops(1)[1]
         basis = gell_mann_basis(3)
-        u = kicked_top_floquet(KickedTop(1, 2.0, 1.0))
+        u = build_propagator(KickedTop(1, 2.0, 1.0))
         cov = timeline_covariance(heisenberg_timeline(jy, u, 0), basis, u)
         assert cov.rank() == 1
 
     def test_kicked_ising_rank_saturates_at_13(self):
         o = pauli_site("y", 1, 2) / 2
-        u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
+        u = build_propagator(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         tl = heisenberg_timeline(o, u, 60)
         cov = timeline_covariance(tl, gell_mann_basis(4), u)
         assert cov.rank() == 13
@@ -209,15 +206,13 @@ class TestCovariance:
         # entropy is NOT exactly monotone (a row reinforcing an already
         # measured direction lowers it), but it rises to saturation with at
         # most small dips along the way
-        from chaostomo.quantifiers import shannon_entropy
-
         o = pauli_site("y", 1, 2) / 2
-        u = tki_floquet(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
+        u = build_propagator(KickedIsing(L=2, J=1.0, hx=1.4, hz=1.4))
         tl = heisenberg_timeline(o, u, 30)
         cov = timeline_covariance(tl, gell_mann_basis(4), u)
         ranks = [cov.truncated(n).rank() for n in range(1, 31)]
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
-        entropies = np.array([shannon_entropy(cov.truncated(n).singular_values())
+        entropies = np.array([shannon(cov.truncated(n).singular_values())
                               for n in range(2, 31)])
         assert entropies[-1] > entropies[0]
         assert np.min(np.diff(entropies)) > -0.05
@@ -358,7 +353,7 @@ class TestFactoredDesign:
 
     def test_prefix_keeps_span_while_it_limits_rank(self):
         o, n_rows = _chain_case(KickedIsing(L=4, hz=0.0))
-        u = tki_floquet(KickedIsing(L=4, hz=0.0))
+        u = build_propagator(KickedIsing(L=4, hz=0.0))
         cov = timeline_covariance(heisenberg_timeline(o, u, n_rows - 1), gell_mann_basis(16), u)
         k = len(cov.span)
         assert cov.truncated(k + 1).span is cov.span
@@ -406,7 +401,7 @@ class TestFactoredDesign:
     def test_full_span_designs_stay_plain(self):
         # kicked top j=10, 100 rows: the span (240 directions) exceeds the rows
         jy = angular_momentum_ops(10)[1]
-        u = kicked_top_floquet(KickedTop(10, 0.5, np.pi / 2))
+        u = build_propagator(KickedTop(10, 0.5, np.pi / 2))
         assert timeline_covariance(heisenberg_timeline(jy, u, 99), gell_mann_basis(21), u).span is None
         # kicked Ising hz=1.4: the orbit has K = 241 > 255 / 2 dimensions, the
         # plain side of the size rule
@@ -436,7 +431,7 @@ class TestMLEstimate:
         d = 3
         basis = gell_mann_basis(d)
         jy = angular_momentum_ops(1)[1]
-        u = kicked_top_floquet(KickedTop(1, 2.0, 1.0))
+        u = build_propagator(KickedTop(1, 2.0, 1.0))
         tl = heisenberg_timeline(jy, u, 0)
         cov = timeline_covariance(tl, basis, u)
         psi = haar_random_pure(d, rng)
@@ -451,7 +446,7 @@ class TestMLEstimate:
         d = 3
         basis = gell_mann_basis(d)
         jy = angular_momentum_ops(1)[1]
-        u = kicked_top_floquet(KickedTop(1, 2.0, 1.0))
+        u = build_propagator(KickedTop(1, 2.0, 1.0))
         tl = heisenberg_timeline(jy, u, 20)
         cov = timeline_covariance(tl, basis, u)
         rec = timeline_record(np.eye(d) / d, tl, 0.0, 0)
@@ -648,7 +643,7 @@ class TestPsdProject:
 
 class TestFidelity:
     def test_trivial_values(self, rng):
-        d = 5
+        d, fidelity = 5, tomography._fidelity
         psi = haar_random_pure(d, rng)
         assert fidelity(psi, np.outer(psi, psi.conj())) == pytest.approx(1.0, abs=1e-12)
         assert fidelity(psi, np.eye(d) / d) == pytest.approx(1 / d, abs=1e-12)
@@ -659,7 +654,7 @@ class TestFidelity:
 
     def test_rejects_mismatch(self, rng):
         with pytest.raises(ValueError):
-            fidelity(haar_random_pure(3, rng), np.eye(4) / 4)
+            tomography._fidelity(haar_random_pure(3, rng), np.eye(4) / 4)
 
 
 class TestPipeline:
@@ -696,7 +691,7 @@ class TestPipeline:
         o_vec = bloch_encode(o, basis)
         r_proj = o_vec * (o_vec @ r_true) / (o_vec @ o_vec)
         if np.linalg.eigvalsh(bloch_decode(r_proj, basis))[0] >= 0:
-            want = fidelity(psi, bloch_decode(r_proj, basis))
+            want = tomography._fidelity(psi, bloch_decode(r_proj, basis))
             assert fids == pytest.approx([want, want], abs=1e-9)
         assert abs(fids[0] - fids[1]) < 1e-9
 
